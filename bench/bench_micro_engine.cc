@@ -147,6 +147,56 @@ BM_RouterTickBusy(benchmark::State& state)
 }
 BENCHMARK(BM_RouterTickBusy);
 
+void
+BM_RouterTickContended(benchmark::State& state)
+{
+    // Every network and injection input holds a worm for the same
+    // output (+x toward node 10), each on its own VC of that output,
+    // and credits return at once: every cycle the switch arbiter picks
+    // one of five requesting inputs.
+    SimConfig cfg;
+    cfg.radixK = 8;
+    cfg.dimensionsN = 2;
+    cfg.numVcs = 5;  // One output VC per input port.
+    TorusTopology topo(8, 2);
+    FaultModel faults(topo, 0.0, Rng(1));
+    MinimalAdaptiveRouting algo(topo, faults, cfg.numVcs);
+    RouterStats stats;
+    Router router(9, cfg, algo, &stats, Rng(2));
+    constexpr std::uint32_t kWormFlits = 16;
+    const PortId inputs = router.numInPorts();
+    std::vector<std::uint32_t> seq(inputs, kWormFlits);
+    std::vector<MsgId> worm(inputs, 0);
+    MsgId msg = 0;
+    Cycle now = 0;
+    for (auto _ : state) {
+        for (PortId p = 0; p < inputs; ++p) {
+            if (router.inputOccupancy(p, 0) >= cfg.bufferDepth)
+                continue;
+            if (seq[p] == kWormFlits) {
+                if (!router.vcIdle(p, 0))
+                    continue;  // The last worm's tail is still queued.
+                worm[p] = ++msg;
+                seq[p] = 0;
+            }
+            Flit f;
+            f.type = seq[p] == 0                ? FlitType::Head
+                     : seq[p] + 1 == kWormFlits ? FlitType::Tail
+                                                : FlitType::Body;
+            f.msg = worm[p];
+            f.seq = seq[p]++;
+            f.dst = 10;
+            router.acceptFlit(p, 0, f);
+        }
+        router.tick(now++);
+        for (const SentFlit& f : router.sentFlits)
+            router.acceptCredit(f.outPort, f.vc);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(stats.flitsForwarded.value()));
+}
+BENCHMARK(BM_RouterTickContended);
+
 } // namespace
 
 BENCHMARK_MAIN();

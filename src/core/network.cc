@@ -152,6 +152,7 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     Rng root(cfg_.seed);
 
     topo_ = makeTopology(cfg_);
+    neighbors_ = topo_->neighborTable();
     faults_ = std::make_unique<FaultModel>(
         *topo_, cfg_.transientFaultRate, root.fork());
     if (cfg_.permanentLinkFaults > 0)
@@ -402,7 +403,7 @@ Network::deliver()
             // gone — data counts as purged (conservation holds), a
             // kill token is absorbed (the death-time teardown already
             // re-issued a kill downstream of the break).
-            const NodeId sender = topo_->neighbor(p.node, p.inPort);
+            const NodeId sender = neighborOf(p.node, p.inPort);
             if (sender == kInvalidNode ||
                 !faults_->linkOk(sender, oppositePort(p.inPort))) {
                 if (p.flit.isData()) {
@@ -617,7 +618,7 @@ Network::collectRouter(NodeId n)
 
     for (const SentFlit& s : r.sentFlits) {
         if (s.outPort < net_ports) {
-            const NodeId nbr = topo_->neighbor(n, s.outPort);
+            const NodeId nbr = neighborOf(n, s.outPort);
             if (nbr == kInvalidNode)
                 panic("router ", n, " sent a flit off the network via "
                       "port ", s.outPort);
@@ -632,7 +633,7 @@ Network::collectRouter(NodeId n)
 
     for (const SentCredit& c : r.sentCredits) {
         if (c.inPort < net_ports) {
-            const NodeId upstream = topo_->neighbor(n, c.inPort);
+            const NodeId upstream = neighborOf(n, c.inPort);
             if (upstream == kInvalidNode)
                 panic("credit to a nonexistent upstream at node ", n);
             waveIn(cfg_.channelLatency).credits.push_back(
@@ -649,7 +650,7 @@ Network::collectRouter(NodeId n)
         if (b.inPort >= net_ports)
             panic("backward kill to an injection port must be an "
                   "abort");
-        const NodeId upstream = topo_->neighbor(n, b.inPort);
+        const NodeId upstream = neighborOf(n, b.inPort);
         if (upstream == kInvalidNode)
             panic("backward kill to a nonexistent upstream at node ",
                   n);

@@ -460,8 +460,17 @@ class Network : public DeliverySink, public MessageFailureSink
     /** Wave that events maturing `delay` cycles from now go into. */
     Wave& waveIn(Cycle delay);
 
+    /** topo_->neighbor(n, p), read from the precomputed table. */
+    NodeId neighborOf(NodeId n, PortId p) const
+    {
+        return neighbors_[static_cast<std::size_t>(n) *
+                              topo_->numPorts() + p];
+    }
+
     SimConfig cfg_;
     std::unique_ptr<Topology> topo_;
+    /** Topology::neighborTable(): [node][network port]. */
+    std::vector<NodeId> neighbors_;
     std::unique_ptr<Auditor> audit_;
     std::unique_ptr<Tracer> trace_;
     std::unique_ptr<TimeSeries> timeseries_;

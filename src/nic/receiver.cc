@@ -22,14 +22,12 @@ Receiver::Receiver(NodeId node, const SimConfig& cfg,
     // (timeout scales with VC sharing, plus kill/retry round trips).
     const Cycle legit = 16 * (cfg.timeout + 1) * cfg.numVcs;
     starvationThreshold_ = legit < 512 ? 512 : legit;
-    bufs_.reserve(static_cast<std::size_t>(cfg.ejectionChannels) *
-                  cfg.numVcs);
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(cfg.ejectionChannels) *
-                 cfg.numVcs;
-         ++i) {
-        bufs_.emplace_back(cfg.bufferDepth);
-    }
+    const std::size_t vcs =
+        static_cast<std::size_t>(cfg.ejectionChannels) * cfg.numVcs;
+    slots_.resize(vcs * cfg.bufferDepth);
+    bufs_.resize(vcs);
+    for (std::size_t i = 0; i < vcs; ++i)
+        bufs_[i].buf.bind(&slots_[i * cfg.bufferDepth], cfg.bufferDepth);
 }
 
 Receiver::VcBuffer&

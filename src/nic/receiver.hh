@@ -96,6 +96,10 @@ class Receiver
     Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats,
              DeliverySink* sink);
 
+    // The ejection buffers point into slots_.
+    Receiver(const Receiver&) = delete;
+    Receiver& operator=(const Receiver&) = delete;
+
     // --- Delivery phase ----------------------------------------------
 
     /** A flit (or kill token) arrives over an ejection channel. */
@@ -203,9 +207,7 @@ class Receiver
   private:
     struct VcBuffer
     {
-        explicit VcBuffer(std::size_t depth) : buf(depth) {}
-
-        FlitBuffer buf;
+        FlitBuffer buf;  //!< Ring over this VC's slice of slots_.
         bool refusing = false;
         MsgId refusedMsg = kInvalidMsg;
     };
@@ -271,6 +273,7 @@ class Receiver
     Tracer* trace_ = nullptr;
     bool deferStats_ = false;
 
+    std::vector<Flit> slots_;     //!< [channel][vc][depth] flattened.
     std::vector<VcBuffer> bufs_;  //!< [channel][vc] flattened.
     std::vector<VcId> rrVc_;      //!< Consumption RR per channel.
     std::unordered_map<MsgId, Assembly> assemblies_;

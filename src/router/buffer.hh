@@ -2,61 +2,46 @@
  * @file
  * Fixed-capacity flit FIFO used for every virtual-channel buffer.
  *
- * A plain ring buffer: wormhole simulation enqueues/dequeues millions of
- * flits, so this avoids per-flit allocation entirely.
- *
- * Two storage modes share the same queue logic:
- *   - *Owning* (the historical mode): the buffer allocates its own
- *     slot vector. Standalone components (tests, the receiver's
- *     ejection VCs) use this.
- *   - *Bound*: the buffer indexes a caller-owned slot slice via
- *     `bind()`. The router structure-of-arrays pool packs every VC
- *     buffer of every node into one contiguous flit array so the
- *     sharded hot path walks cache-dense state (docs/PERFORMANCE.md).
+ * A plain ring over caller-owned slots: wormhole simulation enqueues
+ * and dequeues millions of flits, so the buffer never allocates. The
+ * owner packs the slots of many buffers into one contiguous array (the
+ * router's StatePool, the receiver's ejection slots), and the ring
+ * itself is a pointer and three 32-bit indices, so it fits beside the
+ * rest of a VC's hot state in one cache line (docs/PERFORMANCE.md,
+ * "Router hot path"). Indices wrap by compare-and-subtract, not `%`.
  */
 
 #ifndef CRNET_ROUTER_BUFFER_HH
 #define CRNET_ROUTER_BUFFER_HH
 
 #include <cstddef>
-#include <vector>
+#include <cstdint>
 
 #include "src/sim/log.hh"
 #include "src/router/flit.hh"
 
 namespace crnet {
 
-/** Bounded FIFO of flits. */
+/** Bounded FIFO of flits over caller-owned slots. */
 class FlitBuffer
 {
   public:
     /** Unbound buffer: capacity 0 until `bind()` attaches storage. */
     FlitBuffer() = default;
 
-    /** @param capacity Maximum number of buffered flits (> 0). */
-    explicit FlitBuffer(std::size_t capacity)
-        : owned_(capacity), cap_(capacity)
-    {
-        if (capacity == 0)
-            panic("FlitBuffer capacity must be > 0");
-    }
-
     /**
      * Attach caller-owned slot storage (`cap` > 0 flits). The slice
-     * must outlive the buffer; any owned storage is released. Only
-     * valid on an empty buffer.
+     * must outlive the buffer. Only valid on an empty buffer.
      */
     void
     bind(Flit* slots, std::size_t cap)
     {
-        if (!slots || cap == 0)
-            panic("FlitBuffer::bind needs storage with capacity > 0");
+        if (!slots || cap == 0 || cap > UINT32_MAX)
+            panic("FlitBuffer needs storage with capacity in [1, 2^32)");
         if (count_ != 0)
             panic("FlitBuffer::bind on a non-empty buffer");
-        owned_.clear();
-        owned_.shrink_to_fit();
-        bound_ = slots;
-        cap_ = cap;
+        slots_ = slots;
+        cap_ = static_cast<std::uint32_t>(cap);
         head_ = 0;
     }
 
@@ -72,7 +57,7 @@ class FlitBuffer
         if (full())
             panic("FlitBuffer overflow (msg ", flit.msg, ", seq ",
                   flit.seq, ")");
-        slots()[(head_ + count_) % cap_] = flit;
+        slots_[wrap(head_ + count_)] = flit;
         ++count_;
     }
 
@@ -82,7 +67,7 @@ class FlitBuffer
     {
         if (empty())
             panic("FlitBuffer::front on empty buffer");
-        return slots()[head_];
+        return slots_[head_];
     }
 
     /** Mutable access to the oldest flit (header state updates). */
@@ -91,7 +76,7 @@ class FlitBuffer
     {
         if (empty())
             panic("FlitBuffer::frontMutable on empty buffer");
-        return slots()[head_];
+        return slots_[head_];
     }
 
     /** Remove and return the oldest flit. */
@@ -100,8 +85,8 @@ class FlitBuffer
     {
         if (empty())
             panic("FlitBuffer::pop on empty buffer");
-        Flit f = slots()[head_];
-        head_ = (head_ + 1) % cap_;
+        const Flit& f = slots_[head_];
+        head_ = wrap(head_ + 1);
         --count_;
         return f;
     }
@@ -115,7 +100,7 @@ class FlitBuffer
     {
         if (i >= count_)
             panic("FlitBuffer::peek(", i, ") with ", count_, " buffered");
-        return slots()[(head_ + i) % cap_];
+        return slots_[wrap(head_ + static_cast<std::uint32_t>(i))];
     }
 
     /** Drop all contents (kill-token purge); returns dropped count. */
@@ -129,15 +114,22 @@ class FlitBuffer
     }
 
   private:
-    Flit* slots() { return bound_ ? bound_ : owned_.data(); }
-    const Flit* slots() const { return bound_ ? bound_ : owned_.data(); }
+    /** Map [0, 2*cap) onto [0, cap). */
+    std::uint32_t
+    wrap(std::uint32_t i) const
+    {
+        return i >= cap_ ? i - cap_ : i;
+    }
 
-    std::vector<Flit> owned_;
-    Flit* bound_ = nullptr;      //!< Pool-owned slice when bound.
-    std::size_t cap_ = 0;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+    Flit* slots_ = nullptr;
+    std::uint32_t cap_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t count_ = 0;
 };
+
+static_assert(sizeof(FlitBuffer) <= 24,
+              "FlitBuffer is part of the router's one-cache-line VC "
+              "state (Router::InputVc)");
 
 } // namespace crnet
 

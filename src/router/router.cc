@@ -1,6 +1,7 @@
 #include "src/router/router.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/sim/audit.hh"
 #include "src/sim/log.hh"
@@ -21,6 +22,10 @@ Router::StatePool::StatePool(const SimConfig& cfg,
 {
     if (nodes == 0)
         panic("StatePool needs at least one node");
+    if (inPorts_ > kMaxRouterPorts || outPorts_ > kMaxRouterPorts)
+        panic("router with ", inPorts_, " input and ", outPorts_,
+              " output ports exceeds the ", kMaxRouterPorts,
+              "-port switch arbiter");
     const std::size_t inVcs =
         static_cast<std::size_t>(nodes) * inPorts_ * vcs_;
     const std::size_t outVcs =
@@ -29,11 +34,10 @@ Router::StatePool::StatePool(const SimConfig& cfg,
     // routers hold raw base pointers into them.
     flitSlots_.resize(inVcs * depth_);
     inputs_.resize(inVcs);
+    cold_.resize(inVcs);
     outputs_.resize(outVcs);
     rrInVc_.assign(static_cast<std::size_t>(nodes) * inPorts_, 0);
     rrOutIn_.assign(static_cast<std::size_t>(nodes) * outPorts_, 0);
-    outPortBusy_.assign(static_cast<std::size_t>(nodes) * outPorts_,
-                        0);
     for (std::size_t i = 0; i < inVcs; ++i)
         inputs_[i].buf.bind(&flitSlots_[i * depth_], depth_);
 }
@@ -43,10 +47,10 @@ Router::StatePool::bytes() const
 {
     return flitSlots_.capacity() * sizeof(Flit) +
            inputs_.capacity() * sizeof(InputVc) +
+           cold_.capacity() * sizeof(InputVcCold) +
            outputs_.capacity() * sizeof(OutputVc) +
            rrInVc_.capacity() * sizeof(VcId) +
-           rrOutIn_.capacity() * sizeof(PortId) +
-           outPortBusy_.capacity() * sizeof(std::uint8_t);
+           rrOutIn_.capacity() * sizeof(PortId);
 }
 
 Router::Router(NodeId id, const SimConfig& cfg,
@@ -91,10 +95,10 @@ Router::attach(StatePool& pool, std::uint64_t index)
     }
 
     inputs_ = &pool.inputs_[index * numInVcs()];
+    cold_ = &pool.cold_[index * numInVcs()];
     outputs_ = &pool.outputs_[index * numOutVcs()];
     rrInVc_ = &pool.rrInVc_[index * numInPorts_];
     rrOutIn_ = &pool.rrOutIn_[index * numOutPorts_];
-    outPortBusy_ = &pool.outPortBusy_[index * numOutPorts_];
 
     for (PortId p = 0; p < numOutPorts_; ++p) {
         for (VcId v = 0; v < numVcs_; ++v) {
@@ -104,9 +108,6 @@ Router::attach(StatePool& pool, std::uint64_t index)
         }
     }
 
-    byOut_.resize(numOutPorts_);
-    for (auto& reqs : byOut_)
-        reqs.reserve(numInVcs());
     scratch_.reserve(numOutVcs());
     sentFlits.reserve(numOutVcs());
     sentCredits.reserve(numInVcs());
@@ -125,6 +126,12 @@ const Router::InputVc&
 Router::ivc(PortId p, VcId v) const
 {
     return inputs_[static_cast<std::size_t>(p) * numVcs_ + v];
+}
+
+Router::InputVcCold&
+Router::icold(PortId p, VcId v)
+{
+    return cold_[static_cast<std::size_t>(p) * numVcs_ + v];
 }
 
 Router::OutputVc&
@@ -159,10 +166,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit)
                 panic("kill token for msg ", flit.msg,
                       " found msg ", in.msg, " at node ", id_);
             }
-            in.killPending = true;
-            in.killFlit = flit;
-            in.killOutPort = in.outPort;
-            in.killOutVc = in.outVc;
+            armKill(in_port, vc, flit);
             break;
           case InputVc::State::Routing:
             // The header was still waiting here: token and worm
@@ -175,10 +179,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit)
             stats_->staleKills.inc();
             return;
         }
-        in.purgeMsg = flit.msg;
-        in.msg = kInvalidMsg;
-        in.state = InputVc::State::Idle;
-        in.stallCycles = 0;
+        retire(in_port, vc, flit.msg);
         return;
     }
 
@@ -190,15 +191,16 @@ Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit)
             in.msg = flit.msg;
             in.attempt = flit.attempt;
             in.stallCycles = 0;
-            in.headArrivedAt = now_;
             in.blockTraced = false;
+            icold(in_port, vc).headArrivedAt = now_;
             return;
         }
         // Continuation of a worm that was purged here (backward-kill
         // race): at most one such flit can be in flight per hop.
-        if (flit.msg != in.purgeMsg) {
+        const MsgId purged = icold(in_port, vc).purgeMsg;
+        if (flit.msg != purged) {
             panic("straggler for unexpected msg ", flit.msg,
-                  " (purged ", in.purgeMsg, ") at node ", id_);
+                  " (purged ", purged, ") at node ", id_);
         }
         stats_->stragglersDropped.inc();
         CRNET_AUDIT_HOOK(audit_, onFlitsPurged(1));
@@ -275,10 +277,7 @@ Router::processBkills()
         }
         CRNET_AUDIT_HOOK(audit_, onFlitsPurged(purged));
         CRNET_AUDIT_HOOK(audit_, onChannelReset(id_, hp, hv, msg));
-        in.state = InputVc::State::Idle;
-        in.purgeMsg = msg;
-        in.msg = kInvalidMsg;
-        in.stallCycles = 0;
+        retire(hp, hv, msg);
         o.allocated = false;
         o.credits = cfg_.bufferDepth;
         o.quarantineUntil = now_ + 2 * cfg_.channelLatency;
@@ -298,37 +297,40 @@ Router::propagateUpstream(PortId in_port, VcId vc, MsgId msg)
     sentBkills.push_back(SentBkill{in_port, vc});
 }
 
-void
+std::uint64_t
 Router::forwardKills()
 {
-    for (PortId p = 0; p < numInPorts_; ++p) {
-        for (VcId v = 0; v < numVcs_; ++v) {
-            InputVc& in = ivc(p, v);
-            if (!in.killPending)
-                continue;
-            const PortId o = in.killOutPort;
-            if (outPortBusy_[o])
-                continue;  // Another kill claimed the channel; wait.
-            outPortBusy_[o] = 1;
-            sentFlits.push_back(SentFlit{o, in.killOutVc, in.killFlit});
-            stats_->killsForwarded.inc();
-            if (trace_ != nullptr) {
-                trace_->record(TraceEventKind::KillHop, in.killFlit.msg,
-                               id_, in.killFlit.src, in.killFlit.dst,
-                               in.killFlit.attempt, o);
-            }
-            OutputVc& out = ovc(o, in.killOutVc);
-            out.allocated = false;
-            // Purged downstream flits never return credits; reset the
-            // ledger to "empty" and quarantine against the one credit
-            // that may still be in flight.
-            out.credits = cfg_.bufferDepth;
-            // In-flight credits can still arrive for up to two
-            // channel traversals after the reset.
-            out.quarantineUntil = now_ + 2 * cfg_.channelLatency;
-            in.killPending = false;
+    std::uint64_t busy = 0;
+    const std::size_t nin = numInVcs();
+    for (std::size_t i = 0; i < nin; ++i) {
+        InputVc& in = inputs_[i];
+        if (!in.killPending)
+            continue;
+        const InputVcCold& c = cold_[i];
+        const PortId o = c.killOutPort;
+        const std::uint64_t bit = std::uint64_t{1} << o;
+        if (busy & bit)
+            continue;  // Another kill claimed the channel; wait.
+        busy |= bit;
+        sentFlits.push_back(SentFlit{o, c.killOutVc, c.killFlit});
+        stats_->killsForwarded.inc();
+        if (trace_ != nullptr) {
+            trace_->record(TraceEventKind::KillHop, c.killFlit.msg, id_,
+                           c.killFlit.src, c.killFlit.dst,
+                           c.killFlit.attempt, o);
         }
+        OutputVc& out = ovc(o, c.killOutVc);
+        out.allocated = false;
+        // Purged downstream flits never return credits; reset the
+        // ledger to "empty" and quarantine against the one credit
+        // that may still be in flight.
+        out.credits = cfg_.bufferDepth;
+        // In-flight credits can still arrive for up to two
+        // channel traversals after the reset.
+        out.quarantineUntil = now_ + 2 * cfg_.channelLatency;
+        in.killPending = false;
     }
+    return busy;
 }
 
 void
@@ -427,64 +429,61 @@ Router::routeHeaders(Cycle now)
 }
 
 void
-Router::allocateSwitch(Cycle)
+Router::allocateSwitch(std::uint64_t busy_outputs)
 {
-    // Phase 1: each input port nominates one VC (round-robin scan).
-    // The per-output buckets are members so their capacity survives
-    // across ticks (zero steady-state allocation).
-    for (auto& reqs : byOut_)
-        reqs.clear();
-
+    // Phase 1: each input port nominates one VC (round-robin scan)
+    // and sets its bit in the request mask of that VC's output.
+    std::uint64_t requested = 0;  // Outputs with at least one request.
+    std::uint64_t req[kMaxRouterPorts];  // [out]: requesting inputs.
+    std::fill_n(req, numOutPorts_, std::uint64_t{0});
+    VcId nominee[kMaxRouterPorts];  // [in]: set before its bit is.
     for (PortId p = 0; p < numInPorts_; ++p) {
-        for (std::uint32_t i = 0; i < numVcs_; ++i) {
-            const VcId v = static_cast<VcId>(
-                (rrInVc_[p] + i) % numVcs_);
-            InputVc& in = ivc(p, v);
+        VcId v = rrInVc_[p];
+        for (std::uint32_t i = 0; i < numVcs_;
+             ++i, v = static_cast<VcId>(v + 1u == numVcs_ ? 0 : v + 1)) {
+            const InputVc& in = ivc(p, v);
             if (in.state != InputVc::State::Active || in.buf.empty())
                 continue;
-            if (outPortBusy_[in.outPort])
+            const std::uint64_t out = std::uint64_t{1} << in.outPort;
+            if (busy_outputs & out)
                 continue;  // Channel taken by a kill this cycle.
-            const OutputVc& o = ovc(in.outPort, in.outVc);
-            if (o.credits == 0)
+            if (ovc(in.outPort, in.outVc).credits == 0)
                 continue;
-            byOut_[in.outPort].push_back(SwitchReq{p, v});
+            req[in.outPort] |= std::uint64_t{1} << p;
+            requested |= out;
+            nominee[p] = v;
             break;  // One nomination per input port.
         }
     }
 
-    // Phase 2: each output port picks one winner (round-robin).
-    for (PortId o = 0; o < numOutPorts_; ++o) {
-        auto& reqs = byOut_[o];
-        if (reqs.empty())
-            continue;
-        const SwitchReq* winner = &reqs[0];
-        std::uint32_t best = numInPorts_;
-        for (const SwitchReq& r : reqs) {
-            const std::uint32_t dist =
-                (r.inPort + numInPorts_ - rrOutIn_[o]) % numInPorts_;
-            if (dist < best) {
-                best = dist;
-                winner = &r;
-            }
-        }
-        InputVc& in = ivc(winner->inPort, winner->inVc);
-        OutputVc& out = ovc(in.outPort, in.outVc);
+    // Phase 2: each requested output, in ascending order, grants the
+    // lowest requesting input at or after its round-robin pointer, or
+    // else the lowest overall: the minimum cyclic distance from the
+    // pointer (docs/PERFORMANCE.md, "Router hot path").
+    for (; requested != 0; requested &= requested - 1) {
+        const auto o = static_cast<PortId>(std::countr_zero(requested));
+        const std::uint64_t mask = req[o];
+        const std::uint64_t after =
+            mask & (~std::uint64_t{0} << rrOutIn_[o]);
+        const auto p = static_cast<PortId>(
+            std::countr_zero(after != 0 ? after : mask));
+        const VcId v = nominee[p];
+        InputVc& in = ivc(p, v);
+        OutputVc& out = ovc(o, in.outVc);
         Flit flit = in.buf.pop();
         if (flit.isHead() && o < networkPorts_)
             algo_.onTraverse(id_, o, flit);
         --out.credits;
         sentFlits.push_back(SentFlit{o, in.outVc, flit});
-        sentCredits.push_back(SentCredit{winner->inPort,
-                                         winner->inVc});
+        sentCredits.push_back(SentCredit{p, v});
         stats_->flitsForwarded.inc();
         if (heatTracking_)
             ++heatForwarded_[o];
         in.movedThisCycle = true;
         in.stallCycles = 0;
-        rrInVc_[winner->inPort] =
-            static_cast<VcId>((winner->inVc + 1) % numVcs_);
-        rrOutIn_[o] = static_cast<PortId>(
-            (winner->inPort + 1) % numInPorts_);
+        rrInVc_[p] = static_cast<VcId>(v + 1u == numVcs_ ? 0 : v + 1);
+        rrOutIn_[o] =
+            static_cast<PortId>(p + 1 == numInPorts_ ? 0 : p + 1);
         if (flit.isTail()) {
             out.allocated = false;  // Credits drain back naturally.
             in.state = InputVc::State::Idle;
@@ -517,18 +516,33 @@ Router::killWormAt(PortId p, VcId v)
         token.msg = msg;
         token.attempt = in.attempt;
         CRNET_AUDIT_HOOK(audit_, onKillIssued(msg, in.attempt));
-        in.killPending = true;
-        in.killFlit = token;
-        in.killOutPort = in.outPort;
-        in.killOutVc = in.outVc;
+        armKill(p, v, token);
     }
     // Tear down toward the source (reaches the injector, which
     // schedules the retransmission).
     propagateUpstream(p, v, msg);
+    retire(p, v, msg);
+}
+
+void
+Router::armKill(PortId p, VcId v, const Flit& token)
+{
+    InputVc& in = ivc(p, v);
+    InputVcCold& c = icold(p, v);
+    in.killPending = true;
+    c.killFlit = token;
+    c.killOutPort = in.outPort;
+    c.killOutVc = in.outVc;
+}
+
+void
+Router::retire(PortId p, VcId v, MsgId purged)
+{
+    InputVc& in = ivc(p, v);
     in.state = InputVc::State::Idle;
-    in.purgeMsg = msg;
     in.msg = kInvalidMsg;
     in.stallCycles = 0;
+    icold(p, v).purgeMsg = purged;
 }
 
 void
@@ -577,19 +591,13 @@ Router::onInputLinkDead(PortId in_port, Cycle now)
             token.msg = msg;
             token.attempt = in.attempt;
             CRNET_AUDIT_HOOK(audit_, onKillIssued(msg, in.attempt));
-            in.killPending = true;
-            in.killFlit = token;
-            in.killOutPort = in.outPort;
-            in.killOutVc = in.outVc;
+            armKill(in_port, v, token);
         } else {
             // The header was still waiting here: it dies with the
             // wire, like a kill/header annihilation.
             stats_->killsAnnihilated.inc();
         }
-        in.state = InputVc::State::Idle;
-        in.purgeMsg = msg;
-        in.msg = kInvalidMsg;
-        in.stallCycles = 0;
+        retire(in_port, v, msg);
     }
     (void)now;
 }
@@ -644,16 +652,14 @@ Router::tick(Cycle now)
     sentCredits.clear();
     sentBkills.clear();
     sentAborts.clear();
-    std::fill(outPortBusy_, outPortBusy_ + numOutPorts_,
-              std::uint8_t{0});
     const std::size_t nin = numInVcs();
     for (std::size_t i = 0; i < nin; ++i)
         inputs_[i].movedThisCycle = false;
 
     processBkills();
-    forwardKills();
+    const std::uint64_t busy_outputs = forwardKills();
     routeHeaders(now);
-    allocateSwitch(now);
+    allocateSwitch(busy_outputs);
     if (cfg_.timeoutScheme == TimeoutScheme::PathWide ||
         cfg_.timeoutScheme == TimeoutScheme::DropAtBlock) {
         checkRouterTimeouts();
@@ -740,7 +746,8 @@ Router::vcIdle(PortId in_port, VcId vc) const
 Router::InputProbe
 Router::inputProbe(PortId in_port, VcId vc) const
 {
-    const InputVc& in = ivc(in_port, vc);
+    const std::size_t i = static_cast<std::size_t>(in_port) * numVcs_ + vc;
+    const InputVc& in = inputs_[i];
     InputProbe p;
     switch (in.state) {
       case InputVc::State::Idle: p.state = VcState::Idle; break;
@@ -754,7 +761,7 @@ Router::inputProbe(PortId in_port, VcId vc) const
     p.killPending = in.killPending;
     p.outPort = in.outPort;
     p.outVc = in.outVc;
-    p.headArrivedAt = in.headArrivedAt;
+    p.headArrivedAt = cold_[i].headArrivedAt;
     return p;
 }
 
@@ -783,6 +790,7 @@ Router::saveState(StateWriter& w) const
     const std::size_t nin = numInVcs();
     for (std::size_t i = 0; i < nin; ++i) {
         const InputVc& in = inputs_[i];
+        const InputVcCold& c = cold_[i];
         w.u64(in.buf.size());
         for (std::size_t f = 0; f < in.buf.size(); ++f)
             saveFlit(w, in.buf.peek(f));
@@ -792,14 +800,14 @@ Router::saveState(StateWriter& w) const
         w.u16(in.outPort);
         w.u16(in.outVc);
         w.u64(in.stallCycles);
-        w.u64(in.headArrivedAt);
+        w.u64(c.headArrivedAt);
         w.b(in.movedThisCycle);
         w.b(in.blockTraced);
         w.b(in.killPending);
-        saveFlit(w, in.killFlit);
-        w.u16(in.killOutPort);
-        w.u16(in.killOutVc);
-        w.u64(in.purgeMsg);
+        saveFlit(w, c.killFlit);
+        w.u16(c.killOutPort);
+        w.u16(c.killOutVc);
+        w.u64(c.purgeMsg);
     }
     const std::size_t nout = numOutVcs();
     for (std::size_t i = 0; i < nout; ++i) {
@@ -838,6 +846,7 @@ Router::loadState(StateReader& r)
     const std::size_t nin = numInVcs();
     for (std::size_t idx = 0; idx < nin; ++idx) {
         InputVc& in = inputs_[idx];
+        InputVcCold& c = cold_[idx];
         in.buf.purge();
         const std::uint64_t buffered = r.u64();
         for (std::uint64_t i = 0; i < buffered; ++i) {
@@ -851,14 +860,14 @@ Router::loadState(StateReader& r)
         in.outPort = r.u16();
         in.outVc = r.u16();
         in.stallCycles = r.u64();
-        in.headArrivedAt = r.u64();
+        c.headArrivedAt = r.u64();
         in.movedThisCycle = r.b();
         in.blockTraced = r.b();
         in.killPending = r.b();
-        loadFlit(r, in.killFlit);
-        in.killOutPort = r.u16();
-        in.killOutVc = r.u16();
-        in.purgeMsg = r.u64();
+        loadFlit(r, c.killFlit);
+        c.killOutPort = r.u16();
+        c.killOutVc = r.u16();
+        c.purgeMsg = r.u64();
     }
     const std::size_t nout = numOutVcs();
     for (std::size_t idx = 0; idx < nout; ++idx) {

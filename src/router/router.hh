@@ -10,19 +10,24 @@
  *  - Atomic VC allocation: a header may claim a downstream VC only if
  *    it is unallocated and its buffer is empty (all credits present).
  *  - Switch: one flit per input port and one flit per output port per
- *    cycle; round-robin arbitration on both sides.
+ *    cycle; round-robin arbitration on both sides. Each input port
+ *    nominates one VC; each output grants the requesting input
+ *    nearest at or after its round-robin pointer, found with a
+ *    64-bit request mask (hence at most kMaxRouterPorts ports a side).
  *
  * Port layout: input ports [0, 2n) are network links, [2n, 2n+I) are
  * injection channels from the local NIC. Output ports [0, 2n) are
  * network links, [2n, 2n+E) are ejection channels to the local NIC.
  *
  * Storage layout: all mutable per-VC state (flit slots, input/output
- * VC state machines, round-robin pointers, port-busy scratch) lives
- * in a `Router::StatePool` — per-field arrays spanning every router
- * of one network, indexed by node id. Each Router instance holds raw
- * base pointers into its pool slice, so the hot path is unchanged
- * while a shard worker ticking a contiguous node range walks
- * cache-dense memory (docs/PERFORMANCE.md). A Router constructed
+ * VC state machines, round-robin pointers) lives in a
+ * `Router::StatePool` — per-field arrays spanning every router of one
+ * network, indexed by node id. Each Router instance holds raw base
+ * pointers into its pool slice, so a shard worker ticking a
+ * contiguous node range walks cache-dense memory. Input-VC state is
+ * split hot/cold: what the tick reads every cycle fits one cache line
+ * per VC, the kill token and forensics sit in a parallel array
+ * (docs/PERFORMANCE.md, "Router hot path"). A Router constructed
  * without an external pool owns a private single-node pool, keeping
  * standalone use (unit tests) source-compatible.
  *
@@ -118,27 +123,39 @@ struct SentAbort
 class Router
 {
   private:
-    /** Per-input-VC state machine. */
+    /**
+     * Hot per-input-VC state: exactly the fields Router::tick reads
+     * every cycle, packed into one cache line. What only kills and
+     * forensics touch lives in the parallel InputVcCold record.
+     */
     struct InputVc
     {
-        enum class State { Idle, Routing, Active };
+        enum class State : std::uint8_t { Idle, Routing, Active };
 
-        FlitBuffer buf;                 //!< Bound to pool flit slots.
-        State state = State::Idle;
+        FlitBuffer buf;                 //!< Ring over pool flit slots.
         MsgId msg = kInvalidMsg;
+        Cycle stallCycles = 0;          //!< For the path-wide scheme.
         std::uint16_t attempt = 0;      //!< Attempt of current worm.
         PortId outPort = kInvalidPort;  //!< Allocation when Active.
         VcId outVc = kInvalidVc;
-        Cycle stallCycles = 0;          //!< For the path-wide scheme.
-        Cycle headArrivedAt = 0;        //!< Header accept (forensics).
+        State state = State::Idle;
         bool movedThisCycle = false;    //!< Progress flag (stall calc).
         bool blockTraced = false;       //!< Block event emitted for
                                         //!< the current stall episode.
-        bool killPending = false;       //!< Kill token to forward.
+        bool killPending = false;       //!< Cold record holds a token
+                                        //!< to forward.
+    };
+    static_assert(sizeof(InputVc) <= 64,
+                  "Router::InputVc must stay within one cache line");
+
+    /** Cold per-input-VC state: the kill token and forensics. */
+    struct InputVcCold
+    {
         Flit killFlit;                  //!< The stored token.
         PortId killOutPort = kInvalidPort;
         VcId killOutVc = kInvalidVc;
         MsgId purgeMsg = kInvalidMsg;   //!< Drop stragglers of this.
+        Cycle headArrivedAt = 0;        //!< Header accept (forensics).
     };
 
     /** Per-output-VC bookkeeping. */
@@ -160,12 +177,11 @@ class Router
   public:
     /**
      * Structure-of-arrays backing store for every router of one
-     * network: flit slots, input/output VC state, round-robin
-     * pointers and port-busy scratch live in contiguous per-field
+     * network: flit slots, hot and cold input-VC state, output-VC
+     * state and round-robin pointers live in contiguous per-field
      * arrays indexed by node id. A shard worker ticking a contiguous
      * node range therefore walks adjacent cache lines instead of
-     * pointer-chasing per-router heaps, and the flat flit array
-     * leaves the switch-allocation inner loops SIMD-ready.
+     * pointer-chasing per-router heaps.
      */
     class StatePool
     {
@@ -192,10 +208,10 @@ class Router
 
         std::vector<Flit> flitSlots_;   //!< [node][inPort][vc][depth].
         std::vector<InputVc> inputs_;   //!< [node][inPort][vc].
+        std::vector<InputVcCold> cold_; //!< [node][inPort][vc].
         std::vector<OutputVc> outputs_; //!< [node][outPort][vc].
         std::vector<VcId> rrInVc_;      //!< [node][inPort].
         std::vector<PortId> rrOutIn_;   //!< [node][outPort].
-        std::vector<std::uint8_t> outPortBusy_;  //!< [node][outPort].
     };
 
     /**
@@ -357,10 +373,10 @@ class Router
      * Serialize/restore every field that survives across ticks:
      * input/output VC state machines, pending backward kills,
      * round-robin pointers, heat counters and the RNG stream. The
-     * outboxes and per-cycle scratch (outPortBusy_, byOut_) are
-     * cleared at tick entry and need not round-trip. The byte stream
-     * is identical whether the router is standalone or pool-backed
-     * (state is walked per-router in node order either way).
+     * outboxes are cleared at tick entry and need not round-trip.
+     * The byte stream is identical whether the router is standalone
+     * or pool-backed (state is walked per-router in node order either
+     * way).
      */
     void saveState(StateWriter& w) const;
     void loadState(StateReader& r);
@@ -369,18 +385,12 @@ class Router
     void setRng(const Rng& rng) { rng_ = rng; }
 
   private:
-    /** One switch nomination: an input VC asking for its output port. */
-    struct SwitchReq
-    {
-        PortId inPort;
-        VcId inVc;
-    };
-
     /** Bind the pool slice at `index` and initialize its fields. */
     void attach(StatePool& pool, std::uint64_t index);
 
     InputVc& ivc(PortId p, VcId v);
     const InputVc& ivc(PortId p, VcId v) const;
+    InputVcCold& icold(PortId p, VcId v);
     OutputVc& ovc(PortId p, VcId v);
     const OutputVc& ovc(PortId p, VcId v) const;
 
@@ -394,16 +404,17 @@ class Router
     }
 
     void processBkills();
-    void forwardKills();
+    /** Send pending kill tokens; returns the output ports they took. */
+    std::uint64_t forwardKills();
     void routeHeaders(Cycle now);
-    CRNET_ALLOW("alloc",
-                "byOut_ nomination-bucket reuse: amortized growth "
-                "only, bounded by ports*vcs and steady-state-free "
-                "(tests/test_alloc_steady.cc)")
-    void allocateSwitch(Cycle now);
+    /** Switch allocation over the outputs not in `busy_outputs`. */
+    void allocateSwitch(std::uint64_t busy_outputs);
     void checkRouterTimeouts();
     void killWormAt(PortId p, VcId v);
-    void releaseForKill(InputVc& in);
+    /** Store a forward kill token to chase the worm on (p, v). */
+    void armKill(PortId p, VcId v, const Flit& token);
+    /** Return (p, v) to Idle; later flits of `purged` are dropped. */
+    void retire(PortId p, VcId v, MsgId purged);
     void propagateUpstream(PortId in_port, VcId vc, MsgId msg);
     void accumulateHeat();
 
@@ -426,10 +437,10 @@ class Router
     // Base pointers into this router's StatePool slice. [port][vc]
     // flattened, exactly like the historical per-router vectors.
     InputVc* inputs_ = nullptr;
+    InputVcCold* cold_ = nullptr;
     OutputVc* outputs_ = nullptr;
     VcId* rrInVc_ = nullptr;     //!< Round-robin, per input port.
     PortId* rrOutIn_ = nullptr;  //!< Round-robin, per output port.
-    std::uint8_t* outPortBusy_ = nullptr;  //!< Per-cycle scratch.
 
     /** Backward kills accepted last delivery, processed this tick. */
     std::vector<SentBkill> pendingBkillsAsOut_;
@@ -445,9 +456,6 @@ class Router
 
     /** Scratch candidate list (avoids per-header allocation). */
     mutable std::vector<Candidate> scratch_;
-
-    /** Per-output nomination buckets (reused across ticks). */
-    std::vector<std::vector<SwitchReq>> byOut_;
 };
 
 } // namespace crnet

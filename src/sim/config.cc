@@ -63,6 +63,15 @@ SimConfig::validate() const
         fatal("bufferDepth must be >= 1");
     if (injectionChannels < 1 || ejectionChannels < 1)
         fatal("injection/ejection channels must be >= 1");
+    const std::uint64_t net_ports = 2ULL * dimensionsN;
+    if (net_ports + injectionChannels > kMaxRouterPorts)
+        fatal("2*dimensionsN + injectionChannels must be <= ",
+              kMaxRouterPorts, " router input ports (got ",
+              net_ports + injectionChannels, ")");
+    if (net_ports + ejectionChannels > kMaxRouterPorts)
+        fatal("2*dimensionsN + ejectionChannels must be <= ",
+              kMaxRouterPorts, " router output ports (got ",
+              net_ports + ejectionChannels, ")");
     if (channelLatency < 1 || channelLatency > 64)
         fatal("channelLatency must be in [1, 64]");
     if (messageLength < 2)

@@ -80,6 +80,13 @@ enum class TrafficPattern {
              //!< adversarial torus pattern for deterministic routing.
 };
 
+/**
+ * Most ports a router may have on either side: 2*dimensionsN network
+ * ports plus the injection (input side) or ejection (output side)
+ * channels. The switch arbiter keeps its requests in 64-bit masks.
+ */
+inline constexpr std::uint32_t kMaxRouterPorts = 64;
+
 /** Complete description of one simulated network + workload. */
 struct SimConfig
 {

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/sim/config.hh"
 #include "src/sim/types.hh"
@@ -87,6 +88,14 @@ class Topology
      * leaves the network (mesh boundary).
      */
     virtual NodeId neighbor(NodeId node, PortId port) const = 0;
+
+    /**
+     * neighbor() for every node and network port, as one table:
+     * entry `node * numPorts() + port`. Built by coordinate
+     * arithmetic in one pass (no virtual call or division per entry),
+     * for hot paths that look neighbors up per flit.
+     */
+    std::vector<NodeId> neighborTable() const;
 
     /**
      * Minimal-path options in dimension `dim` when standing at `from`

@@ -1,5 +1,7 @@
 #include "src/topology/topology.hh"
 
+#include <array>
+
 #include "src/sim/log.hh"
 
 namespace crnet {
@@ -31,6 +33,34 @@ Topology::distance(NodeId from, NodeId to) const
             hops += r.minusHops;
     }
     return hops;
+}
+
+std::vector<NodeId>
+Topology::neighborTable() const
+{
+    const bool wraps = kind_ == TopologyKind::Torus;
+    std::array<NodeId, kMaxDims> stride{};
+    for (std::uint32_t d = 0, s = 1; d < n_; ++d, s *= k_)
+        stride[d] = s;
+    std::vector<NodeId> table(static_cast<std::size_t>(numNodes_) *
+                              numPorts());
+    // Walk the nodes in id order with an odometer over coordinates.
+    std::array<std::uint32_t, kMaxDims> c{};
+    std::size_t at = 0;
+    for (NodeId id = 0; id < numNodes_; ++id) {
+        for (std::uint32_t d = 0; d < n_; ++d) {
+            const NodeId span = (k_ - 1) * stride[d];  // Wrap distance.
+            table[at++] = c[d] + 1 < k_ ? id + stride[d]
+                          : wraps       ? id - span
+                                        : kInvalidNode;
+            table[at++] = c[d] > 0 ? id - stride[d]
+                          : wraps  ? id + span
+                                   : kInvalidNode;
+        }
+        for (std::uint32_t d = 0; d < n_ && ++c[d] == k_; ++d)
+            c[d] = 0;
+    }
+    return table;
 }
 
 TorusTopology::TorusTopology(std::uint32_t k, std::uint32_t n)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/router/buffer.hh"
 
 namespace crnet {
@@ -19,9 +21,22 @@ flitWithSeq(std::uint32_t seq)
     return f;
 }
 
+/** A ring over its own slot array. */
+struct Ring
+{
+    explicit Ring(std::size_t cap) : slots(cap)
+    {
+        buf.bind(slots.data(), cap);
+    }
+
+    std::vector<Flit> slots;
+    FlitBuffer buf;
+};
+
 TEST(FlitBuffer, FifoOrder)
 {
-    FlitBuffer b(4);
+    Ring ring(4);
+    FlitBuffer& b = ring.buf;
     for (std::uint32_t i = 0; i < 4; ++i)
         b.push(flitWithSeq(i));
     for (std::uint32_t i = 0; i < 4; ++i)
@@ -31,7 +46,8 @@ TEST(FlitBuffer, FifoOrder)
 
 TEST(FlitBuffer, WrapsAroundRepeatedly)
 {
-    FlitBuffer b(3);
+    Ring ring(3);
+    FlitBuffer& b = ring.buf;
     std::uint32_t next_push = 0, next_pop = 0;
     for (int round = 0; round < 50; ++round) {
         while (!b.full())
@@ -44,7 +60,8 @@ TEST(FlitBuffer, WrapsAroundRepeatedly)
 
 TEST(FlitBuffer, CapacityAndCounts)
 {
-    FlitBuffer b(2);
+    Ring ring(2);
+    FlitBuffer& b = ring.buf;
     EXPECT_EQ(b.capacity(), 2u);
     EXPECT_TRUE(b.empty());
     EXPECT_FALSE(b.full());
@@ -56,21 +73,24 @@ TEST(FlitBuffer, CapacityAndCounts)
 
 TEST(FlitBuffer, OverflowPanics)
 {
-    FlitBuffer b(1);
+    Ring ring(1);
+    FlitBuffer& b = ring.buf;
     b.push(flitWithSeq(0));
     EXPECT_DEATH(b.push(flitWithSeq(1)), "overflow");
 }
 
 TEST(FlitBuffer, UnderflowPanics)
 {
-    FlitBuffer b(1);
+    Ring ring(1);
+    FlitBuffer& b = ring.buf;
     EXPECT_DEATH(b.pop(), "empty");
     EXPECT_DEATH(b.front(), "empty");
 }
 
 TEST(FlitBuffer, PurgeDropsEverything)
 {
-    FlitBuffer b(4);
+    Ring ring(4);
+    FlitBuffer& b = ring.buf;
     b.push(flitWithSeq(0));
     b.push(flitWithSeq(1));
     EXPECT_EQ(b.purge(), 2u);
@@ -83,7 +103,8 @@ TEST(FlitBuffer, PurgeDropsEverything)
 
 TEST(FlitBuffer, FrontMutableEditsInPlace)
 {
-    FlitBuffer b(2);
+    Ring ring(2);
+    FlitBuffer& b = ring.buf;
     b.push(flitWithSeq(0));
     b.frontMutable().misrouteBudget = 3;
     EXPECT_EQ(b.front().misrouteBudget, 3u);
@@ -91,7 +112,9 @@ TEST(FlitBuffer, FrontMutableEditsInPlace)
 
 TEST(FlitBuffer, ZeroCapacityPanics)
 {
-    EXPECT_DEATH(FlitBuffer(0), "capacity");
+    Flit slot;
+    FlitBuffer b;
+    EXPECT_DEATH(b.bind(&slot, 0), "capacity");
 }
 
 } // namespace

@@ -106,6 +106,26 @@ TEST(Config, DuatoNeedsEscapePlusAdaptive)
     cfg.validate();
 }
 
+TEST(Config, InjectionPortsBeyondArbiterMaskRejected)
+{
+    SimConfig cfg;
+    cfg.dimensionsN = 2;
+    cfg.injectionChannels = 60;  // 4 + 60 = 64 input ports: the limit.
+    cfg.validate();
+    cfg.injectionChannels = 61;
+    EXPECT_DEATH(cfg.validate(), "injectionChannels must be <= 64");
+}
+
+TEST(Config, EjectionPortsBeyondArbiterMaskRejected)
+{
+    SimConfig cfg;
+    cfg.dimensionsN = 8;
+    cfg.ejectionChannels = 48;  // 16 + 48 = 64 output ports: the limit.
+    cfg.validate();
+    cfg.ejectionChannels = 49;
+    EXPECT_DEATH(cfg.validate(), "ejectionChannels must be <= 64");
+}
+
 TEST(Config, ApplyArgsParsesArgv)
 {
     SimConfig cfg;

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "src/router/router.hh"
 
 namespace crnet {
@@ -373,6 +377,61 @@ TEST_F(RouterTest, MultiVcWormsInterleaveOnOnePhysicalChannel)
     EXPECT_EQ(router->sentFlits.size(), 1u);
     router->tick(now++);
     EXPECT_EQ(router->sentFlits.size(), 1u);
+}
+
+TEST_F(RouterTest, SwitchGrantRotatesAcrossInputPorts)
+{
+    numVcs = 4;
+    rebuild();
+    // Three network inputs and the injection channel each carry a worm
+    // toward 6, whose only minimal output is +x; every worm holds its
+    // own VC of that output. The worm on -y starts one cycle early and
+    // wins alone, so the contended grants start after it, wrap past the
+    // injection port (the highest input) and come back round.
+    const PortId out = makePort(0, Direction::Plus);
+    const PortId minusX = makePort(0, Direction::Minus);
+    const PortId plusY = makePort(1, Direction::Plus);
+    const PortId minusY = makePort(1, Direction::Minus);
+    const PortId inj = router->injBase();
+    const std::vector<PortId> inputs = {minusX, plusY, minusY, inj};
+    std::map<PortId, std::uint32_t> seq;
+    auto feed = [&](PortId p) {
+        if (router->inputOccupancy(p, 0) >= cfg.bufferDepth)
+            return;
+        const std::uint32_t s = seq[p]++;
+        router->acceptFlit(p, 0,
+                           makeFlit(s == 0 ? FlitType::Head
+                                           : FlitType::Body,
+                                    100 + p, s, 6));
+    };
+    std::vector<PortId> grants;
+    std::map<PortId, VcId> heldVc;
+    for (int cycle = 0; cycle < 11; ++cycle) {
+        if (cycle == 0) {
+            feed(minusY);
+        } else {
+            for (PortId p : inputs)
+                feed(p);
+        }
+        router->tick(now++);
+        ASSERT_EQ(router->sentFlits.size(), 1u) << "cycle " << cycle;
+        ASSERT_EQ(router->sentCredits.size(), 1u) << "cycle " << cycle;
+        EXPECT_EQ(router->sentFlits[0].outPort, out);
+        const PortId winner = router->sentCredits[0].inPort;
+        heldVc[winner] = router->sentFlits[0].vc;
+        grants.push_back(winner);
+        router->acceptCredit(out, router->sentFlits[0].vc);
+    }
+    const std::vector<PortId> expected = {minusY, inj, minusX, plusY,
+                                          minusY, inj, minusX, plusY,
+                                          minusY, inj, minusX};
+    EXPECT_EQ(grants, expected);
+    // Four worms on four distinct VCs of the one output port.
+    std::set<VcId> vcs;
+    for (const auto& [port, vc] : heldVc)
+        vcs.insert(vc);
+    EXPECT_EQ(heldVc.size(), 4u);
+    EXPECT_EQ(vcs.size(), 4u);
 }
 
 } // namespace

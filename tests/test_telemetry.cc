@@ -93,8 +93,9 @@ TEST(Telemetry, FirstRegistrationFixesTheKind)
     // the kind recorded at first registration sticks.
     EXPECT_EQ(t.gauge("test.reg.kinded"), c);
     for (const MetricSample& m : t.snapshot()) {
-        if (m.name == "test.reg.kinded")
+        if (m.name == "test.reg.kinded") {
             EXPECT_EQ(m.kind, MetricKind::Counter);
+        }
     }
 }
 

@@ -173,5 +173,30 @@ TEST(Topology, TinyRadixRejected)
     EXPECT_DEATH(TorusTopology(1, 2), "radix");
 }
 
+TEST(Topology, NeighborTableMatchesNeighbor)
+{
+    for (std::uint32_t k : {2u, 3u, 5u}) {
+        for (std::uint32_t n : {1u, 2u, 3u}) {
+            const TorusTopology torus(k, n);
+            const MeshTopology mesh(k, n);
+            for (const Topology* t :
+                 {static_cast<const Topology*>(&torus),
+                  static_cast<const Topology*>(&mesh)}) {
+                const std::vector<NodeId> table = t->neighborTable();
+                ASSERT_EQ(table.size(),
+                          std::size_t{t->numNodes()} * t->numPorts());
+                for (NodeId v = 0; v < t->numNodes(); ++v) {
+                    for (PortId p = 0; p < t->numPorts(); ++p) {
+                        EXPECT_EQ(table[v * t->numPorts() + p],
+                                  t->neighbor(v, p))
+                            << "k=" << k << " n=" << n << " node " << v
+                            << " port " << p;
+                    }
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace crnet
