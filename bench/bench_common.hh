@@ -231,8 +231,7 @@ timingFooter()
         "drain_s=%.3f ticks=%llu sampled=%llu stride=%u "
         "tick_deliver_s=%.3f tick_generate_s=%.3f "
         "tick_injectors_s=%.3f tick_routers_s=%.3f "
-        "tick_receivers_s=%.3f tick_audit_s=%.3f tick_sample_s=%.3f "
-        "tick_quiet_s=%.3f quiet_spans=%llu quiet_cycles=%llu\n",
+        "tick_receivers_s=%.3f tick_audit_s=%.3f tick_sample_s=%.3f\n",
         p.enabled ? 1 : 0, t.runs, p.warmupSeconds, p.measureSeconds,
         p.drainSeconds, static_cast<unsigned long long>(p.ticks),
         static_cast<unsigned long long>(p.sampledTicks), p.stride,
@@ -242,10 +241,7 @@ timingFooter()
         p.tickSeconds(TickPhase::Routers),
         p.tickSeconds(TickPhase::Receivers),
         p.tickSeconds(TickPhase::Audit),
-        p.tickSeconds(TickPhase::Sample),
-        p.tickSeconds(TickPhase::Quiet),
-        static_cast<unsigned long long>(p.quietSpans),
-        static_cast<unsigned long long>(p.quietCycles));
+        p.tickSeconds(TickPhase::Sample));
 }
 
 } // namespace crnet::bench

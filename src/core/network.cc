@@ -20,7 +20,7 @@ namespace {
 
 /**
  * How often (in cycles, a power of two) a busy router is probed with
- * idle() so it can leave the active set. See sweepActive().
+ * idle() so it can leave the active set. See finishRouter().
  */
 constexpr Cycle kIdleProbePeriod = 8;
 static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
@@ -137,7 +137,6 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
 {
     cfg_.validate();
     activeSched_ = cfg_.sched != SchedulerKind::Sweep;
-    eventSched_ = cfg_.sched == SchedulerKind::Event;
     // Events mature at most channelLatency cycles out (+1 for "next
     // cycle" staging, +1 because the current bucket is in use); round
     // the bucket count up to a power of two so waveIn()/deliver()
@@ -312,33 +311,6 @@ Network::Wave&
 Network::waveIn(Cycle delay)
 {
     return buckets_[(now_ + delay) & bucketMask_];
-}
-
-void
-Network::wakeInjector(NodeId id)
-{
-    if (injAwake_[id] == 0) {
-        injAwake_[id] = 1;
-        ++injAwakeN_;
-    }
-}
-
-void
-Network::wakeRouter(NodeId id)
-{
-    if (rtrAwake_[id] == 0) {
-        rtrAwake_[id] = 1;
-        ++rtrAwakeN_;
-    }
-}
-
-void
-Network::wakeReceiver(NodeId id)
-{
-    if (rcvAwake_[id] == 0) {
-        rcvAwake_[id] = 1;
-        ++rcvAwakeN_;
-    }
 }
 
 void
@@ -692,164 +664,168 @@ Network::activityLevel() const
            stats_.flitsConsumed.value();
 }
 
+// --- The cycle loop ---------------------------------------------------
+//
+// Determinism argument for shards > 1 (docs/PERFORMANCE.md has the
+// long form): the parallel phase runs only component ticks, whose
+// cross-component effects are all staged — wave pushes through
+// per-component outboxes (collected serially afterwards), sink/ledger
+// callbacks and Welford accumulator adds through the deferred-stats
+// outboxes, trace records through per-shard staging buffers, audit
+// conservation deltas through per-thread stages. Counters are
+// commutative and land in per-shard blocks. Every order-sensitive
+// replay below iterates shard-major over contiguous ascending ranges,
+// i.e. in global node order — exactly the one-shard order — so stats,
+// traces, wave contents, heap layouts and snapshots are byte-identical
+// to shards=1.
+//
+// A component's wake flag is cleared before its tick; the only wake a
+// tick can raise is its own re-registration in the finish step (all
+// cross-component wakes happen at delivery time, next cycle), so
+// clearing in place is safe and the node-order scan matches the
+// exhaustive sweep's tick order exactly.
+
 void
-Network::sweepAll()
+Network::profileLap(TickPhase phase, std::uint64_t& pt)
 {
-    const NodeId n = topo_->numNodes();
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    for (NodeId id = 0; id < n; ++id) {
-        injectors_[id]->tick(now_);
-        collectInjector(id);
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        routers_[id]->tick(now_);
-        collectRouter(id);
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        receivers_[id]->tick(now_);
-        collectReceiver(id);
-    }
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
+    if (!profTimed_)
+        return;
+    const std::uint64_t t = TickProfiler::stamp();
+    prof_->add(phase, t - pt);
+    pt = t;
 }
 
 void
-Network::sweepActive()
+Network::finishInjector(NodeId id)
 {
-    // A component's flag is cleared before its tick; the only wake a
-    // tick can raise is its own re-registration (all cross-component
-    // wakes happen at delivery time, next cycle), so clearing in
-    // place is safe and the node-order scan matches the exhaustive
-    // sweep's tick order exactly. Sleeping components contribute
-    // nothing in either mode — ticking an idle component is a no-op.
-    const NodeId n = topo_->numNodes();
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    for (NodeId id = 0; id < n; ++id) {
+    // Within one injector tick every give-up precedes every commit
+    // (retry/timeout processing runs before injectFlits), so draining
+    // the failure outbox first reproduces the direct-mode callback
+    // order. Both outboxes stay empty at shards=1.
+    Injector& inj = *injectors_[id];
+    for (const FailedMessage& f : inj.failed)
+        onMessageFailed(f.msg, f.at);
+    for (const CommittedSample& c : inj.committedStats) {
+        stats_.attempts.add(c.attempts);
+        stats_.padOverhead.add(c.padFrac);
+    }
+    collectInjector(id);
+    scheduleInjector(id, inj.nextEventCycle(now_));
+}
+
+void
+Network::finishRouter(NodeId id)
+{
+    collectRouter(id);
+    // Routers have no future-only deadlines: any held flit, allocation
+    // or pending kill needs the very next tick, so a ticked router is
+    // assumed still busy. Probing idle() every cycle would re-scan
+    // every input VC and cost more than the skipped ticks save;
+    // instead busy routers are only probed for sleep on coarse
+    // boundaries (over-waking is harmless — a router lingers awake for
+    // at most kIdleProbePeriod - 1 no-op ticks after its last flit
+    // leaves).
+    if ((now_ & (kIdleProbePeriod - 1)) == 0 && routers_[id]->idle())
+        rtrAwake_[id] = 0;
+}
+
+void
+Network::finishReceiver(NodeId id)
+{
+    Receiver& rcv = *receivers_[id];
+    for (const DeliveredMessage& d : rcv.deliveries) {
+        // Exactly commitDelivery()'s direct-mode tail, per delivery:
+        // accumulator adds, then the sink callback.
+        if (d.measured) {
+            const auto total =
+                static_cast<double>(d.deliveredAt - d.createdAt);
+            stats_.totalLatency.add(total);
+            stats_.latencyHist.add(total);
+            stats_.netLatency.add(static_cast<double>(
+                d.deliveredAt - d.headInjectedAt));
+        }
+        onDelivered(d);
+    }
+    collectReceiver(id);
+    scheduleReceiver(id, rcv.nextEventCycle(now_));
+}
+
+void
+Network::shardWorker(unsigned s)
+{
+    ShardCtx& ctx = shardCtx_[s];
+    const bool merge = shards_ > 1;
+    const bool stage_trace = merge && trace_ != nullptr;
+    std::uint64_t pt = 0;
+    if (merge) {
+        Auditor::setThreadStage(&ctx.audit);
+        ctx.injWork.clear();
+        ctx.rtrWork.clear();
+        ctx.rcvWork.clear();
+    } else if (profTimed_) {
+        pt = TickProfiler::stamp();
+    }
+    std::uint64_t ticked = 0;
+
+    if (stage_trace)
+        Tracer::setThreadStage(&ctx.injTrace);
+    for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (injAwake_[id] == 0)
             continue;
         injAwake_[id] = 0;
-        --injAwakeN_;
         injectors_[id]->tick(now_);
-        collectInjector(id);
-        scheduleInjector(id, injectors_[id]->nextEventCycle(now_));
+        ++ticked;
+        if (merge)
+            ctx.injWork.push_back(id);
+        else
+            finishInjector(id);
     }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
+    if (!merge)
+        profileLap(TickPhase::Injectors, pt);
+
+    if (stage_trace)
+        Tracer::setThreadStage(&ctx.rtrTrace);
+    for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (rtrAwake_[id] == 0)
             continue;
         routers_[id]->tick(now_);
-        collectRouter(id);
-        // Routers have no future-only deadlines: any held flit,
-        // allocation or pending kill needs the very next tick, so a
-        // ticked router is assumed still busy. Probing idle() every
-        // cycle would re-scan every input VC and cost more than the
-        // skipped ticks save; instead busy routers are only probed
-        // for sleep on coarse boundaries (over-waking is harmless —
-        // a router lingers awake for at most kIdleProbePeriod - 1
-        // no-op ticks after its last flit leaves, and the event
-        // scheduler's tryEnterQuiet() probes lingerers immediately
-        // once the rest of the network sleeps).
-        if ((now_ & (kIdleProbePeriod - 1)) == 0 &&
-            routers_[id]->idle()) {
-            rtrAwake_[id] = 0;
-            --rtrAwakeN_;
-        }
+        ++ticked;
+        if (merge)
+            ctx.rtrWork.push_back(id);
+        else
+            finishRouter(id);
     }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
+    if (!merge)
+        profileLap(TickPhase::Routers, pt);
+
+    if (stage_trace)
+        Tracer::setThreadStage(&ctx.rcvTrace);
+    for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (rcvAwake_[id] == 0)
             continue;
         rcvAwake_[id] = 0;
-        --rcvAwakeN_;
         receivers_[id]->tick(now_);
-        collectReceiver(id);
-        scheduleReceiver(id, receivers_[id]->nextEventCycle(now_));
+        ++ticked;
+        if (merge)
+            ctx.rcvWork.push_back(id);
+        else
+            finishReceiver(id);
     }
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
-}
+    if (!merge)
+        profileLap(TickPhase::Receivers, pt);
 
-// --- Sharded sweeps ----------------------------------------------------
-//
-// Determinism argument (docs/PERFORMANCE.md has the long form): the
-// parallel phase runs only component ticks, whose cross-component
-// effects are all staged — wave pushes through per-component outboxes
-// (collected serially afterwards), sink/ledger callbacks and Welford
-// accumulator adds through the deferred-stats outboxes, trace records
-// through per-shard staging buffers, audit conservation deltas through
-// per-thread stages. Counters are commutative and land in per-shard
-// blocks. Every order-sensitive replay below iterates shard-major over
-// contiguous ascending ranges, i.e. in global node order — exactly the
-// serial sweep's order — so stats, traces, wave contents, heap layouts
-// and snapshots are byte-identical to shards=1.
-
-void
-Network::shardWorker(unsigned s, bool from_work_lists)
-{
-    ShardCtx& ctx = shardCtx_[s];
-    Auditor::setThreadStage(&ctx.audit);
-    const bool tracing = trace_ != nullptr;
-    if (tracing)
-        Tracer::setThreadStage(&ctx.injTrace);
-    std::uint64_t ticked = 0;
-    if (from_work_lists) {
-        for (const NodeId id : ctx.injWork)
-            injectors_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rtrTrace);
-        for (const NodeId id : ctx.rtrWork)
-            routers_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rcvTrace);
-        for (const NodeId id : ctx.rcvWork)
-            receivers_[id]->tick(now_);
-        ticked = ctx.injWork.size() + ctx.rtrWork.size() +
-                 ctx.rcvWork.size();
-    } else {
-        for (NodeId id = ctx.begin; id < ctx.end; ++id)
-            injectors_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rtrTrace);
-        for (NodeId id = ctx.begin; id < ctx.end; ++id)
-            routers_[id]->tick(now_);
-        if (tracing)
-            Tracer::setThreadStage(&ctx.rcvTrace);
-        for (NodeId id = ctx.begin; id < ctx.end; ++id)
-            receivers_[id]->tick(now_);
-        ticked = static_cast<std::uint64_t>(ctx.end - ctx.begin) * 3;
-    }
     ctx.ticks += ticked;
-    if (tracing)
+    if (stage_trace)
         Tracer::setThreadStage(nullptr);
-    Auditor::setThreadStage(nullptr);
+    if (merge)
+        Auditor::setThreadStage(nullptr);
 }
 
 void
-Network::runShardBarrier(bool from_work_lists)
+Network::runShardBarrier()
 {
-    for (unsigned s = 0; s < shards_; ++s) {
-        shardPool_->submit([this, s, from_work_lists] {
-            shardWorker(s, from_work_lists);
-        });
-    }
+    for (unsigned s = 0; s < shards_; ++s)
+        shardPool_->submit([this, s] { shardWorker(s); });
     const std::uint64_t w0 = WallTimer::nanos();
     shardPool_->wait();
     shardBarrierNanos_->fetch_add(WallTimer::nanos() - w0,
@@ -902,153 +878,32 @@ Network::foldShardCounters()
 }
 
 void
-Network::drainInjectorOutboxes(Injector& inj)
+Network::tickComponents()
 {
-    // Within one injector tick every give-up precedes every commit
-    // (retry/timeout processing runs before injectFlits), so draining
-    // the failure outbox first reproduces the serial callback order.
-    for (const FailedMessage& f : inj.failed)
-        onMessageFailed(f.msg, f.at);
-    for (const CommittedSample& c : inj.committedStats) {
-        stats_.attempts.add(c.attempts);
-        stats_.padOverhead.add(c.padFrac);
+    if (shards_ == 1) {
+        shardWorker(0);
+        return;
     }
-}
-
-void
-Network::drainReceiverOutboxes(Receiver& rcv)
-{
-    for (const DeliveredMessage& d : rcv.deliveries) {
-        // Exactly commitDelivery()'s direct-mode tail, per delivery:
-        // accumulator adds, then the sink callback.
-        if (d.measured) {
-            const auto total =
-                static_cast<double>(d.deliveredAt - d.createdAt);
-            stats_.totalLatency.add(total);
-            stats_.latencyHist.add(total);
-            stats_.netLatency.add(static_cast<double>(
-                d.deliveredAt - d.headInjectedAt));
-        }
-        onDelivered(d);
-    }
-}
-
-void
-Network::sweepAllSharded()
-{
     std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    runShardBarrier(false);
+    runShardBarrier();
     drainShardSidecars();
-    if (profTimed_) {
-        // The fused parallel section (plus sidecar replay) is
-        // attributed to the router phase; the serial per-phase
-        // finish loops time themselves below.
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    const NodeId n = topo_->numNodes();
-    for (NodeId id = 0; id < n; ++id) {
-        drainInjectorOutboxes(*injectors_[id]);
-        collectInjector(id);
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id)
-        collectRouter(id);
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        drainReceiverOutboxes(*receivers_[id]);
-        collectReceiver(id);
-    }
+    // The fused parallel section (plus sidecar replay) is attributed
+    // to the router phase; the serial per-phase finish loops time
+    // themselves below.
+    profileLap(TickPhase::Routers, pt);
+    for (const ShardCtx& ctx : shardCtx_)
+        for (const NodeId id : ctx.injWork)
+            finishInjector(id);
+    profileLap(TickPhase::Injectors, pt);
+    for (const ShardCtx& ctx : shardCtx_)
+        for (const NodeId id : ctx.rtrWork)
+            finishRouter(id);
+    profileLap(TickPhase::Routers, pt);
+    for (const ShardCtx& ctx : shardCtx_)
+        for (const NodeId id : ctx.rcvWork)
+            finishReceiver(id);
     foldShardCounters();
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
-}
-
-void
-Network::sweepActiveSharded()
-{
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    // Serial flag scan, node order: exactly sweepActive()'s clearing
-    // discipline — injector/receiver flags cleared up front (a tick's
-    // only wake is its own re-registration, applied in the finish
-    // loops below), router flags left set until the idle probe.
-    const NodeId n = topo_->numNodes();
-    unsigned s = 0;
-    for (ShardCtx& ctx : shardCtx_) {
-        ctx.injWork.clear();
-        ctx.rtrWork.clear();
-        ctx.rcvWork.clear();
-    }
-    for (NodeId id = 0; id < n; ++id) {
-        while (id >= shardCtx_[s].end)
-            ++s;
-        ShardCtx& ctx = shardCtx_[s];
-        if (injAwake_[id] != 0) {
-            injAwake_[id] = 0;
-            --injAwakeN_;
-            ctx.injWork.push_back(id);
-        }
-        if (rtrAwake_[id] != 0)
-            ctx.rtrWork.push_back(id);
-        if (rcvAwake_[id] != 0) {
-            rcvAwake_[id] = 0;
-            --rcvAwakeN_;
-            ctx.rcvWork.push_back(id);
-        }
-    }
-    runShardBarrier(true);
-    drainShardSidecars();
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (const ShardCtx& ctx : shardCtx_) {
-        for (const NodeId id : ctx.injWork) {
-            drainInjectorOutboxes(*injectors_[id]);
-            collectInjector(id);
-            scheduleInjector(id, injectors_[id]->nextEventCycle(now_));
-        }
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Injectors, t - pt);
-        pt = t;
-    }
-    const bool probe = (now_ & (kIdleProbePeriod - 1)) == 0;
-    for (const ShardCtx& ctx : shardCtx_) {
-        for (const NodeId id : ctx.rtrWork) {
-            collectRouter(id);
-            if (probe && routers_[id]->idle()) {
-                rtrAwake_[id] = 0;
-                --rtrAwakeN_;
-            }
-        }
-    }
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Routers, t - pt);
-        pt = t;
-    }
-    for (const ShardCtx& ctx : shardCtx_) {
-        for (const NodeId id : ctx.rcvWork) {
-            drainReceiverOutboxes(*receivers_[id]);
-            collectReceiver(id);
-            scheduleReceiver(id, receivers_[id]->nextEventCycle(now_));
-        }
-    }
-    foldShardCounters();
-    if (profTimed_)
-        prof_->add(TickPhase::Receivers, TickProfiler::stamp() - pt);
+    profileLap(TickPhase::Receivers, pt);
 }
 
 void
@@ -1066,27 +921,23 @@ Network::tick()
         trace_->beginCycle(now_);
     if (dynamicFaults_ && schedule_ != nullptr)
         applyFaultEvents();
-    if (activeSched_)
-        popDueDeadlines();
+    popDueDeadlines();
+    if (!activeSched_) {
+        // sched=sweep: every component ticks every cycle — including
+        // the first one after a restore — so sweep stays an
+        // independent check of the wake rules.
+        std::fill(injAwake_.begin(), injAwake_.end(), 1);
+        std::fill(rtrAwake_.begin(), rtrAwake_.end(), 1);
+        std::fill(rcvAwake_.begin(), rcvAwake_.end(), 1);
+    }
     deliver();
-    if (profTimed_) {
-        // Cycle-open bookkeeping (faults, deadlines, trace) rides
-        // with the delivery phase.
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Deliver, t - pt);
-        pt = t;
-    }
+    // Cycle-open bookkeeping (faults, deadlines, trace) rides with the
+    // delivery phase.
+    profileLap(TickPhase::Deliver, pt);
     generate();
-    if (profTimed_) {
-        const std::uint64_t t = TickProfiler::stamp();
-        prof_->add(TickPhase::Generate, t - pt);
-        pt = t;
-    }
+    profileLap(TickPhase::Generate, pt);
 
-    if (activeSched_)
-        shards_ > 1 ? sweepActiveSharded() : sweepActive();
-    else
-        shards_ > 1 ? sweepAllSharded() : sweepAll();
+    tickComponents();
 
     const std::uint64_t level = activityLevel();
     if (level != lastActivityLevel_) {
@@ -1383,146 +1234,8 @@ Network::runAuditSweep()
 void
 Network::run(Cycle n)
 {
-    if (!eventSched_) {
-        for (Cycle i = 0; i < n; ++i)
-            tick();
-        return;
-    }
-    const Cycle end = now_ + n;
-    while (now_ < end) {
-        if (tryEnterQuiet())
-            runQuietSpan(end);
-        else
-            tick();
-    }
-}
-
-bool
-Network::tryEnterQuiet()
-{
-    // Cheapest checks first: the counters and heap tops are O(1) and
-    // reject almost every busy cycle before the O(n) router probe.
-    if (injAwakeN_ != 0 || rcvAwakeN_ != 0)
-        return false;
-    // A deadline or fault event due this very cycle belongs to
-    // tick(), not to a span.
-    if (!injDeadlines_.empty() && injDeadlines_.top().first <= now_)
-        return false;
-    if (!rcvDeadlines_.empty() && rcvDeadlines_.top().first <= now_)
-        return false;
-    if (dynamicFaults_ && schedule_ != nullptr &&
-        schedule_->nextEventCycle() <= now_)
-        return false;
-    // In-flight events still maturing in the wave rings demand their
-    // delivery cycles.
-    for (const Wave& w : buckets_)
-        if (!w.empty())
-            return false;
-    if (rtrAwakeN_ != 0) {
-        // Only routers linger. sweepActive() probes them with idle()
-        // on coarse boundaries to bound its per-cycle cost; here the
-        // rest of the network is already asleep, so probe right away
-        // — clearing an idle router elides the same no-op ticks, just
-        // without waiting out the probe period.
-        const NodeId n = topo_->numNodes();
-        for (NodeId id = 0; id < n && rtrAwakeN_ != 0; ++id) {
-            if (rtrAwake_[id] != 0 && routers_[id]->idle()) {
-                rtrAwake_[id] = 0;
-                --rtrAwakeN_;
-            }
-        }
-        if (rtrAwakeN_ != 0)
-            return false;
-    }
-    return true;
-}
-
-void
-Network::runQuietSpan(Cycle end)
-{
-    // Earliest cycle at which anything can happen again: a sleeping
-    // component's deadline, a scheduled fault event, or the deadlock
-    // watchdog's crossing cycle. State is frozen across the span, so
-    // everything below fires at exactly the cycle the per-cycle
-    // schedulers would reach it.
-    Cycle limit = end;
-    if (!injDeadlines_.empty())
-        limit = std::min(limit, injDeadlines_.top().first);
-    if (!rcvDeadlines_.empty())
-        limit = std::min(limit, rcvDeadlines_.top().first);
-    if (dynamicFaults_ && schedule_ != nullptr)
-        limit = std::min(limit, schedule_->nextEventCycle());
-    if (dynamicFaults_ && !forensicsDumped_ && !quiescent()) {
-        // The watchdog trips on the first cycle with
-        // now_ - lastActivity_ > deadlockThreshold; the one-shot
-        // forensics dump must run under that same now_.
-        limit = std::min(limit,
-                         lastActivity_ + cfg_.deadlockThreshold + 1);
-    }
-    if (limit <= now_) {
+    for (Cycle i = 0; i < n; ++i)
         tick();
-        return;
-    }
-
-    // Quiet spans are timed whole (batched draws + boundary walk) and
-    // attributed to the profiler's quiet phase; the trailing tick()
-    // times itself.
-    const std::uint64_t q0 =
-        prof_ != nullptr ? TickProfiler::stamp() : 0;
-
-    // Arrival-free prefix of [now_, limit): the generator consumes
-    // exactly the per-cycle draw stream for the quiet cycles and
-    // rewinds to the start of the first cycle with an arrival, so the
-    // tick() below redraws that cycle bit-identically.
-    const Cycle quiet = trafficEnabled_
-        ? generator_->quietCycles(limit - now_)
-        : limit - now_;
-    quietCyclesSkipped_ += quiet;
-
-    // Walk the skipped cycles boundary to boundary: audit sweeps and
-    // time-series samples observe frozen state but must still land on
-    // their exact cycles so the audits, samples and any snapshot
-    // taken later stay byte-identical to per-cycle execution.
-    const Cycle span_end = now_ + quiet;
-    while (now_ < span_end) {
-        Cycle boundary = span_end;
-#if CRNET_AUDIT_ENABLED
-        if (audit_ != nullptr) {
-            const Cycle next_audit =
-                now_ +
-                (cfg_.auditInterval - now_ % cfg_.auditInterval) %
-                    cfg_.auditInterval;
-            boundary = std::min(boundary, next_audit);
-        }
-#endif
-        if (timeseries_ != nullptr) {
-            const Cycle ts = timeseries_->interval();
-            boundary = std::min(boundary, now_ + (ts - 1 - now_ % ts));
-        }
-        if (boundary >= span_end) {
-            now_ = span_end;
-            break;
-        }
-        now_ = boundary;
-        CRNET_AUDIT_HOOK(audit_.get(), beginCycle(now_));
-        if (trace_ != nullptr)
-            trace_->beginCycle(now_);
-#if CRNET_AUDIT_ENABLED
-        if (audit_ != nullptr && now_ % cfg_.auditInterval == 0)
-            runAuditSweep();
-#endif
-        if (timeseries_ != nullptr &&
-            (now_ + 1) % timeseries_->interval() == 0) {
-            takeSample();
-        }
-        ++now_;
-    }
-
-    if (prof_ != nullptr)
-        prof_->noteQuietSpan(quiet, TickProfiler::stamp() - q0);
-
-    if (now_ < limit)
-        tick();  // First cycle with an arrival.
 }
 
 void
@@ -1532,8 +1245,7 @@ Network::attachProfiler(TickProfiler* prof)
     profTimed_ = false;
     if (prof == nullptr) {
         gaugeInjAwake_ = gaugeRtrAwake_ = gaugeRcvAwake_ = nullptr;
-        gaugeWaveOcc_ = gaugeQuietSkipped_ = gaugeRngMessages_ =
-            nullptr;
+        gaugeWaveOcc_ = gaugeRngMessages_ = nullptr;
         histInjHeap_ = histRcvHeap_ = nullptr;
         return;
     }
@@ -1542,7 +1254,6 @@ Network::attachProfiler(TickProfiler* prof)
     gaugeRtrAwake_ = reg.gauge("sched.routers_awake");
     gaugeRcvAwake_ = reg.gauge("sched.receivers_awake");
     gaugeWaveOcc_ = reg.gauge("sched.wave_ring_occupancy");
-    gaugeQuietSkipped_ = reg.gauge("sched.quiet_cycles_skipped");
     gaugeRngMessages_ = reg.gauge("rng.messages_generated");
     histInjHeap_ = reg.histogram("sched.injector_heap_size");
     histRcvHeap_ = reg.histogram("sched.receiver_heap_size");
@@ -1551,17 +1262,19 @@ Network::attachProfiler(TickProfiler* prof)
 void
 Network::sampleTelemetryGauges()
 {
-    gaugeInjAwake_->store(injAwakeN_, std::memory_order_relaxed);
-    gaugeRtrAwake_->store(rtrAwakeN_, std::memory_order_relaxed);
-    gaugeRcvAwake_->store(rcvAwakeN_, std::memory_order_relaxed);
+    const auto awake = [](const std::vector<std::uint8_t>& flags) {
+        return static_cast<std::uint64_t>(
+            std::count(flags.begin(), flags.end(), 1));
+    };
+    gaugeInjAwake_->store(awake(injAwake_), std::memory_order_relaxed);
+    gaugeRtrAwake_->store(awake(rtrAwake_), std::memory_order_relaxed);
+    gaugeRcvAwake_->store(awake(rcvAwake_), std::memory_order_relaxed);
     std::uint64_t occ = 0;
     for (const Wave& w : buckets_) {
         occ += w.flits.size() + w.recvFlits.size() + w.credits.size() +
                w.injCredits.size() + w.bkills.size() + w.aborts.size();
     }
     gaugeWaveOcc_->store(occ, std::memory_order_relaxed);
-    gaugeQuietSkipped_->store(quietCyclesSkipped_,
-                              std::memory_order_relaxed);
     gaugeRngMessages_->store(generator_->generatedCount(),
                              std::memory_order_relaxed);
     histInjHeap_->observe(injDeadlines_.size());
@@ -2030,14 +1743,6 @@ Network::loadState(StateReader& r)
         injNextAt_[id] = r.u64();
     for (NodeId id = 0; id < n; ++id)
         rcvNextAt_[id] = r.u64();
-    // The per-kind awake counts are derived state; recount rather
-    // than serialize so every scheduler reads every snapshot.
-    injAwakeN_ = rtrAwakeN_ = rcvAwakeN_ = 0;
-    for (NodeId id = 0; id < n; ++id) {
-        injAwakeN_ += injAwake_[id] != 0;
-        rtrAwakeN_ += rtrAwake_[id] != 0;
-        rcvAwakeN_ += rcvAwake_[id] != 0;
-    }
 
     now_ = r.u64();
     trafficEnabled_ = r.b();

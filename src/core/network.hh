@@ -68,23 +68,10 @@ class Network : public DeliverySink, public MessageFailureSink
     CRNET_HOT_PATH CRNET_RESULT_AFFECTING
     void tick();
 
-    /**
-     * Advance `n` cycles. Under SchedulerKind::Event, globally quiet
-     * spans inside the window are skipped over (batched arrival draws
-     * plus boundary-exact audit/sample work) instead of ticked; the
-     * results are bit-identical to per-cycle execution.
-     */
+    /** Advance `n` cycles: `n` calls to tick(). */
     void run(Cycle n);
 
     Cycle now() const { return now_; }
-
-    /**
-     * Cycles the event scheduler skipped (never ticked component-by-
-     * component) so far. Always 0 under sweep/active. Diagnostic
-     * only: deliberately excluded from snapshots, so restored runs
-     * count their own skips.
-     */
-    Cycle quietCyclesSkipped() const { return quietCyclesSkipped_; }
 
     // --- Workload control -------------------------------------------
 
@@ -301,56 +288,49 @@ class Network : public DeliverySink, public MessageFailureSink
     void collectReceiver(NodeId n);
     std::uint64_t activityLevel() const;
 
-    // --- Active-set scheduling (see docs/PERFORMANCE.md) -----------
+    // --- The cycle loop (see docs/PERFORMANCE.md) -------------------
     //
-    // Under SchedulerKind::Active only components with work are
-    // ticked: anything receiving a delivery, a new message or a fault
-    // teardown is woken for the same cycle, and components whose next
-    // state change is a known future deadline (cooldown exit, backoff
-    // expiry, starvation-check boundary) sleep on a deadline heap
-    // until then. Ticking an idle component is a provable no-op, so
-    // over-waking is always safe; the wake rules below never
-    // under-wake, which is what keeps the two schedulers
-    // bit-identical.
-
-    /** Tick every component (SchedulerKind::Sweep). */
-    void sweepAll();
-
-    /** Tick this cycle's woken components, then re-register them. */
-    void sweepActive();
-
-    // --- Intra-run sharding (see docs/PERFORMANCE.md) --------------
+    // Only components whose wake flag is set are ticked: anything
+    // receiving a delivery, a new message or a fault teardown is woken
+    // for the same cycle, and components whose next state change is a
+    // known future deadline (cooldown exit, backoff expiry,
+    // starvation-check boundary) sleep on a deadline heap until then.
+    // Ticking an idle component is a provable no-op, so over-waking is
+    // always safe; the wake rules never under-wake, which is what
+    // keeps `sched=active` bit-identical to `sched=sweep`: the same
+    // loop with every flag raised at the top of each cycle.
     //
-    // When shards > 1 the node array is cut into contiguous ranges,
-    // one ThreadPool worker per range, and the compute phase of every
-    // cycle (injector/router/receiver ticks) runs in parallel with
-    // exactly one barrier per cycle. The >= 1-cycle channel latency
-    // is the synchronization slack: all cross-component traffic is
-    // staged through the wave buckets and delivered serially at the
-    // top of the next cycle, so component ticks within one cycle are
-    // mutually independent. Everything order-sensitive — wave pushes,
+    // The node array is cut into `shards` contiguous ranges. With one
+    // shard the worker runs inline. With more, one ThreadPool worker
+    // per range ticks its components in parallel, with exactly one
+    // barrier per cycle. The >= 1-cycle channel latency is the
+    // synchronization slack: all cross-component traffic is staged
+    // through the wave buckets and delivered serially at the top of
+    // the next cycle, so component ticks within one cycle are mutually
+    // independent. Everything order-sensitive — wave pushes,
     // deadline-heap pushes, Welford accumulator adds, ledger/sink
     // callbacks, trace records — is staged per shard during the
     // parallel phase and replayed serially in node order afterwards,
     // which keeps every result byte-identical to shards=1.
 
-    /** sweepAll(), sharded: whole node ranges per worker. */
-    void sweepAllSharded();
+    /** Tick this cycle's woken components, shard by shard. */
+    void tickComponents();
 
-    /** sweepActive(), sharded: scanned work lists per worker. */
+    /**
+     * One shard's compute phase: tick the woken injectors, routers
+     * and receivers of its node range (in that phase order, each in
+     * node order), clearing the injector and receiver flags on the
+     * way. With one shard, each component is finished right after its
+     * tick; with several, the tracer/auditor staging areas are
+     * installed and the ticked ids go to the work lists for the
+     * serial merge.
+     */
+    CRNET_HOT_PATH CRNET_RESULT_AFFECTING
     CRNET_ALLOW("alloc",
                 "work-list appends land in capacity reserved to the "
                 "shard's full range size at construction, so the "
                 "steady state never grows them")
-    void sweepActiveSharded();
-
-    /**
-     * One worker's compute phase: tick this shard's injector, router
-     * and receiver slices (in that phase order, each in node order)
-     * with the tracer/auditor staging areas installed.
-     */
-    CRNET_HOT_PATH CRNET_RESULT_AFFECTING
-    void shardWorker(unsigned s, bool from_work_lists);
+    void shardWorker(unsigned s);
 
     /** Submit all shard workers and block on the cycle barrier. */
     CRNET_ALLOW("alloc",
@@ -360,7 +340,7 @@ class Network : public DeliverySink, public MessageFailureSink
     CRNET_ALLOW("wallclock",
                 "barrier-wait telemetry counter: observability only, "
                 "never feeds back into simulation state")
-    void runShardBarrier(bool from_work_lists);
+    void runShardBarrier();
 
     /** Fold audit stages, replay staged trace events (serial). */
     void drainShardSidecars();
@@ -368,16 +348,22 @@ class Network : public DeliverySink, public MessageFailureSink
     /** Fold per-shard Counter blocks into the master stats block. */
     void foldShardCounters();
 
-    /** Deferred injector failures + measured-commit samples. */
-    void drainInjectorOutboxes(Injector& inj);
+    /**
+     * Finish a ticked component: drain its deferred outboxes (shards
+     * > 1), stage its output into the waves, then re-schedule it
+     * (injector, receiver) or probe it for sleep (router).
+     */
+    void finishInjector(NodeId id);
+    void finishRouter(NodeId id);
+    void finishReceiver(NodeId id);
 
-    /** Deferred receiver accumulator adds + delivery callbacks. */
-    void drainReceiverOutboxes(Receiver& rcv);
+    /** Bill the time since `pt` to `phase` (sampled ticks only). */
+    void profileLap(TickPhase phase, std::uint64_t& pt);
 
     /** Queue a component for this cycle's sweep (idempotent). */
-    void wakeInjector(NodeId id);
-    void wakeRouter(NodeId id);
-    void wakeReceiver(NodeId id);
+    void wakeInjector(NodeId id) { injAwake_[id] = 1; }
+    void wakeRouter(NodeId id) { rtrAwake_[id] = 1; }
+    void wakeReceiver(NodeId id) { rcvAwake_[id] = 1; }
 
     /**
      * Sleep a component until `at` (kNeverCycle = fully idle;
@@ -394,31 +380,6 @@ class Network : public DeliverySink, public MessageFailureSink
 
     /** Wake every component whose deadline is due at now_. */
     void popDueDeadlines();
-
-    // --- Event scheduling (SchedulerKind::Event) -------------------
-    //
-    // The event scheduler is the active scheduler plus a skip-ahead:
-    // when no component is awake and nothing is in flight, the clock
-    // advances straight through the arrival-free prefix of the window
-    // bounded by the earliest pending deadline — injector cooldown/
-    // backoff expiry and receiver starvation boundaries (the deadline
-    // heaps), scheduled fault events, the deadlock watchdog's
-    // crossing cycle, and the run window itself. Audit sweeps and
-    // time-series samples still land on their exact cycles, and the
-    // traffic generator consumes exactly the per-cycle draw stream,
-    // so results stay bit-identical to the per-cycle schedulers.
-
-    /**
-     * True when the coming cycle cannot change any state: no awake
-     * component, empty wave rings, no due deadline or fault event.
-     * Lingering awake-but-idle routers are probed (and put to sleep)
-     * on the way — the immediate form of sweepActive()'s periodic
-     * idle probe.
-     */
-    bool tryEnterQuiet();
-
-    /** Skip ahead from a quiet cycle, staying inside [now_, end). */
-    void runQuietSpan(Cycle end);
 
     void applyFaultEvents();
     void applyOneFaultEvent(const FaultEvent& ev);
@@ -444,15 +405,17 @@ class Network : public DeliverySink, public MessageFailureSink
 
     /**
      * Refresh the cached registry gauges/histograms (awake counts,
-     * wave-ring occupancy, deadline-heap sizes, generator draws).
-     * Runs only on the profiler's sampled ticks; allocation-free.
+     * counted from the flag arrays; wave-ring occupancy; deadline-
+     * heap sizes; generator draws). Runs only on the profiler's
+     * sampled ticks; allocation-free.
      */
     void sampleTelemetryGauges();
 
     /**
      * Instantaneous gauges for a time-series sample: in-flight worms
-     * and buffered flits, flag-gated under the active-set schedulers
-     * (a sleeping component's gauges are provably zero).
+     * and buffered flits, flag-gated under the active scheduler (a
+     * sleeping component's gauges are provably zero) and read from
+     * every component under sweep.
      */
     void sampleGauges(std::uint64_t& in_flight,
                       std::uint64_t& buffered) const;
@@ -516,40 +479,32 @@ class Network : public DeliverySink, public MessageFailureSink
     std::vector<Wave> buckets_;
     std::size_t bucketMask_ = 0;
 
-    // Active-set scheduler state. A wake is one byte store; the sweep
-    // scans the flag arrays in node order, which keeps the tick order
-    // — and with it every wave, arbitration and RNG interleaving —
-    // identical to the exhaustive sweep (the scan is a few hundred
-    // predictable byte loads, far cheaper than maintaining sorted
-    // wake lists). The deadline heaps hold sleeping components' next
-    // event cycles, deduplicated through the per-component `nextAt`
-    // arrays (stale entries pop as harmless spurious wakes).
+    // Scheduler state. A wake is one byte store; each shard worker
+    // scans its range of the flag arrays in node order, which keeps
+    // the tick order — and with it every wave, arbitration and RNG
+    // interleaving — identical to the exhaustive sweep (the scan is a
+    // few hundred predictable byte loads, far cheaper than
+    // maintaining sorted wake lists). The deadline heaps hold sleeping
+    // components' next event cycles, deduplicated through the
+    // per-component `nextAt` arrays (stale entries pop as harmless
+    // spurious wakes).
     using DeadlineHeap =
         std::priority_queue<std::pair<Cycle, NodeId>,
                             std::vector<std::pair<Cycle, NodeId>>,
                             std::greater<>>;
     bool activeSched_ = true;
-    bool eventSched_ = false;
     std::vector<std::uint8_t> injAwake_, rtrAwake_, rcvAwake_;
     DeadlineHeap injDeadlines_, rcvDeadlines_;
     std::vector<Cycle> injNextAt_, rcvNextAt_;
-    /**
-     * Number of set flags per kind, so the event scheduler's quiet
-     * check is O(1) on busy cycles. Under sweep the flags are set but
-     * never cleared, so the counts saturate harmlessly. Derived from
-     * the flag arrays (recounted on restore, never serialized).
-     */
-    std::uint32_t injAwakeN_ = 0, rtrAwakeN_ = 0, rcvAwakeN_ = 0;
-    Cycle quietCyclesSkipped_ = 0;
 
     /** Per-shard worker context: node range, work lists, staging. */
     struct ShardCtx
     {
         NodeId begin = 0;  //!< First node of this shard's range.
         NodeId end = 0;    //!< One past the last node.
-        // This cycle's awake node ids (active scheduler), ascending;
-        // ranges are contiguous, so shard-major iteration over these
-        // is global node order.
+        // Ids ticked this cycle, ascending (shards > 1 only); ranges
+        // are contiguous, so shard-major iteration over these is
+        // global node order.
         std::vector<NodeId> injWork, rtrWork, rcvWork;
         // Staged trace tuples, one buffer per phase so the replay can
         // run phase-major / shard-minor (= the serial record order).
@@ -575,7 +530,6 @@ class Network : public DeliverySink, public MessageFailureSink
     std::atomic<std::uint64_t>* gaugeRtrAwake_ = nullptr;
     std::atomic<std::uint64_t>* gaugeRcvAwake_ = nullptr;
     std::atomic<std::uint64_t>* gaugeWaveOcc_ = nullptr;
-    std::atomic<std::uint64_t>* gaugeQuietSkipped_ = nullptr;
     std::atomic<std::uint64_t>* gaugeRngMessages_ = nullptr;
     TelemetryHistogram* histInjHeap_ = nullptr;
     TelemetryHistogram* histRcvHeap_ = nullptr;

@@ -109,17 +109,6 @@ class FaultSchedule
     Cycle firstEventCycle() const;
 
     /**
-     * Cycle of the earliest *unfired* event, or kNeverCycle when the
-     * schedule is exhausted — the fault deadline the event scheduler
-     * may not jump across.
-     */
-    Cycle nextEventCycle() const
-    {
-        return cursor_ < events_.size() ? events_[cursor_].at
-                                        : kNeverCycle;
-    }
-
-    /**
      * Stochastic placements requested via config but not honored
      * because the degree floor ran out of killable links. Campaigns
      * record this instead of aborting.

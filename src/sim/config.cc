@@ -1,5 +1,8 @@
 #include "src/sim/config.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -12,9 +15,15 @@ namespace {
 std::uint64_t
 parseU64(const std::string& key, const std::string& value)
 {
-    char* end = nullptr;
-    const auto v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    // Digits only: strtoull alone would accept a sign ("-1" wraps to
+    // 2^64 - 1), leading blanks and out-of-range values.
+    const bool digits =
+        !value.empty() &&
+        std::all_of(value.begin(), value.end(),
+                    [](unsigned char c) { return std::isdigit(c); });
+    errno = 0;
+    const auto v = digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE)
         fatal("config key '", key, "': expected integer, got '", value,
               "'");
     return v;
@@ -330,7 +339,6 @@ toString(SchedulerKind k)
     switch (k) {
       case SchedulerKind::Sweep: return "sweep";
       case SchedulerKind::Active: return "active";
-      case SchedulerKind::Event: return "event";
     }
     panic("bad SchedulerKind");
 }
@@ -387,7 +395,6 @@ schedulerFromString(const std::string& s)
 {
     if (s == "sweep") return SchedulerKind::Sweep;
     if (s == "active") return SchedulerKind::Active;
-    if (s == "event") return SchedulerKind::Event;
     fatal("unknown scheduler '", s, "'");
 }
 

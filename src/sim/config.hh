@@ -59,13 +59,12 @@ enum class BackoffScheme {
 
 /**
  * Component-scheduling strategy of the cycle loop (see
- * docs/PERFORMANCE.md). All three produce bit-identical results;
- * `sweep` exists as the A/B reference for the equivalence suite.
+ * docs/PERFORMANCE.md). Both produce bit-identical results; `sweep`
+ * exists as the A/B reference for the equivalence suite.
  */
 enum class SchedulerKind {
     Sweep,   //!< Tick every injector/router/receiver every cycle.
-    Active,  //!< Tick only components with work or a due deadline.
-    Event    //!< Active, plus skip-ahead over globally quiet spans.
+    Active   //!< Tick only components with work or a due deadline.
 };
 
 /** Synthetic traffic spatial patterns. */
@@ -211,11 +210,9 @@ struct SimConfig
     // --- Experiment ---------------------------------------------------
     /**
      * Cycle-loop scheduler. Active (the default) skips idle
-     * components and is bit-identical to Sweep at every setting;
-     * `sched=event` additionally advances the clock straight to the
-     * next pending deadline whenever the whole network is quiet; the
-     * `sched=sweep` override re-enables the exhaustive per-node sweep
-     * for A/B identity testing and perf comparison.
+     * components and is bit-identical to Sweep at every setting; the
+     * `sched=sweep` override ticks every component every cycle, for
+     * A/B identity testing and perf comparison.
      */
     SchedulerKind sched = SchedulerKind::Active;
     std::uint64_t seed = 1;

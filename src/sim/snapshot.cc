@@ -216,14 +216,13 @@ configFingerprint(const SimConfig& cfg)
     // Every semantic field, in declaration order. traceFile, jobs,
     // sched and shards are deliberately excluded: the schedulers and
     // shard counts are proven bit-identical, the serialized wake
-    // flags are a sound superset under every scheduler (sweep sets
-    // flags and never clears them; a component that was never woken
-    // holds no state), the per-kind awake counts are recounted on
-    // load, and per-shard counter blocks are folded into the master
-    // stats before serialization — so a snapshot captured under
-    // sched=sweep restores under sched=event, and one captured at
-    // shards=4 restores at shards=1, and vice versa
-    // (tests/test_shard.cc). The telemetry keys (statusFile, statusEverySeconds,
+    // flags and deadlines are a sound superset under both schedulers
+    // (sweep runs the same loop with every flag raised each cycle),
+    // and per-shard counter blocks are folded into the master stats
+    // before serialization — so a snapshot captured under sched=sweep
+    // restores under sched=active, and one captured at shards=4
+    // restores at shards=1, and vice versa (tests/test_snapshot.cc,
+    // tests/test_shard.cc). The telemetry keys (statusFile, statusEverySeconds,
     // profileEnabled) are likewise excluded: telemetry on vs off is
     // byte-identical (tests/test_telemetry.cc), so a checkpoint taken
     // with profiling on restores into an unprofiled run and vice

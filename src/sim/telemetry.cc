@@ -34,7 +34,6 @@ const char* toString(TickPhase phase)
     case TickPhase::Receivers: return "receivers";
     case TickPhase::Audit: return "audit";
     case TickPhase::Sample: return "sample";
-    case TickPhase::Quiet: return "quiet";
     }
     return "unknown";
 }
@@ -146,8 +145,6 @@ void ProfileData::merge(const ProfileData& other)
     stride = other.stride;
     for (std::size_t p = 0; p < kNumTickPhases; ++p)
         phaseNanos[p] += other.phaseNanos[p];
-    quietSpans += other.quietSpans;
-    quietCycles += other.quietCycles;
 }
 
 // ---------------------------------------------------------------------

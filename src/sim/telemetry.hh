@@ -7,7 +7,7 @@
  * campaign ledgers, traces, timeseries, snapshots) are pure functions
  * of the configuration and seed; telemetry observes the run without
  * touching it, so enabling it is byte-identical to disabling it under
- * every scheduler and jobs=N (tests/test_telemetry.cc holds the
+ * both schedulers and jobs=N (tests/test_telemetry.cc holds the
  * goldens). Wall-clock reads go exclusively through the registered
  * shim (WallTimer::nanos, src/sim/walltime.hh), keeping the
  * `wallclock` rule of tools/crnet_analyze.py clean.
@@ -22,14 +22,13 @@
  *   TickProfiler     per-run sampling profiler attributing wall time
  *                    to experiment phases (warmup/measure/drain) and
  *                    tick sub-phases (deliver, generate, injector /
- *                    router / receiver sweeps, audit, sampling,
- *                    quiet-span skip). Sub-phases are clock-stamped on
- *                    one tick in every `stride` (default 61) to keep
- *                    enabled overhead under the 2% budget; audit,
- *                    sampling and quiet spans are rare enough to be
- *                    timed exactly. Results land in ProfileData, the
- *                    `profile` block of RunResult / CampaignSummary
- *                    and the `profile:` bench footer.
+ *                    router / receiver sweeps, audit, sampling).
+ *                    Sub-phases are clock-stamped on one tick in
+ *                    every `stride` (default 61) to keep enabled
+ *                    overhead under the 2% budget; audit and sampling
+ *                    are rare enough to be timed exactly. Results land
+ *                    in ProfileData, the `profile` block of RunResult
+ *                    / CampaignSummary and the `profile:` bench footer.
  *
  *   StatusWriter     throttled live status for long campaigns and
  *                    sweeps: atomically rewrites (atomicWriteFile) a
@@ -180,8 +179,8 @@ class Telemetry
 
 /**
  * Tick sub-phases the profiler attributes time to. The first five are
- * stride-sampled (stamped on one tick in every `stride`); Audit,
- * Sample and Quiet occur on few cycles and are timed exactly.
+ * stride-sampled (stamped on one tick in every `stride`); Audit and
+ * Sample occur on few cycles and are timed exactly.
  */
 enum class TickPhase : std::uint8_t
 {
@@ -192,9 +191,8 @@ enum class TickPhase : std::uint8_t
     Receivers, //!< Receiver NIC sweep.
     Audit,     //!< Invariant audit sweeps (exact).
     Sample,    //!< Timeseries sampling (exact).
-    Quiet,     //!< sched=event quiet-span skips (exact, per span).
 };
-constexpr std::size_t kNumTickPhases = 8;
+constexpr std::size_t kNumTickPhases = 7;
 
 /** Footer-stable phase name ("deliver", "routers", ...). */
 const char* toString(TickPhase phase);
@@ -202,8 +200,7 @@ const char* toString(TickPhase phase);
 /** True for phases timed on sampled ticks only (extrapolated). */
 constexpr bool tickPhaseSampled(TickPhase phase)
 {
-    return phase != TickPhase::Audit && phase != TickPhase::Sample &&
-           phase != TickPhase::Quiet;
+    return phase != TickPhase::Audit && phase != TickPhase::Sample;
 }
 
 /** Default sampling stride. Prime, so it cannot alias the audit or
@@ -231,9 +228,6 @@ struct ProfileData
     /** Per-phase nanoseconds, indexed by TickPhase. Sampled phases
      * hold only the stamped ticks' time (see tickSeconds). */
     std::uint64_t phaseNanos[kNumTickPhases] = {};
-
-    std::uint64_t quietSpans = 0;  //!< sched=event spans entered.
-    std::uint64_t quietCycles = 0; //!< Cycles skipped inside spans.
 
     /**
      * Estimated wall seconds spent in one tick sub-phase: sampled
@@ -292,14 +286,6 @@ class TickProfiler
     void add(TickPhase phase, std::uint64_t nanos)
     {
         data_.phaseNanos[static_cast<std::size_t>(phase)] += nanos;
-    }
-
-    /** Record one quiet span: cycles skipped and wall time spent. */
-    void noteQuietSpan(Cycle cycles, std::uint64_t nanos)
-    {
-        ++data_.quietSpans;
-        data_.quietCycles += cycles;
-        add(TickPhase::Quiet, nanos);
     }
 
     ProfileData& data() { return data_; }

@@ -69,37 +69,6 @@ TrafficGenerator::scanArrivals(NodeId from)
     return n;
 }
 
-Cycle
-TrafficGenerator::quietCycles(Cycle max_cycles)
-{
-    // chance() consumes no draw at the degenerate probabilities, so
-    // the skipped cycles consume nothing either way.
-    if (perCycleProb_ <= 0.0)
-        return max_cycles;
-    if (perCycleProb_ >= 1.0)
-        return 0;
-    const NodeId n = topo_.numNodes();
-    Cycle quiet = 0;
-    while (quiet < max_cycles) {
-        const Rng at_cycle_start = rng_;
-        bool hit = false;
-        for (NodeId src = 0; src < n; ++src) {
-            if (rng_.chance(perCycleProb_)) {
-                hit = true;
-                break;
-            }
-        }
-        if (hit) {
-            // Rewind: the caller's per-cycle pass redraws this cycle
-            // with the identical stream.
-            rng_ = at_cycle_start;
-            break;
-        }
-        ++quiet;
-    }
-    return quiet;
-}
-
 PendingMessage
 TrafficGenerator::makeFor(NodeId src, Cycle now, bool measured)
 {

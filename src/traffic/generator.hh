@@ -55,17 +55,6 @@ class TrafficGenerator
     NodeId scanArrivals(NodeId from);
 
     /**
-     * Count how many whole cycles, starting with the current one, are
-     * arrival-free on every node, scanning at most `max_cycles`
-     * cycles. The RNG is left positioned at the start of the first
-     * cycle with an arrival (or after `max_cycles` quiet cycles), so
-     * a subsequent per-cycle generate pass redraws that cycle
-     * bit-identically. Consumes exactly numNodes draws per quiet
-     * cycle — the same stream the per-cycle path would consume.
-     */
-    Cycle quietCycles(Cycle max_cycles);
-
-    /**
      * Materialize the message for an arrival that fired: destination,
      * length, id and pair sequence number. Only call when the message
      * will actually be queued — pair sequence numbers are allocated

@@ -85,8 +85,7 @@ def main() -> int:
     failures = 0
     for name, want_exit, want_lines in CASES:
         proc = subprocess.run(
-            [sys.executable, str(analyzer), str(fixtures / name),
-             "--frontend=internal"],
+            [sys.executable, str(analyzer), str(fixtures / name)],
             capture_output=True, text=True)
         problems = []
         if proc.returncode != want_exit:

@@ -62,6 +62,8 @@ TEST(Config, BadNumberIsFatal)
 {
     SimConfig cfg;
     EXPECT_DEATH(cfg.set("k", "abc"), "expected integer");
+    // A sign is not a digit: "-1" must not wrap to 2^64 - 1.
+    EXPECT_DEATH(cfg.set("warmup", "-1"), "expected integer");
     EXPECT_DEATH(cfg.set("load", "xyz"), "expected number");
 }
 

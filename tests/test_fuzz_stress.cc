@@ -6,11 +6,21 @@
  * Any panic inside the simulator (credit overflow, interleaved worms,
  * out-of-order assembly...) also fails the test, so this sweeps the
  * corner-case space the targeted tests cannot enumerate.
+ *
+ * A fixed quarter of the seeds also runs a cross-mode differential:
+ * the same config under sched=sweep, and under an uneven shards=3
+ * split that hops through captureSnapshot/restoreSnapshot mid-run.
+ * The three legs must agree on every counter and accumulator, and the
+ * sharded leg's final snapshot must be byte-identical to shards=1.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/core/network.hh"
+#include "src/sim/snapshot.hh"
 
 namespace crnet {
 namespace {
@@ -82,6 +92,51 @@ randomConfig(Rng& rng)
     return cfg;
 }
 
+/** Cycles of loaded traffic before the drain. */
+constexpr Cycle kLoadedCycles = 4000;
+
+/**
+ * The stress schedule: kLoadedCycles of traffic, then drain to
+ * quiescence. With hop_at > 0 the run moves, at that cycle, into a
+ * freshly built network through captureSnapshot/restoreSnapshot.
+ */
+void
+runStress(const SimConfig& cfg, Cycle hop_at,
+          std::unique_ptr<Network>& net)
+{
+    net = std::make_unique<Network>(cfg);
+    for (Cycle i = 0; i < kLoadedCycles; ++i) {
+        if (hop_at != 0 && i == hop_at) {
+            auto restored = std::make_unique<Network>(cfg);
+            ASSERT_EQ(restoreSnapshot(*restored, captureSnapshot(*net)),
+                      "");
+            net = std::move(restored);
+        }
+        net->tick();
+        if (cfg.protocol != ProtocolKind::None ||
+            net->routing().selfDeadlockFree()) {
+            ASSERT_FALSE(net->deadlocked())
+                << "deadlock in a deadlock-free config";
+        }
+    }
+    net->setTrafficEnabled(false);
+    Cycle spent = 0;
+    while (!net->quiescent() && spent < 150000) {
+        net->tick();
+        ++spent;
+    }
+    ASSERT_TRUE(net->quiescent()) << "failed to quiesce";
+}
+
+/** Every counter, accumulator and histogram bin, serialized. */
+std::vector<std::uint8_t>
+statsBytes(const NetworkStats& s)
+{
+    StateWriter w;
+    saveNetworkStats(w, s);
+    return w.bytes();
+}
+
 class FuzzStress : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -89,28 +144,17 @@ class FuzzStress : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
 {
     Rng meta(GetParam() * 0x9e3779b97f4a7c15ULL + 17);
-    const SimConfig cfg = randomConfig(meta);
+    SimConfig cfg = randomConfig(meta);
+    cfg.shards = 1;
     SCOPED_TRACE(cfg.summary());
     cfg.validate();
 
-    Network net(cfg);
-    for (Cycle i = 0; i < 4000; ++i) {
-        net.tick();
-        if (cfg.protocol != ProtocolKind::None ||
-            net.routing().selfDeadlockFree()) {
-            ASSERT_FALSE(net.deadlocked())
-                << "deadlock in a deadlock-free config";
-        }
-    }
-    net.setTrafficEnabled(false);
-    Cycle spent = 0;
-    while (!net.quiescent() && spent < 150000) {
-        net.tick();
-        ++spent;
-    }
-    ASSERT_TRUE(net.quiescent()) << "failed to quiesce";
+    std::unique_ptr<Network> net;
+    runStress(cfg, 0, net);
+    if (HasFatalFailure())
+        return;
 
-    const NetworkStats& s = net.stats();
+    const NetworkStats& s = net->stats();
     // Flit conservation.
     EXPECT_EQ(s.flitsInjected.value(),
               s.flitsConsumed.value() + s.router.flitsPurged.value() +
@@ -129,6 +173,30 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
     if (cfg.protocol == ProtocolKind::Fcr) {
         EXPECT_EQ(s.corruptedDeliveries.value(), 0u);
     }
+
+    if (GetParam() % 4 != 0)
+        return;  // The differential legs run on a fixed subset.
+    SimConfig sweep = cfg;
+    sweep.sched = SchedulerKind::Sweep;
+    std::unique_ptr<Network> swept;
+    runStress(sweep, 0, swept);
+    if (HasFatalFailure())
+        return;
+    SimConfig sharded = cfg;
+    sharded.shards = 3;
+    std::unique_ptr<Network> split;
+    runStress(sharded, 1 + meta.below(kLoadedCycles - 1), split);
+    if (HasFatalFailure())
+        return;
+
+    const std::vector<std::uint8_t> want = statsBytes(s);
+    EXPECT_TRUE(statsBytes(swept->stats()) == want)
+        << "sched=sweep stats differ from sched=active";
+    EXPECT_TRUE(statsBytes(split->stats()) == want)
+        << "shards=3 stats differ from shards=1";
+    EXPECT_TRUE(captureSnapshot(*split).payload ==
+                captureSnapshot(*net).payload)
+        << "shards=3 end state differs from shards=1";
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FuzzStress,

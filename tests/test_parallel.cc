@@ -18,65 +18,80 @@
 namespace crnet {
 namespace {
 
-/** RAII guard: restores (or clears) CRNET_JOBS on scope exit. */
-class ScopedJobsEnv
+/** RAII guard: sets (or clears) an environment variable, restoring
+ * its previous value on scope exit. */
+class ScopedEnv
 {
   public:
-    explicit ScopedJobsEnv(const char* value)
+    ScopedEnv(const char* name, const char* value) : name_(name)
     {
-        const char* old = std::getenv("CRNET_JOBS");
+        const char* old = std::getenv(name);
         had_ = old != nullptr;
         if (had_)
             saved_ = old;
         if (value != nullptr)
-            setenv("CRNET_JOBS", value, 1);
+            setenv(name, value, 1);
         else
-            unsetenv("CRNET_JOBS");
+            unsetenv(name);
     }
 
-    ~ScopedJobsEnv()
+    ~ScopedEnv()
     {
         if (had_)
-            setenv("CRNET_JOBS", saved_.c_str(), 1);
+            setenv(name_, saved_.c_str(), 1);
         else
-            unsetenv("CRNET_JOBS");
+            unsetenv(name_);
     }
 
   private:
+    const char* name_;
     bool had_ = false;
     std::string saved_;
 };
 
 TEST(ResolveJobs, DefaultsToSequentialWithoutEnv)
 {
-    ScopedJobsEnv env(nullptr);
+    ScopedEnv env("CRNET_JOBS", nullptr);
     EXPECT_EQ(resolveJobs(), 1u);
     EXPECT_EQ(resolveJobs(0), 1u);
 }
 
 TEST(ResolveJobs, ExplicitRequestWins)
 {
-    ScopedJobsEnv env("7");
+    ScopedEnv env("CRNET_JOBS", "7");
     EXPECT_EQ(resolveJobs(3), 3u);
     EXPECT_EQ(resolveJobs(1), 1u);
 }
 
 TEST(ResolveJobs, EnvUsedWhenRequestIsAuto)
 {
-    ScopedJobsEnv env("5");
+    ScopedEnv env("CRNET_JOBS", "5");
     EXPECT_EQ(resolveJobs(0), 5u);
 }
 
 TEST(ResolveJobs, ClampsToMaxJobs)
 {
-    ScopedJobsEnv env(nullptr);
+    ScopedEnv env("CRNET_JOBS", nullptr);
     EXPECT_EQ(resolveJobs(kMaxJobs + 100), kMaxJobs);
 }
 
 TEST(ResolveJobs, MalformedEnvFallsBackToSequential)
 {
-    ScopedJobsEnv env("banana");
+    ScopedEnv env("CRNET_JOBS", "banana");
     EXPECT_EQ(resolveJobs(0), 1u);
+}
+
+TEST(ResolveJobs, NegativeEnvFallsBackToSequential)
+{
+    // strtoul would wrap "-1" to ULONG_MAX and clamp it to kMaxJobs.
+    ScopedEnv env("CRNET_JOBS", "-1");
+    EXPECT_EQ(resolveJobs(0), 1u);
+}
+
+TEST(ResolveShards, NegativeEnvFallsBackToOneShard)
+{
+    ScopedEnv env("CRNET_SHARDS", "-1");
+    EXPECT_EQ(resolveShards(0), 1u);
 }
 
 TEST(ResolveJobs, HardwareJobsIsPositive)

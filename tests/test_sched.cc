@@ -1,13 +1,11 @@
 /**
  * @file
- * Scheduler-equivalence suite: SchedulerKind::Active and
- * SchedulerKind::Event must be bit-identical to SchedulerKind::Sweep
- * on every observable output — run summaries, time series, heatmaps,
- * trace files, campaign aggregates — across protocols, timeout
- * schemes, channel depths and fault regimes. Any divergence means the
- * active scheduler under-woke a component or the event scheduler
- * skipped a cycle that wasn't quiet (see docs/PERFORMANCE.md for the
- * wakeup and skip-ahead rules).
+ * Scheduler-equivalence suite: SchedulerKind::Active must be
+ * bit-identical to SchedulerKind::Sweep on every observable output —
+ * run summaries, time series, heatmaps, trace files, campaign
+ * aggregates — across protocols, timeout schemes, channel depths and
+ * fault regimes. Any divergence means the active scheduler under-woke
+ * a component (see docs/PERFORMANCE.md for the wakeup rules).
  */
 
 #include <gtest/gtest.h>
@@ -86,7 +84,7 @@ expectSameResult(const RunResult& a, const RunResult& b)
     }
 }
 
-/** Run `cfg` under all three schedulers; require identical results. */
+/** Run `cfg` under both schedulers; require identical results. */
 void
 expectSchedulersAgree(SimConfig cfg)
 {
@@ -94,10 +92,7 @@ expectSchedulersAgree(SimConfig cfg)
     const RunResult active = runExperiment(cfg);
     cfg.sched = SchedulerKind::Sweep;
     const RunResult sweep = runExperiment(cfg);
-    cfg.sched = SchedulerKind::Event;
-    const RunResult event = runExperiment(cfg);
     expectSameResult(active, sweep);
-    expectSameResult(event, sweep);
     // A run that moved no flits proves nothing.
     EXPECT_GT(active.flitEvents, 0u);
 }
@@ -182,9 +177,6 @@ TEST(Sched, ActiveMatchesSweepCampaign)
     cc.base.sched = SchedulerKind::Sweep;
     std::vector<TrialOutcome> sweepTrials;
     const CampaignSummary s = runCampaign(cc, &sweepTrials);
-    cc.base.sched = SchedulerKind::Event;
-    std::vector<TrialOutcome> eventTrials;
-    const CampaignSummary e = runCampaign(cc, &eventTrials);
 
     EXPECT_EQ(a.trials, s.trials);
     EXPECT_EQ(a.accountedTrials, s.accountedTrials);
@@ -202,36 +194,13 @@ TEST(Sched, ActiveMatchesSweepCampaign)
     EXPECT_EQ(a.maxRecoveryCycles, s.maxRecoveryCycles);
     EXPECT_EQ(a.flitEvents, s.flitEvents);
 
-    EXPECT_EQ(e.trials, s.trials);
-    EXPECT_EQ(e.accountedTrials, s.accountedTrials);
-    EXPECT_EQ(e.deadlockedTrials, s.deadlockedTrials);
-    EXPECT_EQ(e.accepted, s.accepted);
-    EXPECT_EQ(e.delivered, s.delivered);
-    EXPECT_EQ(e.refused, s.refused);
-    EXPECT_EQ(e.pending, s.pending);
-    EXPECT_EQ(e.duplicates, s.duplicates);
-    EXPECT_EQ(e.faultEvents, s.faultEvents);
-    EXPECT_EQ(e.deliveryRate, s.deliveryRate);
-    EXPECT_EQ(e.meanPreFaultLatency, s.meanPreFaultLatency);
-    EXPECT_EQ(e.meanPostFaultLatency, s.meanPostFaultLatency);
-    EXPECT_EQ(e.meanRecoveryCycles, s.meanRecoveryCycles);
-    EXPECT_EQ(e.maxRecoveryCycles, s.maxRecoveryCycles);
-    EXPECT_EQ(e.flitEvents, s.flitEvents);
-
     ASSERT_EQ(activeTrials.size(), sweepTrials.size());
-    ASSERT_EQ(eventTrials.size(), sweepTrials.size());
     for (std::size_t i = 0; i < activeTrials.size(); ++i) {
         EXPECT_EQ(activeTrials[i].delivered, sweepTrials[i].delivered);
         EXPECT_EQ(activeTrials[i].cyclesRun, sweepTrials[i].cyclesRun);
         EXPECT_EQ(activeTrials[i].flitEvents,
                   sweepTrials[i].flitEvents);
         EXPECT_EQ(activeTrials[i].receiverTimeouts,
-                  sweepTrials[i].receiverTimeouts);
-        EXPECT_EQ(eventTrials[i].delivered, sweepTrials[i].delivered);
-        EXPECT_EQ(eventTrials[i].cyclesRun, sweepTrials[i].cyclesRun);
-        EXPECT_EQ(eventTrials[i].flitEvents,
-                  sweepTrials[i].flitEvents);
-        EXPECT_EQ(eventTrials[i].receiverTimeouts,
                   sweepTrials[i].receiverTimeouts);
     }
 }
@@ -260,30 +229,14 @@ TEST(Sched, TraceFilesAreByteIdentical)
     const std::string active =
         runTraced(SchedulerKind::Active, "active");
     const std::string sweep = runTraced(SchedulerKind::Sweep, "sweep");
-    const std::string event = runTraced(SchedulerKind::Event, "event");
     EXPECT_FALSE(active.empty());
     EXPECT_EQ(active, sweep);
-    EXPECT_EQ(event, sweep);
 }
 
 TEST(Sched, ActiveIsDeterministicAcrossJobs)
 {
     SimConfig cfg = baseCfg();
     cfg.sched = SchedulerKind::Active;
-    const std::vector<double> loads{0.05, 0.1, 0.2};
-    cfg.jobs = 1;
-    const auto seq = sweepLoads(cfg, loads);
-    cfg.jobs = 4;
-    const auto par = sweepLoads(cfg, loads);
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i)
-        expectSameResult(seq[i], par[i]);
-}
-
-TEST(Sched, EventIsDeterministicAcrossJobs)
-{
-    SimConfig cfg = baseCfg();
-    cfg.sched = SchedulerKind::Event;
     const std::vector<double> loads{0.05, 0.1, 0.2};
     cfg.jobs = 1;
     const auto seq = sweepLoads(cfg, loads);
@@ -311,51 +264,16 @@ TEST(Sched, ExplicitSendDeliversAtSameCycle)
     };
     const Cycle active = deliveryCycle(SchedulerKind::Active);
     const Cycle sweep = deliveryCycle(SchedulerKind::Sweep);
-    const Cycle event = deliveryCycle(SchedulerKind::Event);
     EXPECT_NE(active, kNeverCycle);
     EXPECT_EQ(active, sweep);
-    EXPECT_EQ(event, sweep);
-}
-
-TEST(Sched, EventSkipsQuietSpansAndProbesLingeringRouters)
-{
-    SimConfig cfg = baseCfg();
-    cfg.sched = SchedulerKind::Event;
-    Network net(cfg);
-    net.setTrafficEnabled(false);
-
-    // Nothing is in flight: the whole span is one skip.
-    net.run(64);
-    EXPECT_EQ(net.quietCyclesSkipped(), 64u);
-
-    // One explicit message wakes the path; after delivery the routers
-    // it crossed linger awake until probed idle. The eager probe in
-    // the quiet-entry check must clear them immediately — not strand
-    // them until a kIdleProbePeriod boundary — so nearly the whole
-    // remainder of the run is skipped.
-    const MsgId id = net.sendMessage(0, 15, 6);
-    ASSERT_NE(id, kInvalidMsg);
-    const Cycle before = net.quietCyclesSkipped();
-    net.run(1000);
-    EXPECT_TRUE(net.isDelivered(id));
-    const DeliveredMessage* rec = net.deliveryRecord(id);
-    ASSERT_NE(rec, nullptr);
-    // Every cycle past delivery plus a short credit/teardown settling
-    // tail must be skipped (100 cycles is generous slack for the
-    // tail); without the eager idle probe the routers the worm
-    // crossed would pin the network busy to the end of the run.
-    const Cycle end = 64 + 1000;
-    EXPECT_GE(net.quietCyclesSkipped() - before,
-              end - rec->deliveredAt - 100);
 }
 
 TEST(Sched, DeadlockDetectedAtSameCycleAcrossSchedulers)
 {
     // Fully adaptive wormhole routing with no protocol and a single
     // VC deadlocks on a torus under load (the paper's motivating
-    // failure). The watchdog must trip at the same cycle under every
-    // scheduler: the event scheduler's quiet-span limit clamps at the
-    // threshold crossing rather than skipping over it.
+    // failure). The watchdog must trip at the same cycle under both
+    // schedulers.
     auto deadlockCycle = [](SchedulerKind k) {
         SimConfig cfg = baseCfg();
         cfg.sched = k;
@@ -374,10 +292,8 @@ TEST(Sched, DeadlockDetectedAtSameCycleAcrossSchedulers)
     };
     const Cycle sweep = deadlockCycle(SchedulerKind::Sweep);
     const Cycle active = deadlockCycle(SchedulerKind::Active);
-    const Cycle event = deadlockCycle(SchedulerKind::Event);
     ASSERT_LT(sweep, 30000u);  // The run really deadlocked.
     EXPECT_EQ(active, sweep);
-    EXPECT_EQ(event, sweep);
 }
 
 TEST(Sched, ConfigRoundTripsAndDefaultsToActive)
@@ -386,13 +302,12 @@ TEST(Sched, ConfigRoundTripsAndDefaultsToActive)
     EXPECT_EQ(cfg.sched, SchedulerKind::Active);
     cfg.set("sched", "sweep");
     EXPECT_EQ(cfg.sched, SchedulerKind::Sweep);
-    cfg.set("sched", "event");
-    EXPECT_EQ(cfg.sched, SchedulerKind::Event);
     cfg.set("sched", "active");
     EXPECT_EQ(cfg.sched, SchedulerKind::Active);
     EXPECT_EQ(toString(SchedulerKind::Sweep), "sweep");
     EXPECT_EQ(toString(SchedulerKind::Active), "active");
-    EXPECT_EQ(toString(SchedulerKind::Event), "event");
+    // Configs still naming the deleted skip-ahead mode fail loudly.
+    EXPECT_DEATH(cfg.set("sched", "event"), "unknown scheduler");
 }
 
 } // namespace

@@ -122,15 +122,6 @@ TEST(Shard, ShardsMatchUnshardedSweep)
     expectShardsAgree(cfg);
 }
 
-TEST(Shard, ShardsMatchUnshardedEvent)
-{
-    SimConfig cfg = baseCfg();
-    cfg.sched = SchedulerKind::Event;
-    cfg.sampleInterval = 100;
-    cfg.heatmapEnabled = true;
-    expectShardsAgree(cfg);
-}
-
 TEST(Shard, ShardsMatchUnshardedMidLoadCr)
 {
     // Mid load exercises kills, retries and the give-up path, whose

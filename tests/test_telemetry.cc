@@ -179,7 +179,6 @@ TEST(TickProfiler, MergeSumsEverything)
     TickProfiler a, b;
     a.armTick();
     a.add(TickPhase::Deliver, 10);
-    a.noteQuietSpan(100, 50);
     b.armTick();
     b.add(TickPhase::Deliver, 20);
     ProfileData merged;
@@ -187,8 +186,6 @@ TEST(TickProfiler, MergeSumsEverything)
     merged.merge(b.data());
     EXPECT_TRUE(merged.enabled);
     EXPECT_EQ(merged.ticks, 2u);
-    EXPECT_EQ(merged.quietSpans, 1u);
-    EXPECT_EQ(merged.quietCycles, 100u);
     EXPECT_EQ(merged.phaseNanos[static_cast<int>(TickPhase::Deliver)],
               30u);
 }
@@ -197,9 +194,8 @@ TEST(TickProfiler, MergeSumsEverything)
 
 TEST(TelemetryIdentity, ProfileOnOffIdenticalUnderEveryScheduler)
 {
-    for (SchedulerKind sched : {SchedulerKind::Sweep,
-                                SchedulerKind::Active,
-                                SchedulerKind::Event}) {
+    for (SchedulerKind sched :
+         {SchedulerKind::Sweep, SchedulerKind::Active}) {
         SimConfig off = baseCfg();
         off.sched = sched;
         SimConfig on = off;

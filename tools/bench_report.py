@@ -6,7 +6,7 @@ Every crnet bench ends with machine-parseable footers:
   timing: runs=N wall_s=S sims_per_s=R flit_events=E \
       flit_events_per_s=F jobs=J shards=K cores=C peak_rss_kb=M
   profile: enabled=1 runs=N warmup_s=... measure_s=... drain_s=... \
-      tick_deliver_s=... tick_routers_s=... quiet_cycles=...
+      tick_deliver_s=... tick_routers_s=... tick_sample_s=...
 
 The `profile:` footer is the self-profiler's per-phase wall-time
 attribution (docs/OBSERVABILITY.md); it is parsed into a `profile`
@@ -14,11 +14,10 @@ dict on every leg so phase-level trends ride along with the headline
 throughput numbers. `peak_rss_kb` (v5) is the process peak resident
 set, so memory scaling rides along too.
 
-This script runs a selection of benches five ways per bench —
+This script runs a selection of benches four ways per bench —
 
   sweep_jobs1    exhaustive per-node scheduler, sequential
   active_jobs1   active-set scheduler (the default), sequential
-  event_jobs1    skip-ahead event scheduler, sequential
   active_jobsN   active-set scheduler under the parallel engine
   active_shards4 active-set scheduler, one run sharded 4 ways
 
@@ -26,10 +25,9 @@ This script runs a selection of benches five ways per bench —
 flit_events (the schedulers are bit-identical and both the parallel
 engine and intra-run sharding are deterministic, so any difference is
 a correctness bug, not noise), and writes a JSON report recording
-per-bench wall-clock, throughput, peak RSS, the scheduler speedups
-(active vs sweep, event vs active), the parallel speedup and the
-shard speedup, together with the host core count so the numbers are
-interpretable.
+per-bench wall-clock, throughput, peak RSS, the scheduler speedup
+(active vs sweep), the parallel speedup and the shard speedup,
+together with the host core count so the numbers are interpretable.
 
 Unless --quick is given, the report also runs bench_tab_giant_scale
 once and records its scaling curve — flit-events/sec and resident
@@ -89,7 +87,6 @@ PROFILE_PHASES = [
     "warmup_s", "measure_s", "drain_s", "tick_deliver_s",
     "tick_generate_s", "tick_injectors_s", "tick_routers_s",
     "tick_receivers_s", "tick_audit_s", "tick_sample_s",
-    "tick_quiet_s",
 ]
 
 
@@ -309,13 +306,12 @@ def main():
         print(f"{name}:", file=sys.stderr)
         sweep1 = run_bench(path, args, "sweep", 1)
         active1 = run_bench(path, args, "active", 1)
-        event1 = run_bench(path, args, "event", 1)
         # The parallel leg only means something with a second worker
         # (and at jobs=1 its dict key would collide with active_jobs1).
         activeN = (run_bench(path, args, "active", opts.jobs)
                    if opts.jobs > 1 else None)
         activeS = run_bench(path, args, "active", 1, shards=4)
-        footers = [sweep1, active1, event1, activeS] + (
+        footers = [sweep1, active1, activeS] + (
             [activeN] if activeN else [])
         events = {f["flit_events"] for f in footers}
         if len(events) != 1:
@@ -326,25 +322,18 @@ def main():
         sched_speedup = (active1["flit_events_per_s"] /
                          sweep1["flit_events_per_s"]
                          if sweep1["flit_events_per_s"] else 0.0)
-        event_speedup = (event1["flit_events_per_s"] /
-                         active1["flit_events_per_s"]
-                         if active1["flit_events_per_s"] else 0.0)
         shard_speedup = (active1["wall_s"] / activeS["wall_s"]
                          if activeS["wall_s"] > 0 else 0.0)
         report["benches"][name] = {
             "args": args,
             "sweep_jobs1": sweep1,
             "active_jobs1": active1,
-            "event_jobs1": event1,
             "active_shards4": activeS,
             "sched_speedup": round(sched_speedup, 3),
-            "event_speedup": round(event_speedup, 3),
             "shard_speedup": round(shard_speedup, 3),
         }
         print(f"  scheduler speedup (active/sweep): "
               f"{sched_speedup:.2f}x", file=sys.stderr)
-        print(f"  skip-ahead speedup (event/active): "
-              f"{event_speedup:.2f}x", file=sys.stderr)
         print(f"  shard speedup at shards=4: {shard_speedup:.2f}x "
               f"({report['cpu_cores']} core(s) available)",
               file=sys.stderr)

@@ -24,31 +24,18 @@ function (or variable) and stops propagation of that rule through it.
 The reason string is mandatory; an empty reason is itself a violation
 (rule `allow-missing-reason`).
 
-Frontends (--frontend, default `auto`):
+The frontend is a self-contained C++ tokenizer + declaration scanner
+with no toolchain dependency: it recognizes the CRNET_* macros
+textually, so it produces identical reports on any host. A report
+line reads `file:line: rule: detail [chain: root -> ... -> fn]`.
 
-  clang     Invokes `clang++ -fsyntax-only -Xclang -ast-dump=json`
-            per translation unit and reads annotations/calls out of
-            the AST. Used when a clang binary is on PATH.
-  internal  A self-contained C++ tokenizer + declaration scanner, no
-            toolchain dependency. Recognizes the CRNET_* macros
-            textually. This is the frontend CI gates on: it produces
-            identical reports on any host.
-
-auto picks clang when available, internal otherwise. Both frontends
-share the call-graph, propagation and reporting core, so a report
-line always reads `file:line: rule: detail [chain: root -> ... -> fn]`.
-
-Exit status: 0 = clean, 1 = violations reported, 2 = usage/toolchain
-error.
+Exit status: 0 = clean, 1 = violations reported, 2 = usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
-import shutil
-import subprocess
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -773,322 +760,7 @@ class InternalFrontend:
 
 
 # --------------------------------------------------------------------------
-# Clang frontend
-# --------------------------------------------------------------------------
-
-ANNOT_SRC_RE = re.compile(
-    r"CRNET_(HOT_PATH|RESULT_AFFECTING)|CRNET_ALLOW\s*\(")
-
-
-class ClangFrontend:
-    """Extraction via `clang++ -Xclang -ast-dump=json` per TU.
-
-    Reads the crnet::* annotate attributes straight out of the AST.
-    Attribute payloads absent from the JSON (older clang) are
-    recovered by re-reading the CRNET_* macro invocation at the
-    attribute's expansion location in the source file.
-    """
-
-    def __init__(self, root: Path, src_files: list,
-                 clangxx: str) -> None:
-        self.root = root
-        self.clangxx = clangxx
-        self.tus = [p for p in src_files if p.suffix == ".cc"]
-        if not self.tus:  # Header-only tree (fixtures).
-            self.tus = list(src_files)
-        self.program = Program()
-        self.src_cache: dict = {}
-
-    def run(self) -> Program:
-        for tu in self.tus:
-            ast = self._dump(tu)
-            if ast is not None:
-                self._walk_tu(ast)
-        return self.program
-
-    def _dump(self, tu: Path):
-        cmd = [self.clangxx, "-x", "c++", "-std=c++20",
-               "-fsyntax-only", "-I", str(self.root),
-               "-Xclang", "-ast-dump=json", str(tu)]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=600)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            print(f"crnet_analyze: clang failed on {tu}: {exc}",
-                  file=sys.stderr)
-            return None
-        if not proc.stdout:
-            print(f"crnet_analyze: no AST for {tu}:\n{proc.stderr}",
-                  file=sys.stderr)
-            return None
-        try:
-            return json.loads(proc.stdout)
-        except json.JSONDecodeError as exc:
-            print(f"crnet_analyze: bad AST JSON for {tu}: {exc}",
-                  file=sys.stderr)
-            return None
-
-    # -- helpers ---------------------------------------------------------
-
-    def _source_at(self, path: str, offset: int) -> str:
-        text = self.src_cache.get(path)
-        if text is None:
-            try:
-                text = Path(path).read_text(encoding="utf-8",
-                                            errors="replace")
-            except OSError:
-                text = ""
-            self.src_cache[path] = text
-        return text[offset:offset + 400]
-
-    @staticmethod
-    def _loc(node: dict) -> tuple:
-        loc = node.get("loc", {})
-        spelling = loc.get("spellingLoc", loc)
-        exp = loc.get("expansionLoc", loc)
-        return (exp.get("file") or spelling.get("file"),
-                exp.get("line") or spelling.get("line") or 0,
-                exp.get("offset"))
-
-    def _annotation_of(self, attr: dict, cur_file: str) -> tuple:
-        """Decode an AnnotateAttr into ('hot_path'|... , None) or
-        ('allow', (rule, reason))."""
-        # Newer clang embeds the annotation text.
-        value = attr.get("annotation") or attr.get("value")
-        if value is None:
-            rng = attr.get("range", {}).get("begin", {})
-            exp = rng.get("expansionLoc", rng)
-            off = exp.get("offset")
-            path = exp.get("file") or cur_file
-            if off is not None and path:
-                frag = self._source_at(path, off)
-                m = ANNOT_SRC_RE.search(frag)
-                if m is None:
-                    return (None, None)
-                if m.group(1) == "HOT_PATH":
-                    return ("hot_path", None)
-                if m.group(1) == "RESULT_AFFECTING":
-                    return ("result_affecting", None)
-                strs = re.findall(r'"((?:[^"\\]|\\.)*)"',
-                                  frag[m.start():])
-                if not strs:
-                    return ("allow", ("", None))
-                rule = strs[0]
-                reason = "".join(strs[1:]) if len(strs) > 1 else None
-                return ("allow", (rule, reason))
-            return (None, None)
-        if value.startswith("crnet::allow:"):
-            rest = value[len("crnet::allow:"):]
-            rule, _, reason = rest.partition(":")
-            return ("allow", (rule, reason or None))
-        if value == "crnet::hot_path":
-            return ("hot_path", None)
-        if value == "crnet::result_affecting":
-            return ("result_affecting", None)
-        return (None, None)
-
-    # -- AST walk --------------------------------------------------------
-
-    FN_KINDS = {"FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                "CXXDestructorDecl", "CXXConversionDecl"}
-
-    def _walk_tu(self, ast: dict) -> None:
-        self._walk_decls(ast.get("inner", []), [], None)
-
-    def _walk_decls(self, nodes: list, ctx: list,
-                    cur_file_holder) -> None:
-        cur_file = cur_file_holder
-        for node in nodes:
-            kind = node.get("kind")
-            f, _l, _o = self._loc(node)
-            if f:
-                cur_file = f
-            if kind == "NamespaceDecl":
-                self._walk_decls(node.get("inner", []),
-                                 ctx + [node.get("name", "")],
-                                 cur_file)
-            elif kind in ("CXXRecordDecl", "ClassTemplateDecl"):
-                name = node.get("name", "")
-                self._walk_decls(node.get("inner", []),
-                                 ctx + [name] if name else ctx,
-                                 cur_file)
-            elif kind == "FunctionTemplateDecl":
-                self._walk_decls(node.get("inner", []), ctx, cur_file)
-            elif kind in self.FN_KINDS:
-                self._take_function(node, ctx, cur_file)
-            elif kind == "VarDecl":
-                self._take_global(node, ctx, cur_file)
-            elif kind == "LinkageSpecDecl":
-                self._walk_decls(node.get("inner", []), ctx, cur_file)
-
-    def _in_repo(self, path: str | None) -> bool:
-        if not path:
-            return False
-        try:
-            Path(path).resolve().relative_to(self.root.resolve())
-            return True
-        except ValueError:
-            return False
-
-    def _relname(self, path: str) -> str:
-        try:
-            return str(Path(path).resolve().relative_to(
-                self.root.resolve()))
-        except ValueError:
-            return path
-
-    def _take_global(self, node: dict, ctx: list,
-                     cur_file: str) -> None:
-        f, line, _ = self._loc(node)
-        path = f or cur_file
-        if not self._in_repo(path):
-            return
-        qt = node.get("type", {}).get("qualType", "")
-        if "const" in qt.split() or node.get("constexpr"):
-            return
-        if node.get("storageClass") == "extern":
-            return
-        allows = {}
-        for sub in node.get("inner", []):
-            if sub.get("kind") == "AnnotateAttr":
-                akind, payload = self._annotation_of(sub, path)
-                if akind == "allow" and payload is not None:
-                    allows[payload[0]] = payload[1]
-        self.program.globals.append(GlobalVar(
-            node.get("name", "?"), self._relname(path), line, allows))
-
-    def _take_function(self, node: dict, ctx: list,
-                       cur_file: str) -> None:
-        f, line, _ = self._loc(node)
-        path = f or cur_file
-        if not self._in_repo(path):
-            return
-        name = node.get("name", "")
-        if not name:
-            return
-        cls = ctx[-1] if ctx and ctx[-1] and ctx[-1] != "crnet" \
-            else None
-        qname = f"{cls}::{name}" if cls else name
-        fn = FunctionInfo(qname, cls, name, self._relname(path), line)
-        body = None
-        for sub in node.get("inner", []):
-            skind = sub.get("kind")
-            if skind == "AnnotateAttr":
-                akind, payload = self._annotation_of(sub, path)
-                if akind == "allow" and payload is not None:
-                    fn.allows[payload[0]] = payload[1]
-                elif akind is not None:
-                    fn.annotations.add(akind)
-            elif skind == "CompoundStmt":
-                body = sub
-        if body is not None:
-            self._walk_stmt(body, fn)
-        if body is not None or fn.annotations or fn.allows:
-            self.program.add_function(fn)
-
-    def _walk_stmt(self, node: dict, fn: FunctionInfo) -> None:
-        kind = node.get("kind")
-        _f, line, _ = self._loc(node)
-        qt = node.get("type", {}).get("qualType", "")
-
-        if kind == "CXXNewExpr":
-            fn.primitives.append(Primitive(
-                "alloc", fn.file, line or fn.line, "operator new"))
-        elif kind == "CXXForRangeStmt":
-            for sub in node.get("inner", []):
-                sqt = sub.get("type", {}).get("qualType", "")
-                if "unordered_" in sqt:
-                    fn.primitives.append(Primitive(
-                        "unordered-iter", fn.file, line or fn.line,
-                        "range-for over unordered container"))
-                    break
-        elif kind in ("CallExpr", "CXXMemberCallExpr",
-                      "CXXOperatorCallExpr"):
-            callee, recv_qt = self._callee_of(node)
-            if callee:
-                if callee in ALLOC_CALLS or (
-                        callee in ALLOC_METHODS
-                        and ("std::" in recv_qt
-                             or "basic_string" in recv_qt)):
-                    fn.primitives.append(Primitive(
-                        "alloc", fn.file, line or fn.line,
-                        f"{callee}()"))
-                elif callee in WALLCLOCK_NAMES | {"time", "clock"} \
-                        and "crnet" not in recv_qt:
-                    pass  # flagged via DeclRefExpr below
-                # begin/cbegin only: bare end()/cend() is almost
-                # always an `it != x.end()` guard after find().
-                if callee in ("begin", "cbegin") \
-                        and "unordered_" in recv_qt:
-                    fn.primitives.append(Primitive(
-                        "unordered-iter", fn.file, line or fn.line,
-                        "iterator over unordered container"))
-                if callee not in ALLOC_METHODS | ALLOC_CALLS:
-                    recv_cls = None
-                    m = re.search(r"(?:crnet::)?(\w+)\s*$",
-                                  recv_qt.split("<")[0]) \
-                        if recv_qt else None
-                    if m:
-                        recv_cls = m.group(1)
-                    fn.calls.append(CallSite(callee, recv_cls))
-        elif kind == "DeclRefExpr":
-            ref = node.get("referencedDecl", {})
-            rname = ref.get("name", "")
-            if rname in WALLCLOCK_NAMES or (
-                    rname in WALLCLOCK_QUALIFIED_ONLY
-                    and ref.get("kind") == "FunctionDecl"):
-                fn.primitives.append(Primitive(
-                    "wallclock", fn.file, line or fn.line, rname))
-            if "unordered_" in qt and rname:
-                pass
-        elif kind == "DeclStmt":
-            for sub in node.get("inner", []):
-                if sub.get("kind") == "VarDecl" and \
-                        sub.get("storageClass") == "static":
-                    sqt = sub.get("type", {}).get("qualType", "")
-                    if "const" not in sqt.split():
-                        _sf, sline, _so = self._loc(sub)
-                        fn.primitives.append(Primitive(
-                            "global-state", fn.file,
-                            sline or fn.line,
-                            "function-local static state"))
-        for sub in node.get("inner", []):
-            if isinstance(sub, dict):
-                self._walk_stmt(sub, fn)
-
-    @staticmethod
-    def _callee_of(node: dict) -> tuple:
-        """Best-effort (callee name, receiver qualType)."""
-        inner = node.get("inner", [])
-        if not inner:
-            return ("", "")
-        recv_qt = ""
-        if node.get("kind") == "CXXMemberCallExpr":
-            me = inner[0]
-            while me and me.get("kind") not in ("MemberExpr",):
-                sub = me.get("inner", [])
-                me = sub[0] if sub else None
-            if me:
-                base = me.get("inner", [])
-                if base:
-                    recv_qt = base[0].get("type", {}) \
-                                     .get("qualType", "")
-                name = me.get("name", "")
-                return (name, recv_qt)
-        stack = [inner[0]]
-        while stack:
-            cur = stack.pop()
-            if cur.get("kind") == "DeclRefExpr":
-                return (cur.get("referencedDecl", {}).get("name", ""),
-                        recv_qt)
-            if cur.get("kind") == "MemberExpr":
-                return (cur.get("name", ""), recv_qt)
-            stack.extend(cur.get("inner", []))
-        return ("", "")
-
-
-# --------------------------------------------------------------------------
-# Propagation + reporting core (shared by both frontends)
+# Propagation + reporting core
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -1241,9 +913,6 @@ def main(argv: list) -> int:
         description="Annotation-driven static analysis over src/.")
     ap.add_argument("root", nargs="?", default=".",
                     help="repository root (contains src/)")
-    ap.add_argument("--frontend", choices=("auto", "internal",
-                                           "clang"),
-                    default="auto")
     ap.add_argument("--report", metavar="FILE",
                     help="also write the report to FILE")
     args = ap.parse_args(argv[1:])
@@ -1255,24 +924,10 @@ def main(argv: list) -> int:
               file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    clangxx = shutil.which("clang++") or shutil.which("clang")
-    if frontend == "auto":
-        frontend = "clang" if clangxx else "internal"
-    if frontend == "clang" and not clangxx:
-        print("crnet_analyze: --frontend=clang but no clang++ on "
-              "PATH", file=sys.stderr)
-        return 2
-
-    if frontend == "clang":
-        program = ClangFrontend(root, files, clangxx).run()
-    else:
-        program = InternalFrontend(root, files).run()
-
+    program = InternalFrontend(root, files).run()
     violations = analyze(program)
     lines = [v.render() for v in violations]
-    summary = (f"crnet_analyze: frontend={frontend}, "
-               f"{len(files)} files, "
+    summary = (f"crnet_analyze: {len(files)} files, "
                f"{len(program.functions)} functions, "
                f"{len(violations)} violation(s)")
     out = "\n".join(lines + [summary]) + "\n"
