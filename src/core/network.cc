@@ -168,7 +168,7 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     shards_ = std::min<unsigned>(resolveShards(cfg_.shards),
                                  static_cast<unsigned>(n));
     shards_ = std::max(shards_, 1u);
-    shardCtx_.resize(shards_);
+    shardCtx_ = std::vector<ShardCtx>(shards_);
     {
         const NodeId per = n / shards_;
         const NodeId extra = n % shards_;
@@ -195,7 +195,7 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             ++shard;
         // Counters accumulate in the owning shard's block (folded
         // into stats_ every sweep); with one shard that block IS
-        // stats_ and the deferred-stats outboxes stay disabled.
+        // stats_. Deliveries go to the owning shard's context.
         NetworkStats* blk =
             shards_ > 1 ? shardStats_[shard].get() : &stats_;
         routers_.push_back(std::make_unique<Router>(
@@ -203,13 +203,8 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             *routerPool_, id));
         injectors_.push_back(std::make_unique<Injector>(
             id, cfg_, *topo_, *routing_, blk, root.fork()));
-        injectors_.back()->setFailureSink(this);
         receivers_.push_back(std::make_unique<Receiver>(
-            id, cfg_, blk, this));
-        if (shards_ > 1) {
-            injectors_.back()->setDeferStats(true);
-            receivers_.back()->setDeferStats(true);
-        }
+            id, cfg_, blk, &shardCtx_[shard]));
     }
 
     // Pre-size the hot-path containers so the steady state never
@@ -669,11 +664,13 @@ Network::activityLevel() const
 // Determinism argument for shards > 1 (docs/PERFORMANCE.md has the
 // long form): the parallel phase runs only component ticks, whose
 // cross-component effects are all staged — wave pushes through
-// per-component outboxes (collected serially afterwards), sink/ledger
-// callbacks and Welford accumulator adds through the deferred-stats
-// outboxes, trace records through per-shard staging buffers, audit
-// conservation deltas through per-thread stages. Counters are
-// commutative and land in per-shard blocks. Every order-sensitive
+// per-component outboxes (collected serially afterwards), give-ups
+// and commit samples through the injector's outboxes, deliveries
+// through the shard context (the receivers' sink), trace records
+// through per-shard staging buffers, audit conservation deltas
+// through per-thread stages. Counters are commutative and land in
+// per-shard blocks. Only the Network applies ledger calls and
+// accumulator adds, at every shard count, and every order-sensitive
 // replay below iterates shard-major over contiguous ascending ranges,
 // i.e. in global node order — exactly the one-shard order — so stats,
 // traces, wave contents, heap layouts and snapshots are byte-identical
@@ -698,13 +695,11 @@ Network::profileLap(TickPhase phase, std::uint64_t& pt)
 void
 Network::finishInjector(NodeId id)
 {
-    // Within one injector tick every give-up precedes every commit
-    // (retry/timeout processing runs before injectFlits), so draining
-    // the failure outbox first reproduces the direct-mode callback
-    // order. Both outboxes stay empty at shards=1.
     Injector& inj = *injectors_[id];
-    for (const FailedMessage& f : inj.failed)
-        onMessageFailed(f.msg, f.at);
+    if (ledger_ != nullptr) {
+        for (const FailedMessage& f : inj.failed)
+            ledger_->onRefused(f.msg, f.at);
+    }
     for (const CommittedSample& c : inj.committedStats) {
         stats_.attempts.add(c.attempts);
         stats_.padOverhead.add(c.padFrac);
@@ -732,10 +727,14 @@ Network::finishRouter(NodeId id)
 void
 Network::finishReceiver(NodeId id)
 {
-    Receiver& rcv = *receivers_[id];
-    for (const DeliveredMessage& d : rcv.deliveries) {
-        // Exactly commitDelivery()'s direct-mode tail, per delivery:
-        // accumulator adds, then the sink callback.
+    collectReceiver(id);
+    scheduleReceiver(id, receivers_[id]->nextEventCycle(now_));
+}
+
+void
+Network::applyDeliveries(ShardCtx& ctx)
+{
+    for (const DeliveredMessage& d : ctx.deliveries) {
         if (d.measured) {
             const auto total =
                 static_cast<double>(d.deliveredAt - d.createdAt);
@@ -744,10 +743,15 @@ Network::finishReceiver(NodeId id)
             stats_.netLatency.add(static_cast<double>(
                 d.deliveredAt - d.headInjectedAt));
         }
-        onDelivered(d);
+        if (ledger_ != nullptr)
+            ledger_->onDelivered(d);
+        auto it = manualPending_.find(d.id);
+        if (it != manualPending_.end()) {
+            manualDelivered_[d.id] = d;
+            manualPending_.erase(it);
+        }
     }
-    collectReceiver(id);
-    scheduleReceiver(id, rcv.nextEventCycle(now_));
+    ctx.deliveries.clear();
 }
 
 void
@@ -811,8 +815,10 @@ Network::shardWorker(unsigned s)
         else
             finishReceiver(id);
     }
-    if (!merge)
+    if (!merge) {
+        applyDeliveries(ctx);
         profileLap(TickPhase::Receivers, pt);
+    }
 
     ctx.ticks += ticked;
     if (stage_trace)
@@ -899,9 +905,11 @@ Network::tickComponents()
         for (const NodeId id : ctx.rtrWork)
             finishRouter(id);
     profileLap(TickPhase::Routers, pt);
-    for (const ShardCtx& ctx : shardCtx_)
+    for (ShardCtx& ctx : shardCtx_) {
         for (const NodeId id : ctx.rcvWork)
             finishReceiver(id);
+        applyDeliveries(ctx);
+    }
     foldShardCounters();
     profileLap(TickPhase::Receivers, pt);
 }
@@ -1287,6 +1295,10 @@ Network::sendMessage(NodeId src, NodeId dst, std::uint32_t payload_len,
 {
     if (src >= topo_->numNodes() || dst >= topo_->numNodes())
         fatal("sendMessage: node out of range");
+    // The head is payload flit 0: an empty message would go out
+    // without a tail under protocol=none and never free its slot.
+    if (payload_len == 0)
+        fatal("sendMessage: payload_len must be >= 1");
     if (injectors_[src]->queueFull())
         return kInvalidMsg;  // Before a pair sequence is allocated.
     PendingMessage m = generator_->makeMessage(src, dst, payload_len,
@@ -1315,25 +1327,6 @@ Network::deliveryRecord(MsgId id) const
 {
     auto it = manualDelivered_.find(id);
     return it == manualDelivered_.end() ? nullptr : &it->second;
-}
-
-void
-Network::onDelivered(const DeliveredMessage& msg)
-{
-    if (ledger_ != nullptr)
-        ledger_->onDelivered(msg);
-    auto it = manualPending_.find(msg.id);
-    if (it != manualPending_.end()) {
-        manualDelivered_[msg.id] = msg;
-        manualPending_.erase(it);
-    }
-}
-
-void
-Network::onMessageFailed(const PendingMessage& msg, Cycle now)
-{
-    if (ledger_ != nullptr)
-        ledger_->onRefused(msg, now);
 }
 
 bool

@@ -47,12 +47,12 @@ class StateWriter;
 class StateReader;
 
 /** A complete simulated network. */
-class Network : public DeliverySink, public MessageFailureSink
+class Network
 {
   public:
     /** Build a network from a validated configuration. */
     explicit Network(const SimConfig& cfg);
-    ~Network() override;
+    ~Network();
 
     Network(const Network&) = delete;
     Network& operator=(const Network&) = delete;
@@ -218,13 +218,6 @@ class Network : public DeliverySink, public MessageFailureSink
      */
     void reseedStreams(std::uint64_t seed);
 
-    // DeliverySink
-    void onDelivered(const DeliveredMessage& msg) override;
-
-    // MessageFailureSink (source gave up: maxRetries exhausted)
-    void onMessageFailed(const PendingMessage& msg,
-                         Cycle now) override;
-
   private:
     // Staged (next-cycle) deliveries.
     struct PendingFlit
@@ -308,10 +301,11 @@ class Network : public DeliverySink, public MessageFailureSink
     // through the wave buckets and delivered serially at the top of
     // the next cycle, so component ticks within one cycle are mutually
     // independent. Everything order-sensitive — wave pushes,
-    // deadline-heap pushes, Welford accumulator adds, ledger/sink
-    // callbacks, trace records — is staged per shard during the
-    // parallel phase and replayed serially in node order afterwards,
-    // which keeps every result byte-identical to shards=1.
+    // deadline-heap pushes, Welford accumulator adds, ledger calls,
+    // trace records — is staged per component or per shard during the
+    // tick and applied serially in node order afterwards, at every
+    // shard count, which keeps every result byte-identical to
+    // shards=1.
 
     /** Tick this cycle's woken components, shard by shard. */
     void tickComponents();
@@ -321,7 +315,8 @@ class Network : public DeliverySink, public MessageFailureSink
      * and receivers of its node range (in that phase order, each in
      * node order), clearing the injector and receiver flags on the
      * way. With one shard, each component is finished right after its
-     * tick; with several, the tracer/auditor staging areas are
+     * tick and the staged deliveries are applied after the receiver
+     * phase; with several, the tracer/auditor staging areas are
      * installed and the ticked ids go to the work lists for the
      * serial merge.
      */
@@ -349,9 +344,10 @@ class Network : public DeliverySink, public MessageFailureSink
     void foldShardCounters();
 
     /**
-     * Finish a ticked component: drain its deferred outboxes (shards
-     * > 1), stage its output into the waves, then re-schedule it
-     * (injector, receiver) or probe it for sleep (router).
+     * Finish a ticked component: apply the injector's staged give-ups
+     * and commit samples, stage its output into the waves, then
+     * re-schedule it (injector, receiver) or probe it for sleep
+     * (router).
      */
     void finishInjector(NodeId id);
     void finishRouter(NodeId id);
@@ -460,9 +456,8 @@ class Network : public DeliverySink, public MessageFailureSink
      * Per-shard Counter accumulation blocks (shards > 1 only).
      * Components of shard s write their Counter fields here, race-
      * free, and foldShardCounters() folds them into stats_ at the end
-     * of every sweep. Accumulators/histograms in these blocks are
-     * never written: order-sensitive adds are deferred through the
-     * component outboxes instead (see setDeferStats).
+     * of every sweep. Components never write accumulators or
+     * histograms: only the Network adds to those, from staged events.
      */
     std::vector<std::unique_ptr<NetworkStats>> shardStats_;
 
@@ -497,15 +492,33 @@ class Network : public DeliverySink, public MessageFailureSink
     DeadlineHeap injDeadlines_, rcvDeadlines_;
     std::vector<Cycle> injNextAt_, rcvNextAt_;
 
-    /** Per-shard worker context: node range, work lists, staging. */
-    struct ShardCtx
+    /**
+     * Per-shard worker context: node range, work lists, staging. It
+     * is the delivery sink of the receivers in its range.
+     */
+    struct ShardCtx final : DeliverySink
     {
+        ShardCtx() = default;
+        // Receivers hold this context's address as their sink.
+        ShardCtx(const ShardCtx&) = delete;
+        ShardCtx& operator=(const ShardCtx&) = delete;
+
+        CRNET_ALLOW("alloc",
+                    "per-shard delivery staging: amortized growth "
+                    "only, steady-state-free (tests/test_alloc_steady.cc)")
+        void onDelivered(const DeliveredMessage& msg) override
+        {
+            deliveries.push_back(msg);
+        }
+
         NodeId begin = 0;  //!< First node of this shard's range.
         NodeId end = 0;    //!< One past the last node.
         // Ids ticked this cycle, ascending (shards > 1 only); ranges
         // are contiguous, so shard-major iteration over these is
         // global node order.
         std::vector<NodeId> injWork, rtrWork, rcvWork;
+        /** This cycle's completed messages, in node order. */
+        std::vector<DeliveredMessage> deliveries;
         // Staged trace tuples, one buffer per phase so the replay can
         // run phase-major / shard-minor (= the serial record order).
         std::vector<TraceEvent> injTrace, rtrTrace, rcvTrace;
@@ -513,6 +526,13 @@ class Network : public DeliverySink, public MessageFailureSink
         std::uint64_t ticks = 0;  //!< Cumulative component ticks.
     };
     std::vector<ShardCtx> shardCtx_;
+
+    /**
+     * Apply one shard's staged deliveries in node order: latency
+     * accumulators, ledger, explicit-send records.
+     */
+    void applyDeliveries(ShardCtx& ctx);
+
     /** Cycle-barrier worker pool (shards_ > 1 only). */
     std::unique_ptr<ThreadPool> shardPool_;
     // Registry handles (registered at construction; updates are

@@ -152,12 +152,7 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
                            node_, msg.dst, msg.attempt);
         }
         busyDests_.erase(msg.dst);
-        if (failureSink_ != nullptr) {
-            if (deferStats_)
-                failed.push_back(FailedMessage{msg, now});
-            else
-                failureSink_->onMessageFailed(msg, now);
-        }
+        failed.push_back(FailedMessage{msg, now});
         return;
     }
     msg.notBefore = now + retransmissionGap(cfg_, kills, rng_);
@@ -399,18 +394,11 @@ Injector::injectFlits(Cycle now)
                                        s.msg.dst, s.msg.attempt);
                     }
                     if (s.msg.measured) {
-                        const double att = s.msg.attempt + 1;
-                        const double pad =
+                        committedStats.push_back(CommittedSample{
+                            s.msg.attempt + 1.0,
                             static_cast<double>(s.wireLen -
                                                 s.msg.payloadLen - 1) /
-                            s.wireLen;
-                        if (deferStats_) {
-                            committedStats.push_back(
-                                CommittedSample{att, pad});
-                        } else {
-                            stats_->attempts.add(att);
-                            stats_->padOverhead.add(pad);
-                        }
+                                s.wireLen});
                     }
                     busyDests_.erase(s.msg.dst);
                     s.state = Slot::State::Free;

@@ -55,30 +55,18 @@ struct InjectedFlit
     Flit flit;
 };
 
-/** A give-up staged for the failure sink (deferred-stats mode). */
+/** A message the source gave up on (maxRetries exhausted). */
 struct FailedMessage
 {
     PendingMessage msg;
     Cycle at = 0;
 };
 
-/** Measured-commit accumulator samples staged (deferred-stats mode). */
+/** The accumulator samples of one measured commit. */
 struct CommittedSample
 {
     double attempts = 0.0;  //!< Attempts the commit took (>= 1).
     double padFrac = 0.0;   //!< Pad flits / wire length.
-};
-
-/**
- * Observer of messages the source gives up on (maxRetries exhausted).
- * The delivery ledger uses this to account every refused message.
- */
-class MessageFailureSink
-{
-  public:
-    virtual ~MessageFailureSink() = default;
-    virtual void onMessageFailed(const PendingMessage& msg,
-                                 Cycle now) = 0;
 };
 
 /** Per-node source interface. */
@@ -120,22 +108,14 @@ class Injector
     /** Flits entering injection channels this cycle. */
     std::vector<InjectedFlit> sent;
 
-    // --- Deferred-stats mode (sharded ticks) --------------------------
-
     /**
-     * When on, tick() never touches shared accumulators or calls the
-     * failure sink directly: measured-commit samples and give-ups are
-     * staged in the outboxes below instead, and the Network drains
-     * them serially in node order after the shard barrier — so the
-     * global Welford/ledger update sequence is byte-identical to an
-     * unsharded run. Off (the default), behavior is unchanged.
+     * Order-sensitive events of this tick, for the owner to apply.
+     * tick() only counts (Counters commute); the ledger refusal of a
+     * give-up and the Welford adds of a measured commit depend on
+     * their order across nodes, so the injector stages them here and
+     * the Network applies them in node order. Cleared at tick entry.
      */
-    void setDeferStats(bool on) { deferStats_ = on; }
-
-    /** Give-ups staged this tick (valid after tick; drained by owner). */
     std::vector<FailedMessage> failed;
-
-    /** Measured commits staged this tick (same lifecycle as `failed`). */
     std::vector<CommittedSample> committedStats;
 
     // --- Introspection ---------------------------------------------------
@@ -162,12 +142,6 @@ class Injector
      * late.
      */
     Cycle nextEventCycle(Cycle now) const;
-
-    /** Attach an observer for given-up messages (null to detach). */
-    void setFailureSink(MessageFailureSink* sink)
-    {
-        failureSink_ = sink;
-    }
 
     /** Forensic snapshot of one injection slot (watchdog dump). */
     struct SlotProbe
@@ -256,8 +230,6 @@ class Injector
     NetworkStats* stats_;
     Auditor* audit_ = nullptr;
     Tracer* trace_ = nullptr;
-    MessageFailureSink* failureSink_ = nullptr;
-    bool deferStats_ = false;
     Rng rng_;
 
     std::deque<PendingMessage> queue_;

@@ -14,8 +14,8 @@ Receiver::Receiver(NodeId node, const SimConfig& cfg,
     : node_(node), cfg_(cfg), stats_(stats), sink_(sink),
       rrVc_(cfg.ejectionChannels, 0)
 {
-    if (stats == nullptr)
-        panic("Receiver requires a NetworkStats block");
+    if (stats == nullptr || sink == nullptr)
+        panic("Receiver requires a NetworkStats block and a sink");
     if (cfg.numNodes() <= kDenseSeqNodeLimit)
         lastSeqDense_.assign(cfg.numNodes(), -1);
     // Far beyond any stall the source timeout resolves on its own
@@ -208,20 +208,8 @@ Receiver::commitDelivery(const DeliveredMessage& d)
     if (d.measured) {
         stats_->measuredDelivered.inc();
         stats_->measuredPayloadFlits.inc(d.payloadLen);
-        if (!deferStats_) {
-            const auto total =
-                static_cast<double>(d.deliveredAt - d.createdAt);
-            stats_->totalLatency.add(total);
-            stats_->latencyHist.add(total);
-            stats_->netLatency.add(
-                static_cast<double>(d.deliveredAt -
-                                    d.headInjectedAt));
-        }
     }
-    if (deferStats_)
-        deliveries.push_back(d);
-    else if (sink_ != nullptr)
-        sink_->onDelivered(d);
+    sink_->onDelivered(d);
 }
 
 void
@@ -420,7 +408,6 @@ Receiver::tick(Cycle now)
 {
     credits.clear();
     bkills.clear();
-    deliveries.clear();
     if (dynamicFaults_) {
         resolveAllTerminated(now);
         if (now % kStarvationCheckPeriod == 0)
@@ -631,7 +618,6 @@ Receiver::loadState(StateReader& r)
     dynamicFaults_ = r.b();
     credits.clear();
     bkills.clear();
-    deliveries.clear();
 }
 
 } // namespace crnet

@@ -74,7 +74,14 @@ struct DeliveredMessage
     bool corrupted = false;      //!< Any payload flit failed its CRC.
 };
 
-/** Consumer of completed messages (the Network implements this). */
+/**
+ * Consumer of completed messages: the receiver's only output for them.
+ * The receiver counts each delivery (Counters commute) but leaves the
+ * order-sensitive rest — latency accumulators, the delivery ledger,
+ * explicit-send records — to the sink. In a Network the sink is the
+ * shard context owning the receiver's node, which stages deliveries
+ * for the Network to apply in node order after the tick.
+ */
 class DeliverySink
 {
   public:
@@ -93,6 +100,10 @@ struct ReceiverCredit
 class Receiver
 {
   public:
+    /**
+     * `sink` gets every completed message. Neither `stats` nor `sink`
+     * may be null.
+     */
     Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats,
              DeliverySink* sink);
 
@@ -120,21 +131,6 @@ class Receiver
      * cycle (starvation timeouts; dynamic-fault mode only).
      */
     std::vector<ReceiverCredit> bkills;
-
-    // --- Deferred-stats mode (sharded ticks) --------------------------
-
-    /**
-     * When on, tick() never touches the shared latency accumulators
-     * or calls the delivery sink directly: every completed message is
-     * staged in `deliveries` instead, and the Network drains it
-     * serially in node order after the shard barrier — so the global
-     * Welford/histogram/ledger update sequence is byte-identical to
-     * an unsharded run. Off (the default), behavior is unchanged.
-     */
-    void setDeferStats(bool on) { deferStats_ = on; }
-
-    /** Deliveries staged this tick (valid after tick; drained by owner). */
-    std::vector<DeliveredMessage> deliveries;
 
     // --- Introspection ---------------------------------------------------
 
@@ -237,10 +233,6 @@ class Receiver
     const VcBuffer& vcBuf(std::uint32_t ch, VcId vc) const;
     void consume(std::uint32_t ch, VcId vc, Cycle now);
     void deliver(const Flit& tail, const Assembly& a, Cycle now);
-    CRNET_ALLOW("alloc",
-                "deliveries-outbox reuse in deferred mode: amortized "
-                "growth only, steady-state-free "
-                "(tests/test_alloc_steady.cc)")
     void commitDelivery(const DeliveredMessage& d);
     CRNET_ALLOW("alloc",
                 "per-delivery exactly-once bookkeeping: one seen-set "
@@ -271,7 +263,6 @@ class Receiver
     DeliverySink* sink_;
     Auditor* audit_ = nullptr;
     Tracer* trace_ = nullptr;
-    bool deferStats_ = false;
 
     std::vector<Flit> slots_;     //!< [channel][vc][depth] flattened.
     std::vector<VcBuffer> bufs_;  //!< [channel][vc] flattened.

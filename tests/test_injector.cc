@@ -68,11 +68,19 @@ TEST_F(InjectorTest, EmitsWormInOrderWithPadsAndTail)
     // (2+2)*2+2+2+2 = 14.
     inj->enqueue(msgTo(5, 4));
     std::vector<Flit> flits;
+    std::vector<CommittedSample> samples;
     for (int i = 0; i < 40; ++i) {
+        bool tail = false;
         for (const auto& f : step()) {
             flits.push_back(f.flit);
+            tail = tail || f.flit.isTail();
             inj->acceptCredit(f.injChannel, f.vc);  // Instant drain.
         }
+        // The commit sample is staged at the tail's tick only.
+        if (tail)
+            samples = inj->committedStats;
+        else
+            EXPECT_TRUE(inj->committedStats.empty()) << "cycle " << i;
     }
     const std::uint32_t wire = wireLength(ProtocolKind::Cr, 4, 2, 2, 2);
     ASSERT_EQ(flits.size(), wire);
@@ -91,6 +99,14 @@ TEST_F(InjectorTest, EmitsWormInOrderWithPadsAndTail)
     EXPECT_EQ(stats->messagesCommitted.value(), 1u);
     EXPECT_EQ(stats->padFlitsInjected.value(), wire - 5);
     EXPECT_TRUE(inj->idle());
+    // The measured commit is staged for the owner to apply; the
+    // injector never adds to the accumulators itself.
+    ASSERT_EQ(samples.size(), 1u);
+    EXPECT_EQ(samples[0].attempts, 1.0);
+    EXPECT_DOUBLE_EQ(samples[0].padFrac,
+                     static_cast<double>(wire - 5) / wire);
+    EXPECT_EQ(stats->attempts.count(), 0u);
+    EXPECT_EQ(stats->padOverhead.count(), 0u);
 }
 
 TEST_F(InjectorTest, NextEventCycleTracksQueueMinExactly)
@@ -301,12 +317,30 @@ TEST_F(InjectorTest, MaxRetriesGivesUp)
     cfg.backoff = BackoffScheme::Static;
     cfg.backoffGap = 2;
     rebuild();
-    inj->enqueue(msgTo(5, 4));
-    for (int i = 0; i < 300; ++i)
+    const PendingMessage m = msgTo(5, 4);
+    inj->enqueue(m);
+    Cycle gaveUpAt = kNeverCycle;
+    std::vector<FailedMessage> staged;
+    std::vector<Cycle> stagedAt;
+    for (int i = 0; i < 300; ++i) {
+        const Cycle at = now;
         step();  // Never credit: kills forever until the cap.
+        if (gaveUpAt == kNeverCycle && stats->messagesFailed.value() > 0)
+            gaveUpAt = at;
+        for (const FailedMessage& f : inj->failed) {
+            staged.push_back(f);
+            stagedAt.push_back(at);
+        }
+    }
     EXPECT_EQ(stats->messagesFailed.value(), 1u);
     EXPECT_EQ(stats->measuredFailed.value(), 1u);
     EXPECT_TRUE(inj->idle());
+    // The give-up is staged for the owner (the Network refuses it in
+    // the ledger) at the tick it happens.
+    ASSERT_EQ(staged.size(), 1u);
+    EXPECT_EQ(staged[0].msg.id, m.id);
+    EXPECT_EQ(staged[0].at, gaveUpAt);
+    EXPECT_EQ(stagedAt[0], gaveUpAt);
 }
 
 TEST_F(InjectorTest, MisrouteBudgetGrantedAfterConfiguredRetries)

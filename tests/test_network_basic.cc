@@ -165,6 +165,16 @@ TEST(NetworkBasic, SelfTrafficIsRejected)
     EXPECT_DEATH(net.sendMessage(2, 2, 8), "self-traffic");
 }
 
+TEST(NetworkBasic, EmptyPayloadIsRejected)
+{
+    // Under protocol=none an empty worm is a lone head with no tail:
+    // it would hold its injector slot and destination forever.
+    SimConfig cfg = smallTorusCr();
+    cfg.protocol = ProtocolKind::None;
+    Network net(cfg);
+    EXPECT_DEATH(net.sendMessage(0, 5, 0), "payload_len must be >= 1");
+}
+
 TEST(NetworkBasic, UniformTrafficRunDrains)
 {
     SimConfig cfg = smallTorusCr();

@@ -275,10 +275,33 @@ TEST_F(ReceiverTest, OneFlitPerEjectionChannelPerCycle)
 
 TEST_F(ReceiverTest, MeasuredLatencyRecorded)
 {
-    feedWorm(1, 4, 10);
+    // The receiver counts a measured delivery and hands the sink the
+    // timestamps the latency accumulators need; it never adds to
+    // those accumulators itself (the Network does, in node order).
+    now = 20;
+    const std::uint32_t wire = 10;
+    for (std::uint32_t i = 0; i < wire; ++i) {
+        const FlitType t = i == 0          ? FlitType::Head
+                           : i + 1 == wire ? FlitType::Tail
+                           : i >= 4        ? FlitType::Pad
+                                           : FlitType::Body;
+        Flit f = makeFlit(t, 1, i, wire, 4);
+        f.createdAt = 5;
+        f.headInjectedAt = 9;
+        rcv->acceptFlit(0, 0, f);
+        rcv->tick(now++);
+    }
     EXPECT_EQ(stats->measuredDelivered.value(), 1u);
     EXPECT_EQ(stats->measuredPayloadFlits.value(), 4u);
-    EXPECT_GT(stats->totalLatency.count(), 0u);
+    ASSERT_EQ(sink->delivered.size(), 1u);
+    const DeliveredMessage& d = sink->delivered[0];
+    EXPECT_TRUE(d.measured);
+    EXPECT_EQ(d.createdAt, 5u);
+    EXPECT_EQ(d.headInjectedAt, 9u);
+    EXPECT_EQ(d.deliveredAt, 20u + wire - 1);  // The tail's tick.
+    EXPECT_EQ(stats->totalLatency.count(), 0u);
+    EXPECT_EQ(stats->netLatency.count(), 0u);
+    EXPECT_EQ(stats->latencyHist.count(), 0u);
 }
 
 } // namespace

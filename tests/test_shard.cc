@@ -125,7 +125,7 @@ TEST(Shard, ShardsMatchUnshardedSweep)
 TEST(Shard, ShardsMatchUnshardedMidLoadCr)
 {
     // Mid load exercises kills, retries and the give-up path, whose
-    // ledger/sink callbacks ride the deferred-stats outboxes.
+    // ledger refusals the Network applies from the injector outboxes.
     SimConfig cfg = baseCfg();
     cfg.injectionRate = 0.3;
     expectShardsAgree(cfg);
