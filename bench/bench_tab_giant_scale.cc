@@ -13,9 +13,14 @@
  *     baseline divided by node count — the SoA router pools keep this
  *     flat as the network grows).
  *
- * Expected shape: sharding loses below ~1k nodes (barrier cost beats
- * the per-shard work) and wins increasingly above 4k nodes; memory
- * per node stays roughly constant across sizes.
+ * Expected shape, with at least 4 free cores: every shard delivers to,
+ * ticks and collects its own node range on a fixed thread, so the
+ * 4-shard leg runs ~2-4x faster than shards=1 from 1k nodes up (on a
+ * 4-vCPU container: 2.1-3.6x at 1k, 2.7-3.4x at 4k, 3.2-3.8x at 16k,
+ * 3.3-3.6x at 64k; docs/PERFORMANCE.md section 6). Sharding still
+ * loses on networks of tens of nodes, where the per-cycle join costs
+ * more than the per-shard work. Memory per node stays roughly
+ * constant across sizes.
  */
 
 #include <chrono>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -20,7 +21,7 @@ namespace {
 
 /**
  * How often (in cycles, a power of two) a busy router is probed with
- * idle() so it can leave the active set. See finishRouter().
+ * idle() so it can leave the active set. See shardWorker().
  */
 constexpr Cycle kIdleProbePeriod = 8;
 static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
@@ -116,38 +117,88 @@ resetCounters(NetworkStats& blk)
 } // namespace
 
 void
+Network::Segment::openRun()
+{
+    if (runs == kMaxRuns)
+        panic("wave segment holds more than ", kMaxRuns, " runs");
+    const auto mark = [this](auto& lane) {
+        lane.runStart[runs] =
+            static_cast<std::uint32_t>(lane.events.size());
+    };
+    mark(flits);
+    mark(recvFlits);
+    mark(credits);
+    mark(injCredits);
+    mark(bkills);
+    mark(aborts);
+    ++runs;
+}
+
+void
+Network::Segment::clear()
+{
+    flits.events.clear();
+    recvFlits.events.clear();
+    credits.events.clear();
+    injCredits.events.clear();
+    bkills.events.clear();
+    aborts.events.clear();
+    runs = 0;
+}
+
+std::size_t
+Network::Segment::size() const
+{
+    return flits.events.size() + recvFlits.events.size() +
+           credits.events.size() + injCredits.events.size() +
+           bkills.events.size() + aborts.events.size();
+}
+
+bool
+Network::Segment::empty() const
+{
+    return size() == 0;
+}
+
+void
 Network::Wave::clear()
 {
-    flits.clear();
-    recvFlits.clear();
-    credits.clear();
-    injCredits.clear();
-    bkills.clear();
-    aborts.clear();
+    for (Segment& seg : segs)
+        seg.clear();
 }
 
 bool
 Network::Wave::empty() const
 {
-    return flits.empty() && recvFlits.empty() && credits.empty() &&
-           injCredits.empty() && bkills.empty() && aborts.empty();
+    for (const Segment& seg : segs)
+        if (!seg.empty())
+            return false;
+    return true;
+}
+
+template <typename W, typename T, typename Fn>
+void
+Network::forEachInOrder(W& wave, Lane<T> Segment::*lane, Fn&& fn)
+{
+    const std::uint32_t runs = wave.segs.front().runs;
+    for (std::uint32_t r = 0; r < runs; ++r) {
+        for (auto& seg : wave.segs) {
+            auto& l = seg.*lane;
+            const std::size_t end =
+                r + 1 < runs ? l.runStart[r + 1] : l.events.size();
+            for (std::size_t i = l.runStart[r]; i < end; ++i)
+                fn(l.events[i]);
+        }
+    }
 }
 
 Network::Network(const SimConfig& cfg) : cfg_(cfg)
 {
     cfg_.validate();
     activeSched_ = cfg_.sched != SchedulerKind::Sweep;
-    // Events mature at most channelLatency cycles out (+1 for "next
-    // cycle" staging, +1 because the current bucket is in use); round
-    // the bucket count up to a power of two so waveIn()/deliver()
-    // index with a mask instead of a division. The extra buckets stay
-    // empty and cost nothing.
-    std::size_t bucket_count = 1;
-    while (bucket_count <
-           static_cast<std::size_t>(cfg_.channelLatency) + 2)
-        bucket_count <<= 1;
-    bucketMask_ = bucket_count - 1;
-    buckets_.resize(bucket_count);
+    // Events mature at most channelLatency cycles out, and the
+    // current cycle's bucket is in use until the cycle ends.
+    buckets_.resize(static_cast<std::size_t>(cfg_.channelLatency) + 1);
     Rng root(cfg_.seed);
 
     topo_ = makeTopology(cfg_);
@@ -208,16 +259,34 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     }
 
     // Pre-size the hot-path containers so the steady state never
-    // allocates: each wave can hold one event per node on its
-    // bandwidth-limited kinds (kill/abort traffic is rare and may
-    // grow once, then keeps its capacity).
-    for (Wave& w : buckets_) {
-        w.flits.reserve(n);
-        w.recvFlits.reserve(n);
-        w.credits.reserve(n);
-        w.injCredits.reserve(n);
-        w.bkills.reserve(16);
-        w.aborts.reserve(16);
+    // allocates, here on the constructing thread: each segment holds
+    // the most its range can stage for one delivery cycle. Per node
+    // that is one flit per injection channel and per network output
+    // (one per channel per cycle), one ejection flit per ejection
+    // channel, one credit per network input and per ejection channel,
+    // one injection credit per injection channel, and one backward
+    // kill or abort per input VC. Untouched capacity is never paged
+    // in, so only the high-water mark costs memory.
+    netPorts_ = routers_[0]->networkPorts();
+    {
+        const std::size_t inj = cfg_.injectionChannels;
+        const std::size_t ej = cfg_.ejectionChannels;
+        const std::size_t vcs = cfg_.numVcs;
+        for (Wave& w : buckets_) {
+            w.segs = std::vector<Segment>(shards_);
+            for (unsigned s = 0; s < shards_; ++s) {
+                Segment& seg = w.segs[s];
+                const std::size_t range =
+                    shardCtx_[s].end - shardCtx_[s].begin;
+                seg.flits.events.reserve(range * (inj + netPorts_));
+                seg.recvFlits.events.reserve(range * ej);
+                seg.credits.events.reserve(range * (netPorts_ + ej));
+                seg.injCredits.events.reserve(range * inj);
+                seg.bkills.events.reserve(range * (netPorts_ + ej) *
+                                          vcs);
+                seg.aborts.events.reserve(range * inj * vcs);
+            }
+        }
     }
     injAwake_.assign(n, 0);
     rtrAwake_.assign(n, 0);
@@ -238,7 +307,6 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     // and generate()/sendMessage()/deliver() wake whoever gets work.
 
     if (shards_ > 1) {
-        shardPool_ = std::make_unique<ThreadPool>(shards_);
         Telemetry& reg = Telemetry::instance();
         shardBarrierNanos_ =
             reg.counter("sched.shard_barrier_wait_nanos");
@@ -248,9 +316,9 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
                 "sched.shard_ticks." + std::to_string(s)));
             ShardCtx& ctx = shardCtx_[s];
             const std::size_t range = ctx.end - ctx.begin;
-            ctx.injWork.reserve(range);
-            ctx.rtrWork.reserve(range);
-            ctx.rcvWork.reserve(range);
+            ctx.injReports.reserve(range);
+            ctx.injSleeps.reserve(range);
+            ctx.rcvSleeps.reserve(range);
             ctx.audit.kills.reserve(16);
         }
     }
@@ -298,44 +366,44 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         for (NodeId id = 0; id < n; ++id)
             routers_[id]->setHeatTracking(true);
     }
+    // Last: the crew's threads start once everything they touch
+    // exists.
+    if (shards_ > 1) {
+        crew_ = std::make_unique<ShardCrew>(
+            shards_, [this](unsigned s) { shardWorker(s); });
+    }
 }
 
 Network::~Network() = default;
 
-Network::Wave&
-Network::waveIn(Cycle delay)
+std::size_t
+Network::snapshotBuckets() const
 {
-    return buckets_[(now_ + delay) & bucketMask_];
+    return std::bit_ceil(static_cast<std::size_t>(cfg_.channelLatency) +
+                         2);
 }
 
-void
-Network::scheduleInjector(NodeId id, Cycle at)
+Cycle
+Network::snapshotCycle(std::size_t i) const
 {
-    if (at == kNeverCycle)
-        return;
-    if (at <= now_ + 1) {
-        wakeInjector(id);
-        return;
-    }
-    if (at >= injNextAt_[id])
-        return;  // An earlier-or-equal deadline is already queued.
-    injNextAt_[id] = at;
-    injDeadlines_.push({at, id});
+    const std::size_t listed = snapshotBuckets();
+    return now_ + (i + listed - now_ % listed) % listed;
 }
 
-void
-Network::scheduleReceiver(NodeId id, Cycle at)
+bool
+Network::deferWake(std::vector<std::uint8_t>& awake,
+                   std::vector<Cycle>& next_at, NodeId id, Cycle at)
 {
     if (at == kNeverCycle)
-        return;
+        return false;
     if (at <= now_ + 1) {
-        wakeReceiver(id);
-        return;
+        awake[id] = 1;
+        return false;
     }
-    if (at >= rcvNextAt_[id])
-        return;
-    rcvNextAt_[id] = at;
-    rcvDeadlines_.push({at, id});
+    if (at >= next_at[id])
+        return false;  // An earlier-or-equal deadline is already queued.
+    next_at[id] = at;
+    return true;
 }
 
 void
@@ -360,70 +428,106 @@ Network::popDueDeadlines()
 }
 
 void
-Network::deliver()
+Network::deliver(NodeId begin, NodeId end, unsigned kinds)
 {
-    const PortId net_ports = routers_[0]->networkPorts();
-    Wave& cur = buckets_[now_ & bucketMask_];
-    for (PendingFlit& p : cur.flits) {
-        if (dynamicFaults_ && p.networkHop) {
-            // A flit in flight on a channel that died under it is
-            // gone — data counts as purged (conservation holds), a
-            // kill token is absorbed (the death-time teardown already
-            // re-issued a kill downstream of the break).
-            const NodeId sender = neighborOf(p.node, p.inPort);
-            if (sender == kInvalidNode ||
-                !faults_->linkOk(sender, oppositePort(p.inPort))) {
-                if (p.flit.isData()) {
-                    stats_.flitsLostOnDeadLinks.inc();
-                    CRNET_AUDIT_HOOK(audit_.get(), onFlitsPurged(1));
-                    if (trace_ != nullptr) {
-                        trace_->record(TraceEventKind::LinkLoss,
-                                       p.flit.msg, p.node, p.flit.src,
-                                       p.flit.dst, p.flit.attempt,
-                                       p.inPort);
+    const PortId net_ports = netPorts_;
+    Wave& cur = bucketOf(now_);
+    // One unsigned compare: node - begin wraps above span when
+    // node < begin.
+    const NodeId span = end - begin;
+    const auto mine = [begin, span](NodeId node) {
+        return node - begin < span;
+    };
+    if ((kinds & kToRouters) != 0) {
+        forEachInOrder(cur, &Segment::flits, [&](PendingFlit& p) {
+            if (!mine(p.node))
+                return;
+            const bool network_hop = p.inPort < net_ports;
+            if (dynamicFaults_ && network_hop) {
+                // A flit in flight on a channel that died under it is
+                // gone — data counts as purged (conservation holds), a
+                // kill token is absorbed (the death-time teardown
+                // already re-issued a kill downstream of the break).
+                const NodeId sender = neighborOf(p.node, p.inPort);
+                if (sender == kInvalidNode ||
+                    !faults_->linkOk(sender, oppositePort(p.inPort))) {
+                    if (p.flit.isData()) {
+                        stats_.flitsLostOnDeadLinks.inc();
+                        CRNET_AUDIT_HOOK(audit_.get(),
+                                         onFlitsPurged(1));
+                        if (trace_ != nullptr) {
+                            trace_->record(TraceEventKind::LinkLoss,
+                                           p.flit.msg, p.node,
+                                           p.flit.src, p.flit.dst,
+                                           p.flit.attempt, p.inPort);
+                        }
+                    } else {
+                        stats_.killsAbsorbedAtDeadLinks.inc();
                     }
-                } else {
-                    stats_.killsAbsorbedAtDeadLinks.inc();
+                    return;
                 }
-                continue;
             }
-        }
-        if (p.networkHop && p.flit.isData())
-            faults_->maybeCorrupt(p.flit);
-        routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit);
-        wakeRouter(p.node);
+            if (network_hop && p.flit.isData())
+                faults_->maybeCorrupt(p.flit);
+            routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit);
+            wakeRouter(p.node);
+        });
     }
-    for (const PendingRecvFlit& p : cur.recvFlits) {
-        receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit);
-        wakeReceiver(p.node);
+    if ((kinds & kToReceivers) != 0) {
+        forEachInOrder(cur, &Segment::recvFlits,
+                       [&](const PendingRecvFlit& p) {
+            if (!mine(p.node))
+                return;
+            receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit);
+            wakeReceiver(p.node);
+        });
     }
-    for (const PendingCredit& p : cur.credits) {
-        if (dynamicFaults_ && p.outPort < net_ports &&
-            !faults_->linkOk(p.node, p.outPort)) {
-            stats_.controlAbsorbedAtDeadLinks.inc();
-            continue;
-        }
-        routers_[p.node]->acceptCredit(p.outPort, p.vc);
-        wakeRouter(p.node);
+    if ((kinds & kToRouters) != 0) {
+        forEachInOrder(cur, &Segment::credits,
+                       [&](const PendingCredit& p) {
+            if (!mine(p.node))
+                return;
+            if (dynamicFaults_ && p.outPort < net_ports &&
+                !faults_->linkOk(p.node, p.outPort)) {
+                stats_.controlAbsorbedAtDeadLinks.inc();
+                return;
+            }
+            routers_[p.node]->acceptCredit(p.outPort, p.vc);
+            wakeRouter(p.node);
+        });
     }
-    for (const PendingInjCredit& p : cur.injCredits) {
-        injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
-        wakeInjector(p.node);
+    if ((kinds & kToInjectors) != 0) {
+        forEachInOrder(cur, &Segment::injCredits,
+                       [&](const PendingInjCredit& p) {
+            if (!mine(p.node))
+                return;
+            injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
+            wakeInjector(p.node);
+        });
     }
-    for (const PendingBkill& p : cur.bkills) {
-        if (dynamicFaults_ && p.outPort < net_ports &&
-            !faults_->linkOk(p.node, p.outPort)) {
-            stats_.controlAbsorbedAtDeadLinks.inc();
-            continue;
-        }
-        routers_[p.node]->acceptBkill(p.outPort, p.vc);
-        wakeRouter(p.node);
+    if ((kinds & kToRouters) != 0) {
+        forEachInOrder(cur, &Segment::bkills,
+                       [&](const PendingBkill& p) {
+            if (!mine(p.node))
+                return;
+            if (dynamicFaults_ && p.outPort < net_ports &&
+                !faults_->linkOk(p.node, p.outPort)) {
+                stats_.controlAbsorbedAtDeadLinks.inc();
+                return;
+            }
+            routers_[p.node]->acceptBkill(p.outPort, p.vc);
+            wakeRouter(p.node);
+        });
     }
-    for (const PendingAbort& p : cur.aborts) {
-        injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
-        wakeInjector(p.node);
+    if ((kinds & kToInjectors) != 0) {
+        forEachInOrder(cur, &Segment::aborts,
+                       [&](const PendingAbort& p) {
+            if (!mine(p.node))
+                return;
+            injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
+            wakeInjector(p.node);
+        });
     }
-    cur.clear();
 }
 
 void
@@ -566,22 +670,21 @@ Network::generate()
 }
 
 void
-Network::collectInjector(NodeId n)
+Network::collectInjector(Segment& next, NodeId n)
 {
-    Injector& inj = *injectors_[n];
+    const Injector& inj = *injectors_[n];
     for (const InjectedFlit& f : inj.sent) {
-        waveIn(1).flits.push_back(PendingFlit{
-            n,
-            static_cast<PortId>(routers_[n]->injBase() + f.injChannel),
-            f.vc, f.flit, false});
+        next.flits.events.push_back(PendingFlit{
+            n, static_cast<PortId>(netPorts_ + f.injChannel), f.vc,
+            f.flit});
     }
 }
 
 void
-Network::collectRouter(NodeId n)
+Network::collectRouter(Segment& next, Segment& far, NodeId n)
 {
-    Router& r = *routers_[n];
-    const PortId net_ports = r.networkPorts();
+    const Router& r = *routers_[n];
+    const PortId net_ports = netPorts_;
 
     for (const SentFlit& s : r.sentFlits) {
         if (s.outPort < net_ports) {
@@ -589,11 +692,11 @@ Network::collectRouter(NodeId n)
             if (nbr == kInvalidNode)
                 panic("router ", n, " sent a flit off the network via "
                       "port ", s.outPort);
-            waveIn(cfg_.channelLatency).flits.push_back(PendingFlit{
-                nbr, oppositePort(s.outPort), s.vc, s.flit, true});
+            far.flits.events.push_back(PendingFlit{
+                nbr, oppositePort(s.outPort), s.vc, s.flit});
         } else {
-            waveIn(1).recvFlits.push_back(PendingRecvFlit{
-                n, static_cast<std::uint32_t>(s.outPort - r.ejBase()),
+            next.recvFlits.events.push_back(PendingRecvFlit{
+                n, static_cast<std::uint16_t>(s.outPort - net_ports),
                 s.vc, s.flit});
         }
     }
@@ -603,12 +706,11 @@ Network::collectRouter(NodeId n)
             const NodeId upstream = neighborOf(n, c.inPort);
             if (upstream == kInvalidNode)
                 panic("credit to a nonexistent upstream at node ", n);
-            waveIn(cfg_.channelLatency).credits.push_back(
-                PendingCredit{upstream, oppositePort(c.inPort),
-                              c.vc});
+            far.credits.events.push_back(
+                PendingCredit{upstream, oppositePort(c.inPort), c.vc});
         } else {
-            waveIn(1).injCredits.push_back(PendingInjCredit{
-                n, static_cast<std::uint32_t>(c.inPort - r.injBase()),
+            next.injCredits.events.push_back(PendingInjCredit{
+                n, static_cast<std::uint32_t>(c.inPort - net_ports),
                 c.vc});
         }
     }
@@ -621,30 +723,29 @@ Network::collectRouter(NodeId n)
         if (upstream == kInvalidNode)
             panic("backward kill to a nonexistent upstream at node ",
                   n);
-        waveIn(cfg_.channelLatency).bkills.push_back(PendingBkill{
-            upstream, oppositePort(b.inPort), b.vc});
+        far.bkills.events.push_back(
+            PendingBkill{upstream, oppositePort(b.inPort), b.vc});
     }
 
-    for (const SentAbort& a : r.sentAborts)
-        waveIn(1).aborts.push_back(PendingAbort{n, a.injChannel, a.vc,
-                                                a.msg});
+    for (const SentAbort& a : r.sentAborts) {
+        next.aborts.events.push_back(
+            PendingAbort{n, a.injChannel, a.vc, a.msg});
+    }
 }
 
 void
-Network::collectReceiver(NodeId n)
+Network::collectReceiver(Segment& next, NodeId n)
 {
-    Receiver& rcv = *receivers_[n];
+    const Receiver& rcv = *receivers_[n];
     for (const ReceiverCredit& c : rcv.credits) {
-        waveIn(1).credits.push_back(PendingCredit{
-            n, static_cast<PortId>(routers_[n]->ejBase() + c.ejChannel),
-            c.vc});
+        next.credits.events.push_back(PendingCredit{
+            n, static_cast<PortId>(netPorts_ + c.ejChannel), c.vc});
     }
     // Starvation-timeout bkills tear the stranded ejection
     // reservation down toward the source.
     for (const ReceiverCredit& b : rcv.bkills) {
-        waveIn(1).bkills.push_back(PendingBkill{
-            n, static_cast<PortId>(routers_[n]->ejBase() + b.ejChannel),
-            b.vc});
+        next.bkills.events.push_back(PendingBkill{
+            n, static_cast<PortId>(netPorts_ + b.ejChannel), b.vc});
     }
 }
 
@@ -662,22 +763,24 @@ Network::activityLevel() const
 // --- The cycle loop ---------------------------------------------------
 //
 // Determinism argument for shards > 1 (docs/PERFORMANCE.md has the
-// long form): the parallel phase runs only component ticks, whose
-// cross-component effects are all staged — wave pushes through
-// per-component outboxes (collected serially afterwards), give-ups
-// and commit samples through the injector's outboxes, deliveries
-// through the shard context (the receivers' sink), trace records
-// through per-shard staging buffers, audit conservation deltas
-// through per-thread stages. Counters are commutative and land in
-// per-shard blocks. Only the Network applies ledger calls and
-// accumulator adds, at every shard count, and every order-sensitive
-// replay below iterates shard-major over contiguous ascending ranges,
-// i.e. in global node order — exactly the one-shard order — so stats,
-// traces, wave contents, heap layouts and snapshots are byte-identical
-// to shards=1.
+// long form): the parallel section runs only owner delivery and
+// component ticks and collects. Each touches only the owning shard's
+// components, flags and segments; every cross-component effect is
+// staged in a wave bucket at least one cycle out, give-ups and commit
+// samples in the injector's outboxes, deliveries in the shard context
+// (the receivers' sink), trace records in per-shard buffers and audit
+// deltas in per-shard stages. Counters are commutative and land in
+// per-shard blocks. Owner delivery visits the current bucket in the
+// serial order (run-major, shard-minor), so every destination sees its
+// events in the one-shard order. Only the Network applies ledger calls,
+// accumulator adds and heap pushes, at every shard count, and every
+// order-sensitive replay below iterates shard-major over contiguous
+// ascending ranges, i.e. in global node order — exactly the one-shard
+// order — so stats, traces, wave contents, heap layouts and snapshots
+// are byte-identical to shards=1.
 //
 // A component's wake flag is cleared before its tick; the only wake a
-// tick can raise is its own re-registration in the finish step (all
+// tick can raise is its own re-registration when it is finished (all
 // cross-component wakes happen at delivery time, next cycle), so
 // clearing in place is safe and the node-order scan matches the
 // exhaustive sweep's tick order exactly.
@@ -693,9 +796,9 @@ Network::profileLap(TickPhase phase, std::uint64_t& pt)
 }
 
 void
-Network::finishInjector(NodeId id)
+Network::applyInjectorReports(NodeId id)
 {
-    Injector& inj = *injectors_[id];
+    const Injector& inj = *injectors_[id];
     if (ledger_ != nullptr) {
         for (const FailedMessage& f : inj.failed)
             ledger_->onRefused(f.msg, f.at);
@@ -704,31 +807,6 @@ Network::finishInjector(NodeId id)
         stats_.attempts.add(c.attempts);
         stats_.padOverhead.add(c.padFrac);
     }
-    collectInjector(id);
-    scheduleInjector(id, inj.nextEventCycle(now_));
-}
-
-void
-Network::finishRouter(NodeId id)
-{
-    collectRouter(id);
-    // Routers have no future-only deadlines: any held flit, allocation
-    // or pending kill needs the very next tick, so a ticked router is
-    // assumed still busy. Probing idle() every cycle would re-scan
-    // every input VC and cost more than the skipped ticks save;
-    // instead busy routers are only probed for sleep on coarse
-    // boundaries (over-waking is harmless — a router lingers awake for
-    // at most kIdleProbePeriod - 1 no-op ticks after its last flit
-    // leaves).
-    if ((now_ & (kIdleProbePeriod - 1)) == 0 && routers_[id]->idle())
-        rtrAwake_[id] = 0;
-}
-
-void
-Network::finishReceiver(NodeId id)
-{
-    collectReceiver(id);
-    scheduleReceiver(id, receivers_[id]->nextEventCycle(now_));
 }
 
 void
@@ -763,57 +841,90 @@ Network::shardWorker(unsigned s)
     std::uint64_t pt = 0;
     if (merge) {
         Auditor::setThreadStage(&ctx.audit);
-        ctx.injWork.clear();
-        ctx.rtrWork.clear();
-        ctx.rcvWork.clear();
+        if (ownerDelivery_)
+            deliver(ctx.begin, ctx.end, kToRouters | kToReceivers);
+        ctx.injReports.clear();
+        ctx.injSleeps.clear();
+        ctx.rcvSleeps.clear();
     } else if (profTimed_) {
         pt = TickProfiler::stamp();
     }
     std::uint64_t ticked = 0;
+    const Cycle latency = cfg_.channelLatency;
+    Segment& next = segmentIn(s, 1);
+    Segment& far = segmentIn(s, latency);
 
     if (stage_trace)
         Tracer::setThreadStage(&ctx.injTrace);
+    next.openRun();
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (injAwake_[id] == 0)
             continue;
         injAwake_[id] = 0;
-        injectors_[id]->tick(now_);
+        Injector& inj = *injectors_[id];
+        inj.tick(now_);
         ++ticked;
-        if (merge)
-            ctx.injWork.push_back(id);
-        else
-            finishInjector(id);
+        collectInjector(next, id);
+        const Cycle at = inj.nextEventCycle(now_);
+        if (merge) {
+            if (!inj.failed.empty() || !inj.committedStats.empty())
+                ctx.injReports.push_back(id);
+            if (deferWake(injAwake_, injNextAt_, id, at))
+                ctx.injSleeps.emplace_back(at, id);
+        } else {
+            applyInjectorReports(id);
+            if (deferWake(injAwake_, injNextAt_, id, at))
+                injDeadlines_.push({at, id});
+        }
     }
     if (!merge)
         profileLap(TickPhase::Injectors, pt);
 
     if (stage_trace)
         Tracer::setThreadStage(&ctx.rtrTrace);
+    next.openRun();
+    if (latency > 1)
+        far.openRun();
+    // Routers have no future-only deadlines: any held flit, allocation
+    // or pending kill needs the very next tick, so a ticked router is
+    // assumed still busy. Probing idle() every cycle would re-scan
+    // every input VC and cost more than the skipped ticks save;
+    // instead busy routers are only probed for sleep on coarse
+    // boundaries (over-waking is harmless — a router lingers awake for
+    // at most kIdleProbePeriod - 1 no-op ticks after its last flit
+    // leaves).
+    const bool probe = (now_ & (kIdleProbePeriod - 1)) == 0;
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (rtrAwake_[id] == 0)
             continue;
-        routers_[id]->tick(now_);
+        Router& r = *routers_[id];
+        r.tick(now_);
         ++ticked;
-        if (merge)
-            ctx.rtrWork.push_back(id);
-        else
-            finishRouter(id);
+        collectRouter(next, far, id);
+        if (probe && r.idle())
+            rtrAwake_[id] = 0;
     }
     if (!merge)
         profileLap(TickPhase::Routers, pt);
 
     if (stage_trace)
         Tracer::setThreadStage(&ctx.rcvTrace);
+    next.openRun();
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (rcvAwake_[id] == 0)
             continue;
         rcvAwake_[id] = 0;
-        receivers_[id]->tick(now_);
+        Receiver& rcv = *receivers_[id];
+        rcv.tick(now_);
         ++ticked;
-        if (merge)
-            ctx.rcvWork.push_back(id);
-        else
-            finishReceiver(id);
+        collectReceiver(next, id);
+        const Cycle at = rcv.nextEventCycle(now_);
+        if (deferWake(rcvAwake_, rcvNextAt_, id, at)) {
+            if (merge)
+                ctx.rcvSleeps.emplace_back(at, id);
+            else
+                rcvDeadlines_.push({at, id});
+        }
     }
     if (!merge) {
         applyDeliveries(ctx);
@@ -828,52 +939,52 @@ Network::shardWorker(unsigned s)
 }
 
 void
-Network::runShardBarrier()
-{
-    for (unsigned s = 0; s < shards_; ++s)
-        shardPool_->submit([this, s] { shardWorker(s); });
-    const std::uint64_t w0 = WallTimer::nanos();
-    shardPool_->wait();
-    shardBarrierNanos_->fetch_add(WallTimer::nanos() - w0,
-                                  std::memory_order_relaxed);
-    // The barrier provides the happens-before for reading the
-    // workers' tick totals.
-    for (unsigned s = 0; s < shards_; ++s) {
-        shardTickGauges_[s]->store(shardCtx_[s].ticks,
-                                   std::memory_order_relaxed);
-    }
-}
-
-void
-Network::drainShardSidecars()
+Network::mergeShards(std::uint64_t& pt)
 {
 #if CRNET_AUDIT_ENABLED
     if (audit_ != nullptr) {
-        // Conservation counters and the kill-token set are order-
-        // insensitive (issuedKills_ serializes sorted).
+        // Conservation counters, flit checks and the kill-token set
+        // are order-insensitive (issuedKills_ serializes sorted).
         for (ShardCtx& ctx : shardCtx_)
             audit_->foldStage(ctx.audit);
     }
 #endif
-    if (trace_ == nullptr)
-        return;
-    // Phase-major, shard-minor = the serial recording order. The
-    // replay re-enters record() with no stage installed, so the watch
-    // filter (whose pair-adoption mutates watchedMsgs_) runs in
-    // deterministic order; Tracer::now_ is constant through the cycle,
-    // so the re-recorded timestamps match the staged ones.
-    const auto replay = [this](std::vector<TraceEvent>& staged) {
-        for (const TraceEvent& e : staged)
-            trace_->record(e.kind, e.msg, e.node, e.src, e.dst,
-                           e.attempt, e.arg);
-        staged.clear();
-    };
-    for (ShardCtx& ctx : shardCtx_)
-        replay(ctx.injTrace);
-    for (ShardCtx& ctx : shardCtx_)
-        replay(ctx.rtrTrace);
-    for (ShardCtx& ctx : shardCtx_)
-        replay(ctx.rcvTrace);
+    if (trace_ != nullptr) {
+        // Phase-major, shard-minor = the serial recording order. The
+        // replay re-enters record() with no stage installed, so the
+        // watch filter (whose pair-adoption mutates watchedMsgs_) runs
+        // in deterministic order; Tracer::now_ is constant through the
+        // cycle, so the re-recorded timestamps match the staged ones.
+        const auto replay = [this](std::vector<TraceEvent>& staged) {
+            for (const TraceEvent& e : staged)
+                trace_->record(e.kind, e.msg, e.node, e.src, e.dst,
+                               e.attempt, e.arg);
+            staged.clear();
+        };
+        for (ShardCtx& ctx : shardCtx_)
+            replay(ctx.injTrace);
+        for (ShardCtx& ctx : shardCtx_)
+            replay(ctx.rtrTrace);
+        for (ShardCtx& ctx : shardCtx_)
+            replay(ctx.rcvTrace);
+    }
+    // The parallel section (owner delivery included) and the sidecar
+    // replay are billed to the router phase.
+    profileLap(TickPhase::Routers, pt);
+    for (const ShardCtx& ctx : shardCtx_) {
+        for (const NodeId id : ctx.injReports)
+            applyInjectorReports(id);
+        for (const auto& due : ctx.injSleeps)
+            injDeadlines_.push(due);
+    }
+    profileLap(TickPhase::Injectors, pt);
+    for (ShardCtx& ctx : shardCtx_) {
+        for (const auto& due : ctx.rcvSleeps)
+            rcvDeadlines_.push(due);
+        applyDeliveries(ctx);
+    }
+    foldShardCounters();
+    profileLap(TickPhase::Receivers, pt);
 }
 
 void
@@ -883,35 +994,31 @@ Network::foldShardCounters()
         foldCounters(stats_, *blk);
 }
 
+bool
+Network::serialDelivery() const
+{
+    return shards_ == 1 || trace_ != nullptr || dynamicFaults_ ||
+           faults_->effectiveTransientRate() > 0.0;
+}
+
 void
 Network::tickComponents()
 {
     if (shards_ == 1) {
         shardWorker(0);
-        return;
+    } else {
+        std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
+        shardBarrierNanos_->fetch_add(crew_->run(),
+                                      std::memory_order_relaxed);
+        // The crew's join provides the happens-before for reading the
+        // workers' tick totals.
+        for (unsigned s = 0; s < shards_; ++s) {
+            shardTickGauges_[s]->store(shardCtx_[s].ticks,
+                                       std::memory_order_relaxed);
+        }
+        mergeShards(pt);
     }
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    runShardBarrier();
-    drainShardSidecars();
-    // The fused parallel section (plus sidecar replay) is attributed
-    // to the router phase; the serial per-phase finish loops time
-    // themselves below.
-    profileLap(TickPhase::Routers, pt);
-    for (const ShardCtx& ctx : shardCtx_)
-        for (const NodeId id : ctx.injWork)
-            finishInjector(id);
-    profileLap(TickPhase::Injectors, pt);
-    for (const ShardCtx& ctx : shardCtx_)
-        for (const NodeId id : ctx.rtrWork)
-            finishRouter(id);
-    profileLap(TickPhase::Routers, pt);
-    for (ShardCtx& ctx : shardCtx_) {
-        for (const NodeId id : ctx.rcvWork)
-            finishReceiver(id);
-        applyDeliveries(ctx);
-    }
-    foldShardCounters();
-    profileLap(TickPhase::Receivers, pt);
+    bucketOf(now_).clear();
 }
 
 void
@@ -938,7 +1045,13 @@ Network::tick()
         std::fill(rtrAwake_.begin(), rtrAwake_.end(), 1);
         std::fill(rcvAwake_.begin(), rcvAwake_.end(), 1);
     }
-    deliver();
+    // Injector-bound events always go first, here: a stale abort can
+    // push its message back onto the source queue, and generate()
+    // reads queueFull(). Under owner delivery the shard workers apply
+    // the rest to their own ranges.
+    ownerDelivery_ = !serialDelivery();
+    deliver(0, topo_->numNodes(),
+            ownerDelivery_ ? unsigned{kToInjectors} : unsigned{kToAll});
     // Cycle-open bookkeeping (faults, deadlines, trace) rides with the
     // delivery phase.
     profileLap(TickPhase::Deliver, pt);
@@ -1175,65 +1288,68 @@ Network::runAuditSweep()
         }
     }
 
-    // In-flight events still sitting in the delivery waves. Kill
-    // tokens ride the control wires and consume no credits, so only
-    // data flits count toward the ledgers.
+    // In-flight events still sitting in the delivery waves, every
+    // segment. Kill tokens ride the control wires and consume no
+    // credits, so only data flits count toward the ledgers.
     for (const Wave& w : buckets_) {
-        for (const PendingFlit& p : w.flits) {
-            if (!p.flit.isData())
-                continue;
-            ++snap.inFlightFlits;
-            if (p.inPort < net_ports) {
-                ++snap.edges[net_idx(p.node, p.inPort, p.vc)]
-                      .inFlightFlits;
-            } else {
-                ++snap.edges[inj_idx(p.node,
-                                     static_cast<std::uint32_t>(
-                                         p.inPort - net_ports),
-                                     p.vc)]
+        for (const Segment& seg : w.segs) {
+            for (const PendingFlit& p : seg.flits.events) {
+                if (!p.flit.isData())
+                    continue;
+                ++snap.inFlightFlits;
+                if (p.inPort < net_ports) {
+                    ++snap.edges[net_idx(p.node, p.inPort, p.vc)]
+                          .inFlightFlits;
+                } else {
+                    ++snap.edges[inj_idx(p.node,
+                                         static_cast<std::uint32_t>(
+                                             p.inPort - net_ports),
+                                         p.vc)]
+                          .inFlightFlits;
+                }
+            }
+            for (const PendingRecvFlit& p : seg.recvFlits.events) {
+                if (!p.flit.isData())
+                    continue;
+                ++snap.inFlightFlits;
+                ++snap.edges[ej_idx(p.node, p.ejChannel, p.vc)]
                       .inFlightFlits;
             }
-        }
-        for (const PendingRecvFlit& p : w.recvFlits) {
-            if (!p.flit.isData())
-                continue;
-            ++snap.inFlightFlits;
-            ++snap.edges[ej_idx(p.node, p.ejChannel, p.vc)]
-                  .inFlightFlits;
-        }
-        for (const PendingCredit& c : w.credits) {
-            if (c.outPort < net_ports) {
-                const NodeId down = topo_->neighbor(c.node, c.outPort);
-                if (down != kInvalidNode) {
-                    ++snap.edges[net_idx(down,
-                                         oppositePort(c.outPort),
-                                         c.vc)]
+            for (const PendingCredit& c : seg.credits.events) {
+                if (c.outPort < net_ports) {
+                    const NodeId down =
+                        topo_->neighbor(c.node, c.outPort);
+                    if (down != kInvalidNode) {
+                        ++snap.edges[net_idx(down,
+                                             oppositePort(c.outPort),
+                                             c.vc)]
+                              .inFlightCredits;
+                    }
+                } else {
+                    ++snap.edges[ej_idx(c.node,
+                                        static_cast<std::uint32_t>(
+                                            c.outPort - net_ports),
+                                        c.vc)]
                           .inFlightCredits;
                 }
-            } else {
-                ++snap.edges[ej_idx(c.node,
-                                    static_cast<std::uint32_t>(
-                                        c.outPort - net_ports),
-                                    c.vc)]
+            }
+            for (const PendingInjCredit& c : seg.injCredits.events)
+                ++snap.edges[inj_idx(c.node, c.injChannel, c.vc)]
                       .inFlightCredits;
+            // A kill/abort still in flight means its edge's ledger is
+            // legitimately mid-teardown; skip those this sweep.
+            for (const PendingBkill& b : seg.bkills.events) {
+                const NodeId down = topo_->neighbor(b.node, b.outPort);
+                if (down != kInvalidNode) {
+                    snap.edges[net_idx(down, oppositePort(b.outPort),
+                                       b.vc)]
+                        .skip = true;
+                }
             }
+            for (const PendingAbort& a : seg.aborts.events)
+                snap.edges[inj_idx(a.node, a.injChannel, a.vc)].skip =
+                    true;
         }
-        for (const PendingInjCredit& c : w.injCredits)
-            ++snap.edges[inj_idx(c.node, c.injChannel, c.vc)]
-                  .inFlightCredits;
-        // A kill/abort still in flight means its edge's ledger is
-        // legitimately mid-teardown; skip those this sweep.
-        for (const PendingBkill& b : w.bkills) {
-            const NodeId down = topo_->neighbor(b.node, b.outPort);
-            if (down != kInvalidNode) {
-                snap.edges[net_idx(down, oppositePort(b.outPort),
-                                   b.vc)]
-                    .skip = true;
-            }
-        }
-        for (const PendingAbort& a : w.aborts)
-            snap.edges[inj_idx(a.node, a.injChannel, a.vc)].skip =
-                true;
     }
 
     audit_->sweep(snap);
@@ -1278,10 +1394,9 @@ Network::sampleTelemetryGauges()
     gaugeRtrAwake_->store(awake(rtrAwake_), std::memory_order_relaxed);
     gaugeRcvAwake_->store(awake(rcvAwake_), std::memory_order_relaxed);
     std::uint64_t occ = 0;
-    for (const Wave& w : buckets_) {
-        occ += w.flits.size() + w.recvFlits.size() + w.credits.size() +
-               w.injCredits.size() + w.bkills.size() + w.aborts.size();
-    }
+    for (const Wave& w : buckets_)
+        for (const Segment& seg : w.segs)
+            occ += seg.size();
     gaugeWaveOcc_->store(occ, std::memory_order_relaxed);
     gaugeRngMessages_->store(generator_->generatedCount(),
                              std::memory_order_relaxed);
@@ -1515,50 +1630,72 @@ Network::saveState(StateWriter& w) const
     for (NodeId id = 0; id < n; ++id)
         receivers_[id]->saveState(w);
 
-    // Wave buckets, in vector-index order; restoring now_ keeps the
-    // (now_ + delay) & mask indexing consistent.
-    w.u64(buckets_.size());
-    for (const Wave& wave : buckets_) {
-        w.u64(wave.flits.size());
-        for (const PendingFlit& pf : wave.flits) {
+    // Wave buckets in the payload's fixed layout (snapshotBuckets()),
+    // each written in the serial order, so the bytes depend on neither
+    // the shard count nor which bucket holds which cycle.
+    const PortId net_ports = netPorts_;
+    const auto count = [](const Wave& wave, const auto lane) {
+        std::uint64_t c = 0;
+        for (const Segment& seg : wave.segs)
+            c += (seg.*lane).events.size();
+        return c;
+    };
+    const std::size_t listed = snapshotBuckets();
+    w.u64(listed);
+    for (std::size_t i = 0; i < listed; ++i) {
+        const Cycle at = snapshotCycle(i);
+        if (at - now_ > cfg_.channelLatency) {
+            for (int kind = 0; kind < 6; ++kind)
+                w.u64(0);  // Past the live window: no event of any kind.
+            continue;
+        }
+        const Wave& wave = bucketOf(at);
+        w.u64(count(wave, &Segment::flits));
+        forEachInOrder(wave, &Segment::flits,
+                       [&](const PendingFlit& pf) {
             w.u32(pf.node);
             w.u16(pf.inPort);
             w.u16(pf.vc);
             saveFlit(w, pf.flit);
-            w.b(pf.networkHop);
-        }
-        w.u64(wave.recvFlits.size());
-        for (const PendingRecvFlit& pf : wave.recvFlits) {
+            w.b(pf.inPort < net_ports);  // The network-hop bit.
+        });
+        w.u64(count(wave, &Segment::recvFlits));
+        forEachInOrder(wave, &Segment::recvFlits,
+                       [&](const PendingRecvFlit& pf) {
             w.u32(pf.node);
             w.u32(pf.ejChannel);
             w.u16(pf.vc);
             saveFlit(w, pf.flit);
-        }
-        w.u64(wave.credits.size());
-        for (const PendingCredit& pc : wave.credits) {
+        });
+        w.u64(count(wave, &Segment::credits));
+        forEachInOrder(wave, &Segment::credits,
+                       [&](const PendingCredit& pc) {
             w.u32(pc.node);
             w.u16(pc.outPort);
             w.u16(pc.vc);
-        }
-        w.u64(wave.injCredits.size());
-        for (const PendingInjCredit& pc : wave.injCredits) {
+        });
+        w.u64(count(wave, &Segment::injCredits));
+        forEachInOrder(wave, &Segment::injCredits,
+                       [&](const PendingInjCredit& pc) {
             w.u32(pc.node);
             w.u32(pc.injChannel);
             w.u16(pc.vc);
-        }
-        w.u64(wave.bkills.size());
-        for (const PendingBkill& pb : wave.bkills) {
+        });
+        w.u64(count(wave, &Segment::bkills));
+        forEachInOrder(wave, &Segment::bkills,
+                       [&](const PendingBkill& pb) {
             w.u32(pb.node);
             w.u16(pb.outPort);
             w.u16(pb.vc);
-        }
-        w.u64(wave.aborts.size());
-        for (const PendingAbort& pa : wave.aborts) {
+        });
+        w.u64(count(wave, &Segment::aborts));
+        forEachInOrder(wave, &Segment::aborts,
+                       [&](const PendingAbort& pa) {
             w.u32(pa.node);
             w.u32(pa.injChannel);
             w.u16(pa.vc);
             w.u64(pa.msg);
-        }
+        });
     }
 
     // Active-set scheduler: wake flags and deadline arrays. The heaps
@@ -1666,12 +1803,13 @@ Network::loadState(StateReader& r)
     for (NodeId id = 0; id < n; ++id)
         receivers_[id]->loadState(r);
 
-    const std::uint64_t numBuckets = r.u64();
-    if (numBuckets != buckets_.size())
-        panic("wave-bucket count mismatch on restore: saved ",
-              numBuckets, ", have ", buckets_.size());
-    for (Wave& wave : buckets_) {
-        wave.clear();
+    // The listed buckets are read here and placed once now_ is known.
+    const std::uint64_t listed = r.u64();
+    if (listed != snapshotBuckets())
+        panic("wave-bucket count mismatch on restore: saved ", listed,
+              ", have ", snapshotBuckets());
+    std::vector<Segment> restored(listed);
+    for (Segment& seg : restored) {
         const std::uint64_t numFlits = r.u64();
         for (std::uint64_t i = 0; i < numFlits; ++i) {
             PendingFlit pf;
@@ -1679,17 +1817,23 @@ Network::loadState(StateReader& r)
             pf.inPort = r.u16();
             pf.vc = r.u16();
             loadFlit(r, pf.flit);
-            pf.networkHop = r.b();
-            wave.flits.push_back(pf);
+            if (r.b() != (pf.inPort < netPorts_))
+                panic("restored flit's network-hop bit disagrees with "
+                      "its input port ", pf.inPort);
+            seg.flits.events.push_back(pf);
         }
         const std::uint64_t numRecv = r.u64();
         for (std::uint64_t i = 0; i < numRecv; ++i) {
             PendingRecvFlit pf;
             pf.node = r.u32();
-            pf.ejChannel = r.u32();
+            const std::uint32_t ch = r.u32();
+            if (ch >= cfg_.ejectionChannels)
+                panic("restored ejection flit on channel ", ch,
+                      " of ", cfg_.ejectionChannels);
+            pf.ejChannel = static_cast<std::uint16_t>(ch);
             pf.vc = r.u16();
             loadFlit(r, pf.flit);
-            wave.recvFlits.push_back(pf);
+            seg.recvFlits.events.push_back(pf);
         }
         const std::uint64_t numCredits = r.u64();
         for (std::uint64_t i = 0; i < numCredits; ++i) {
@@ -1697,7 +1841,7 @@ Network::loadState(StateReader& r)
             pc.node = r.u32();
             pc.outPort = r.u16();
             pc.vc = r.u16();
-            wave.credits.push_back(pc);
+            seg.credits.events.push_back(pc);
         }
         const std::uint64_t numInjCredits = r.u64();
         for (std::uint64_t i = 0; i < numInjCredits; ++i) {
@@ -1705,7 +1849,7 @@ Network::loadState(StateReader& r)
             pc.node = r.u32();
             pc.injChannel = r.u32();
             pc.vc = r.u16();
-            wave.injCredits.push_back(pc);
+            seg.injCredits.events.push_back(pc);
         }
         const std::uint64_t numBkills = r.u64();
         for (std::uint64_t i = 0; i < numBkills; ++i) {
@@ -1713,7 +1857,7 @@ Network::loadState(StateReader& r)
             pb.node = r.u32();
             pb.outPort = r.u16();
             pb.vc = r.u16();
-            wave.bkills.push_back(pb);
+            seg.bkills.events.push_back(pb);
         }
         const std::uint64_t numAborts = r.u64();
         for (std::uint64_t i = 0; i < numAborts; ++i) {
@@ -1722,7 +1866,7 @@ Network::loadState(StateReader& r)
             pa.injChannel = r.u32();
             pa.vc = r.u16();
             pa.msg = r.u64();
-            wave.aborts.push_back(pa);
+            seg.aborts.events.push_back(pa);
         }
     }
 
@@ -1738,6 +1882,35 @@ Network::loadState(StateReader& r)
         rcvNextAt_[id] = r.u64();
 
     now_ = r.u64();
+    // A restored bucket goes into shard 0's segment as its first run
+    // (every segment opens that run, so runs stay aligned): its saved
+    // order is the serial order, and run-major delivery keeps it. The
+    // events are appended, so the segment keeps its reserved capacity.
+    for (Wave& wave : buckets_)
+        wave.clear();
+    for (std::size_t i = 0; i < restored.size(); ++i) {
+        const Segment& from = restored[i];
+        if (from.empty())
+            continue;
+        const Cycle at = snapshotCycle(i);
+        if (at - now_ > cfg_.channelLatency)
+            panic("snapshot bucket ", i, " holds events for cycle ", at,
+                  ", past the channel latency");
+        Wave& wave = bucketOf(at);
+        for (Segment& each : wave.segs)
+            each.openRun();
+        Segment& seg = wave.segs.front();
+        const auto append = [](auto& into, const auto& lane) {
+            into.events.insert(into.events.end(), lane.events.begin(),
+                               lane.events.end());
+        };
+        append(seg.flits, from.flits);
+        append(seg.recvFlits, from.recvFlits);
+        append(seg.credits, from.credits);
+        append(seg.injCredits, from.injCredits);
+        append(seg.bkills, from.bkills);
+        append(seg.aborts, from.aborts);
+    }
     trafficEnabled_ = r.b();
     measuring_ = r.b();
     measuredCreated_ = r.u64();

@@ -13,6 +13,7 @@
 #ifndef CRNET_CORE_NETWORK_HH
 #define CRNET_CORE_NETWORK_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -223,18 +224,23 @@ class Network
     struct PendingFlit
     {
         NodeId node;
+        /** A port below networkPorts() is a router-to-router hop. */
         PortId inPort;
         VcId vc;
         Flit flit;
-        bool networkHop;  //!< Router-to-router (fault-eligible).
     };
     struct PendingRecvFlit
     {
         NodeId node;
-        std::uint32_t ejChannel;
+        std::uint16_t ejChannel;
         VcId vc;
         Flit flit;
     };
+    // The flit records dominate wave memory and delivery traffic.
+    static_assert(sizeof(PendingFlit) == 88,
+                  "PendingFlit must stay one Flit plus 8 bytes");
+    static_assert(sizeof(PendingRecvFlit) == 88,
+                  "PendingRecvFlit must stay one Flit plus 8 bytes");
     struct PendingCredit
     {
         NodeId node;
@@ -261,24 +267,91 @@ class Network
         MsgId msg;
     };
 
+    /**
+     * Most runs one segment holds: at channel_latency > 1 the router
+     * run of cycle b - L, then the injector, router and receiver runs
+     * of cycle b - 1 (a restored bucket is one run in place of the
+     * first).
+     */
+    static constexpr std::uint32_t kMaxRuns = 4;
+
+    /** One kind of staged event, with the start of each run. */
+    template <typename T>
+    struct Lane
+    {
+        std::vector<T> events;
+        /** events[runStart[r]] is the first event of run r. */
+        std::array<std::uint32_t, kMaxRuns> runStart{};
+    };
+
+    /**
+     * The events one shard staged for one delivery cycle, as runs:
+     * each (push cycle, phase) the shard collected opens one run in
+     * every bucket that phase pushes into. Every shard opens the same
+     * runs, so run r means the same (cycle, phase) in every segment.
+     */
+    struct alignas(64) Segment  // Own cache lines: one writer each.
+    {
+        Lane<PendingFlit> flits;
+        Lane<PendingRecvFlit> recvFlits;
+        Lane<PendingCredit> credits;
+        Lane<PendingInjCredit> injCredits;
+        Lane<PendingBkill> bkills;
+        Lane<PendingAbort> aborts;
+        std::uint32_t runs = 0;
+
+        /** Start the next run at the current end of every lane. */
+        void openRun();
+        void clear();
+        bool empty() const;
+        /** Events staged, all kinds. */
+        std::size_t size() const;
+    };
+
+    /**
+     * One delivery cycle's events, one segment per source shard. The
+     * serial order — the order one shard would have pushed them in —
+     * is run-major, shard-minor, because shards are contiguous
+     * ascending node ranges.
+     */
     struct Wave
     {
-        std::vector<PendingFlit> flits;
-        std::vector<PendingRecvFlit> recvFlits;
-        std::vector<PendingCredit> credits;
-        std::vector<PendingInjCredit> injCredits;
-        std::vector<PendingBkill> bkills;
-        std::vector<PendingAbort> aborts;
+        std::vector<Segment> segs;
 
         void clear();
         bool empty() const;
     };
 
-    void deliver();
+    /**
+     * Visit a wave's events of one kind in the serial order (`W` is
+     * Wave or const Wave).
+     */
+    template <typename W, typename T, typename Fn>
+    static void forEachInOrder(W& wave, Lane<T> Segment::*lane,
+                               Fn&& fn);
+
+    /** Event destinations deliver() can be asked to serve. */
+    enum DeliverKinds : unsigned {
+        kToInjectors = 1u << 0,  //!< Injection credits, aborts.
+        kToRouters = 1u << 1,    //!< Flits, credits, backward kills.
+        kToReceivers = 1u << 2,  //!< Ejection flits.
+        kToAll = kToInjectors | kToRouters | kToReceivers,
+    };
+
+    /**
+     * Apply the current bucket's events of `kinds` addressed to nodes
+     * [begin, end), in the serial order.
+     */
+    void deliver(NodeId begin, NodeId end, unsigned kinds);
     void generate();
-    void collectInjector(NodeId n);
-    void collectRouter(NodeId n);
-    void collectReceiver(NodeId n);
+    /**
+     * Stage one ticked component's outbox into its shard's segments:
+     * `next` is the segment of the bucket one cycle out, `far` the one
+     * channel_latency cycles out (the same when the latency is 1).
+     */
+    void collectInjector(Segment& next, NodeId n);
+    void collectRouter(Segment& next, Segment& far, NodeId n);
+    void collectReceiver(Segment& next, NodeId n);
     std::uint64_t activityLevel() const;
 
     // --- The cycle loop (see docs/PERFORMANCE.md) -------------------
@@ -294,64 +367,72 @@ class Network
     // loop with every flag raised at the top of each cycle.
     //
     // The node array is cut into `shards` contiguous ranges. With one
-    // shard the worker runs inline. With more, one ThreadPool worker
-    // per range ticks its components in parallel, with exactly one
-    // barrier per cycle. The >= 1-cycle channel latency is the
-    // synchronization slack: all cross-component traffic is staged
-    // through the wave buckets and delivered serially at the top of
-    // the next cycle, so component ticks within one cycle are mutually
-    // independent. Everything order-sensitive — wave pushes,
-    // deadline-heap pushes, Welford accumulator adds, ledger calls,
-    // trace records — is staged per component or per shard during the
-    // tick and applied serially in node order afterwards, at every
-    // shard count, which keeps every result byte-identical to
-    // shards=1.
+    // shard the worker runs inline. With more, each shard owns its
+    // range for the whole cycle, on the same crew thread every cycle:
+    // it applies the current bucket's router- and receiver-bound
+    // events addressed to its range, ticks its components, and
+    // collects their outboxes (plus the router idle probe) into its
+    // own segment of each wave bucket. The >= 1-cycle channel latency
+    // is the synchronization slack: every cross-component effect is
+    // staged in the waves, so one cycle's deliveries and ticks touch
+    // only the owner's components. Everything order-sensitive —
+    // ledger calls, Welford accumulator adds, deadline-heap pushes,
+    // deliveries, trace records — is staged per shard and applied
+    // serially in node order after the crew joins, which keeps every
+    // result byte-identical to shards=1.
 
-    /** Tick this cycle's woken components, shard by shard. */
+    /**
+     * True when this cycle's whole bucket is delivered serially, in
+     * the one-shard order, before generate(): one shard, a tracer
+     * (its records are ordered across destinations), or faults that
+     * can fire (the dead-link checks and the corruption RNG consume
+     * one stream in global order).
+     */
+    bool serialDelivery() const;
+
+    /**
+     * Tick this cycle's woken components, shard by shard, then run the
+     * serial merge and clear the delivered bucket.
+     */
     void tickComponents();
 
     /**
-     * One shard's compute phase: tick the woken injectors, routers
-     * and receivers of its node range (in that phase order, each in
-     * node order), clearing the injector and receiver flags on the
-     * way. With one shard, each component is finished right after its
-     * tick and the staged deliveries are applied after the receiver
-     * phase; with several, the tracer/auditor staging areas are
-     * installed and the ticked ids go to the work lists for the
-     * serial merge.
+     * One shard's compute phase. With several shards: install the
+     * tracer/auditor staging areas and, under owner delivery, apply
+     * this range's router- and receiver-bound events. Then tick the
+     * woken injectors, routers and receivers of the range (in that
+     * phase order, each in node order), clearing the injector and
+     * receiver flags on the way, and collect each into this shard's
+     * segments. With one shard each injector and receiver is finished
+     * (reports applied, re-scheduled) right after its tick and the
+     * deliveries are applied after the receiver phase; with several
+     * those go to the shard's stages for the serial merge.
      */
     CRNET_HOT_PATH CRNET_RESULT_AFFECTING
     CRNET_ALLOW("alloc",
-                "work-list appends land in capacity reserved to the "
-                "shard's full range size at construction, so the "
-                "steady state never grows them")
+                "segment and stage appends land in capacity reserved at "
+                "construction to the most the shard's range can stage "
+                "per cycle, so the steady state never grows them")
     void shardWorker(unsigned s);
 
-    /** Submit all shard workers and block on the cycle barrier. */
+    /**
+     * The serial merge after the crew joins: fold audit stages,
+     * replay staged trace events, apply injector reports, push staged
+     * deadlines, apply deliveries and fold the shard counters.
+     */
     CRNET_ALLOW("alloc",
-                "per-cycle task submission: `shards` small type-"
-                "erased closures per barrier, amortized across the "
-                "whole node array's worth of parallel tick work")
-    CRNET_ALLOW("wallclock",
-                "barrier-wait telemetry counter: observability only, "
-                "never feeds back into simulation state")
-    void runShardBarrier();
-
-    /** Fold audit stages, replay staged trace events (serial). */
-    void drainShardSidecars();
+                "deadline min-heap push: amortized vector growth, "
+                "bounded by the node count in steady state")
+    void mergeShards(std::uint64_t& pt);
 
     /** Fold per-shard Counter blocks into the master stats block. */
     void foldShardCounters();
 
     /**
-     * Finish a ticked component: apply the injector's staged give-ups
-     * and commit samples, stage its output into the waves, then
-     * re-schedule it (injector, receiver) or probe it for sleep
-     * (router).
+     * Apply an injector's staged give-ups (ledger refusals) and
+     * measured-commit samples.
      */
-    void finishInjector(NodeId id);
-    void finishRouter(NodeId id);
-    void finishReceiver(NodeId id);
+    void applyInjectorReports(NodeId id);
 
     /** Bill the time since `pt` to `phase` (sampled ticks only). */
     void profileLap(TickPhase phase, std::uint64_t& pt);
@@ -362,17 +443,13 @@ class Network
     void wakeReceiver(NodeId id) { rcvAwake_[id] = 1; }
 
     /**
-     * Sleep a component until `at` (kNeverCycle = fully idle;
-     * now_ + 1 or earlier = stay in the wake list).
+     * Sleep component `id` until `at` (kNeverCycle = fully idle;
+     * now_ + 1 or earlier = stay in the wake list). Touches only the
+     * component's own flag and deadline slot; returns true when
+     * (at, id) must still go onto the deadline heap.
      */
-    CRNET_ALLOW("alloc",
-                "deadline min-heap push: amortized vector growth, "
-                "bounded by the node count in steady state")
-    void scheduleInjector(NodeId id, Cycle at);
-    CRNET_ALLOW("alloc",
-                "deadline min-heap push: amortized vector growth, "
-                "bounded by the node count in steady state")
-    void scheduleReceiver(NodeId id, Cycle at);
+    bool deferWake(std::vector<std::uint8_t>& awake,
+                   std::vector<Cycle>& next_at, NodeId id, Cycle at);
 
     /** Wake every component whose deadline is due at now_. */
     void popDueDeadlines();
@@ -416,8 +493,29 @@ class Network
     void sampleGauges(std::uint64_t& in_flight,
                       std::uint64_t& buffered) const;
 
-    /** Wave that events maturing `delay` cycles from now go into. */
-    Wave& waveIn(Cycle delay);
+    /** The bucket of cycle `c` (within the live window). */
+    Wave& bucketOf(Cycle c) { return buckets_[c % buckets_.size()]; }
+    const Wave& bucketOf(Cycle c) const
+    {
+        return buckets_[c % buckets_.size()];
+    }
+
+    /** Shard `s`'s segment of the bucket `delay` cycles from now. */
+    Segment& segmentIn(unsigned s, Cycle delay)
+    {
+        return bucketOf(now_ + delay).segs[s];
+    }
+
+    /**
+     * Buckets a snapshot lists: the power of two >= channelLatency + 2,
+     * a fixed part of the payload layout. Entry i holds the cycle c in
+     * [now_, now_ + entries) with c % entries == i, and is empty past
+     * the live window.
+     */
+    std::size_t snapshotBuckets() const;
+
+    /** Cycle of snapshot entry `i` (see snapshotBuckets()). */
+    Cycle snapshotCycle(std::size_t i) const;
 
     /** topo_->neighbor(n, p), read from the precomputed table. */
     NodeId neighborOf(NodeId n, PortId p) const
@@ -466,13 +564,16 @@ class Network
     std::vector<std::unique_ptr<Receiver>> receivers_;
 
     /**
-     * Delivery buckets, indexed by cycle modulo size (a power of two,
-     * so the hot index computation is a mask, not a division).
-     * Router-to-router events mature after channelLatency cycles;
-     * NIC-local events after one.
+     * Delivery buckets, one per cycle of the live window [now_,
+     * now_ + channelLatency]: cycle c's bucket is
+     * buckets_[c % buckets_.size()]. Router-to-router events mature
+     * after channelLatency cycles; NIC-local events after one. A
+     * bucket is cleared, segments and run marks alike, once its cycle
+     * is delivered, and then serves cycle c + channelLatency + 1.
      */
     std::vector<Wave> buckets_;
-    std::size_t bucketMask_ = 0;
+    /** Router network ports (= injection/ejection port base). */
+    PortId netPorts_ = 0;
 
     // Scheduler state. A wake is one byte store; each shard worker
     // scans its range of the flag arrays in node order, which keeps
@@ -493,10 +594,10 @@ class Network
     std::vector<Cycle> injNextAt_, rcvNextAt_;
 
     /**
-     * Per-shard worker context: node range, work lists, staging. It
-     * is the delivery sink of the receivers in its range.
+     * Per-shard worker context: node range and merge stages. It is
+     * the delivery sink of the receivers in its range.
      */
-    struct ShardCtx final : DeliverySink
+    struct alignas(64) ShardCtx final : DeliverySink
     {
         ShardCtx() = default;
         // Receivers hold this context's address as their sink.
@@ -513,10 +614,13 @@ class Network
 
         NodeId begin = 0;  //!< First node of this shard's range.
         NodeId end = 0;    //!< One past the last node.
-        // Ids ticked this cycle, ascending (shards > 1 only); ranges
-        // are contiguous, so shard-major iteration over these is
+        // Staged for the serial merge (shards > 1 only), in node order;
+        // ranges are contiguous, so shard-major iteration over these is
         // global node order.
-        std::vector<NodeId> injWork, rtrWork, rcvWork;
+        /** Injectors ticked with give-ups or commit samples to apply. */
+        std::vector<NodeId> injReports;
+        /** Deadline-heap pushes, (at, id). */
+        std::vector<std::pair<Cycle, NodeId>> injSleeps, rcvSleeps;
         /** This cycle's completed messages, in node order. */
         std::vector<DeliveredMessage> deliveries;
         // Staged trace tuples, one buffer per phase so the replay can
@@ -533,8 +637,11 @@ class Network
      */
     void applyDeliveries(ShardCtx& ctx);
 
-    /** Cycle-barrier worker pool (shards_ > 1 only). */
-    std::unique_ptr<ThreadPool> shardPool_;
+    /**
+     * Owner delivery this cycle: the workers apply their own range's
+     * router- and receiver-bound events (see serialDelivery()).
+     */
+    bool ownerDelivery_ = false;
     // Registry handles (registered at construction; updates are
     // relaxed atomic stores, hot-path safe).
     std::atomic<std::uint64_t>* shardBarrierNanos_ = nullptr;
@@ -572,6 +679,13 @@ class Network
     /** Explicit-send tracking. */
     std::unordered_map<MsgId, DeliveredMessage> manualDelivered_;
     std::unordered_map<MsgId, bool> manualPending_;
+
+    /**
+     * The thread-stable crew running shardWorker (shards_ > 1 only).
+     * Declared last, after everything its workers touch, so it is
+     * destroyed (and its threads joined) first.
+     */
+    std::unique_ptr<ShardCrew> crew_;
 };
 
 } // namespace crnet

@@ -45,6 +45,7 @@ Auditor::foldStage(ShardStage& stage)
     injected_ += stage.injected;
     consumed_ += stage.consumed;
     purged_ += stage.purged;
+    flitChecks_ += stage.flitChecks;
     // The kill registry is a set, so insertion order is immaterial;
     // saveState sorts before serialization anyway.
     for (const std::uint64_t key : stage.kills)
@@ -52,6 +53,7 @@ Auditor::foldStage(ShardStage& stage)
     stage.injected = 0;
     stage.consumed = 0;
     stage.purged = 0;
+    stage.flitChecks = 0;
     stage.kills.clear();
 }
 
@@ -151,7 +153,10 @@ Auditor::checkFlit(ChannelState& ch, const Flit& flit,
                    const char* where, NodeId node, std::uint32_t port,
                    VcId vc)
 {
-    ++flitChecks_;
+    if (tlsStage_ != nullptr)
+        ++tlsStage_->flitChecks;
+    else
+        ++flitChecks_;
 
     if (flit.isKill()) {
         // A kill token may only chase the worm that actually holds or
@@ -178,7 +183,7 @@ Auditor::checkFlit(ChannelState& ch, const Flit& flit,
                   ", vc ", vc, ") that never carried its worm",
                   " at cycle ", now_);
         }
-        issuedKills_.insert(killKey(flit.msg, flit.attempt));
+        registerKill(killKey(flit.msg, flit.attempt));
         ch.purgedMsg = flit.msg;
         ch.msg = kInvalidMsg;
         ch.nextSeq = 0;

@@ -125,12 +125,14 @@ class Auditor
     // --- Sharded-tick staging -----------------------------------------
 
     /**
-     * Per-thread staging area for the sharded tick: hooks fired from
-     * a shard worker accumulate their conservation deltas and issued
-     * kills here instead of the shared members, and the Network folds
-     * every stage serially after the barrier. The per-flit validity
-     * checks still run inline on the worker (they read only the flit
-     * and node-owned channel mirrors), so a violation dies at the
+     * Per-thread staging area for the sharded cycle: hooks fired from
+     * a shard worker (owner delivery or a component tick) accumulate
+     * their conservation deltas, flit-check counts and issued kills
+     * here instead of the shared members, and the Network folds every
+     * stage serially after the crew joins. The per-flit validity
+     * checks still run inline on the worker (they read only the flit,
+     * node-owned channel mirrors and the kill registry, which nothing
+     * writes during the parallel section), so a violation dies at the
      * cycle it occurs exactly as in an unsharded run.
      */
     struct ShardStage
@@ -138,6 +140,7 @@ class Auditor
         std::uint64_t injected = 0;
         std::uint64_t consumed = 0;
         std::uint64_t purged = 0;
+        std::uint64_t flitChecks = 0;
         std::vector<std::uint64_t> kills;  //!< killKey(msg, attempt).
     };
 
@@ -178,16 +181,9 @@ class Auditor
      * was purged before traversing), so kills on idle channels are
      * legal only when their token is registered here.
      */
-    CRNET_ALLOW("alloc",
-                "audit-mode kill-token registry: one node per issued "
-                "kill; compiled out of release builds (CRNET_AUDIT)")
     void onKillIssued(MsgId msg, std::uint16_t attempt)
     {
-        if (tlsStage_ != nullptr) {
-            tlsStage_->kills.push_back(killKey(msg, attempt));
-            return;
-        }
-        issuedKills_.insert(killKey(msg, attempt));
+        registerKill(killKey(msg, attempt));
     }
 
     /** `n` buffered data flits were dropped by the kill machinery. */
@@ -237,9 +233,6 @@ class Auditor
         MsgId purgedMsg = kInvalidMsg;  //!< Stragglers of this are legal.
     };
 
-    CRNET_ALLOW("alloc",
-                "audit-mode kill-token registry: one node per issued "
-                "kill; compiled out of release builds (CRNET_AUDIT)")
     void checkFlit(ChannelState& ch, const Flit& flit,
                    const char* where, NodeId node, std::uint32_t port,
                    VcId vc);
@@ -250,6 +243,19 @@ class Auditor
     static std::uint64_t killKey(MsgId msg, std::uint16_t attempt)
     {
         return (static_cast<std::uint64_t>(msg) << 16) | attempt;
+    }
+
+    /** Add a kill token to the registry, through the stage if set. */
+    CRNET_ALLOW("alloc",
+                "audit-mode kill-token registry: one node per issued "
+                "kill; compiled out of release builds (CRNET_AUDIT)")
+    void registerKill(std::uint64_t key)
+    {
+        if (tlsStage_ != nullptr) {
+            tlsStage_->kills.push_back(key);
+            return;
+        }
+        issuedKills_.insert(key);
     }
 
     const SimConfig& cfg_;

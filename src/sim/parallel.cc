@@ -12,6 +12,45 @@
 
 namespace crnet {
 
+namespace {
+
+/** Busy-wait probes before a crew waiter blocks in atomic::wait. */
+constexpr unsigned kCrewSpins = 1u << 12;
+
+/** One busy-wait step: x86 `pause`, a yield elsewhere. */
+inline void
+spinPause()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#else
+    std::this_thread::yield();
+#endif
+}
+
+/**
+ * Wait until `word` no longer holds `old` and return its new value
+ * (acquire): a bounded spin, then std::atomic::wait.
+ */
+std::uint32_t
+awaitChange(const std::atomic<std::uint32_t>& word, std::uint32_t old)
+{
+    for (unsigned i = 0; i < kCrewSpins; ++i) {
+        const std::uint32_t v = word.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+        spinPause();
+    }
+    for (;;) {
+        word.wait(old, std::memory_order_acquire);
+        const std::uint32_t v = word.load(std::memory_order_acquire);
+        if (v != old)
+            return v;
+    }
+}
+
+} // namespace
+
 unsigned
 hardwareJobs()
 {
@@ -104,6 +143,67 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     allDone_.wait(lock, [this] { return inFlight_ == 0; });
+}
+
+ShardCrew::ShardCrew(unsigned width, Body body) : body_(std::move(body))
+{
+    width = std::clamp(width, 1u, kMaxJobs);
+    threads_.reserve(width - 1);
+    try {
+        for (unsigned i = 1; i < width; ++i)
+            threads_.emplace_back([this, i] { threadLoop(i); });
+    } catch (...) {
+        stopAndJoin();  // A thread that failed to start: join the rest.
+        throw;
+    }
+}
+
+ShardCrew::~ShardCrew()
+{
+    stopAndJoin();
+}
+
+void
+ShardCrew::stopAndJoin()
+{
+    stopping_.store(true, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    for (std::thread& t : threads_)
+        t.join();
+}
+
+std::uint64_t
+ShardCrew::run()
+{
+    // Set before the release below, so every thread that sees the new
+    // generation also sees its round's count.
+    pending_.store(static_cast<std::uint32_t>(threads_.size()),
+                   std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    body_(0);
+    const std::uint64_t t0 = WallTimer::nanos();
+    for (std::uint32_t left = pending_.load(std::memory_order_acquire);
+         left != 0;)
+        left = awaitChange(pending_, left);
+    return WallTimer::nanos() - t0;
+}
+
+void
+ShardCrew::threadLoop(unsigned index)
+{
+    // run() cannot release a second round before this thread finished
+    // the first, so each generation is seen exactly once.
+    std::uint32_t seen = 0;
+    for (;;) {
+        seen = awaitChange(generation_, seen);
+        if (stopping_.load(std::memory_order_relaxed))
+            return;
+        body_(index);
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            pending_.notify_one();
+    }
 }
 
 void

@@ -1,8 +1,9 @@
 /**
  * @file
- * Parallel experiment execution: a small fixed-size thread pool plus
- * an index-space `parallelFor` used by every batch engine
- * (`runMany`/`sweepLoads`, `runReplicated`, `runCampaign`).
+ * Parallel execution: a small fixed-size thread pool plus an
+ * index-space `parallelFor` used by every batch engine
+ * (`runMany`/`sweepLoads`, `runReplicated`, `runCampaign`), and the
+ * ShardCrew that runs one network's sharded cycle.
  *
  * Design constraints, in order:
  *   1. *Determinism.* Each work item owns its whole simulation state
@@ -24,6 +25,7 @@
 #ifndef CRNET_SIM_PARALLEL_HH
 #define CRNET_SIM_PARALLEL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -97,6 +99,62 @@ class ThreadPool
     std::condition_variable allDone_;
     std::size_t inFlight_ = 0;  //!< Queued + currently running.
     bool stopping_ = false;
+};
+
+/**
+ * A fixed crew of threads for one network's sharded cycle. Index 0
+ * runs on the caller and indices 1..width-1 each on their own
+ * persistent thread, so index `s` runs on the same thread every round
+ * and its shard's component state stays in that core's caches.
+ *
+ * One generation counter releases a round and one pending counter
+ * joins it. A waiter spins a bounded number of times (x86 `pause`, a
+ * yield elsewhere), then blocks in std::atomic::wait, so an
+ * oversubscribed machine does not burn whole time slices. A round
+ * allocates nothing. The body must not throw (engine code reports
+ * failure via panic/fatal, which abort the process).
+ */
+class ShardCrew
+{
+  public:
+    using Body = std::function<void(unsigned)>;
+
+    /**
+     * Start `width - 1` threads (width clamped to [1, kMaxJobs]) that
+     * run `body` for their index once per round.
+     */
+    ShardCrew(unsigned width, Body body);
+
+    /** Releases and joins every thread (call between rounds). */
+    ~ShardCrew();
+
+    ShardCrew(const ShardCrew&) = delete;
+    ShardCrew& operator=(const ShardCrew&) = delete;
+    ShardCrew(ShardCrew&&) = delete;
+    ShardCrew& operator=(ShardCrew&&) = delete;
+
+    /**
+     * One round: `body(i)` for every i in [0, width), `body(0)` on the
+     * calling thread. Returns once every index has finished; all their
+     * writes are then visible to the caller, and the caller's writes
+     * before the call were visible to every index. The result is the
+     * nanoseconds the caller waited for the others after its own index
+     * (observability only).
+     */
+    std::uint64_t run();
+
+  private:
+    void threadLoop(unsigned index);
+    /** Release every thread with stopping_ set and join it. */
+    void stopAndJoin();
+
+    Body body_;
+    std::vector<std::thread> threads_;
+    /** Bumped by run() to release a round (and by the destructor). */
+    alignas(64) std::atomic<std::uint32_t> generation_{0};
+    /** Indices of the current round still running off the caller. */
+    alignas(64) std::atomic<std::uint32_t> pending_{0};
+    std::atomic<bool> stopping_{false};
 };
 
 /**

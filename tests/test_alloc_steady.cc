@@ -2,10 +2,11 @@
  * @file
  * Steady-state allocation audit: once a network has warmed up and
  * drained to quiescence, ticking it must perform ZERO heap
- * allocations under either scheduler. The hot-path containers (wave
- * buckets, router outboxes and nomination buckets, NIC scratch
- * vectors) are pre-reserved at construction and recycled, never
- * recreated. Live traffic still allocates in the exactly-once
+ * allocations under either scheduler and at any shard count. The
+ * hot-path containers (wave segments, shard stages, router outboxes
+ * and nomination buckets, NIC scratch vectors) are pre-reserved at
+ * construction and recycled, never recreated, and a sharded cycle
+ * releases and joins its crew without submitting tasks. Live traffic still allocates in the exactly-once
  * bookkeeping (assemblies, seen-sequence sets, source queues) by
  * design; this test pins down the per-cycle engine overhead.
  *
@@ -71,7 +72,7 @@ namespace crnet {
 namespace {
 
 SimConfig
-steadyCfg(SchedulerKind sched)
+steadyCfg(SchedulerKind sched, unsigned shards)
 {
     SimConfig cfg;
     cfg.radixK = 4;
@@ -84,6 +85,7 @@ steadyCfg(SchedulerKind sched)
     cfg.messageLength = 8;
     cfg.seed = 5;
     cfg.sched = sched;
+    cfg.shards = shards;
     // Keep the periodic audit sweep (which builds an AuditSnapshot)
     // out of the measured window; per-event audit hooks still run.
     cfg.auditInterval = 1u << 20;
@@ -91,9 +93,9 @@ steadyCfg(SchedulerKind sched)
 }
 
 void
-expectZeroAllocSteadyState(SchedulerKind sched)
+expectZeroAllocSteadyState(SchedulerKind sched, unsigned shards = 1)
 {
-    Network net(steadyCfg(sched));
+    Network net(steadyCfg(sched, shards));
 
     // Warm up with live traffic so every never-shrink container has
     // seen its high-water mark, then drain to quiescence.
@@ -112,7 +114,7 @@ expectZeroAllocSteadyState(SchedulerKind sched)
         g_allocs.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "steady-state cycle loop allocated under "
-        << toString(sched);
+        << toString(sched) << " at shards=" << shards;
 }
 
 TEST(AllocSteady, ActiveSchedulerTicksWithoutAllocating)
@@ -123,6 +125,11 @@ TEST(AllocSteady, ActiveSchedulerTicksWithoutAllocating)
 TEST(AllocSteady, SweepSchedulerTicksWithoutAllocating)
 {
     expectZeroAllocSteadyState(SchedulerKind::Sweep);
+}
+
+TEST(AllocSteady, ShardedCycleTicksWithoutAllocating)
+{
+    expectZeroAllocSteadyState(SchedulerKind::Active, 2);
 }
 
 TEST(AllocSteady, CounterInstrumentationWorks)

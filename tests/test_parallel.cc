@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel experiment engine: job-count resolution
- * (explicit > CRNET_JOBS > sequential default), the thread pool, and
- * parallelFor's index-space coverage guarantees.
+ * (explicit > CRNET_JOBS > sequential default), the thread pool,
+ * parallelFor's index-space coverage guarantees, and the ShardCrew
+ * that runs one network's sharded cycle.
  */
 
 #include <gtest/gtest.h>
@@ -171,6 +172,87 @@ TEST(ParallelFor, ParallelWritesLandInSubmissionSlots)
     parallelFor(n, 8, [&out](std::size_t i) { out[i] = i * i; });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(out[i], i * i);
+}
+
+TEST(ShardCrew, EveryIndexRunsOncePerRoundOnItsOwnThread)
+{
+    // Uneven per-index work, so indices finish in varying order. Every
+    // slot below has exactly one writer per round and is read by the
+    // caller only after run() returns (or written by the caller only
+    // before it), so these plain accesses are race-free — and clean
+    // under ThreadSanitizer — iff the crew's release and join order
+    // them.
+    constexpr unsigned kWidth = 4;
+    constexpr std::uint64_t kRounds = 10000;
+    std::uint64_t input = 0;
+    std::vector<std::uint64_t> runs(kWidth, 0);
+    std::vector<std::uint64_t> output(kWidth, 0);
+    std::vector<std::uint64_t> sink(kWidth, 0);  // Keeps the work.
+    std::vector<std::thread::id> owner(kWidth);
+    std::vector<int> moved(kWidth, 0);
+    ShardCrew crew(kWidth, [&](unsigned s) {
+        std::uint64_t spin = 0;
+        const std::uint64_t work = ((input + s) % 5) * 40 * (s + 1);
+        for (std::uint64_t i = 0; i < work; ++i)
+            spin += i ^ s;
+        if (runs[s] == 0)
+            owner[s] = std::this_thread::get_id();
+        else if (owner[s] != std::this_thread::get_id())
+            ++moved[s];
+        ++runs[s];
+        output[s] = input * kWidth + s;
+        sink[s] += spin;
+    });
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+        input = round;
+        crew.run();
+        for (unsigned s = 0; s < kWidth; ++s) {
+            ASSERT_EQ(runs[s], round + 1) << "index " << s;
+            ASSERT_EQ(output[s], round * kWidth + s) << "index " << s;
+        }
+    }
+    EXPECT_EQ(owner[0], std::this_thread::get_id());
+    for (unsigned s = 0; s < kWidth; ++s) {
+        EXPECT_EQ(moved[s], 0) << "index " << s << " changed threads";
+        for (unsigned t = s + 1; t < kWidth; ++t)
+            EXPECT_NE(owner[s], owner[t]);
+    }
+}
+
+TEST(ShardCrew, DestructionBetweenRoundsJoinsCleanly)
+{
+    // Crews torn down after zero, one or a few rounds: the destructor
+    // must release and join every thread, and no body may run after
+    // it returns.
+    std::atomic<std::uint64_t> calls{0};
+    std::uint64_t expected = 0;
+    for (unsigned trial = 0; trial < 200; ++trial) {
+        const unsigned width = 1 + trial % 4;
+        const unsigned rounds = trial % 3;
+        {
+            ShardCrew crew(width, [&calls](unsigned) {
+                calls.fetch_add(1, std::memory_order_relaxed);
+            });
+            for (unsigned r = 0; r < rounds; ++r)
+                crew.run();
+        }
+        expected += std::uint64_t{width} * rounds;
+        ASSERT_EQ(calls.load(), expected) << "trial " << trial;
+    }
+}
+
+TEST(ShardCrew, WidthOneRunsInline)
+{
+    const auto caller = std::this_thread::get_id();
+    int ran = 0;
+    ShardCrew crew(1, [&](unsigned s) {
+        EXPECT_EQ(s, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++ran;
+    });
+    crew.run();
+    crew.run();
+    EXPECT_EQ(ran, 2);
 }
 
 } // namespace

@@ -290,17 +290,15 @@ TEST(Shard, FingerprintIsShardAgnostic)
 
 TEST(Shard, SnapshotRoundTripsAcrossShardCounts)
 {
-    // Save under shards=4, restore under shards=1 (and vice versa):
-    // the payload carries no shard state, so both continuations must
-    // end byte-identical to an uninterrupted unsharded run.
-    SimConfig cfg = baseCfg();
-    cfg.sampleInterval = 100;
-
-    auto warmed = [&](std::uint32_t shards) {
-        SimConfig c = cfg;
+    // The payload carries no shard state: a snapshot saved mid-run at
+    // one shard count must equal the unsharded one byte for byte (the
+    // wave buckets are written in the serial order), and restored at
+    // another count it must continue to end byte-identical to an
+    // uninterrupted unsharded run.
+    auto warmed = [](SimConfig c, std::uint32_t shards, Cycle cycles) {
         c.shards = shards;
         auto net = std::make_unique<Network>(c);
-        net->run(400);
+        net->run(cycles);
         return net;
     };
     auto finish = [](Network& net) {
@@ -309,31 +307,51 @@ TEST(Shard, SnapshotRoundTripsAcrossShardCounts)
         net.run(600);
         return captureSnapshot(net).payload;
     };
+    auto hop = [&](const SimConfig& c, std::uint32_t save_shards,
+                   std::uint32_t load_shards, Cycle cycles) {
+        auto saved = warmed(c, save_shards, cycles);
+        const Snapshot mid = captureSnapshot(*saved);
+        EXPECT_EQ(mid.payload,
+                  captureSnapshot(*warmed(c, 1, cycles)).payload)
+            << "shards=" << save_shards << " mid-run payload differs";
+        SimConfig lc = c;
+        lc.shards = load_shards;
+        Network cont(lc);
+        EXPECT_EQ(restoreSnapshot(cont, mid), "");
+        return finish(cont);
+    };
 
-    // Uninterrupted unsharded baseline.
-    auto base = warmed(1);
-    const auto straight = finish(*base);
+    // Input 1: one-cycle channels, shards 4 <-> 1.
+    SimConfig cfg = baseCfg();
+    cfg.sampleInterval = 100;
+    const auto straight = finish(*warmed(cfg, 1, 400));
+    EXPECT_EQ(hop(cfg, 4, 1, 400), straight);
+    EXPECT_EQ(hop(cfg, 1, 4, 400), straight);
 
-    // shards=4 -> snapshot -> shards=1 continuation.
-    auto sharded = warmed(4);
-    const Snapshot mid = captureSnapshot(*sharded);
-    SimConfig c1 = cfg;
-    c1.shards = 1;
-    Network cont1(c1);
-    ASSERT_EQ(restoreSnapshot(cont1, mid), "");
-    const auto hopped41 = finish(cont1);
-
-    // shards=1 -> snapshot -> shards=4 continuation.
-    auto plain = warmed(1);
-    const Snapshot mid1 = captureSnapshot(*plain);
-    SimConfig c4 = cfg;
-    c4.shards = 4;
-    Network cont4(c4);
-    ASSERT_EQ(restoreSnapshot(cont4, mid1), "");
-    const auto hopped14 = finish(cont4);
-
-    EXPECT_EQ(hopped41, straight);
-    EXPECT_EQ(hopped14, straight);
+    // Input 2: four-cycle channels and a tight path-wide timeout (its
+    // router-side kills send backward kills and aborts), saved at an
+    // uneven shards=3 mid-storm. Every bucket then holds several runs
+    // — the router run of cycle b - 4 ahead of the NIC runs of cycle
+    // b - 1 — with kills, backward kills and aborts in flight, and the
+    // restore packs each bucket into one run of one segment.
+    SimConfig deep = baseCfg();
+    deep.channelLatency = 4;
+    deep.timeout = 4;
+    deep.timeoutScheme = TimeoutScheme::PathWide;
+    deep.injectionRate = 0.2;
+    const Cycle save_at = 500;
+    {
+        auto probe = warmed(deep, 3, save_at);
+        const NetworkStats& st = probe->stats();
+        EXPECT_GT(st.router.pathWideKills.value(), 0u);
+        EXPECT_GT(st.router.killsForwarded.value(), 0u);
+        EXPECT_GT(st.router.bkillHops.value(), 0u);
+        EXPECT_GT(st.abortedByBkill.value(), 0u);
+        EXPECT_FALSE(probe->quiescent());
+    }
+    const auto deep_straight = finish(*warmed(deep, 1, save_at));
+    EXPECT_EQ(hop(deep, 3, 1, save_at), deep_straight);
+    EXPECT_EQ(hop(deep, 3, 2, save_at), deep_straight);
 }
 
 TEST(Shard, ConfigKeyRoundTripsAndValidates)

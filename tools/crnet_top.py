@@ -128,10 +128,12 @@ def render_shards(metrics):
     """Summarize the intra-run sharding gauges, if any.
 
     `sched.shard_ticks.<s>` gauges count component ticks each shard
-    worker performed; `sched.shard_barrier_wait_nanos` accumulates the
-    main thread's wait at the per-cycle barrier. A well-balanced run
-    shows near-equal tick shares; a lopsided bar means the node-range
-    split does not match where the traffic is (docs/PERFORMANCE.md).
+    performed; `sched.shard_barrier_wait_nanos` accumulates only the
+    ticking thread's wait for the other shards after it finished shard
+    0's range (the `pool.*` counters cover the `jobs=` pool, not the
+    shard crew). A well-balanced run shows near-equal tick shares and a
+    small wait; a lopsided bar means the node-range split does not
+    match where the traffic is (docs/PERFORMANCE.md).
     """
     ticks = {}
     for name, value in metrics.items():
