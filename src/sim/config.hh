@@ -222,19 +222,21 @@ struct SimConfig
      * CRNET_JOBS environment variable, falling back to 1
      * (sequential). Results are bit-identical at every setting: each
      * run owns its Network and seeded Rng, and collection is
-     * submission-ordered (see src/sim/parallel.hh).
+     * index-ordered (see src/sim/parallel.hh).
      */
     std::uint32_t jobs = 0;
     /**
      * Intra-run network shards: the node array of *one* Network is
-     * ticked by this many ThreadPool workers per cycle, with boundary
-     * flit/credit traffic exchanged deterministically through the
-     * staged delivery waves (the >= 1-cycle channel latency is the
-     * synchronization slack window; see docs/PERFORMANCE.md). 0 =
-     * resolve from the CRNET_SHARDS environment variable, falling
-     * back to 1 (unsharded). Results are bit-identical at every
-     * setting, and like `jobs`/`sched` the value is excluded from
-     * configFingerprint, so snapshots restore across shard counts.
+     * split into this many ranges, each ticked every cycle by its own
+     * ShardCrew thread (the ticking thread runs range 0), with
+     * cross-range flit/credit traffic exchanged deterministically
+     * through the staged delivery waves (the >= 1-cycle channel
+     * latency is the synchronization slack window; see
+     * docs/PERFORMANCE.md). 0 = resolve from the CRNET_SHARDS
+     * environment variable, falling back to 1 (unsharded). Results
+     * are bit-identical at every setting, and like `jobs`/`sched` the
+     * value is excluded from configFingerprint, so snapshots restore
+     * across shard counts.
      */
     std::uint32_t shards = 0;
     Cycle warmupCycles = 2000;

@@ -101,50 +101,6 @@ resolveShards(unsigned requested)
     return resolveCount(requested, "CRNET_SHARDS", "shard");
 }
 
-ThreadPool::ThreadPool(unsigned jobs)
-{
-    jobs = std::clamp(jobs, 1u, kMaxJobs);
-    Telemetry::instance()
-        .gauge("pool.workers")
-        ->store(jobs, std::memory_order_relaxed);
-    workers_.reserve(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (std::thread& w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    if (!task)
-        panic("ThreadPool::submit called with an empty task");
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (stopping_)
-            panic("ThreadPool::submit after shutdown began");
-        queue_.push_back(std::move(task));
-        ++inFlight_;
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
 ShardCrew::ShardCrew(unsigned width, Body body) : body_(std::move(body))
 {
     width = std::clamp(width, 1u, kMaxJobs);
@@ -207,38 +163,35 @@ ShardCrew::threadLoop(unsigned index)
 }
 
 void
-ThreadPool::workerLoop()
+parallelFor(std::size_t n, unsigned jobs,
+            const std::function<void(std::size_t)>& fn)
 {
-    // Worker-utilization telemetry: registry-owned atomics, updated
-    // outside the pool lock; observability only (docs/OBSERVABILITY.md).
+    if (n == 0)
+        return;
+    const auto width = static_cast<unsigned>(std::clamp<std::size_t>(
+        std::min<std::size_t>(jobs, n), 1, kMaxJobs));
+    // Worker-utilization telemetry: registry-owned atomics,
+    // observability only (docs/OBSERVABILITY.md).
+    Telemetry& telemetry = Telemetry::instance();
+    telemetry.gauge("pool.workers")
+        ->store(width, std::memory_order_relaxed);
     std::atomic<std::uint64_t>* const tasks =
-        Telemetry::instance().counter("pool.tasks");
+        telemetry.counter("pool.tasks");
     std::atomic<std::uint64_t>* const busy =
-        Telemetry::instance().counter("pool.busy_nanos");
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            workReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return;  // stopping_ and drained.
-            task = std::move(queue_.front());
-            queue_.pop_front();
+        telemetry.counter("pool.busy_nanos");
+    std::atomic<std::size_t> next{0};
+    ShardCrew crew(width, [&](unsigned) {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
+            LogRunScope scope(static_cast<std::int64_t>(i));
+            const std::uint64_t t0 = WallTimer::nanos();
+            fn(i);
+            tasks->fetch_add(1, std::memory_order_relaxed);
+            busy->fetch_add(WallTimer::nanos() - t0,
+                            std::memory_order_relaxed);
         }
-        const std::uint64_t t0 = WallTimer::nanos();
-        task();
-        tasks->fetch_add(1, std::memory_order_relaxed);
-        busy->fetch_add(WallTimer::nanos() - t0,
-                        std::memory_order_relaxed);
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --inFlight_;
-            if (inFlight_ == 0)
-                allDone_.notify_all();
-        }
-    }
+    });
+    crew.run();
 }
 
 } // namespace crnet

@@ -1,9 +1,11 @@
 /**
  * @file
- * Parallel execution: a small fixed-size thread pool plus an
- * index-space `parallelFor` used by every batch engine
- * (`runMany`/`sweepLoads`, `runReplicated`, `runCampaign`), and the
- * ShardCrew that runs one network's sharded cycle.
+ * Parallel execution: the ShardCrew, a fixed crew of threads that runs
+ * one body per index per round, and `parallelFor`, the index-space
+ * loop every batch engine (`runMany`/`sweepLoads`, `runReplicated`,
+ * `runCampaign`) fans out through. A sharded network's cycle is one
+ * crew round per cycle; a `parallelFor` batch is one round of a crew
+ * built for that call.
  *
  * Design constraints, in order:
  *   1. *Determinism.* Each work item owns its whole simulation state
@@ -11,10 +13,11 @@
  *      results written by index are bit-identical to a sequential
  *      run regardless of scheduling. Nothing here may introduce
  *      cross-item communication.
- *   2. *Submission-ordered collection.* Results land in caller-owned
+ *   2. *Index-ordered collection.* Results land in caller-owned
  *      slots addressed by item index; completion order never shows.
- *   3. *Zero cost when off.* `jobs <= 1` (the default) runs inline on
- *      the calling thread: no threads, no locks, no behavior change.
+ *   3. *No threads when off.* `jobs <= 1` (the default) is a crew of
+ *      width 1: it starts no thread and runs every item on the
+ *      calling thread in index order.
  *
  * Job-count resolution (`resolveJobs`): an explicit request (the
  * `jobs=` config key) wins; otherwise the `CRNET_JOBS` environment
@@ -26,16 +29,11 @@
 #define CRNET_SIM_PARALLEL_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "src/sim/log.hh"
 
 namespace crnet {
 
@@ -61,51 +59,11 @@ unsigned resolveJobs(unsigned requested = 0);
 unsigned resolveShards(unsigned requested = 0);
 
 /**
- * Fixed-size pool of worker threads draining one task queue.
- *
- * Tasks must not throw (engine code reports failure via panic/fatal,
- * which abort the process); an escaping exception would terminate.
- */
-class ThreadPool
-{
-  public:
-    /** Spawn `jobs` workers (clamped to [1, kMaxJobs]). */
-    explicit ThreadPool(unsigned jobs);
-
-    /** Joins all workers; pending tasks are completed first. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    unsigned jobs() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-    /** Enqueue one task. */
-    void submit(std::function<void()> task);
-
-    /** Block until every submitted task has finished. */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable workReady_;
-    std::condition_variable allDone_;
-    std::size_t inFlight_ = 0;  //!< Queued + currently running.
-    bool stopping_ = false;
-};
-
-/**
- * A fixed crew of threads for one network's sharded cycle. Index 0
- * runs on the caller and indices 1..width-1 each on their own
- * persistent thread, so index `s` runs on the same thread every round
- * and its shard's component state stays in that core's caches.
+ * A fixed crew of threads: a sharded network runs one round per
+ * cycle, and parallelFor one round per batch. Index 0 runs on the
+ * caller and indices 1..width-1 each on their own persistent thread,
+ * so index `s` runs on the same thread every round and its shard's
+ * component state stays in that core's caches.
  *
  * One generation counter releases a round and one pending counter
  * joins it. A waiter spins a bounded number of times (x86 `pause`, a
@@ -158,40 +116,24 @@ class ShardCrew
 };
 
 /**
- * Run `fn(i)` for every i in [0, n) on up to `jobs` worker threads
- * (pass the result of resolveJobs). With `jobs <= 1` or `n <= 1` the
- * loop runs inline on the calling thread. Returns when all items are
- * done. `fn` must confine its writes to per-index state (e.g.
- * `out[i] = ...`) for the deterministic-collection guarantee to hold.
+ * Run `fn(i)` for every i in [0, n) as one round of a ShardCrew of
+ * width min(jobs, n) (pass the result of resolveJobs). The calling
+ * thread is crew index 0, and every index claims item numbers from
+ * one shared counter until none is left, so uneven items balance. At
+ * width 1 every item runs on the calling thread in index order.
+ * Returns when all items are done. `fn` must confine its writes to
+ * per-index state (e.g. `out[i] = ...`) for the deterministic-
+ * collection guarantee to hold, and must not throw.
  *
  * Every item runs under a LogRunScope tagging warn()/inform() output
- * with its index — in the inline path too, so jobs=1 and jobs=N
- * produce identical log lines for the same item.
+ * with its index, at every width, so jobs=1 and jobs=N produce
+ * identical log lines for the same item. Each call also sets the
+ * `pool.workers` gauge to the crew width and adds each item to
+ * `pool.tasks` and its wall time to `pool.busy_nanos`
+ * (docs/OBSERVABILITY.md).
  */
-template <typename Fn>
-void
-parallelFor(std::size_t n, unsigned jobs, Fn&& fn)
-{
-    if (n == 0)
-        return;
-    const auto width = static_cast<unsigned>(
-        std::min<std::size_t>(jobs, n));
-    if (width <= 1) {
-        for (std::size_t i = 0; i < n; ++i) {
-            LogRunScope scope(static_cast<std::int64_t>(i));
-            fn(i);
-        }
-        return;
-    }
-    ThreadPool pool(width);
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([&fn, i] {
-            LogRunScope scope(static_cast<std::int64_t>(i));
-            fn(i);
-        });
-    }
-    pool.wait();
-}
+void parallelFor(std::size_t n, unsigned jobs,
+                 const std::function<void(std::size_t)>& fn);
 
 } // namespace crnet
 

@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for the parallel experiment engine: job-count resolution
- * (explicit > CRNET_JOBS > sequential default), the thread pool,
- * parallelFor's index-space coverage guarantees, and the ShardCrew
- * that runs one network's sharded cycle.
+ * (explicit > CRNET_JOBS > sequential default), the ShardCrew that
+ * runs one network's sharded cycle, and parallelFor, one crew round
+ * per batch: its index-space coverage guarantees and its threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,38 +102,28 @@ TEST(ResolveJobs, HardwareJobsIsPositive)
     EXPECT_GE(hardwareJobs(), 1u);
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.jobs(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, IsReusableAfterWait)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
     constexpr std::size_t n = 257;  // Not a multiple of the width.
-    // Per-index slots: each index is visited by exactly one task, so
+    // Per-index slots: each index is visited by exactly one thread, so
     // plain (non-atomic) writes are race-free iff coverage is correct.
     std::vector<int> hits(n, 0);
     parallelFor(n, 4, [&hits](std::size_t i) { hits[i] += 1; });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i], 1) << "index " << i;
+}
+
+TEST(ParallelFor, RunsEveryItemOnceAtEveryWidth)
+{
+    // Every width from inline (1) to more threads than the machine may
+    // have: a batch runs each of its items once, none lost or repeated.
+    constexpr std::size_t n = 257;  // Not a multiple of any width.
+    for (unsigned jobs = 1; jobs <= 8; ++jobs) {
+        std::vector<int> hits(n, 0);
+        parallelFor(n, jobs, [&hits](std::size_t i) { hits[i] += 1; });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i], 1) << "jobs=" << jobs << " index " << i;
+    }
 }
 
 TEST(ParallelFor, HandlesMoreJobsThanItems)
@@ -152,8 +144,8 @@ TEST(ParallelFor, EmptyRangeIsANoOp)
 
 TEST(ParallelFor, SequentialWidthRunsInlineInOrder)
 {
-    // jobs=1 must run on the calling thread, in index order — the
-    // zero-overhead sequential path benches rely on.
+    // jobs=1 must run on the calling thread, in index order: a crew
+    // of width 1 starts no thread, and benches rely on that.
     const auto caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
     parallelFor(5, 1, [&](std::size_t i) {
@@ -172,6 +164,52 @@ TEST(ParallelFor, ParallelWritesLandInSubmissionSlots)
     parallelFor(n, 8, [&out](std::size_t i) { out[i] = i * i; });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(out[i], i * i);
+}
+
+TEST(ParallelFor, BackToBackCallsEachRunTheirItems)
+{
+    // Each call builds and tears down its own crew; a call right after
+    // another must neither lose items nor run the previous call's.
+    for (unsigned call = 0; call < 200; ++call) {
+        const std::size_t n = 1 + call % 5;
+        std::vector<int> hits(n, 0);
+        parallelFor(n, 1 + call % 4,
+                    [&hits](std::size_t i) { hits[i] += 1; });
+        ASSERT_EQ(hits, std::vector<int>(n, 1)) << "call " << call;
+    }
+}
+
+TEST(ParallelFor, RunsOnAtMostJobsThreadsWithTheCallerAmongThem)
+{
+    // A jobs=4 batch is one crew round: the caller is index 0 and
+    // three crew threads join it. No item finishes before the caller
+    // has started one (bounded, so a caller that never takes part
+    // fails the checks below instead of hanging), so the caller must
+    // run items even when the crew threads reach the counter first.
+    constexpr std::size_t n = 64;
+    const auto caller = std::this_thread::get_id();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<bool> callerStarted{false};
+    std::vector<std::thread::id> ranOn(n);
+    std::vector<std::uint64_t> sink(n, 0);  // Keeps the uneven work.
+    parallelFor(n, 4, [&](std::size_t i) {
+        const auto self = std::this_thread::get_id();
+        if (self == caller)
+            callerStarted.store(true);
+        while (!callerStarted.load() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        std::uint64_t spin = 0;
+        for (std::uint64_t k = 0; k < (i % 7) * 2000; ++k)
+            spin += k ^ i;
+        sink[i] = spin;
+        ranOn[i] = self;
+    });
+    const std::set<std::thread::id> threads(ranOn.begin(), ranOn.end());
+    EXPECT_EQ(threads.count(std::thread::id{}), 0u) << "an item never ran";
+    EXPECT_LE(threads.size(), 4u);
+    EXPECT_EQ(threads.count(caller), 1u) << "the caller ran no item";
 }
 
 TEST(ShardCrew, EveryIndexRunsOncePerRoundOnItsOwnThread)

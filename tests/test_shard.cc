@@ -16,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.hh"
@@ -249,33 +250,42 @@ TEST(Shard, CampaignAggregatesMatch)
     cc.base.shards = 1;
     std::vector<TrialOutcome> oneTrials;
     const CampaignSummary one = runCampaign(cc, &oneTrials);
-    cc.base.shards = 4;
-    std::vector<TrialOutcome> fourTrials;
-    const CampaignSummary four = runCampaign(cc, &fourTrials);
 
-    EXPECT_EQ(four.trials, one.trials);
-    EXPECT_EQ(four.accountedTrials, one.accountedTrials);
-    EXPECT_EQ(four.deadlockedTrials, one.deadlockedTrials);
-    EXPECT_EQ(four.accepted, one.accepted);
-    EXPECT_EQ(four.delivered, one.delivered);
-    EXPECT_EQ(four.refused, one.refused);
-    EXPECT_EQ(four.pending, one.pending);
-    EXPECT_EQ(four.duplicates, one.duplicates);
-    EXPECT_EQ(four.faultEvents, one.faultEvents);
-    EXPECT_EQ(four.deliveryRate, one.deliveryRate);
-    EXPECT_EQ(four.meanPreFaultLatency, one.meanPreFaultLatency);
-    EXPECT_EQ(four.meanPostFaultLatency, one.meanPostFaultLatency);
-    EXPECT_EQ(four.meanRecoveryCycles, one.meanRecoveryCycles);
-    EXPECT_EQ(four.maxRecoveryCycles, one.maxRecoveryCycles);
-    EXPECT_EQ(four.flitEvents, one.flitEvents);
+    // shards=4 alone, then jobs=2 x shards=2: each trial's network crew
+    // runs inside a thread of the outer parallelFor crew.
+    for (const auto& [jobs, shards] :
+         {std::pair<std::uint32_t, std::uint32_t>{1, 4}, {2, 2}}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                     " shards=" + std::to_string(shards));
+        cc.base.jobs = jobs;
+        cc.base.shards = shards;
+        std::vector<TrialOutcome> trials;
+        const CampaignSummary sum = runCampaign(cc, &trials);
 
-    ASSERT_EQ(fourTrials.size(), oneTrials.size());
-    for (std::size_t i = 0; i < oneTrials.size(); ++i) {
-        EXPECT_EQ(fourTrials[i].delivered, oneTrials[i].delivered);
-        EXPECT_EQ(fourTrials[i].cyclesRun, oneTrials[i].cyclesRun);
-        EXPECT_EQ(fourTrials[i].flitEvents, oneTrials[i].flitEvents);
-        EXPECT_EQ(fourTrials[i].receiverTimeouts,
-                  oneTrials[i].receiverTimeouts);
+        EXPECT_EQ(sum.trials, one.trials);
+        EXPECT_EQ(sum.accountedTrials, one.accountedTrials);
+        EXPECT_EQ(sum.deadlockedTrials, one.deadlockedTrials);
+        EXPECT_EQ(sum.accepted, one.accepted);
+        EXPECT_EQ(sum.delivered, one.delivered);
+        EXPECT_EQ(sum.refused, one.refused);
+        EXPECT_EQ(sum.pending, one.pending);
+        EXPECT_EQ(sum.duplicates, one.duplicates);
+        EXPECT_EQ(sum.faultEvents, one.faultEvents);
+        EXPECT_EQ(sum.deliveryRate, one.deliveryRate);
+        EXPECT_EQ(sum.meanPreFaultLatency, one.meanPreFaultLatency);
+        EXPECT_EQ(sum.meanPostFaultLatency, one.meanPostFaultLatency);
+        EXPECT_EQ(sum.meanRecoveryCycles, one.meanRecoveryCycles);
+        EXPECT_EQ(sum.maxRecoveryCycles, one.maxRecoveryCycles);
+        EXPECT_EQ(sum.flitEvents, one.flitEvents);
+
+        ASSERT_EQ(trials.size(), oneTrials.size());
+        for (std::size_t i = 0; i < oneTrials.size(); ++i) {
+            EXPECT_EQ(trials[i].delivered, oneTrials[i].delivered);
+            EXPECT_EQ(trials[i].cyclesRun, oneTrials[i].cyclesRun);
+            EXPECT_EQ(trials[i].flitEvents, oneTrials[i].flitEvents);
+            EXPECT_EQ(trials[i].receiverTimeouts,
+                      oneTrials[i].receiverTimeouts);
+        }
     }
 }
 

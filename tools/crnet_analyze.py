@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""crnet-analyze: annotation-driven whole-program static analysis.
+"""crnet-analyze: the static checker for the crnet tree.
 
 Enforces, on every path of the call graph rooted at the annotated
 entry points (src/core/annotations.hh), the properties the runtime
@@ -19,15 +19,34 @@ suite only spot-checks:
                  state in src/ outside registered singletons.
                  Whole-tree rule.
 
-CRNET_ALLOW(rule, reason) suppresses one rule inside the annotated
-function (or variable) and stops propagation of that rule through it.
-The reason string is mandatory; an empty reason is itself a violation
-(rule `allow-missing-reason`).
+and, file by file, four token rules (no suppression; each has its
+one exempt file):
+
+  raw-random     No rand()/srand()/random() call or std::mt19937
+                 engine in src/, tests/, bench/, examples/ or tools/
+                 outside src/sim/rng.hh: every experiment is seeded
+                 through SimConfig.
+  raw-output     No printf/fprintf/puts/perror, cout/cerr/clog or
+                 abort() call in src/ outside log.hh: library code
+                 reports through src/sim/log.hh, and panic() aborts
+                 after reporting.
+  raw-assert     No assert() in src/: invariants use panic(), which
+                 fires in every build type (assert is compiled out
+                 under NDEBUG).
+  include-guard  Every src/ header is guarded by CRNET_<PATH>_HH, its
+                 path under src/.
+
+CRNET_ALLOW(rule, reason) suppresses one call-graph or whole-tree rule
+inside the annotated function (or variable) and stops propagation of
+that rule through it. The reason string is mandatory; an empty reason
+is itself a violation (rule `allow-missing-reason`).
 
 The frontend is a self-contained C++ tokenizer + declaration scanner
 with no toolchain dependency: it recognizes the CRNET_* macros
-textually, so it produces identical reports on any host. A report
-line reads `file:line: rule: detail [chain: root -> ... -> fn]`.
+textually, so it produces identical reports on any host. The token
+rules read the same tokens, so comments and string literals never
+trip them. A report line reads
+`file:line: rule: detail [chain: root -> ... -> fn]`.
 
 Exit status: 0 = clean, 1 = violations reported, 2 = usage error.
 """
@@ -890,7 +909,83 @@ def analyze(program: Program) -> list:
     violations += whole_tree(program, "wallclock")
     violations += global_state_violations(program)
     violations += allow_reason_violations(program)
-    violations.sort(key=lambda v: (v.file, v.line, v.rule, v.detail))
+    return violations
+
+
+# --------------------------------------------------------------------------
+# Token rules (file by file)
+# --------------------------------------------------------------------------
+
+CPP_SUFFIXES = (".cc", ".hh", ".cpp", ".hpp", ".h")
+HEADER_SUFFIXES = (".hh", ".hpp", ".h")
+
+# Trees the token rules read. The fixture corpus holds planted
+# violations by design, so only its own fixture runs read it.
+TOKEN_RULE_DIRS = ("src", "tests", "bench", "examples", "tools")
+FIXTURE_DIR = Path("tests") / "analyze_fixtures"
+
+RAW_RANDOM_ENGINES = {"mt19937", "mt19937_64"}
+RAW_RANDOM_CALLS = {"rand", "srand", "random"}
+RAW_OUTPUT_NAMES = {"printf", "fprintf", "puts", "perror",
+                    "cout", "cerr", "clog"}
+
+
+def expected_guard(rel: Path) -> str:
+    """CRNET_<PATH>_HH for the header at `rel` (under src/)."""
+    parts = [p.upper().replace("-", "_").replace(".", "_")
+             for p in rel.parts[1:]]
+    return "CRNET_" + "_".join(parts)
+
+
+def include_guard_violation(rel: Path, toks: list) -> Violation | None:
+    """The header's first `#ifndef NAME` must name its guard."""
+    want = expected_guard(rel)
+    for i in range(len(toks) - 2):
+        if toks[i].text == "#" and toks[i + 1].text == "ifndef":
+            name = toks[i + 2].text
+            if name == want:
+                return None
+            return Violation(str(rel), toks[i].line, "include-guard",
+                             f"{name} should be {want}", [])
+    return Violation(str(rel), 1, "include-guard",
+                     f"missing include guard ({want})", [])
+
+
+def token_rule_violations(root: Path, files: list) -> list:
+    violations = []
+    for path in files:
+        rel = path.relative_to(root)
+        toks = tokenize(path.read_text(encoding="utf-8", errors="replace"))
+        in_src = rel.parts[0] == "src"
+        check_random = rel != Path("src/sim/rng.hh")
+        check_output = in_src and rel.name != "log.hh"
+
+        def report(tok: Tok, rule: str, detail: str) -> None:
+            violations.append(Violation(str(rel), tok.line, rule,
+                                        detail, []))
+
+        for i, t in enumerate(toks):
+            if t.kind != "id":
+                continue
+            call = i + 1 < len(toks) and toks[i + 1].text == "("
+            if check_random and (t.text in RAW_RANDOM_ENGINES or (
+                    call and t.text in RAW_RANDOM_CALLS)):
+                report(t, "raw-random",
+                       f"{t.text}{'()' if call else ''}; "
+                       "use src/sim/rng.hh")
+            if check_output and (t.text in RAW_OUTPUT_NAMES or (
+                    call and t.text == "abort")):
+                report(t, "raw-output",
+                       f"{t.text}{'()' if call else ''}; "
+                       "use src/sim/log.hh")
+            if in_src and call and t.text == "assert" \
+                    and toks[i - 1].text != ".":
+                report(t, "raw-assert",
+                       "assert(); use panic() (active in all builds)")
+        if in_src and path.suffix in HEADER_SUFFIXES:
+            v = include_guard_violation(rel, toks)
+            if v is not None:
+                violations.append(v)
     return violations
 
 
@@ -898,19 +993,22 @@ def analyze(program: Program) -> list:
 # Driver
 # --------------------------------------------------------------------------
 
-def collect_sources(root: Path) -> list:
-    src = root / "src"
-    if not src.is_dir():
-        return []
-    return sorted(p for p in src.rglob("*")
-                  if p.suffix in (".cc", ".hh", ".cpp", ".hpp", ".h")
-                  and p.is_file())
+def collect_sources(root: Path, tops: tuple) -> list:
+    files = []
+    for top in tops:
+        base = root / top
+        if base.is_dir():
+            files += [p for p in base.rglob("*")
+                      if p.suffix in CPP_SUFFIXES and p.is_file()
+                      and not p.relative_to(root).is_relative_to(
+                          FIXTURE_DIR)]
+    return sorted(files)
 
 
 def main(argv: list) -> int:
     ap = argparse.ArgumentParser(
         prog="crnet_analyze.py",
-        description="Annotation-driven static analysis over src/.")
+        description="Static checks over the crnet tree.")
     ap.add_argument("root", nargs="?", default=".",
                     help="repository root (contains src/)")
     ap.add_argument("--report", metavar="FILE",
@@ -918,16 +1016,19 @@ def main(argv: list) -> int:
     args = ap.parse_args(argv[1:])
 
     root = Path(args.root).resolve()
-    files = collect_sources(root)
-    if not files:
+    src_files = collect_sources(root, ("src",))
+    if not src_files:
         print(f"crnet_analyze: no C++ sources under {root}/src",
               file=sys.stderr)
         return 2
+    files = collect_sources(root, TOKEN_RULE_DIRS)
 
-    program = InternalFrontend(root, files).run()
-    violations = analyze(program)
+    program = InternalFrontend(root, src_files).run()
+    violations = analyze(program) + token_rule_violations(root, files)
+    violations.sort(key=lambda v: (v.file, v.line, v.rule, v.detail))
     lines = [v.render() for v in violations]
-    summary = (f"crnet_analyze: {len(files)} files, "
+    summary = (f"crnet_analyze: {len(files)} files "
+               f"({len(src_files)} in src/), "
                f"{len(program.functions)} functions, "
                f"{len(violations)} violation(s)")
     out = "\n".join(lines + [summary]) + "\n"
