@@ -194,11 +194,6 @@ runOne(const SimConfig& cfg)
     return sweep({cfg}).front();
 }
 
-/**
- * Machine-parseable wall-clock footer (one line, no commas — the
- * `csv:` block scanner stops at it). tools/bench_report.py collects
- * these into BENCH_pr3.json to track the perf trajectory.
- */
 /** Process peak resident set in kB (getrusage; 0 when unavailable). */
 inline long
 peakRssKb()
@@ -209,6 +204,11 @@ peakRssKb()
     return ru.ru_maxrss;  // Linux reports kilobytes.
 }
 
+/**
+ * Machine-parseable wall-clock footer (one line, no commas — the
+ * `csv:` block scanner stops at it): the bench's host time and work
+ * rate, read by people and by the byte-diffs that strip it.
+ */
 inline void
 timingFooter()
 {

@@ -11,8 +11,7 @@
  *
  * This regime is also the active-set scheduler's best case — most
  * components are asleep on most cycles — so the bench doubles as the
- * perf-report sweep for scheduler speedup at low load (see
- * docs/PERFORMANCE.md and tools/bench_report.py).
+ * measure of scheduler speedup at low load (docs/PERFORMANCE.md §6).
  */
 
 #include "bench/bench_common.hh"

@@ -75,38 +75,6 @@ main(int argc, char** argv)
         }
         emit(t);
     }
-    // Warm-start forking (docs/ROBUSTNESS.md): replicate the deep CR
-    // operating point cold (every replication pays its own warmup)
-    // and warm (one warmup, snapshot, fork + reseed), and report the
-    // measured wall-clock win. The machine-parseable footer is picked
-    // up by tools/extract_csv.py.
-    {
-        SimConfig deep = base;
-        deep.routing = RoutingKind::MinimalAdaptive;
-        deep.protocol = ProtocolKind::Cr;
-        deep.numVcs = 2;
-        deep.messageLength = 16;
-        deep.timeout = 16;
-        deep.injectionRate = 0.45;
-        const ReplicatedResult cold = runReplicated(deep, 5);
-        const ReplicatedResult warmed = runReplicatedWarm(deep, 5);
-        record(cold);
-        record(warmed);
-        const double speedup = warmed.wallSeconds > 0.0
-            ? cold.wallSeconds / warmed.wallSeconds
-            : 0.0;
-        std::printf("warm-start forking (5 reps, CR 16-flit @0.45): "
-                    "cold %.3fs, warm %.3fs (%.2fx); warm latency "
-                    "%.0f +- %.0f vs cold %.0f +- %.0f\n",
-                    cold.wallSeconds, warmed.wallSeconds, speedup,
-                    warmed.meanLatency, warmed.latencyCi95,
-                    cold.meanLatency, cold.latencyCi95);
-        std::printf("warmstart: cold_s=%.6f warm_s=%.6f speedup=%.4f "
-                    "cold_lat=%.4f warm_lat=%.4f\n",
-                    cold.wallSeconds, warmed.wallSeconds, speedup,
-                    cold.meanLatency, warmed.meanLatency);
-    }
-
     std::printf("expected shape: CR saturation load > Duato > DOR; "
                 "intervals small enough\nthat the ordering is not "
                 "noise.\n");

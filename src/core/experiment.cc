@@ -9,7 +9,6 @@
 #include "src/core/annotations.hh"
 #include "src/sim/log.hh"
 #include "src/sim/parallel.hh"
-#include "src/sim/snapshot.hh"
 #include "src/sim/telemetry.hh"
 #include "src/sim/trace.hh"
 #include "src/sim/walltime.hh"
@@ -50,9 +49,6 @@ summarize(const Network& net, bool drained, Cycle cycles)
     r.padOverhead = s.padOverhead.mean();
     r.escapeAllocations = s.router.escapeAllocations.value();
     r.misrouteHops = s.router.misrouteHops.value();
-    r.corruptions = net.config().transientFaultRate > 0.0
-        ? s.refusals.value() + s.corruptedDeliveries.value()
-        : 0;
     r.corruptedDeliveries = s.corruptedDeliveries.value();
     r.orderViolations = s.orderViolations.value();
     r.duplicateDeliveries = s.duplicateDeliveries.value();
@@ -250,56 +246,6 @@ runReplicated(SimConfig cfg, std::uint32_t replications)
     for (std::uint32_t i = 0; i < replications; ++i)
         points[i].seed = cfg.seed + i;
     const std::vector<RunResult> runs = runMany(points);
-    ReplicatedResult out = foldReplications(runs);
-    out.wallSeconds = timer.seconds();
-    return out;
-}
-
-ReplicatedResult
-runReplicatedWarm(SimConfig cfg, std::uint32_t replications)
-{
-    if (replications == 0)
-        fatal("runReplicatedWarm needs at least one replication");
-    const WallTimer timer;
-
-    // Shared warmup: drain one network to steady state and snapshot
-    // it in memory. Every replication forks from these bytes.
-    Snapshot warm;
-    {
-        Network net(cfg);
-        net.setMeasuring(false);
-        net.run(cfg.warmupCycles);
-        warm = captureSnapshot(net);
-    }
-
-    std::vector<RunResult> runs(replications);
-    parallelFor(replications, resolveJobs(cfg.jobs),
-                [&](std::size_t i) {
-                    // Per-fork trace sink, mirroring runMany: jobs=N
-                    // writes N distinct files.
-                    SimConfig forked = cfg;
-                    if (replications > 1) {
-                        const std::string prefix =
-                            Tracer::resolvePrefix(forked);
-                        if (!prefix.empty())
-                            forked.traceFile =
-                                prefix + "_run" + std::to_string(i);
-                    }
-                    Network net(forked);
-                    // Per-fork profiler; the shared warmup is not
-                    // attributed (it ran once, before the forks).
-                    TickProfiler prof;
-                    if (forked.profileEnabled)
-                        net.attachProfiler(&prof);
-                    const std::string err =
-                        restoreSnapshot(net, warm);
-                    if (!err.empty())
-                        fatal("warm-start restore failed: ", err);
-                    net.reseedStreams(cfg.seed + i);
-                    runs[i] = measureAndDrain(
-                        net, forked,
-                        forked.profileEnabled ? &prof : nullptr);
-                });
     ReplicatedResult out = foldReplications(runs);
     out.wallSeconds = timer.seconds();
     return out;

@@ -109,21 +109,6 @@ struct ReplicatedResult
 ReplicatedResult runReplicated(SimConfig cfg,
                                std::uint32_t replications = 5);
 
-/**
- * Warm-start variant of runReplicated: run the warmup phase *once*,
- * snapshot the steady-state network (src/sim/snapshot.hh), then fork
- * every replication from that snapshot with reseeded RNG streams
- * (Network::reseedStreams; seeds seed, seed+1, ...) and run only its
- * measure + drain phases. Statistically equivalent to runReplicated —
- * each replication still sees an independently-seeded steady-state
- * workload — while paying for the warmup once instead of n times;
- * bench_tab_saturation reports the measured speedup. Not bit-identical
- * to runReplicated (the cold variant re-randomizes the warmup too),
- * but deterministic for a fixed (cfg, replications) pair.
- */
-ReplicatedResult runReplicatedWarm(SimConfig cfg,
-                                   std::uint32_t replications = 5);
-
 } // namespace crnet
 
 #endif // CRNET_CORE_EXPERIMENT_HH

@@ -98,7 +98,6 @@ struct RunResult
     std::uint64_t pathWideKills = 0;
     std::uint64_t escapeAllocations = 0;  //!< Duato PDS proxy.
     std::uint64_t misrouteHops = 0;
-    std::uint64_t corruptions = 0;
     std::uint64_t corruptedDeliveries = 0;
     std::uint64_t orderViolations = 0;
     std::uint64_t duplicateDeliveries = 0;

@@ -2015,20 +2015,4 @@ Network::loadState(StateReader& r)
     }
 }
 
-void
-Network::reseedStreams(std::uint64_t seed)
-{
-    // Exactly the constructor's fork order (the schedule fork is
-    // deliberately skipped: a warm-started measure phase keeps the
-    // restored fault timeline).
-    Rng root(seed);
-    faults_->setRng(root.fork());
-    generator_->setRng(root.fork());
-    const NodeId n = topo_->numNodes();
-    for (NodeId id = 0; id < n; ++id) {
-        routers_[id]->setRng(root.fork());
-        injectors_[id]->setRng(root.fork());
-    }
-}
-
 } // namespace crnet

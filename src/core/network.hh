@@ -211,14 +211,6 @@ class Network
     CRNET_RESULT_AFFECTING
     void loadState(StateReader& r);
 
-    /**
-     * Re-fork every RNG stream from a fresh root seed, in exactly the
-     * constructor's fork order (warm-start forking: restore one
-     * drained-to-steady-state snapshot many times, then give each
-     * fork its own measurement randomness).
-     */
-    void reseedStreams(std::uint64_t seed);
-
   private:
     // Staged (next-cycle) deliveries.
     struct PendingFlit

@@ -141,9 +141,6 @@ class FaultModel
     void saveState(StateWriter& w) const;
     void loadState(StateReader& r);
 
-    /** Replace the RNG stream (warm-start reseeding). */
-    void setRng(const Rng& rng) { rng_ = rng; }
-
   private:
     std::size_t index(NodeId node, PortId port) const;
     std::uint32_t healthyDegree(NodeId node) const;

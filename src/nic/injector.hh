@@ -182,9 +182,6 @@ class Injector
     void saveState(StateWriter& w) const;
     void loadState(StateReader& r);
 
-    /** Replace the RNG stream (warm-start reseeding). */
-    void setRng(const Rng& rng) { rng_ = rng; }
-
   private:
     struct Slot
     {

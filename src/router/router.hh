@@ -381,9 +381,6 @@ class Router
     void saveState(StateWriter& w) const;
     void loadState(StateReader& r);
 
-    /** Replace the RNG stream (warm-start reseeding). */
-    void setRng(const Rng& rng) { rng_ = rng; }
-
   private:
     /** Bind the pool slice at `index` and initialize its fields. */
     void attach(StatePool& pool, std::uint64_t index);

@@ -90,9 +90,6 @@ class TrafficGenerator
     void saveState(StateWriter& w) const;
     void loadState(StateReader& r);
 
-    /** Replace the RNG stream (warm-start reseeding). */
-    void setRng(const Rng& rng) { rng_ = rng; }
-
   private:
     std::uint32_t drawLength();
     CRNET_ALLOW("alloc",

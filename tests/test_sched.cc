@@ -64,7 +64,6 @@ expectSameResult(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.pathWideKills, b.pathWideKills);
     EXPECT_EQ(a.escapeAllocations, b.escapeAllocations);
     EXPECT_EQ(a.misrouteHops, b.misrouteHops);
-    EXPECT_EQ(a.corruptions, b.corruptions);
     EXPECT_EQ(a.corruptedDeliveries, b.corruptedDeliveries);
     EXPECT_EQ(a.orderViolations, b.orderViolations);
     EXPECT_EQ(a.duplicateDeliveries, b.duplicateDeliveries);

@@ -150,29 +150,6 @@ TEST(SnapshotIdentity, TracedRunSurvivesRestore)
     EXPECT_TRUE(straight == hopped);
 }
 
-TEST(SnapshotIdentity, WarmForksAreDeterministicAndDiverge)
-{
-    const SimConfig cfg = snapConfig(SchedulerKind::Active);
-    Network warm(cfg);
-    warm.setMeasuring(false);
-    warm.run(150);
-    const Snapshot snap = captureSnapshot(warm);
-
-    auto fork = [&](std::uint64_t seed) {
-        Network net(cfg);
-        EXPECT_EQ(restoreSnapshot(net, snap), "");
-        net.reseedStreams(seed);
-        net.setMeasuring(true);
-        net.run(400);
-        return captureSnapshot(net).payload;
-    };
-    const auto f1 = fork(1234);
-    const auto f2 = fork(1234);
-    const auto f3 = fork(4321);
-    EXPECT_TRUE(f1 == f2);  // Same reseed: bit-identical.
-    EXPECT_FALSE(f1 == f3);  // Different reseed: a different world.
-}
-
 TEST(Snapshot, RefusesMismatchedConfig)
 {
     const SimConfig cfg = snapConfig(SchedulerKind::Active);

@@ -7,10 +7,13 @@ crash-resume test uses), with the status file enabled:
   1. Runs a campaign with status_interval=0 (rewrite on every update)
      and validates the final status.json against the documented
      crnet-status-v1 schema (docs/OBSERVABILITY.md): required keys,
-     types, state=done, and internally-consistent counts.
+     types, state=done, and internally-consistent counts. The tools
+     read it too: tools/crnet_top.py --once renders it, and
+     tools/extract_csv.py splits it into one CSV row per trial.
   2. Polls the file while a campaign runs, parsing every read: writes
      go through atomicWriteFile, so a reader must never see a torn or
-     half-written file, only a missing one.
+     half-written file, only a missing one. crnet_top --once renders
+     one mid-run read.
   3. SIGKILLs a campaign mid-flight — with rewrites happening as often
      as possible — and asserts the file left on disk still parses and
      validates: the atomic rename can be interrupted, the visible file
@@ -33,6 +36,7 @@ import tempfile
 import time
 from pathlib import Path
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 TRIALS = 12
 SEED_BASE = 7
 
@@ -142,6 +146,17 @@ def run_helper(helper, **kwargs):
     return "\n".join(kept) + "\n"
 
 
+def run_tool(name, *args):
+    """Run one tools/ script; return its standard output."""
+    proc = subprocess.run([sys.executable, str(TOOLS / name), *args],
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode != 0:
+        raise AssertionError(
+            f"{name} failed ({proc.returncode}):\n{proc.stdout}"
+            f"\n{proc.stderr}")
+    return proc.stdout
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__)
@@ -172,6 +187,17 @@ def main():
             if final["kind"] != "campaign":
                 failures.append(
                     f"final kind is {final['kind']!r}")
+        shown = run_tool("crnet_top.py", status_path, "--once")
+        if f"{TRIALS}/{TRIALS} done" not in shown:
+            failures.append(f"crnet_top on the final file:\n{shown}")
+        csv_dir = os.path.join(tmp, "csv")
+        run_tool("extract_csv.py", status_path, csv_dir)
+        with open(os.path.join(csv_dir, "status__status.csv"),
+                  encoding="utf-8") as f:
+            rows = f.read().splitlines()[1:]
+        if len(rows) != TRIALS:
+            failures.append(f"extract_csv wrote {len(rows)} trial "
+                            f"rows, expected {TRIALS}")
 
         # 2. Live polling: every successful read must parse and
         # validate — atomic rewrites leave no torn intermediate state.
@@ -180,11 +206,13 @@ def main():
             helper_cmd(helper, status=live_path),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         reads = 0
+        mid_run = None
         try:
             while proc.poll() is None:
                 try:
                     with open(live_path, encoding="utf-8") as f:
-                        snap = json.load(f)
+                        text = f.read()
+                    snap = json.loads(text)
                 except OSError:
                     time.sleep(0.001)
                     continue  # Not created yet / mid-rename.
@@ -193,15 +221,24 @@ def main():
                     break
                 reads += 1
                 failures += validate(snap, f"live read {reads}")
+                if mid_run is None and snap.get("state") == "running":
+                    mid_run = text
                 time.sleep(0.001)
             proc.wait(timeout=600)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=60)
-        if reads == 0:
-            print("note: campaign finished before any live read; "
+        if mid_run is None:
+            print("note: campaign finished before any mid-run read; "
                   "final-state coverage only this run")
+        else:
+            mid_path = os.path.join(tmp, "mid.json")
+            with open(mid_path, "w", encoding="utf-8") as f:
+                f.write(mid_run)
+            shown = run_tool("crnet_top.py", mid_path, "--once")
+            if " running" not in shown:
+                failures.append(f"crnet_top on a mid-run read:\n{shown}")
 
         # 3. SIGKILL mid-run, with the status file rewritten as often
         # as possible: whatever survives on disk must still be valid.

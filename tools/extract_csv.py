@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Split a bench_output.txt into per-table CSV files.
+"""Split bench output into per-table CSV files.
 
 Every crnet bench prints each results table twice: once aligned for
-reading, once as CSV after a `csv:` marker. This script walks the
-combined output of the whole suite and writes each CSV block to
+reading, once as CSV after a `csv:` marker. This script walks one
+bench's output, or the combined output of several benches separated by
+`===== name =====` header lines, and writes each CSV block to
   <outdir>/<bench>__<nn>.csv
 so the numbers can be plotted or diffed without re-running anything.
-Single-line key=value footers (`warmstart:`, `profile:`) become
-one-row CSVs the same way.
+Output with no header line is one bench named after the file stem.
+The single-line key=value `profile:` footers become one-row CSVs the
+same way. The exit code is 1 when the file holds no block at all.
 
 Given a live-status JSON file instead (the `status=` config key;
 schema crnet-status-v1, docs/OBSERVABILITY.md), the recent-units
@@ -24,15 +26,28 @@ import re
 import sys
 
 
-def split_benches(text):
-    """Yield (bench_name, body) for each '===== name =====' section."""
+# Marker line -> file-name tag of each multi-row CSV block: results
+# tables, per-trial campaign rows, interval-sampled telemetry and
+# channel-heat snapshots (docs/OBSERVABILITY.md).
+BLOCKS = (("csv:", ""), ("campaign-trials:", "trials"),
+          ("timeseries:", "ts"), ("heatmap:", "heatmap"))
+
+
+def split_benches(text, stem):
+    """Yield (bench_name, body) for each '===== name =====' section.
+
+    Text without any header line is one section named `stem`.
+    """
     parts = re.split(r"^===== (.+?) =====$", text, flags=re.M)
+    if len(parts) == 1:
+        yield stem, text
+        return
     # parts[0] is any preamble; then alternating name, body.
     for i in range(1, len(parts) - 1, 2):
         yield parts[i].strip(), parts[i + 1]
 
 
-def csv_blocks(body, marker="csv:"):
+def csv_blocks(body, marker):
     """Yield consecutive CSV line blocks following `marker` lines."""
     lines = body.splitlines()
     i = 0
@@ -50,12 +65,7 @@ def csv_blocks(body, marker="csv:"):
 
 
 def kv_lines(body, marker):
-    """Yield dicts parsed from single-line `marker key=v key=v` rows.
-
-    Used for the `warmstart:` footer bench_tab_saturation prints after
-    its cold-vs-warm replication comparison (docs/ROBUSTNESS.md): one
-    line of key=value pairs rather than a multi-row CSV block.
-    """
+    """Yield dicts parsed from single-line `marker key=v key=v` rows."""
     for line in body.splitlines():
         line = line.strip()
         if not line.startswith(marker):
@@ -111,43 +121,17 @@ def main():
     with open(src, encoding="utf-8", errors="replace") as f:
         text = f.read()
 
+    stem = os.path.splitext(os.path.basename(src))[0]
     os.makedirs(outdir, exist_ok=True)
     written = 0
-    for bench, body in split_benches(text):
+    for bench, body in split_benches(text, stem):
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", bench)
-        for n, block in enumerate(csv_blocks(body)):
-            path = os.path.join(outdir, f"{safe}__{n:02d}.csv")
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(block)
-            written += 1
-        # Fault campaigns also emit one row per trial after a
-        # `campaign-trials:` marker; keep those in their own file.
-        for n, block in enumerate(csv_blocks(body, "campaign-trials:")):
-            path = os.path.join(outdir, f"{safe}__trials{n:02d}.csv")
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(block)
-            written += 1
-        # Interval-sampled telemetry (`timeseries:`) and channel-heat
-        # snapshots (`heatmap:`) — see docs/OBSERVABILITY.md.
-        for n, block in enumerate(csv_blocks(body, "timeseries:")):
-            path = os.path.join(outdir, f"{safe}__ts{n:02d}.csv")
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(block)
-            written += 1
-        for n, block in enumerate(csv_blocks(body, "heatmap:")):
-            path = os.path.join(outdir, f"{safe}__heatmap{n:02d}.csv")
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(block)
-            written += 1
-        # Warm-start comparison footers (`warmstart: cold_s=... ...`)
-        # collapse into a single CSV per bench so speedups can be
-        # tracked across runs (docs/ROBUSTNESS.md).
-        warm = list(kv_lines(body, "warmstart:"))
-        if warm:
-            path = os.path.join(outdir, f"{safe}__warmstart.csv")
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(kv_csv(warm))
-            written += 1
+        for marker, tag in BLOCKS:
+            for n, block in enumerate(csv_blocks(body, marker)):
+                path = os.path.join(outdir, f"{safe}__{tag}{n:02d}.csv")
+                with open(path, "w", encoding="utf-8") as out:
+                    out.write(block)
+                written += 1
         # Self-profiler footers (`profile: warmup_s=... ...`) — one
         # row per footer so the per-phase wall-time attribution can be
         # tracked alongside the results (docs/OBSERVABILITY.md).
@@ -157,6 +141,9 @@ def main():
             with open(path, "w", encoding="utf-8") as out:
                 out.write(kv_csv(prof))
             written += 1
+    if not written:
+        sys.exit(f"{src}: no csv:, campaign-trials:, timeseries:, "
+                 "heatmap: or profile: block found")
     print(f"wrote {written} CSV files to {outdir}/")
 
 
