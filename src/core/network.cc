@@ -114,6 +114,21 @@ resetCounters(NetworkStats& blk)
         (blk.*field).reset();
 }
 
+/**
+ * Stage the header a component outbox holds at `at` (kNoHeader: the
+ * flit is no head) in a segment's header lane; returns its index there.
+ */
+template <typename Segment>
+std::uint32_t
+stageHeader(Segment& seg, const std::vector<WormHeader>& from,
+            std::uint32_t at)
+{
+    if (at == kNoHeader)
+        return kNoHeader;
+    seg.headers.push_back(from[at]);
+    return static_cast<std::uint32_t>(seg.headers.size() - 1);
+}
+
 } // namespace
 
 void
@@ -124,6 +139,8 @@ Network::Segment::openRun()
     const auto mark = [this](auto& lane) {
         lane.runStart[runs] =
             static_cast<std::uint32_t>(lane.events.size());
+        lane.remoteStart[runs] =
+            static_cast<std::uint32_t>(lane.remote.size());
     };
     mark(flits);
     mark(recvFlits);
@@ -137,12 +154,17 @@ Network::Segment::openRun()
 void
 Network::Segment::clear()
 {
-    flits.events.clear();
-    recvFlits.events.clear();
-    credits.events.clear();
-    injCredits.events.clear();
-    bkills.events.clear();
-    aborts.events.clear();
+    const auto reset = [](auto& lane) {
+        lane.events.clear();
+        lane.remote.clear();
+    };
+    reset(flits);
+    reset(recvFlits);
+    reset(credits);
+    reset(injCredits);
+    reset(bkills);
+    reset(aborts);
+    headers.clear();
     runs = 0;
 }
 
@@ -187,7 +209,47 @@ Network::forEachInOrder(W& wave, Lane<T> Segment::*lane, Fn&& fn)
             const std::size_t end =
                 r + 1 < runs ? l.runStart[r + 1] : l.events.size();
             for (std::size_t i = l.runStart[r]; i < end; ++i)
-                fn(l.events[i]);
+                fn(l.events[i], seg);
+        }
+    }
+}
+
+template <typename T, typename Fn>
+void
+Network::forEachAddressed(Wave& wave, Lane<T> Segment::*lane,
+                          unsigned owner, Fn&& fn)
+{
+    if (owner == kAllShards) {
+        forEachInOrder(wave, lane, fn);
+        return;
+    }
+    // One unsigned compare: node - begin wraps above span when
+    // node < begin.
+    const NodeId begin = shardCtx_[owner].begin;
+    const NodeId span = shardCtx_[owner].end - begin;
+    const std::uint32_t runs = wave.segs.front().runs;
+    for (std::uint32_t r = 0; r < runs; ++r) {
+        for (unsigned t = 0; t < wave.segs.size(); ++t) {
+            Segment& seg = wave.segs[t];
+            Lane<T>& l = seg.*lane;
+            const bool last = r + 1 == runs;
+            if (t == owner) {
+                // Own events, less the few addressed elsewhere.
+                const std::size_t end =
+                    last ? l.events.size() : l.runStart[r + 1];
+                for (std::size_t i = l.runStart[r]; i < end; ++i) {
+                    if (l.events[i].node - begin < span)
+                        fn(l.events[i], seg);
+                }
+                continue;
+            }
+            const std::size_t end =
+                last ? l.remote.size() : l.remoteStart[r + 1];
+            for (std::size_t j = l.remoteStart[r]; j < end; ++j) {
+                T& e = l.events[l.remote[j]];
+                if (e.node - begin < span)
+                    fn(e, seg);
+            }
         }
     }
 }
@@ -272,6 +334,22 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         const std::size_t inj = cfg_.injectionChannels;
         const std::size_t ej = cfg_.ejectionChannels;
         const std::size_t vcs = cfg_.numVcs;
+        // A shard's remote events are its routers' hops, credits and
+        // backward kills over channels that leave its range: one flit
+        // or credit per such channel per cycle, one bkill per its VC.
+        std::vector<std::size_t> cross(shards_, 0);
+        for (unsigned s = 0; s < shards_; ++s) {
+            const ShardCtx& ctx = shardCtx_[s];
+            for (NodeId id = ctx.begin; id < ctx.end; ++id) {
+                for (PortId p = 0; p < netPorts_; ++p) {
+                    const NodeId nbr = neighborOf(id, p);
+                    if (nbr != kInvalidNode &&
+                        nbr - ctx.begin >= ctx.end - ctx.begin) {
+                        ++cross[s];
+                    }
+                }
+            }
+        }
         for (Wave& w : buckets_) {
             w.segs = std::vector<Segment>(shards_);
             for (unsigned s = 0; s < shards_; ++s) {
@@ -285,6 +363,10 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
                 seg.bkills.events.reserve(range * (netPorts_ + ej) *
                                           vcs);
                 seg.aborts.events.reserve(range * inj * vcs);
+                seg.headers.reserve(range * (inj + netPorts_ + ej));
+                seg.flits.remote.reserve(cross[s]);
+                seg.credits.remote.reserve(cross[s]);
+                seg.bkills.remote.reserve(cross[s] * vcs);
             }
         }
     }
@@ -428,20 +510,16 @@ Network::popDueDeadlines()
 }
 
 void
-Network::deliver(NodeId begin, NodeId end, unsigned kinds)
+Network::deliver(unsigned owner, unsigned kinds)
 {
     const PortId net_ports = netPorts_;
     Wave& cur = bucketOf(now_);
-    // One unsigned compare: node - begin wraps above span when
-    // node < begin.
-    const NodeId span = end - begin;
-    const auto mine = [begin, span](NodeId node) {
-        return node - begin < span;
+    const auto headerOf = [](const auto& p, const Segment& seg) {
+        return p.header == kNoHeader ? nullptr : &seg.headers[p.header];
     };
     if ((kinds & kToRouters) != 0) {
-        forEachInOrder(cur, &Segment::flits, [&](PendingFlit& p) {
-            if (!mine(p.node))
-                return;
+        forEachAddressed(cur, &Segment::flits, owner,
+                         [&](PendingFlit& p, const Segment& seg) {
             const bool network_hop = p.inPort < net_ports;
             if (dynamicFaults_ && network_hop) {
                 // A flit in flight on a channel that died under it is
@@ -469,24 +547,23 @@ Network::deliver(NodeId begin, NodeId end, unsigned kinds)
             }
             if (network_hop && p.flit.isData())
                 faults_->maybeCorrupt(p.flit);
-            routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit);
+            routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit,
+                                         headerOf(p, seg));
             wakeRouter(p.node);
         });
     }
     if ((kinds & kToReceivers) != 0) {
-        forEachInOrder(cur, &Segment::recvFlits,
-                       [&](const PendingRecvFlit& p) {
-            if (!mine(p.node))
-                return;
-            receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit);
+        forEachAddressed(cur, &Segment::recvFlits, owner,
+                         [&](const PendingRecvFlit& p,
+                             const Segment& seg) {
+            receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit,
+                                           headerOf(p, seg));
             wakeReceiver(p.node);
         });
     }
     if ((kinds & kToRouters) != 0) {
-        forEachInOrder(cur, &Segment::credits,
-                       [&](const PendingCredit& p) {
-            if (!mine(p.node))
-                return;
+        forEachAddressed(cur, &Segment::credits, owner,
+                         [&](const PendingCredit& p, const Segment&) {
             if (dynamicFaults_ && p.outPort < net_ports &&
                 !faults_->linkOk(p.node, p.outPort)) {
                 stats_.controlAbsorbedAtDeadLinks.inc();
@@ -497,19 +574,15 @@ Network::deliver(NodeId begin, NodeId end, unsigned kinds)
         });
     }
     if ((kinds & kToInjectors) != 0) {
-        forEachInOrder(cur, &Segment::injCredits,
-                       [&](const PendingInjCredit& p) {
-            if (!mine(p.node))
-                return;
+        forEachAddressed(cur, &Segment::injCredits, owner,
+                         [&](const PendingInjCredit& p, const Segment&) {
             injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
             wakeInjector(p.node);
         });
     }
     if ((kinds & kToRouters) != 0) {
-        forEachInOrder(cur, &Segment::bkills,
-                       [&](const PendingBkill& p) {
-            if (!mine(p.node))
-                return;
+        forEachAddressed(cur, &Segment::bkills, owner,
+                         [&](const PendingBkill& p, const Segment&) {
             if (dynamicFaults_ && p.outPort < net_ports &&
                 !faults_->linkOk(p.node, p.outPort)) {
                 stats_.controlAbsorbedAtDeadLinks.inc();
@@ -520,10 +593,8 @@ Network::deliver(NodeId begin, NodeId end, unsigned kinds)
         });
     }
     if ((kinds & kToInjectors) != 0) {
-        forEachInOrder(cur, &Segment::aborts,
-                       [&](const PendingAbort& p) {
-            if (!mine(p.node))
-                return;
+        forEachAddressed(cur, &Segment::aborts, owner,
+                         [&](const PendingAbort& p, const Segment&) {
             injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
             wakeInjector(p.node);
         });
@@ -675,16 +746,21 @@ Network::collectInjector(Segment& next, NodeId n)
     const Injector& inj = *injectors_[n];
     for (const InjectedFlit& f : inj.sent) {
         next.flits.events.push_back(PendingFlit{
-            n, static_cast<PortId>(netPorts_ + f.injChannel), f.vc,
-            f.flit});
+            f.flit, n, static_cast<PortId>(netPorts_ + f.injChannel),
+            f.vc, stageHeader(next, inj.sentHeaders, f.header)});
     }
 }
 
 void
-Network::collectRouter(Segment& next, Segment& far, NodeId n)
+Network::collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
+                       NodeId n)
 {
     const Router& r = *routers_[n];
     const PortId net_ports = netPorts_;
+    const auto away = [begin = ctx.begin,
+                       span = ctx.end - ctx.begin](NodeId node) {
+        return node - begin >= span;
+    };
 
     for (const SentFlit& s : r.sentFlits) {
         if (s.outPort < net_ports) {
@@ -692,12 +768,15 @@ Network::collectRouter(Segment& next, Segment& far, NodeId n)
             if (nbr == kInvalidNode)
                 panic("router ", n, " sent a flit off the network via "
                       "port ", s.outPort);
-            far.flits.events.push_back(PendingFlit{
-                nbr, oppositePort(s.outPort), s.vc, s.flit});
+            far.flits.push(
+                PendingFlit{s.flit, nbr, oppositePort(s.outPort), s.vc,
+                            stageHeader(far, r.sentHeaders, s.header)},
+                away(nbr));
         } else {
             next.recvFlits.events.push_back(PendingRecvFlit{
-                n, static_cast<std::uint16_t>(s.outPort - net_ports),
-                s.vc, s.flit});
+                s.flit, n,
+                static_cast<std::uint16_t>(s.outPort - net_ports), s.vc,
+                stageHeader(next, r.sentHeaders, s.header)});
         }
     }
 
@@ -706,8 +785,9 @@ Network::collectRouter(Segment& next, Segment& far, NodeId n)
             const NodeId upstream = neighborOf(n, c.inPort);
             if (upstream == kInvalidNode)
                 panic("credit to a nonexistent upstream at node ", n);
-            far.credits.events.push_back(
-                PendingCredit{upstream, oppositePort(c.inPort), c.vc});
+            far.credits.push(
+                PendingCredit{upstream, oppositePort(c.inPort), c.vc},
+                away(upstream));
         } else {
             next.injCredits.events.push_back(PendingInjCredit{
                 n, static_cast<std::uint32_t>(c.inPort - net_ports),
@@ -723,8 +803,9 @@ Network::collectRouter(Segment& next, Segment& far, NodeId n)
         if (upstream == kInvalidNode)
             panic("backward kill to a nonexistent upstream at node ",
                   n);
-        far.bkills.events.push_back(
-            PendingBkill{upstream, oppositePort(b.inPort), b.vc});
+        far.bkills.push(
+            PendingBkill{upstream, oppositePort(b.inPort), b.vc},
+            away(upstream));
     }
 
     for (const SentAbort& a : r.sentAborts) {
@@ -842,7 +923,7 @@ Network::shardWorker(unsigned s)
     if (merge) {
         Auditor::setThreadStage(&ctx.audit);
         if (ownerDelivery_)
-            deliver(ctx.begin, ctx.end, kToRouters | kToReceivers);
+            deliver(s, kToRouters | kToReceivers);
         ctx.injReports.clear();
         ctx.injSleeps.clear();
         ctx.rcvSleeps.clear();
@@ -900,7 +981,7 @@ Network::shardWorker(unsigned s)
         Router& r = *routers_[id];
         r.tick(now_);
         ++ticked;
-        collectRouter(next, far, id);
+        collectRouter(ctx, next, far, id);
         if (probe && r.idle())
             rtrAwake_[id] = 0;
     }
@@ -1050,7 +1131,7 @@ Network::tick()
     // reads queueFull(). Under owner delivery the shard workers apply
     // the rest to their own ranges.
     ownerDelivery_ = !serialDelivery();
-    deliver(0, topo_->numNodes(),
+    deliver(kAllShards,
             ownerDelivery_ ? unsigned{kToInjectors} : unsigned{kToAll});
     // Cycle-open bookkeeping (faults, deadlines, trace) rides with the
     // delivery phase.
@@ -1589,6 +1670,24 @@ Network::dumpForensics(std::ostream& os) const
     dumpOccupancy(os);
 }
 
+Network::WaveCensus
+Network::inFlight(NodeId begin, NodeId end) const
+{
+    WaveCensus c;
+    const auto count = [begin, end](const auto& lane, std::uint64_t& n) {
+        for (const auto& e : lane.events)
+            n += e.node >= begin && e.node < end ? 1 : 0;
+    };
+    for (const Wave& w : buckets_) {
+        for (const Segment& seg : w.segs) {
+            count(seg.flits, c.flits);
+            count(seg.credits, c.credits);
+            count(seg.bkills, c.bkills);
+        }
+    }
+    return c;
+}
+
 bool
 Network::measuredDrained() const
 {
@@ -1652,45 +1751,50 @@ Network::saveState(StateWriter& w) const
         const Wave& wave = bucketOf(at);
         w.u64(count(wave, &Segment::flits));
         forEachInOrder(wave, &Segment::flits,
-                       [&](const PendingFlit& pf) {
+                       [&](const PendingFlit& pf, const Segment& seg) {
             w.u32(pf.node);
             w.u16(pf.inPort);
             w.u16(pf.vc);
             saveFlit(w, pf.flit);
+            if (pf.header != kNoHeader)
+                saveHeader(w, seg.headers[pf.header]);
             w.b(pf.inPort < net_ports);  // The network-hop bit.
         });
         w.u64(count(wave, &Segment::recvFlits));
         forEachInOrder(wave, &Segment::recvFlits,
-                       [&](const PendingRecvFlit& pf) {
+                       [&](const PendingRecvFlit& pf,
+                           const Segment& seg) {
             w.u32(pf.node);
             w.u32(pf.ejChannel);
             w.u16(pf.vc);
             saveFlit(w, pf.flit);
+            if (pf.header != kNoHeader)
+                saveHeader(w, seg.headers[pf.header]);
         });
         w.u64(count(wave, &Segment::credits));
         forEachInOrder(wave, &Segment::credits,
-                       [&](const PendingCredit& pc) {
+                       [&](const PendingCredit& pc, const Segment&) {
             w.u32(pc.node);
             w.u16(pc.outPort);
             w.u16(pc.vc);
         });
         w.u64(count(wave, &Segment::injCredits));
         forEachInOrder(wave, &Segment::injCredits,
-                       [&](const PendingInjCredit& pc) {
+                       [&](const PendingInjCredit& pc, const Segment&) {
             w.u32(pc.node);
             w.u32(pc.injChannel);
             w.u16(pc.vc);
         });
         w.u64(count(wave, &Segment::bkills));
         forEachInOrder(wave, &Segment::bkills,
-                       [&](const PendingBkill& pb) {
+                       [&](const PendingBkill& pb, const Segment&) {
             w.u32(pb.node);
             w.u16(pb.outPort);
             w.u16(pb.vc);
         });
         w.u64(count(wave, &Segment::aborts));
         forEachInOrder(wave, &Segment::aborts,
-                       [&](const PendingAbort& pa) {
+                       [&](const PendingAbort& pa, const Segment&) {
             w.u32(pa.node);
             w.u32(pa.injChannel);
             w.u16(pa.vc);
@@ -1810,6 +1914,14 @@ Network::loadState(StateReader& r)
               ", have ", snapshotBuckets());
     std::vector<Segment> restored(listed);
     for (Segment& seg : restored) {
+        // A head's header follows it; index it in this segment's lane.
+        const auto loadHead = [&](const WireFlit& f) {
+            if (!f.isHead())
+                return kNoHeader;
+            seg.headers.emplace_back();
+            loadHeader(r, seg.headers.back());
+            return static_cast<std::uint32_t>(seg.headers.size() - 1);
+        };
         const std::uint64_t numFlits = r.u64();
         for (std::uint64_t i = 0; i < numFlits; ++i) {
             PendingFlit pf;
@@ -1817,6 +1929,7 @@ Network::loadState(StateReader& r)
             pf.inPort = r.u16();
             pf.vc = r.u16();
             loadFlit(r, pf.flit);
+            pf.header = loadHead(pf.flit);
             if (r.b() != (pf.inPort < netPorts_))
                 panic("restored flit's network-hop bit disagrees with "
                       "its input port ", pf.inPort);
@@ -1833,6 +1946,7 @@ Network::loadState(StateReader& r)
             pf.ejChannel = static_cast<std::uint16_t>(ch);
             pf.vc = r.u16();
             loadFlit(r, pf.flit);
+            pf.header = loadHead(pf.flit);
             seg.recvFlits.events.push_back(pf);
         }
         const std::uint64_t numCredits = r.u64();
@@ -1884,10 +1998,14 @@ Network::loadState(StateReader& r)
     now_ = r.u64();
     // A restored bucket goes into shard 0's segment as its first run
     // (every segment opens that run, so runs stay aligned): its saved
-    // order is the serial order, and run-major delivery keeps it. The
-    // events are appended, so the segment keeps its reserved capacity.
+    // order is the serial order, and run-major delivery keeps it. Its
+    // events for other shards' ranges go on shard 0's remote lists,
+    // and its heads' indices move past the headers already staged.
+    // The events are appended, so the segment keeps its reserved
+    // capacity.
     for (Wave& wave : buckets_)
         wave.clear();
+    const NodeId shard0_end = shardCtx_.front().end;
     for (std::size_t i = 0; i < restored.size(); ++i) {
         const Segment& from = restored[i];
         if (from.empty())
@@ -1900,9 +2018,17 @@ Network::loadState(StateReader& r)
         for (Segment& each : wave.segs)
             each.openRun();
         Segment& seg = wave.segs.front();
-        const auto append = [](auto& into, const auto& lane) {
-            into.events.insert(into.events.end(), lane.events.begin(),
-                               lane.events.end());
+        const auto base = static_cast<std::uint32_t>(seg.headers.size());
+        seg.headers.insert(seg.headers.end(), from.headers.begin(),
+                           from.headers.end());
+        const auto append = [&](auto& into, const auto& lane) {
+            for (auto e : lane.events) {
+                if constexpr (requires { e.header; }) {
+                    if (e.header != kNoHeader)
+                        e.header += base;
+                }
+                into.push(e, e.node >= shard0_end);
+            }
         };
         append(seg.flits, from.flits);
         append(seg.recvFlits, from.recvFlits);

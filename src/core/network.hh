@@ -110,6 +110,20 @@ class Network
     /** All measured messages accounted for (delivered or failed). */
     bool measuredDrained() const;
 
+    /** Router-bound events staged in the waves (see inFlight()). */
+    struct WaveCensus
+    {
+        std::uint64_t flits = 0;  //!< Kill tokens included.
+        std::uint64_t credits = 0;
+        std::uint64_t bkills = 0;
+    };
+
+    /**
+     * Router-bound events in flight to nodes [begin, end): what a
+     * snapshot taken now would carry for them.
+     */
+    WaveCensus inFlight(NodeId begin, NodeId end) const;
+
     const NetworkStats& stats() const { return stats_; }
     NetworkStats& stats() { return stats_; }
     const SimConfig& config() const { return cfg_; }
@@ -212,27 +226,33 @@ class Network
     void loadState(StateReader& r);
 
   private:
-    // Staged (next-cycle) deliveries.
+    struct ShardCtx;
+
+    // Staged (next-cycle) deliveries. `node` is always the
+    // destination. A head's `header` indexes the header lane of the
+    // segment holding the event; every other flit has kNoHeader.
     struct PendingFlit
     {
+        WireFlit flit;
         NodeId node;
         /** A port below networkPorts() is a router-to-router hop. */
         PortId inPort;
         VcId vc;
-        Flit flit;
+        std::uint32_t header;
     };
     struct PendingRecvFlit
     {
+        WireFlit flit;
         NodeId node;
         std::uint16_t ejChannel;
         VcId vc;
-        Flit flit;
+        std::uint32_t header;
     };
     // The flit records dominate wave memory and delivery traffic.
-    static_assert(sizeof(PendingFlit) == 88,
-                  "PendingFlit must stay one Flit plus 8 bytes");
-    static_assert(sizeof(PendingRecvFlit) == 88,
-                  "PendingRecvFlit must stay one Flit plus 8 bytes");
+    static_assert(sizeof(PendingFlit) <= 48,
+                  "PendingFlit must stay one WireFlit plus 16 bytes");
+    static_assert(sizeof(PendingRecvFlit) <= 48,
+                  "PendingRecvFlit must stay one WireFlit plus 16 bytes");
     struct PendingCredit
     {
         NodeId node;
@@ -267,13 +287,30 @@ class Network
      */
     static constexpr std::uint32_t kMaxRuns = 4;
 
-    /** One kind of staged event, with the start of each run. */
+    /**
+     * One kind of staged event, with the start of each run and the
+     * events addressed outside the segment's shard (its remote list),
+     * so an owner-delivering worker reads only those of other shards'
+     * segments.
+     */
     template <typename T>
     struct Lane
     {
         std::vector<T> events;
         /** events[runStart[r]] is the first event of run r. */
         std::array<std::uint32_t, kMaxRuns> runStart{};
+        /** Indices of the events addressed outside the shard. */
+        std::vector<std::uint32_t> remote;
+        /** remote[remoteStart[r]] is the first remote index of run r. */
+        std::array<std::uint32_t, kMaxRuns> remoteStart{};
+
+        /** Append `e`; `away` lists it as addressed elsewhere. */
+        void push(const T& e, bool away)
+        {
+            if (away)
+                remote.push_back(static_cast<std::uint32_t>(events.size()));
+            events.push_back(e);
+        }
     };
 
     /**
@@ -290,6 +327,8 @@ class Network
         Lane<PendingInjCredit> injCredits;
         Lane<PendingBkill> bkills;
         Lane<PendingAbort> aborts;
+        /** Worm headers of the staged heads (PendingFlit::header). */
+        std::vector<WormHeader> headers;
         std::uint32_t runs = 0;
 
         /** Start the next run at the current end of every lane. */
@@ -315,12 +354,25 @@ class Network
     };
 
     /**
-     * Visit a wave's events of one kind in the serial order (`W` is
-     * Wave or const Wave).
+     * Visit a wave's events of one kind in the serial order, as
+     * fn(event, segment holding it) (`W` is Wave or const Wave).
      */
     template <typename W, typename T, typename Fn>
     static void forEachInOrder(W& wave, Lane<T> Segment::*lane,
                                Fn&& fn);
+
+    /** deliver()'s owner for the whole bucket in the serial order. */
+    static constexpr unsigned kAllShards = ~0u;
+
+    /**
+     * Visit the current bucket's events of one kind addressed to
+     * `owner`'s range, in the serial order: the owner's own segment
+     * plus the other segments' remote lists. kAllShards visits every
+     * event (forEachInOrder).
+     */
+    template <typename T, typename Fn>
+    void forEachAddressed(Wave& wave, Lane<T> Segment::*lane,
+                          unsigned owner, Fn&& fn);
 
     /** Event destinations deliver() can be asked to serve. */
     enum DeliverKinds : unsigned {
@@ -331,18 +383,21 @@ class Network
     };
 
     /**
-     * Apply the current bucket's events of `kinds` addressed to nodes
-     * [begin, end), in the serial order.
+     * Apply the current bucket's events of `kinds` addressed to shard
+     * `owner`'s range (kAllShards: every node), in the serial order.
      */
-    void deliver(NodeId begin, NodeId end, unsigned kinds);
+    void deliver(unsigned owner, unsigned kinds);
     void generate();
     /**
      * Stage one ticked component's outbox into its shard's segments:
      * `next` is the segment of the bucket one cycle out, `far` the one
      * channel_latency cycles out (the same when the latency is 1).
+     * A router's hops into another shard's range also go on `far`'s
+     * remote lists.
      */
     void collectInjector(Segment& next, NodeId n);
-    void collectRouter(Segment& next, Segment& far, NodeId n);
+    void collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
+                       NodeId n);
     void collectReceiver(Segment& next, NodeId n);
     std::uint64_t activityLevel() const;
 
@@ -362,9 +417,10 @@ class Network
     // shard the worker runs inline. With more, each shard owns its
     // range for the whole cycle, on the same crew thread every cycle:
     // it applies the current bucket's router- and receiver-bound
-    // events addressed to its range, ticks its components, and
-    // collects their outboxes (plus the router idle probe) into its
-    // own segment of each wave bucket. The >= 1-cycle channel latency
+    // events addressed to its range (read from its own segment and
+    // the other segments' short remote lists), ticks its components,
+    // and collects their outboxes (plus the router idle probe) into
+    // its own segment of each wave bucket. The >= 1-cycle channel latency
     // is the synchronization slack: every cross-component effect is
     // staged in the waves, so one cycle's deliveries and ticks touch
     // only the owner's components. Everything order-sensitive —
@@ -391,7 +447,8 @@ class Network
     /**
      * One shard's compute phase. With several shards: install the
      * tracer/auditor staging areas and, under owner delivery, apply
-     * this range's router- and receiver-bound events. Then tick the
+     * this range's router- and receiver-bound events (own segment plus
+     * the others' remote lists, in the serial order). Then tick the
      * woken injectors, routers and receivers of the range (in that
      * phase order, each in node order), clearing the injector and
      * receiver flags on the way, and collect each into this shard's
@@ -402,9 +459,11 @@ class Network
      */
     CRNET_HOT_PATH CRNET_RESULT_AFFECTING
     CRNET_ALLOW("alloc",
-                "segment and stage appends land in capacity reserved at "
-                "construction to the most the shard's range can stage "
-                "per cycle, so the steady state never grows them")
+                "segment, header-lane, remote-list and stage appends "
+                "land in capacity reserved at construction to the most "
+                "the shard's range can stage per cycle (remote lists: "
+                "one event per cross-range channel, one bkill per its "
+                "VC), so the steady state never grows them")
     void shardWorker(unsigned s);
 
     /**

@@ -131,7 +131,7 @@ FaultModel::effectiveTransientRate() const
 }
 
 bool
-FaultModel::maybeCorrupt(Flit& flit)
+FaultModel::maybeCorrupt(WireFlit& flit)
 {
     const double rate = effectiveTransientRate();
     if (rate <= 0.0 || !rng_.chance(rate))
@@ -139,7 +139,8 @@ FaultModel::maybeCorrupt(Flit& flit)
     // Scramble the payload without touching the stored CRC: the
     // receiver's checksum check then fails, which is the hardware
     // detection path. The explicit flag backs assertions in tests.
-    flit.payload ^= 0xdeadbeefcafef00dULL ^ rng_.next();
+    flit.payload ^= static_cast<std::uint32_t>(0xdeadbeefcafef00dULL ^
+                                               rng_.next());
     flit.corrupted = true;
     ++corruptions_;
     return true;

@@ -110,7 +110,7 @@ class FaultModel
      * Possibly corrupt a flit traversing one hop. Returns true when a
      * fault was injected this call.
      */
-    bool maybeCorrupt(Flit& flit);
+    bool maybeCorrupt(WireFlit& flit);
 
     /**
      * Transient burst window: while set, the effective corruption

@@ -171,20 +171,15 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
     busyDests_.erase(msg.dst);
 }
 
-Flit
-Injector::buildFlit(const Slot& s, std::uint32_t seq, Cycle now) const
+WireFlit
+Injector::buildFlit(const Slot& s, std::uint32_t seq) const
 {
-    Flit f;
+    WireFlit f;
     f.msg = s.msg.id;
     f.seq = seq;
     f.src = node_;
     f.dst = s.msg.dst;
     f.attempt = s.msg.attempt;
-    f.payloadLen = s.msg.payloadLen;
-    f.pairSeq = s.msg.pairSeq;
-    f.createdAt = s.msg.createdAt;
-    f.headInjectedAt = seq == 0 ? now : s.headInjectedAt;
-    f.measured = s.msg.measured;
     if (seq == 0)
         f.type = FlitType::Head;
     else if (seq == s.wireLen - 1)
@@ -195,7 +190,7 @@ Injector::buildFlit(const Slot& s, std::uint32_t seq, Cycle now) const
         f.type = FlitType::Pad;
     // Deterministic payload word; the CRC over it models the per-flit
     // checksum FCR hardware carries.
-    f.payload = (static_cast<std::uint64_t>(s.msg.id) << 20) ^ seq;
+    f.payload = static_cast<std::uint32_t>((s.msg.id << 20) ^ seq);
     f.stampCrc();
     if (f.type == FlitType::Head) {
         if (cfg_.misrouteAfterRetries != 0 &&
@@ -206,6 +201,18 @@ Injector::buildFlit(const Slot& s, std::uint32_t seq, Cycle now) const
         algo_.onInject(node_, f);
     }
     return f;
+}
+
+WormHeader
+Injector::buildHeader(const Slot& s, Cycle now) const
+{
+    WormHeader h;
+    h.payloadLen = s.msg.payloadLen;
+    h.pairSeq = s.msg.pairSeq;
+    h.createdAt = s.msg.createdAt;
+    h.headInjectedAt = now;
+    h.measured = s.msg.measured;
+    return h;
 }
 
 bool
@@ -247,14 +254,14 @@ Injector::killWorm(std::uint32_t ch, VcId vc, Cycle now)
                        s.stallCycles);
     }
 
-    Flit token;
+    WireFlit token;
     token.type = FlitType::Kill;
     token.msg = s.msg.id;
     token.src = node_;
     token.dst = s.msg.dst;
     token.attempt = s.msg.attempt;
     CRNET_AUDIT_HOOK(audit_, onKillIssued(token.msg, token.attempt));
-    sent.push_back(InjectedFlit{ch, vc, token});
+    sent.push_back(InjectedFlit{token, ch, vc});
     channelUsed_[ch] = true;
 
     PendingMessage retry = s.msg;
@@ -363,21 +370,29 @@ Injector::injectFlits(Cycle now)
                 if (s.nextSeq == 0 && s.credits < cfg_.bufferDepth)
                     continue;
 
-                Flit f = buildFlit(s, s.nextSeq, now);
+                const WireFlit f = buildFlit(s, s.nextSeq);
+                std::uint32_t header = kNoHeader;
                 if (s.nextSeq == 0) {
-                    s.headInjectedAt = now;
+                    header = static_cast<std::uint32_t>(
+                        sentHeaders.size());
+                    sentHeaders.push_back(buildHeader(s, now));
                     if (trace_ != nullptr) {
                         trace_->record(TraceEventKind::Inject,
                                        s.msg.id, node_, node_,
                                        s.msg.dst, s.msg.attempt);
                     }
                 }
-                sent.push_back(InjectedFlit{ch, vc, f});
+                sent.push_back(InjectedFlit{f, ch, vc, header});
                 --s.credits;
                 ++s.nextSeq;
                 s.stallCycles = 0;
                 stats_->flitsInjected.inc();
-                CRNET_AUDIT_HOOK(audit_, onFlitInjected(node_, f));
+                CRNET_AUDIT_HOOK(
+                    audit_,
+                    onFlitInjected(node_, f,
+                                   header != kNoHeader
+                                       ? &sentHeaders[header]
+                                       : nullptr));
                 if (f.type == FlitType::Pad)
                     stats_->padFlitsInjected.inc();
                 rrVc_[ch] = static_cast<VcId>((vc + 1) % cfg_.numVcs);
@@ -431,6 +446,7 @@ void
 Injector::tick(Cycle now)
 {
     sent.clear();
+    sentHeaders.clear();
     failed.clear();
     committedStats.clear();
     std::fill(channelUsed_.begin(), channelUsed_.end(), false);
@@ -551,7 +567,6 @@ Injector::saveState(StateWriter& w) const
         w.u32(s.hops);
         w.u64(s.startCycle);
         w.u64(s.stallCycles);
-        w.u64(s.headInjectedAt);
     }
     std::vector<NodeId> busy(busyDests_.begin(), busyDests_.end());
     std::sort(busy.begin(), busy.end());
@@ -591,7 +606,6 @@ Injector::loadState(StateReader& r)
         s.hops = r.u32();
         s.startCycle = r.u64();
         s.stallCycles = r.u64();
-        s.headInjectedAt = r.u64();
     }
     busyDests_.clear();
     const std::uint64_t busy = r.u64();
@@ -601,6 +615,7 @@ Injector::loadState(StateReader& r)
         vc = r.u16();
     loadRng(r, rng_);
     sent.clear();
+    sentHeaders.clear();
     failed.clear();
     committedStats.clear();
 }

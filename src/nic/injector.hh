@@ -50,9 +50,11 @@ class StateReader;
 /** A flit the injector puts on an injection channel this cycle. */
 struct InjectedFlit
 {
+    WireFlit flit;
     std::uint32_t injChannel = 0;
     VcId vc = kInvalidVc;
-    Flit flit;
+    /** A head's index into Injector::sentHeaders, else kNoHeader. */
+    std::uint32_t header = kNoHeader;
 };
 
 /** A message the source gave up on (maxRetries exhausted). */
@@ -107,6 +109,8 @@ class Injector
 
     /** Flits entering injection channels this cycle. */
     std::vector<InjectedFlit> sent;
+    /** The worm headers of the heads in `sent`, in order. */
+    std::vector<WormHeader> sentHeaders;
 
     /**
      * Order-sensitive events of this tick, for the owner to apply.
@@ -198,7 +202,6 @@ class Injector
         std::uint32_t hops = 0;
         Cycle startCycle = 0;
         Cycle stallCycles = 0;
-        Cycle headInjectedAt = 0;
     };
 
     Slot& slot(std::uint32_t ch, VcId vc);
@@ -215,7 +218,9 @@ class Injector
                 "amortized and recycled in steady state "
                 "(tests/test_alloc_steady.cc)")
     void requeueForRetry(PendingMessage msg, Cycle now);
-    Flit buildFlit(const Slot& s, std::uint32_t seq, Cycle now) const;
+    WireFlit buildFlit(const Slot& s, std::uint32_t seq) const;
+    /** The header of the worm in `s`, whose head goes out `now`. */
+    WormHeader buildHeader(const Slot& s, Cycle now) const;
     bool timeoutExpired(const Slot& s, Cycle now) const;
     /** Rescan queue_ for the exact min notBefore (erase-of-min). */
     void recomputeQueueMin();

@@ -42,6 +42,15 @@ Receiver::vcBuf(std::uint32_t ch, VcId vc) const
     return bufs_[static_cast<std::size_t>(ch) * cfg_.numVcs + vc];
 }
 
+bool
+Receiver::headBuffered(const VcBuffer& b)
+{
+    for (std::size_t i = 0; i < b.buf.size(); ++i)
+        if (b.buf.peek(i).isHead())
+            return true;
+    return false;
+}
+
 std::uint32_t
 Receiver::occupancy(std::uint32_t ch, VcId vc) const
 {
@@ -59,11 +68,11 @@ Receiver::bufferedFlits() const
 
 void
 Receiver::acceptFlit(std::uint32_t ej_channel, VcId vc,
-                     const Flit& flit)
+                     const WireFlit& flit, const WormHeader* hdr)
 {
     VcBuffer& b = vcBuf(ej_channel, vc);
     CRNET_AUDIT_HOOK(audit_, onEjectionFlit(node_, ej_channel, vc,
-                                            flit));
+                                            flit, hdr));
 
     if (flit.isKill()) {
         // Forward kill: terminate the partial message (unless the
@@ -95,6 +104,19 @@ Receiver::acceptFlit(std::uint32_t ej_channel, VcId vc,
         b.refusedMsg = kInvalidMsg;
         return;
     }
+    if (flit.isHead()) {
+        // The VC holds one header. A second head cannot queue behind
+        // an unconsumed one: the router claims an ejection VC only
+        // with every credit home, and each reset of that ledger purges
+        // this buffer first.
+        if (hdr == nullptr)
+            panic("head of msg ", flit.msg, " reached node ", node_,
+                  " without its worm header");
+        if (headBuffered(b))
+            panic("head of msg ", flit.msg, " queued behind an "
+                  "unconsumed head at node ", node_);
+        b.header = *hdr;
+    }
     b.buf.push(flit);
 }
 
@@ -102,7 +124,7 @@ void
 Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
 {
     VcBuffer& b = vcBuf(ch, vc);
-    const Flit& front = b.buf.front();
+    const WireFlit& front = b.buf.front();
 
     // FCR integrity check at the buffer head: payload flits (head and
     // body) must pass their CRC and actually belong here. On failure
@@ -124,10 +146,12 @@ Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
     }
     b.refusing = false;
 
-    const Flit flit = b.buf.pop();
+    const WireFlit flit = b.buf.pop();
     credits.push_back(ReceiverCredit{ch, vc});
     stats_->flitsConsumed.inc();
-    CRNET_AUDIT_HOOK(audit_, onFlitConsumed(node_, flit));
+    CRNET_AUDIT_HOOK(audit_,
+                     onFlitConsumed(node_, flit,
+                                    flit.isHead() ? &b.header : nullptr));
     if (flit.type == FlitType::Pad)
         stats_->padFlitsConsumed.inc();
 
@@ -153,6 +177,7 @@ Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
         // older attempt.
         a.src = flit.src;
         a.attempt = flit.attempt;
+        a.header = b.header;
         a.nextSeq = 0;
         a.corrupted = false;
         a.terminated = false;
@@ -170,7 +195,6 @@ Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
               " before its head for msg ", flit.msg);
     }
 
-    noteFlit(a, flit);
     a.lastFlitAt = now;
     a.ejChannel = ch;
     a.vc = vc;
@@ -186,7 +210,7 @@ Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
     }
 
     if (flit.isTail())
-        deliver(flit, a, now);
+        deliver(flit.msg, a, now);
 }
 
 void
@@ -213,45 +237,35 @@ Receiver::commitDelivery(const DeliveredMessage& d)
 }
 
 void
-Receiver::deliver(const Flit& tail, const Assembly& a, Cycle now)
+Receiver::deliver(MsgId msg, const Assembly& a, Cycle now)
 {
     // A retransmission can complete after a kill-cut copy of the same
     // message was already finalized; deliver that pairSeq only once.
     if (dynamicFaults_) {
         const std::uint64_t key =
-            (static_cast<std::uint64_t>(a.src) << 32) | tail.pairSeq;
+            (static_cast<std::uint64_t>(a.src) << 32) | a.header.pairSeq;
         if (seenSeq_.count(key) != 0) {
             stats_->retryDuplicatesSuppressed.inc();
-            assemblies_.erase(tail.msg);
+            assemblies_.erase(msg);
             return;
         }
     }
 
     DeliveredMessage d;
-    d.id = tail.msg;
+    d.id = msg;
     d.src = a.src;
     d.dst = node_;
-    d.payloadLen = tail.payloadLen;
-    d.pairSeq = tail.pairSeq;
-    d.createdAt = tail.createdAt;
-    d.headInjectedAt = tail.headInjectedAt;
+    d.payloadLen = a.header.payloadLen;
+    d.pairSeq = a.header.pairSeq;
+    d.createdAt = a.header.createdAt;
+    d.headInjectedAt = a.header.headInjectedAt;
     d.deliveredAt = now;
     d.attempts = static_cast<std::uint16_t>(a.attempt + 1);
-    d.measured = tail.measured;
+    d.measured = a.header.measured;
     d.corrupted = a.corrupted;
 
     commitDelivery(d);
-    assemblies_.erase(tail.msg);
-}
-
-void
-Receiver::noteFlit(Assembly& a, const Flit& flit)
-{
-    a.payloadLen = flit.payloadLen;
-    a.pairSeq = flit.pairSeq;
-    a.createdAt = flit.createdAt;
-    a.headInjectedAt = flit.headInjectedAt;
-    a.measured = flit.measured;
+    assemblies_.erase(msg);
 }
 
 void
@@ -263,18 +277,18 @@ Receiver::drainIntoAssembly(std::uint32_t ch, VcId vc, MsgId msg)
     Assembly& a = it->second;
     VcBuffer& b = vcBuf(ch, vc);
     while (!b.buf.empty()) {
-        const Flit& front = b.buf.front();
+        const WireFlit& front = b.buf.front();
         if (front.msg != msg || front.attempt != a.attempt ||
             front.seq != a.nextSeq) {
             break;  // The caller purges whatever remains.
         }
-        const Flit f = b.buf.pop();
+        const WireFlit f = b.buf.pop();
         // Folded flits count as purged, not consumed: they return no
         // credits (the ejection ledger resets with the teardown) and
-        // leave every flit-conservation invariant untouched.
+        // leave every flit-conservation invariant untouched. A head is
+        // never folded: the assembly's own head was consumed already.
         stats_->router.flitsPurged.inc();
         CRNET_AUDIT_HOOK(audit_, onFlitsPurged(1));
-        noteFlit(a, f);
         ++a.nextSeq;
         if ((f.type == FlitType::Head || f.type == FlitType::Body) &&
             (f.corrupted || !f.checksumOk())) {
@@ -287,7 +301,7 @@ void
 Receiver::resolveTerminated(MsgId msg, Assembly& a, Cycle now)
 {
     const bool complete =
-        a.payloadLen > 0 && a.nextSeq >= a.payloadLen;
+        a.header.payloadLen > 0 && a.nextSeq >= a.header.payloadLen;
     // CR delivers whatever arrived (corruption is CR's known blind
     // spot and is counted at delivery); FCR never finalizes a
     // corrupted payload — the retransmission carries the clean copy.
@@ -296,7 +310,7 @@ Receiver::resolveTerminated(MsgId msg, Assembly& a, Cycle now)
         finalize = false;
 
     const std::uint64_t key =
-        (static_cast<std::uint64_t>(a.src) << 32) | a.pairSeq;
+        (static_cast<std::uint64_t>(a.src) << 32) | a.header.pairSeq;
     if (finalize && seenSeq_.count(key) != 0) {
         stats_->retryDuplicatesSuppressed.inc();
         finalize = false;
@@ -306,13 +320,13 @@ Receiver::resolveTerminated(MsgId msg, Assembly& a, Cycle now)
         d.id = msg;
         d.src = a.src;
         d.dst = node_;
-        d.payloadLen = a.payloadLen;
-        d.pairSeq = a.pairSeq;
-        d.createdAt = a.createdAt;
-        d.headInjectedAt = a.headInjectedAt;
+        d.payloadLen = a.header.payloadLen;
+        d.pairSeq = a.header.pairSeq;
+        d.createdAt = a.header.createdAt;
+        d.headInjectedAt = a.header.headInjectedAt;
         d.deliveredAt = now;
         d.attempts = static_cast<std::uint16_t>(a.attempt + 1);
-        d.measured = a.measured;
+        d.measured = a.header.measured;
         d.corrupted = a.corrupted;
         commitDelivery(d);
     } else {
@@ -445,7 +459,7 @@ Receiver::openAssemblies() const
         p.src = entry.second.src;
         p.attempt = entry.second.attempt;
         p.nextSeq = entry.second.nextSeq;
-        p.payloadLen = entry.second.payloadLen;
+        p.payloadLen = entry.second.header.payloadLen;
         p.lastFlitAt = entry.second.lastFlitAt;
         out.push_back(p);
     }
@@ -504,6 +518,9 @@ Receiver::saveState(StateWriter& w) const
         w.u64(vb.buf.size());
         for (std::size_t i = 0; i < vb.buf.size(); ++i)
             saveFlit(w, vb.buf.peek(i));
+        // The header is live only while its head is buffered.
+        if (headBuffered(vb))
+            saveHeader(w, vb.header);
         w.b(vb.refusing);
         w.u64(vb.refusedMsg);
     }
@@ -523,11 +540,7 @@ Receiver::saveState(StateWriter& w) const
         w.u16(a.attempt);
         w.u32(a.nextSeq);
         w.b(a.corrupted);
-        w.u32(a.payloadLen);
-        w.u32(a.pairSeq);
-        w.u64(a.createdAt);
-        w.u64(a.headInjectedAt);
-        w.b(a.measured);
+        saveHeader(w, a.header);
         w.u32(a.ejChannel);
         w.u16(a.vc);
         w.u64(a.lastFlitAt);
@@ -567,10 +580,12 @@ Receiver::loadState(StateReader& r)
         vb.buf.purge();
         const std::uint64_t buffered = r.u64();
         for (std::uint64_t i = 0; i < buffered; ++i) {
-            Flit f;
+            WireFlit f;
             loadFlit(r, f);
             vb.buf.push(f);
         }
+        if (headBuffered(vb))
+            loadHeader(r, vb.header);
         vb.refusing = r.b();
         vb.refusedMsg = r.u64();
     }
@@ -586,11 +601,7 @@ Receiver::loadState(StateReader& r)
         a.attempt = r.u16();
         a.nextSeq = r.u32();
         a.corrupted = r.b();
-        a.payloadLen = r.u32();
-        a.pairSeq = r.u32();
-        a.createdAt = r.u64();
-        a.headInjectedAt = r.u64();
-        a.measured = r.b();
+        loadHeader(r, a.header);
         a.ejChannel = r.u32();
         a.vc = r.u16();
         a.lastFlitAt = r.u64();

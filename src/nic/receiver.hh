@@ -113,9 +113,20 @@ class Receiver
 
     // --- Delivery phase ----------------------------------------------
 
-    /** A flit (or kill token) arrives over an ejection channel. */
+    /**
+     * A flit (or kill token) arrives over an ejection channel. `hdr`
+     * is the worm header when the flit is a head, else null; it waits
+     * with the head and moves into the assembly when the head is
+     * consumed.
+     */
     void acceptFlit(std::uint32_t ej_channel, VcId vc,
-                    const Flit& flit);
+                    const WireFlit& flit, const WormHeader* hdr);
+
+    /** The same for a whole Flit: its header rides along if a head. */
+    void acceptFlit(std::uint32_t ej_channel, VcId vc, const Flit& flit)
+    {
+        acceptFlit(ej_channel, vc, flit, flit.header());
+    }
 
     // --- Compute phase -------------------------------------------------
 
@@ -206,6 +217,8 @@ class Receiver
         FlitBuffer buf;  //!< Ring over this VC's slice of slots_.
         bool refusing = false;
         MsgId refusedMsg = kInvalidMsg;
+        /** Header of the buffered head (at most one is buffered). */
+        WormHeader header;
     };
 
     struct Assembly
@@ -215,30 +228,30 @@ class Receiver
         std::uint32_t nextSeq = 0;
         bool corrupted = false;
 
-        // Dynamic-fault bookkeeping (every flit carries the message
-        // metadata, so a kill-terminated assembly can still be
-        // finalized into a full DeliveredMessage).
-        std::uint32_t payloadLen = 0;
-        std::uint32_t pairSeq = 0;
-        Cycle createdAt = 0;
-        Cycle headInjectedAt = 0;
-        bool measured = false;
+        /**
+         * The head's worm header: what delivery reports, and what
+         * lets a kill-terminated assembly still be finalized into a
+         * full DeliveredMessage.
+         */
+        WormHeader header;
+        // Dynamic-fault bookkeeping.
         std::uint32_t ejChannel = 0;
         VcId vc = 0;
         Cycle lastFlitAt = 0;
         bool terminated = false;  //!< Kill seen; resolve next tick.
     };
 
+    /** True when `b` holds a head, whose header is `b.header`. */
+    static bool headBuffered(const VcBuffer& b);
     VcBuffer& vcBuf(std::uint32_t ch, VcId vc);
     const VcBuffer& vcBuf(std::uint32_t ch, VcId vc) const;
     void consume(std::uint32_t ch, VcId vc, Cycle now);
-    void deliver(const Flit& tail, const Assembly& a, Cycle now);
+    void deliver(MsgId msg, const Assembly& a, Cycle now);
     void commitDelivery(const DeliveredMessage& d);
     CRNET_ALLOW("alloc",
                 "per-delivery exactly-once bookkeeping: one seen-set "
                 "node per delivered message, by design")
     void checkDeliveryOrder(NodeId src, std::uint32_t pair_seq);
-    void noteFlit(Assembly& a, const Flit& flit);
     void drainIntoAssembly(std::uint32_t ch, VcId vc, MsgId msg);
     void resolveTerminated(MsgId msg, Assembly& a, Cycle now);
     /** Resolve kill-terminated assemblies, in MsgId order. */
@@ -264,7 +277,7 @@ class Receiver
     Auditor* audit_ = nullptr;
     Tracer* trace_ = nullptr;
 
-    std::vector<Flit> slots_;     //!< [channel][vc][depth] flattened.
+    std::vector<WireFlit> slots_; //!< [channel][vc][depth] flattened.
     std::vector<VcBuffer> bufs_;  //!< [channel][vc] flattened.
     std::vector<VcId> rrVc_;      //!< Consumption RR per channel.
     std::unordered_map<MsgId, Assembly> assemblies_;

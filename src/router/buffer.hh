@@ -34,7 +34,7 @@ class FlitBuffer
      * must outlive the buffer. Only valid on an empty buffer.
      */
     void
-    bind(Flit* slots, std::size_t cap)
+    bind(WireFlit* slots, std::size_t cap)
     {
         if (!slots || cap == 0 || cap > UINT32_MAX)
             panic("FlitBuffer needs storage with capacity in [1, 2^32)");
@@ -52,7 +52,7 @@ class FlitBuffer
 
     /** Enqueue at the back; panics when full (flow control bug). */
     void
-    push(const Flit& flit)
+    push(const WireFlit& flit)
     {
         if (full())
             panic("FlitBuffer overflow (msg ", flit.msg, ", seq ",
@@ -62,7 +62,7 @@ class FlitBuffer
     }
 
     /** The oldest flit; panics when empty. */
-    const Flit&
+    const WireFlit&
     front() const
     {
         if (empty())
@@ -71,7 +71,7 @@ class FlitBuffer
     }
 
     /** Mutable access to the oldest flit (header state updates). */
-    Flit&
+    WireFlit&
     frontMutable()
     {
         if (empty())
@@ -80,12 +80,12 @@ class FlitBuffer
     }
 
     /** Remove and return the oldest flit. */
-    Flit
+    WireFlit
     pop()
     {
         if (empty())
             panic("FlitBuffer::pop on empty buffer");
-        const Flit& f = slots_[head_];
+        const WireFlit& f = slots_[head_];
         head_ = wrap(head_ + 1);
         --count_;
         return f;
@@ -95,7 +95,7 @@ class FlitBuffer
      * The i-th oldest buffered flit (0 = front); panics out of range.
      * Snapshot serialization walks the queue without disturbing it.
      */
-    const Flit&
+    const WireFlit&
     peek(std::size_t i) const
     {
         if (i >= count_)
@@ -121,7 +121,7 @@ class FlitBuffer
         return i >= cap_ ? i - cap_ : i;
     }
 
-    Flit* slots_ = nullptr;
+    WireFlit* slots_ = nullptr;
     std::uint32_t cap_ = 0;
     std::uint32_t head_ = 0;
     std::uint32_t count_ = 0;

@@ -7,6 +7,13 @@
  * receiver. Kill is not message data; it is the forward kill token that
  * tears down a worm's path (modeled in-band because that is how it
  * travels in hardware: on the same wires, ignoring buffer credits).
+ *
+ * The engine stores and stages every flit as a WireFlit: only what is
+ * read per flit. What the receiver needs once per worm (WormHeader)
+ * travels beside the head and nowhere else: injector outbox → wave
+ * header lane → each hop's input-VC record → the receiver's assembly
+ * (docs/PERFORMANCE.md, "Flit diet and shard-local delivery"). A Flit
+ * is both halves, the record type at component APIs.
  */
 
 #ifndef CRNET_ROUTER_FLIT_HH
@@ -22,14 +29,21 @@ namespace crnet {
 /** Kind of flit. */
 enum class FlitType : std::uint8_t { Head, Body, Pad, Tail, Kill };
 
-/** One flow-control unit. */
-struct Flit
+/** One flow-control unit as the engine stores and stages it. */
+struct WireFlit
 {
-    FlitType type = FlitType::Body;
     MsgId msg = kInvalidMsg;
     std::uint32_t seq = 0;       //!< Position in the worm; head is 0.
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
+
+    /** Modeled data word; CRC is computed over this. */
+    std::uint32_t payload = 0;
+
+    /** Which transmission attempt of the message this flit belongs to. */
+    std::uint16_t attempt = 0;
+
+    FlitType type = FlitType::Body;
 
     /**
      * Dateline/escape class used by DOR and Duato routing; updated by
@@ -40,25 +54,6 @@ struct Flit
 
     /** Remaining non-minimal hops this header may take (FCR retries). */
     std::uint8_t misrouteBudget = 0;
-
-    /** Which transmission attempt of the message this flit belongs to. */
-    std::uint16_t attempt = 0;
-
-    // --- Header-only metadata (meaningful when type == Head or, for
-    // --- bookkeeping, copied onto Kill tokens) -----------------------
-    /** Payload flits in the message, including the head flit. */
-    std::uint32_t payloadLen = 0;
-    /** Per-(src,dst) message sequence number (order checking). */
-    std::uint32_t pairSeq = 0;
-    /** Cycle the message was created (total-latency measurement). */
-    Cycle createdAt = 0;
-    /** Cycle this attempt's head entered the network. */
-    Cycle headInjectedAt = 0;
-    /** Message is eligible for statistics (measurement window). */
-    bool measured = false;
-
-    /** Modeled data word; CRC is computed over this. */
-    std::uint64_t payload = 0;
 
     /** Checksum as computed by the sender over the original payload. */
     std::uint8_t crc = 0;
@@ -81,6 +76,40 @@ struct Flit
 
     /** True when the payload still matches its checksum. */
     bool checksumOk() const { return crc8(payload) == crc; }
+};
+
+static_assert(sizeof(WireFlit) <= 40,
+              "WireFlit fills every VC slot, kill token, outbox and "
+              "wave lane; it must not grow back toward the full Flit");
+
+/** Per-worm metadata: set by the injector, carried once, by the head. */
+struct WormHeader
+{
+    /** Payload flits in the message, including the head flit. */
+    std::uint32_t payloadLen = 0;
+    /** Per-(src,dst) message sequence number (order checking). */
+    std::uint32_t pairSeq = 0;
+    /** Cycle the message was created (total-latency measurement). */
+    Cycle createdAt = 0;
+    /** Cycle this attempt's head entered the network. */
+    Cycle headInjectedAt = 0;
+    /** Message is eligible for statistics (measurement window). */
+    bool measured = false;
+};
+
+/** Index value of a staged flit that carries no header (not a head). */
+inline constexpr std::uint32_t kNoHeader = 0xffffffffu;
+
+/**
+ * A flit with its worm's header, as built by tests and standalone
+ * callers. Component APIs that take one (Router::acceptFlit,
+ * Receiver::acceptFlit) split it into the two halves and pass the
+ * header on only when the flit is a head.
+ */
+struct Flit : WireFlit, WormHeader
+{
+    /** The header half when this is a head, else null. */
+    const WormHeader* header() const { return isHead() ? this : nullptr; }
 };
 
 } // namespace crnet

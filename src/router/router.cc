@@ -45,7 +45,7 @@ Router::StatePool::StatePool(const SimConfig& cfg,
 std::size_t
 Router::StatePool::bytes() const
 {
-    return flitSlots_.capacity() * sizeof(Flit) +
+    return flitSlots_.capacity() * sizeof(WireFlit) +
            inputs_.capacity() * sizeof(InputVc) +
            cold_.capacity() * sizeof(InputVcCold) +
            outputs_.capacity() * sizeof(OutputVc) +
@@ -147,11 +147,13 @@ Router::ovc(PortId p, VcId v) const
 }
 
 void
-Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit)
+Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
+                   const WormHeader* hdr)
 {
     if (in_port >= numInPorts_ || vc >= numVcs_)
         panic("acceptFlit: bad port/vc (", in_port, ", ", vc, ")");
-    CRNET_AUDIT_HOOK(audit_, onChannelFlit(id_, in_port, vc, flit));
+    CRNET_AUDIT_HOOK(audit_,
+                     onChannelFlit(id_, in_port, vc, flit, hdr));
     InputVc& in = ivc(in_port, vc);
 
     if (flit.isKill()) {
@@ -186,13 +188,18 @@ Router::acceptFlit(PortId in_port, VcId vc, const Flit& flit)
     // Data flit.
     if (in.state == InputVc::State::Idle) {
         if (flit.isHead()) {
+            if (hdr == nullptr)
+                panic("head of msg ", flit.msg, " arrived at node ", id_,
+                      " without its worm header");
             in.buf.push(flit);
             in.state = InputVc::State::Routing;
             in.msg = flit.msg;
             in.attempt = flit.attempt;
             in.stallCycles = 0;
             in.blockTraced = false;
-            icold(in_port, vc).headArrivedAt = now_;
+            InputVcCold& c = icold(in_port, vc);
+            c.header = *hdr;
+            c.headArrivedAt = now_;
             return;
         }
         // Continuation of a worm that was purged here (backward-kill
@@ -312,7 +319,7 @@ Router::forwardKills()
         if (busy & bit)
             continue;  // Another kill claimed the channel; wait.
         busy |= bit;
-        sentFlits.push_back(SentFlit{o, c.killOutVc, c.killFlit});
+        sentFlits.push_back(SentFlit{c.killFlit, o, c.killOutVc});
         stats_->killsForwarded.inc();
         if (trace_ != nullptr) {
             trace_->record(TraceEventKind::KillHop, c.killFlit.msg, id_,
@@ -344,7 +351,7 @@ Router::routeHeaders(Cycle now)
             if (in.buf.empty())
                 panic("Routing-state VC with empty buffer at node ",
                       id_);
-            Flit& head = in.buf.frontMutable();
+            WireFlit& head = in.buf.frontMutable();
             if (!head.isHead())
                 panic("Routing-state VC without header at front");
 
@@ -470,11 +477,16 @@ Router::allocateSwitch(std::uint64_t busy_outputs)
         const VcId v = nominee[p];
         InputVc& in = ivc(p, v);
         OutputVc& out = ovc(o, in.outVc);
-        Flit flit = in.buf.pop();
-        if (flit.isHead() && o < networkPorts_)
-            algo_.onTraverse(id_, o, flit);
+        WireFlit flit = in.buf.pop();
+        std::uint32_t header = kNoHeader;
+        if (flit.isHead()) {
+            if (o < networkPorts_)
+                algo_.onTraverse(id_, o, flit);
+            header = static_cast<std::uint32_t>(sentHeaders.size());
+            sentHeaders.push_back(icold(p, v).header);
+        }
         --out.credits;
-        sentFlits.push_back(SentFlit{o, in.outVc, flit});
+        sentFlits.push_back(SentFlit{flit, o, in.outVc, header});
         sentCredits.push_back(SentCredit{p, v});
         stats_->flitsForwarded.inc();
         if (heatTracking_)
@@ -511,7 +523,7 @@ Router::killWormAt(PortId p, VcId v)
 
     if (in.state == InputVc::State::Active) {
         // Tear down toward the destination with a forward kill token.
-        Flit token;
+        WireFlit token;
         token.type = FlitType::Kill;
         token.msg = msg;
         token.attempt = in.attempt;
@@ -525,7 +537,7 @@ Router::killWormAt(PortId p, VcId v)
 }
 
 void
-Router::armKill(PortId p, VcId v, const Flit& token)
+Router::armKill(PortId p, VcId v, const WireFlit& token)
 {
     InputVc& in = ivc(p, v);
     InputVcCold& c = icold(p, v);
@@ -586,7 +598,7 @@ Router::onInputLinkDead(PortId in_port, Cycle now)
             // can no longer cross the dead wire, so the break point
             // issues the chasing token itself; it runs to the header
             // (annihilation) or to the receiver (discard/finalize).
-            Flit token;
+            WireFlit token;
             token.type = FlitType::Kill;
             token.msg = msg;
             token.attempt = in.attempt;
@@ -649,6 +661,7 @@ Router::tick(Cycle now)
 {
     now_ = now;
     sentFlits.clear();
+    sentHeaders.clear();
     sentCredits.clear();
     sentBkills.clear();
     sentAborts.clear();
@@ -794,6 +807,9 @@ Router::saveState(StateWriter& w) const
         w.u64(in.buf.size());
         for (std::size_t f = 0; f < in.buf.size(); ++f)
             saveFlit(w, in.buf.peek(f));
+        // The header is live only while its head is buffered.
+        if (!in.buf.empty() && in.buf.front().isHead())
+            saveHeader(w, c.header);
         w.u8(static_cast<std::uint8_t>(in.state));
         w.u64(in.msg);
         w.u16(in.attempt);
@@ -850,10 +866,12 @@ Router::loadState(StateReader& r)
         in.buf.purge();
         const std::uint64_t buffered = r.u64();
         for (std::uint64_t i = 0; i < buffered; ++i) {
-            Flit f;
+            WireFlit f;
             loadFlit(r, f);
             in.buf.push(f);
         }
+        if (!in.buf.empty() && in.buf.front().isHead())
+            loadHeader(r, c.header);
         in.state = static_cast<InputVc::State>(r.u8());
         in.msg = r.u64();
         in.attempt = r.u16();
@@ -905,6 +923,7 @@ Router::loadState(StateReader& r)
     loadRng(r, rng_);
     now_ = r.u64();
     sentFlits.clear();
+    sentHeaders.clear();
     sentCredits.clear();
     sentBkills.clear();
     sentAborts.clear();

@@ -92,9 +92,11 @@ struct RouterStats
 /** A flit leaving the router this cycle. */
 struct SentFlit
 {
+    WireFlit flit;
     PortId outPort = kInvalidPort;
     VcId vc = kInvalidVc;
-    Flit flit;
+    /** A head's index into Router::sentHeaders, else kNoHeader. */
+    std::uint32_t header = kNoHeader;
 };
 
 /** A credit owed to whoever feeds `inPort`. */
@@ -148,10 +150,15 @@ class Router
     static_assert(sizeof(InputVc) <= 64,
                   "Router::InputVc must stay within one cache line");
 
-    /** Cold per-input-VC state: the kill token and forensics. */
+    /**
+     * Cold per-input-VC state: the buffered head's worm header, the
+     * kill token and forensics.
+     */
     struct InputVcCold
     {
-        Flit killFlit;                  //!< The stored token.
+        /** Header of the head in the buffer; leaves with the head. */
+        WormHeader header;
+        WireFlit killFlit;              //!< The stored token.
         PortId killOutPort = kInvalidPort;
         VcId killOutVc = kInvalidVc;
         MsgId purgeMsg = kInvalidMsg;   //!< Drop stragglers of this.
@@ -206,7 +213,7 @@ class Router
         std::uint32_t vcs_;
         std::size_t depth_;
 
-        std::vector<Flit> flitSlots_;   //!< [node][inPort][vc][depth].
+        std::vector<WireFlit> flitSlots_; //!< [node][inPort][vc][depth].
         std::vector<InputVc> inputs_;   //!< [node][inPort][vc].
         std::vector<InputVcCold> cold_; //!< [node][inPort][vc].
         std::vector<OutputVc> outputs_; //!< [node][outPort][vc].
@@ -246,8 +253,19 @@ class Router
 
     // --- Delivery phase (Network calls these before tick) ----------
 
-    /** A flit arrives on an input VC (from a channel register). */
-    void acceptFlit(PortId in_port, VcId vc, const Flit& flit);
+    /**
+     * A flit arrives on an input VC (from a channel register). `hdr`
+     * is the worm header when the flit is a head, else null; the VC
+     * keeps it until the head leaves.
+     */
+    void acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
+                    const WormHeader* hdr);
+
+    /** The same for a whole Flit: its header rides along if a head. */
+    void acceptFlit(PortId in_port, VcId vc, const Flit& flit)
+    {
+        acceptFlit(in_port, vc, flit, flit.header());
+    }
 
     /** A credit returns for an output VC. */
     void acceptCredit(PortId out_port, VcId vc);
@@ -294,6 +312,8 @@ class Router
 
     // --- Outboxes (valid after tick; cleared at next tick) -----------
     std::vector<SentFlit> sentFlits;
+    /** The headers of the heads in sentFlits, in order. */
+    std::vector<WormHeader> sentHeaders;
     std::vector<SentCredit> sentCredits;
     std::vector<SentBkill> sentBkills;
     std::vector<SentAbort> sentAborts;
@@ -409,7 +429,7 @@ class Router
     void checkRouterTimeouts();
     void killWormAt(PortId p, VcId v);
     /** Store a forward kill token to chase the worm on (p, v). */
-    void armKill(PortId p, VcId v, const Flit& token);
+    void armKill(PortId p, VcId v, const WireFlit& token);
     /** Return (p, v) to Idle; later flits of `purged` are dropped. */
     void retire(PortId p, VcId v, MsgId purged);
     void propagateUpstream(PortId in_port, VcId vc, MsgId msg);

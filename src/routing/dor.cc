@@ -61,7 +61,7 @@ DorRouting::DorRouting(const Topology& topo, const FaultModel& faults,
 }
 
 PortId
-DorRouting::dorPort(NodeId node, const Flit& head) const
+DorRouting::dorPort(NodeId node, const WireFlit& head) const
 {
     for (std::uint32_t d = 0; d < topo_.dims(); ++d) {
         const DimRoute r = topo_.dimRoute(node, head.dst, d);
@@ -78,7 +78,7 @@ DorRouting::dorPort(NodeId node, const Flit& head) const
 }
 
 void
-DorRouting::candidates(NodeId node, const Flit& head,
+DorRouting::candidates(NodeId node, const WireFlit& head,
                        std::vector<Candidate>& out, Rng& rng) const
 {
     const PortId port = dorPort(node, head);
@@ -112,7 +112,7 @@ DorRouting::candidates(NodeId node, const Flit& head,
 }
 
 void
-DorRouting::onTraverse(NodeId, PortId, Flit&) const
+DorRouting::onTraverse(NodeId, PortId, WireFlit&) const
 {
     // Dateline classes are computed statelessly per hop; the header
     // carries no DOR routing state.

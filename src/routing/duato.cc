@@ -31,7 +31,7 @@ DuatoRouting::DuatoRouting(const Topology& topo, const FaultModel& faults,
 }
 
 void
-DuatoRouting::candidates(NodeId node, const Flit& head,
+DuatoRouting::candidates(NodeId node, const WireFlit& head,
                          std::vector<Candidate>& out, Rng& rng) const
 {
     // Adaptive class first: fully adaptive minimal on VCs
@@ -68,7 +68,7 @@ DuatoRouting::candidates(NodeId node, const Flit& head,
 }
 
 void
-DuatoRouting::onTraverse(NodeId, PortId, Flit&) const
+DuatoRouting::onTraverse(NodeId, PortId, WireFlit&) const
 {
     // Escape VC classes are computed statelessly per hop.
 }

@@ -27,7 +27,8 @@ MinimalAdaptiveRouting::MinimalAdaptiveRouting(const Topology& topo,
 }
 
 void
-MinimalAdaptiveRouting::candidates(NodeId node, const Flit& head,
+MinimalAdaptiveRouting::candidates(NodeId node,
+                                   const WireFlit& head,
                                    std::vector<Candidate>& out,
                                    Rng& rng) const
 {

@@ -31,7 +31,8 @@ PlanarAdaptiveRouting::PlanarAdaptiveRouting(const Topology& topo,
 }
 
 void
-PlanarAdaptiveRouting::candidates(NodeId node, const Flit& head,
+PlanarAdaptiveRouting::candidates(NodeId node,
+                                  const WireFlit& head,
                                   std::vector<Candidate>& out,
                                   Rng& rng) const
 {

@@ -5,12 +5,12 @@
 namespace crnet {
 
 void
-RoutingAlgorithm::onTraverse(NodeId, PortId, Flit&) const
+RoutingAlgorithm::onTraverse(NodeId, PortId, WireFlit&) const
 {
 }
 
 void
-RoutingAlgorithm::onInject(NodeId, Flit& head) const
+RoutingAlgorithm::onInject(NodeId, WireFlit& head) const
 {
     head.vcClass = 0;
 }

@@ -66,7 +66,7 @@ class RoutingAlgorithm
      * `node`. `rng` may be used to randomize ties (adaptive spread).
      * Dead links must not be emitted.
      */
-    virtual void candidates(NodeId node, const Flit& head,
+    virtual void candidates(NodeId node, const WireFlit& head,
                             std::vector<Candidate>& out,
                             Rng& rng) const = 0;
 
@@ -74,13 +74,14 @@ class RoutingAlgorithm
      * Update per-worm routing state carried in the header when it is
      * forwarded from `node` over `port` (e.g. dateline class flips).
      */
-    virtual void onTraverse(NodeId node, PortId port, Flit& head) const;
+    virtual void onTraverse(NodeId node, PortId port,
+                            WireFlit& head) const;
 
     /**
      * Initialize header routing state at injection time (e.g. reset
      * the dateline class).
      */
-    virtual void onInject(NodeId src, Flit& head) const;
+    virtual void onInject(NodeId src, WireFlit& head) const;
 
     /** True when `vc` is reserved as an escape resource. */
     virtual bool isEscapeVc(VcId vc) const;
@@ -120,13 +121,14 @@ class DorRouting : public RoutingAlgorithm
     DorRouting(const Topology& topo, const FaultModel& faults,
                std::uint32_t num_vcs);
 
-    void candidates(NodeId node, const Flit& head,
+    void candidates(NodeId node, const WireFlit& head,
                     std::vector<Candidate>& out, Rng& rng) const override;
-    void onTraverse(NodeId node, PortId port, Flit& head) const override;
+    void onTraverse(NodeId node, PortId port,
+                    WireFlit& head) const override;
     bool selfDeadlockFree() const override;
 
     /** The single productive DOR port for `head` at `node`. */
-    PortId dorPort(NodeId node, const Flit& head) const;
+    PortId dorPort(NodeId node, const WireFlit& head) const;
 
   private:
     std::uint32_t lanesPerClass_ = 1;
@@ -150,7 +152,7 @@ class MinimalAdaptiveRouting : public RoutingAlgorithm
                            const FaultModel& faults,
                            std::uint32_t num_vcs);
 
-    void candidates(NodeId node, const Flit& head,
+    void candidates(NodeId node, const WireFlit& head,
                     std::vector<Candidate>& out, Rng& rng) const override;
     bool selfDeadlockFree() const override { return false; }
 };
@@ -169,9 +171,10 @@ class DuatoRouting : public RoutingAlgorithm
     DuatoRouting(const Topology& topo, const FaultModel& faults,
                  std::uint32_t num_vcs);
 
-    void candidates(NodeId node, const Flit& head,
+    void candidates(NodeId node, const WireFlit& head,
                     std::vector<Candidate>& out, Rng& rng) const override;
-    void onTraverse(NodeId node, PortId port, Flit& head) const override;
+    void onTraverse(NodeId node, PortId port,
+                    WireFlit& head) const override;
     bool isEscapeVc(VcId vc) const override;
     bool selfDeadlockFree() const override { return true; }
 
@@ -201,7 +204,7 @@ class TurnModelRouting : public RoutingAlgorithm
     TurnModelRouting(const Topology& topo, const FaultModel& faults,
                      std::uint32_t num_vcs, Variant variant);
 
-    void candidates(NodeId node, const Flit& head,
+    void candidates(NodeId node, const WireFlit& head,
                     std::vector<Candidate>& out, Rng& rng) const override;
     bool selfDeadlockFree() const override { return true; }
 
@@ -224,7 +227,7 @@ class PlanarAdaptiveRouting : public RoutingAlgorithm
                           const FaultModel& faults,
                           std::uint32_t num_vcs);
 
-    void candidates(NodeId node, const Flit& head,
+    void candidates(NodeId node, const WireFlit& head,
                     std::vector<Candidate>& out, Rng& rng) const override;
     bool selfDeadlockFree() const override { return true; }
 };

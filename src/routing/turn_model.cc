@@ -31,7 +31,7 @@ TurnModelRouting::TurnModelRouting(const Topology& topo,
 }
 
 void
-TurnModelRouting::candidates(NodeId node, const Flit& head,
+TurnModelRouting::candidates(NodeId node, const WireFlit& head,
                              std::vector<Candidate>& out, Rng& rng) const
 {
     const DimRoute x = topo_.dimRoute(node, head.dst, 0);

@@ -132,31 +132,47 @@ Auditor::onWormStart(NodeId src, NodeId dst, std::uint32_t wire_len,
 }
 
 void
-Auditor::onFlitInjected(NodeId node, const Flit& flit)
+Auditor::checkHeaderCarrier(const WireFlit& flit, const WormHeader* hdr,
+                            const char* where, NodeId node)
+{
+    if (flit.isHead() != (hdr != nullptr)) {
+        panic("audit: ", flit.isHead() ? "head" : "non-head",
+              " flit of msg ", flit.msg, " seq ", flit.seq, " at ",
+              where, " (node ", node, ") ",
+              flit.isHead() ? "without its worm header"
+                            : "carrying a worm header");
+    }
+}
+
+void
+Auditor::onFlitInjected(NodeId node, const WireFlit& flit,
+                        const WormHeader* hdr)
 {
     if (!flit.isData())
         return;
+    checkHeaderCarrier(flit, hdr, "injection", node);
     if (tlsStage_ != nullptr)
         ++tlsStage_->injected;
     else
         ++injected_;
-    if (flit.createdAt > flit.headInjectedAt) {
+    if (hdr != nullptr && hdr->createdAt > hdr->headInjectedAt) {
         panic("audit: flit of msg ", flit.msg, " injected at node ",
               node, " before its message was created (created ",
-              flit.createdAt, ", head injected ", flit.headInjectedAt,
+              hdr->createdAt, ", head injected ", hdr->headInjectedAt,
               ")");
     }
 }
 
 void
-Auditor::checkFlit(ChannelState& ch, const Flit& flit,
-                   const char* where, NodeId node, std::uint32_t port,
-                   VcId vc)
+Auditor::checkFlit(ChannelState& ch, const WireFlit& flit,
+                   const WormHeader* hdr, const char* where,
+                   NodeId node, std::uint32_t port, VcId vc)
 {
     if (tlsStage_ != nullptr)
         ++tlsStage_->flitChecks;
     else
         ++flitChecks_;
+    checkHeaderCarrier(flit, hdr, where, node);
 
     if (flit.isKill()) {
         // A kill token may only chase the worm that actually holds or
@@ -190,16 +206,16 @@ Auditor::checkFlit(ChannelState& ch, const Flit& flit,
         return;
     }
 
-    // Timestamp sanity on every data flit.
-    if (flit.createdAt > flit.headInjectedAt ||
-        flit.headInjectedAt > now_) {
-        panic("audit: non-monotonic timestamps on msg ", flit.msg,
-              " seq ", flit.seq, " (created ", flit.createdAt,
-              ", head injected ", flit.headInjectedAt, ", now ", now_,
-              ") at node ", node);
-    }
-
     if (flit.isHead()) {
+        // Timestamp sanity on the worm's header, which its body flits
+        // share.
+        if (hdr->createdAt > hdr->headInjectedAt ||
+            hdr->headInjectedAt > now_) {
+            panic("audit: non-monotonic timestamps on msg ", flit.msg,
+                  " seq ", flit.seq, " (created ", hdr->createdAt,
+                  ", head injected ", hdr->headInjectedAt, ", now ",
+                  now_, ") at node ", node);
+        }
         if (ch.msg != kInvalidMsg) {
             panic("audit: header of msg ", flit.msg,
                   " interleaved into active worm ", ch.msg, " on ",
@@ -213,7 +229,7 @@ Auditor::checkFlit(ChannelState& ch, const Flit& flit,
         ch.msg = flit.msg;
         ch.attempt = flit.attempt;
         ch.nextSeq = 1;
-        ch.payloadLen = flit.payloadLen;
+        ch.payloadLen = hdr->payloadLen;
         return;
     }
 
@@ -281,18 +297,19 @@ Auditor::checkFlit(ChannelState& ch, const Flit& flit,
 
 void
 Auditor::onChannelFlit(NodeId node, PortId in_port, VcId vc,
-                       const Flit& flit)
+                       const WireFlit& flit, const WormHeader* hdr)
 {
-    checkFlit(routerChannel(node, in_port, vc), flit, "router", node,
-              in_port, vc);
+    checkFlit(routerChannel(node, in_port, vc), flit, hdr, "router",
+              node, in_port, vc);
 }
 
 void
 Auditor::onEjectionFlit(NodeId node, std::uint32_t ej_channel,
-                        VcId vc, const Flit& flit)
+                        VcId vc, const WireFlit& flit,
+                        const WormHeader* hdr)
 {
-    checkFlit(ejectionChannel(node, ej_channel, vc), flit, "ejection",
-              node, ej_channel, vc);
+    checkFlit(ejectionChannel(node, ej_channel, vc), flit, hdr,
+              "ejection", node, ej_channel, vc);
 }
 
 void
@@ -311,15 +328,17 @@ Auditor::onChannelReset(NodeId node, PortId in_port, VcId vc,
 }
 
 void
-Auditor::onFlitConsumed(NodeId node, const Flit& flit)
+Auditor::onFlitConsumed(NodeId node, const WireFlit& flit,
+                        const WormHeader* hdr)
 {
+    checkHeaderCarrier(flit, hdr, "consumption", node);
     if (tlsStage_ != nullptr)
         ++tlsStage_->consumed;
     else
         ++consumed_;
-    if (flit.headInjectedAt > now_) {
+    if (hdr != nullptr && hdr->headInjectedAt > now_) {
         panic("audit: msg ", flit.msg, " flit consumed at node ", node,
-              " before its injection cycle ", flit.headInjectedAt,
+              " before its injection cycle ", hdr->headInjectedAt,
               " (now ", now_, ")");
     }
 }

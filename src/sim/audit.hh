@@ -159,16 +159,20 @@ class Auditor
     void onWormStart(NodeId src, NodeId dst, std::uint32_t wire_len,
                      std::uint32_t payload_len);
 
+    // The flit hooks take a head's WormHeader as `hdr` (null for
+    // every other flit) and check header fields there, once per worm.
+
     /** A data flit entered an injection channel (conservation). */
-    void onFlitInjected(NodeId node, const Flit& flit);
+    void onFlitInjected(NodeId node, const WireFlit& flit,
+                        const WormHeader* hdr);
 
     /** A flit (data or kill) arrived at a router input VC. */
     void onChannelFlit(NodeId node, PortId in_port, VcId vc,
-                       const Flit& flit);
+                       const WireFlit& flit, const WormHeader* hdr);
 
     /** A flit (data or kill) arrived at a receiver ejection VC. */
     void onEjectionFlit(NodeId node, std::uint32_t ej_channel, VcId vc,
-                        const Flit& flit);
+                        const WireFlit& flit, const WormHeader* hdr);
 
     /** A router input VC was purged without a token (bkill/timeout). */
     void onChannelReset(NodeId node, PortId in_port, VcId vc,
@@ -197,7 +201,8 @@ class Auditor
     }
 
     /** A receiver consumed one flit (conservation). */
-    void onFlitConsumed(NodeId node, const Flit& flit);
+    void onFlitConsumed(NodeId node, const WireFlit& flit,
+                        const WormHeader* hdr);
 
     // --- Periodic sweep -----------------------------------------------
 
@@ -233,9 +238,13 @@ class Auditor
         MsgId purgedMsg = kInvalidMsg;  //!< Stragglers of this are legal.
     };
 
-    void checkFlit(ChannelState& ch, const Flit& flit,
-                   const char* where, NodeId node, std::uint32_t port,
-                   VcId vc);
+    void checkFlit(ChannelState& ch, const WireFlit& flit,
+                   const WormHeader* hdr, const char* where, NodeId node,
+                   std::uint32_t port, VcId vc);
+    /** A header rides with its head and with nothing else. */
+    static void checkHeaderCarrier(const WireFlit& flit,
+                                   const WormHeader* hdr,
+                                   const char* where, NodeId node);
     ChannelState& routerChannel(NodeId node, PortId port, VcId vc);
     ChannelState& ejectionChannel(NodeId node, std::uint32_t ch,
                                   VcId vc);

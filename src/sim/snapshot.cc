@@ -29,7 +29,7 @@ namespace crnet {
 // --- Shared field-group serializers ------------------------------------
 
 void
-saveFlit(StateWriter& w, const Flit& f)
+saveFlit(StateWriter& w, const WireFlit& f)
 {
     w.u8(static_cast<std::uint8_t>(f.type));
     w.u64(f.msg);
@@ -39,18 +39,13 @@ saveFlit(StateWriter& w, const Flit& f)
     w.u8(f.vcClass);
     w.u8(f.misrouteBudget);
     w.u16(f.attempt);
-    w.u32(f.payloadLen);
-    w.u32(f.pairSeq);
-    w.u64(f.createdAt);
-    w.u64(f.headInjectedAt);
-    w.b(f.measured);
-    w.u64(f.payload);
+    w.u32(f.payload);
     w.u8(f.crc);
     w.b(f.corrupted);
 }
 
 void
-loadFlit(StateReader& r, Flit& f)
+loadFlit(StateReader& r, WireFlit& f)
 {
     f.type = static_cast<FlitType>(r.u8());
     f.msg = r.u64();
@@ -60,14 +55,29 @@ loadFlit(StateReader& r, Flit& f)
     f.vcClass = r.u8();
     f.misrouteBudget = r.u8();
     f.attempt = r.u16();
-    f.payloadLen = r.u32();
-    f.pairSeq = r.u32();
-    f.createdAt = r.u64();
-    f.headInjectedAt = r.u64();
-    f.measured = r.b();
-    f.payload = r.u64();
+    f.payload = r.u32();
     f.crc = r.u8();
     f.corrupted = r.b();
+}
+
+void
+saveHeader(StateWriter& w, const WormHeader& h)
+{
+    w.u32(h.payloadLen);
+    w.u32(h.pairSeq);
+    w.u64(h.createdAt);
+    w.u64(h.headInjectedAt);
+    w.b(h.measured);
+}
+
+void
+loadHeader(StateReader& r, WormHeader& h)
+{
+    h.payloadLen = r.u32();
+    h.pairSeq = r.u32();
+    h.createdAt = r.u64();
+    h.headInjectedAt = r.u64();
+    h.measured = r.b();
 }
 
 void

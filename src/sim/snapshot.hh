@@ -38,7 +38,7 @@ class Network;
 struct SimConfig;
 
 /** Snapshot container format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /**
  * Append-only little-endian byte sink for snapshot payloads.
@@ -297,12 +297,16 @@ loadRng(StateReader& r, Rng& rng)
     rng.setState(s);
 }
 
-struct Flit;
+struct WireFlit;
+struct WormHeader;
 struct PendingMessage;
 struct NetworkStats;
 
-void saveFlit(StateWriter& w, const Flit& f);
-void loadFlit(StateReader& r, Flit& f);
+void saveFlit(StateWriter& w, const WireFlit& f);
+void loadFlit(StateReader& r, WireFlit& f);
+
+void saveHeader(StateWriter& w, const WormHeader& h);
+void loadHeader(StateReader& r, WormHeader& h);
 
 void saveMessage(StateWriter& w, const PendingMessage& m);
 void loadMessage(StateReader& r, PendingMessage& m);

@@ -59,6 +59,25 @@ struct Harness
     {
     }
 
+    // Node 0, port 0, VC 0. A Flit's header rides along only when the
+    // flit is a head, as on the engine's wire path.
+    void channelFlit(const Flit& f)
+    {
+        audit.onChannelFlit(0, 0, 0, f, f.header());
+    }
+    void ejectionFlit(const Flit& f)
+    {
+        audit.onEjectionFlit(0, 0, 0, f, f.header());
+    }
+    void injectFlit(const Flit& f)
+    {
+        audit.onFlitInjected(0, f, f.header());
+    }
+    void consumeFlit(const Flit& f)
+    {
+        audit.onFlitConsumed(0, f, f.header());
+    }
+
     SimConfig cfg;
     std::unique_ptr<Topology> topo;
     Auditor audit;
@@ -69,74 +88,83 @@ struct Harness
 TEST(AuditDeath, SequenceGapPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Body, 1, 2, 4)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Body, 1, 2, 4)),
                  "audit: sequence gap");
 }
 
 TEST(AuditDeath, FlitAfterTailPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 2));
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Body, 1, 1, 2));
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Tail, 1, 2, 2));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Body, 1, 3, 2)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 2));
+    h.channelFlit(dataFlit(FlitType::Body, 1, 1, 2));
+    h.channelFlit(dataFlit(FlitType::Tail, 1, 2, 2));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Body, 1, 3, 2)),
                  "audit: .* without a header");
 }
 
 TEST(AuditDeath, InterleavedHeaderPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Head, 2, 0, 4)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Head, 2, 0, 4)),
                  "audit: header of msg 2 interleaved");
 }
 
 TEST(AuditDeath, InterleavedBodyPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Body, 9, 1, 4)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Body, 9, 1, 4)),
                  "audit: interleaved worms");
 }
 
 TEST(AuditDeath, HeaderWithNonZeroSeqPanics)
 {
     Harness h(auditConfig());
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Head, 1, 3, 4)),
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Head, 1, 3, 4)),
                  "must be 0");
 }
 
 TEST(AuditDeath, BodyFlitPastPayloadPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 2));
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Body, 1, 1, 2));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Body, 1, 2, 2)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 2));
+    h.channelFlit(dataFlit(FlitType::Body, 1, 1, 2));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Body, 1, 2, 2)),
                  "audit: body flit past the payload");
 }
 
 TEST(AuditDeath, TailInsidePayloadPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Tail, 1, 1, 4)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Tail, 1, 1, 4)),
                  "audit: tail flit inside the payload");
 }
 
 TEST(AuditDeath, EjectionChannelIsCheckedToo)
 {
     Harness h(auditConfig());
-    EXPECT_DEATH(h.audit.onEjectionFlit(
-                     0, 0, 0, dataFlit(FlitType::Body, 5, 1, 4)),
+    EXPECT_DEATH(h.ejectionFlit(dataFlit(FlitType::Body, 5, 1, 4)),
                  "audit: ejection flit .* without a header");
+}
+
+TEST(AuditDeath, HeadWithoutWormHeaderPanics)
+{
+    Harness h(auditConfig());
+    const Flit f = dataFlit(FlitType::Head, 1, 0, 4);
+    EXPECT_DEATH(h.audit.onChannelFlit(0, 0, 0, f, nullptr),
+                 "audit: head flit of msg 1 .* without its worm header");
+}
+
+TEST(AuditDeath, BodyCarryingWormHeaderPanics)
+{
+    Harness h(auditConfig());
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    const Flit f = dataFlit(FlitType::Body, 1, 1, 4);
+    EXPECT_DEATH(h.audit.onChannelFlit(0, 0, 0, f, &f),
+                 "audit: non-head flit of msg 1 .* carrying a worm header");
 }
 
 // --- Kill-token legality --------------------------------------------
@@ -145,26 +173,25 @@ TEST(AuditDeath, KillOnVirginChannelPanics)
 {
     Harness h(auditConfig());
     Flit kill = dataFlit(FlitType::Kill, 7, 0, 0);
-    EXPECT_DEATH(h.audit.onChannelFlit(0, 0, 0, kill),
+    EXPECT_DEATH(h.channelFlit(kill),
                  "audit: kill token .* never carried its worm");
 }
 
 TEST(AuditDeath, KillForForeignWormPanics)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
-    EXPECT_DEATH(h.audit.onChannelFlit(
-                     0, 0, 0, dataFlit(FlitType::Kill, 2, 0, 0)),
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    EXPECT_DEATH(h.channelFlit(dataFlit(FlitType::Kill, 2, 0, 0)),
                  "audit: kill token for msg 2 .* occupied by msg 1");
 }
 
 TEST(Audit, KillChasingItsOwnWormIsLegal)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Kill, 1, 0, 0));
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
+    h.channelFlit(dataFlit(FlitType::Kill, 1, 0, 0));
     // The channel is free again afterwards.
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 2, 0, 4));
+    h.channelFlit(dataFlit(FlitType::Head, 2, 0, 4));
 }
 
 TEST(Audit, IssuedKillMayOverrunItsWormByOneHop)
@@ -174,16 +201,16 @@ TEST(Audit, IssuedKillMayOverrunItsWormByOneHop)
     // legal only for registered kill tokens.
     Harness h(auditConfig());
     h.audit.onKillIssued(3, 0);
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Kill, 3, 0, 0));
+    h.channelFlit(dataFlit(FlitType::Kill, 3, 0, 0));
 }
 
 TEST(Audit, StragglerOfPurgedWormIsLegal)
 {
     Harness h(auditConfig());
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Head, 1, 0, 4));
+    h.channelFlit(dataFlit(FlitType::Head, 1, 0, 4));
     h.audit.onChannelReset(0, 0, 0, 1);
     // One in-flight flit of the purged worm may still arrive.
-    h.audit.onChannelFlit(0, 0, 0, dataFlit(FlitType::Body, 1, 1, 4));
+    h.channelFlit(dataFlit(FlitType::Body, 1, 1, 4));
 }
 
 // --- Invariant 4: CR/FCR padding ------------------------------------
@@ -235,7 +262,7 @@ TEST(AuditDeath, CreatedAfterInjectionPanics)
     Flit f = dataFlit(FlitType::Head, 1, 0, 4);
     f.createdAt = 100;
     f.headInjectedAt = 50;
-    EXPECT_DEATH(h.audit.onChannelFlit(0, 0, 0, f),
+    EXPECT_DEATH(h.channelFlit(f),
                  "audit: non-monotonic timestamps");
 }
 
@@ -245,7 +272,7 @@ TEST(AuditDeath, InjectionInTheFuturePanics)
     h.audit.beginCycle(10);
     Flit f = dataFlit(FlitType::Head, 1, 0, 4);
     f.headInjectedAt = 99;  // Claims a cycle that has not happened.
-    EXPECT_DEATH(h.audit.onChannelFlit(0, 0, 0, f),
+    EXPECT_DEATH(h.channelFlit(f),
                  "audit: non-monotonic timestamps");
 }
 
@@ -255,7 +282,7 @@ TEST(AuditDeath, LeakedFlitBreaksConservation)
 {
     Harness h(auditConfig());
     Flit f = dataFlit(FlitType::Head, 1, 0, 4);
-    h.audit.onFlitInjected(0, f);
+    h.injectFlit(f);
     // The snapshot says the flit is nowhere: not buffered, not in
     // flight, and it was never consumed or purged. It leaked.
     AuditSnapshot snap;
@@ -268,7 +295,7 @@ TEST(AuditDeath, DuplicatedFlitBreaksConservation)
 {
     Harness h(auditConfig());
     Flit f = dataFlit(FlitType::Head, 1, 0, 4);
-    h.audit.onFlitInjected(0, f);
+    h.injectFlit(f);
     AuditSnapshot snap;
     snap.now = 1;
     snap.bufferedFlits = 2;  // One flit injected, two accounted.
@@ -280,8 +307,8 @@ TEST(Audit, BalancedLedgerSweepPasses)
 {
     Harness h(auditConfig());
     Flit f = dataFlit(FlitType::Head, 1, 0, 4);
-    h.audit.onFlitInjected(0, f);
-    h.audit.onFlitConsumed(0, f);
+    h.injectFlit(f);
+    h.consumeFlit(f);
     AuditSnapshot snap;
     snap.now = 1;
     h.audit.sweep(snap);

@@ -67,7 +67,7 @@ TEST_F(InjectorTest, EmitsWormInOrderWithPadsAndTail)
     // dst 5 = (1,1): 2 hops. CR wire = capacity(2,2)+slack =
     // (2+2)*2+2+2+2 = 14.
     inj->enqueue(msgTo(5, 4));
-    std::vector<Flit> flits;
+    std::vector<WireFlit> flits;
     std::vector<CommittedSample> samples;
     for (int i = 0; i < 40; ++i) {
         bool tail = false;
@@ -270,7 +270,7 @@ TEST_F(InjectorTest, PerDestinationOrderIsPreserved)
     for (int i = 0; i < 100; ++i) {
         for (const auto& f : step()) {
             if (f.flit.isHead())
-                head_seqs.push_back(f.flit.pairSeq);
+                head_seqs.push_back(inj->sentHeaders[f.header].pairSeq);
             inj->acceptCredit(f.injChannel, f.vc);
         }
     }
@@ -370,7 +370,7 @@ TEST_F(InjectorTest, FcrPadsAfterPayload)
     cfg.protocol = ProtocolKind::Fcr;
     rebuild();
     inj->enqueue(msgTo(5, 4));
-    std::vector<Flit> flits;
+    std::vector<WireFlit> flits;
     for (int i = 0; i < 80; ++i) {
         for (const auto& f : step()) {
             flits.push_back(f.flit);

@@ -104,6 +104,45 @@ TEST_F(ReceiverTest, AssemblesAndDeliversOnTail)
     EXPECT_TRUE(rcv->idle());
 }
 
+TEST_F(ReceiverTest, DeliversTheHeadsHeaderNotTheTails)
+{
+    // The worm header travels once, with the head. Whatever the other
+    // flits of a hand-built worm hold in those fields never reaches
+    // the delivery record.
+    now = 20;
+    const std::uint32_t payload_len = 3;
+    const std::uint32_t wire = 6;
+    for (std::uint32_t i = 0; i < wire; ++i) {
+        const FlitType t = i == 0                ? FlitType::Head
+                           : i + 1 == wire      ? FlitType::Tail
+                           : i >= payload_len   ? FlitType::Pad
+                                                : FlitType::Body;
+        Flit f = makeFlit(t, 1, i, wire, payload_len, 2, 5);
+        f.createdAt = 10;
+        f.headInjectedAt = 12;
+        if (i > 0) {
+            f.payloadLen = 99;
+            f.pairSeq = 77;
+            f.createdAt = 1;
+            f.headInjectedAt = 2;
+            f.measured = false;
+        }
+        rcv->acceptFlit(0, 0, f);
+        rcv->tick(now++);
+    }
+    for (int i = 0; i < 8; ++i)
+        rcv->tick(now++);
+    ASSERT_EQ(sink->delivered.size(), 1u);
+    const DeliveredMessage& d = sink->delivered[0];
+    EXPECT_EQ(d.payloadLen, payload_len);
+    EXPECT_EQ(d.pairSeq, 5u);
+    EXPECT_EQ(d.createdAt, 10u);
+    EXPECT_EQ(d.headInjectedAt, 12u);
+    EXPECT_TRUE(d.measured);
+    EXPECT_EQ(stats->measuredDelivered.value(), 1u);
+    EXPECT_EQ(stats->measuredPayloadFlits.value(), payload_len);
+}
+
 TEST_F(ReceiverTest, CreditsReturnedPerConsumedFlit)
 {
     feedWorm(1, 4, 10);

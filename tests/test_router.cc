@@ -174,6 +174,51 @@ TEST_F(RouterTest, KillPurgesAndForwards)
     EXPECT_TRUE(router->idle());
 }
 
+TEST_F(RouterTest, HeadersLeaveWithTheirHeadsOnly)
+{
+    // The worm header waits in the input VC beside its head and goes
+    // out with it on the next hop; body flits and kill tokens carry
+    // none, even when the Flit handed in held header fields.
+    const PortId in = makePort(0, Direction::Minus);
+    Flit head = makeFlit(FlitType::Head, 9, 0, 7);
+    head.payloadLen = 4;
+    head.pairSeq = 3;
+    head.createdAt = 11;
+    head.headInjectedAt = 13;
+    head.measured = true;
+    router->acceptFlit(in, 0, head);
+    router->tick(now++);
+    ASSERT_EQ(router->sentFlits.size(), 1u);
+    const SentFlit& h = router->sentFlits[0];
+    ASSERT_TRUE(h.flit.isHead());
+    ASSERT_EQ(router->sentHeaders.size(), 1u);
+    ASSERT_EQ(h.header, 0u);
+    const WormHeader& out = router->sentHeaders[h.header];
+    EXPECT_EQ(out.payloadLen, 4u);
+    EXPECT_EQ(out.pairSeq, 3u);
+    EXPECT_EQ(out.createdAt, 11u);
+    EXPECT_EQ(out.headInjectedAt, 13u);
+    EXPECT_TRUE(out.measured);
+    const PortId port = h.outPort;
+
+    Flit body = makeFlit(FlitType::Body, 9, 1, 7);
+    body.payloadLen = 99;
+    body.pairSeq = 77;
+    router->acceptFlit(in, 0, body);
+    router->acceptCredit(port, 0);
+    router->tick(now++);
+    ASSERT_EQ(router->sentFlits.size(), 1u);
+    EXPECT_EQ(router->sentFlits[0].header, kNoHeader);
+    EXPECT_TRUE(router->sentHeaders.empty());
+
+    router->acceptFlit(in, 0, makeFlit(FlitType::Kill, 9, 0, 7));
+    router->tick(now++);
+    ASSERT_EQ(router->sentFlits.size(), 1u);
+    ASSERT_TRUE(router->sentFlits[0].flit.isKill());
+    EXPECT_EQ(router->sentFlits[0].header, kNoHeader);
+    EXPECT_TRUE(router->sentHeaders.empty());
+}
+
 TEST_F(RouterTest, KillAnnihilatesWaitingHeader)
 {
     // Fill the +x output VC with another worm so the victim's header

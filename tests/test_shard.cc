@@ -363,6 +363,67 @@ TEST(Shard, SnapshotRoundTripsAcrossShardCounts)
     EXPECT_EQ(hop(deep, 3, 2, save_at), deep_straight);
 }
 
+TEST(Shard, UnshardedSnapshotRestoresIntoUnevenShards)
+{
+    // A restored bucket lands whole in shard 0's segment, so shards 1
+    // and 2 find their events only through the remote lists the
+    // restore rebuilds. Save an unsharded run with four-cycle
+    // channels and path-wide kills when flits, credits and backward
+    // kills are in flight to every shard of a shards=3 split (ranges
+    // [0,6), [6,11), [11,16)), restore it at shards=3, and finish.
+    SimConfig cfg = baseCfg();
+    cfg.channelLatency = 4;
+    cfg.timeout = 4;
+    cfg.timeoutScheme = TimeoutScheme::PathWide;
+    cfg.injectionRate = 0.2;
+    cfg.shards = 1;
+    const std::vector<std::pair<NodeId, NodeId>> ranges = {
+        {0, 6}, {6, 11}, {11, 16}};
+    auto allInFlight = [&](const Network& net) {
+        for (const auto& [begin, end] : ranges) {
+            const Network::WaveCensus c = net.inFlight(begin, end);
+            if (c.flits == 0 || c.credits == 0 || c.bkills == 0)
+                return false;
+        }
+        return true;
+    };
+    auto finish = [](Network& net) {
+        net.setMeasuring(false);
+        net.setTrafficEnabled(false);
+        net.run(600);
+    };
+
+    Network straight(cfg);
+    straight.run(500);
+    while (!allInFlight(straight) && straight.now() < 3000)
+        straight.run(1);
+    ASSERT_TRUE(allInFlight(straight))
+        << "no cycle in [500, 3000) with every kind in flight to "
+           "every shard";
+    const Snapshot mid = captureSnapshot(straight);
+    finish(straight);
+
+    SimConfig sharded = cfg;
+    sharded.shards = 3;
+    Network cont(sharded);
+    ASSERT_EQ(restoreSnapshot(cont, mid), "");
+    EXPECT_EQ(cont.now(), mid.at);
+    finish(cont);
+
+    const NetworkStats& a = straight.stats();
+    const NetworkStats& b = cont.stats();
+    EXPECT_EQ(b.messagesDelivered.value(), a.messagesDelivered.value());
+    EXPECT_EQ(b.router.flitsForwarded.value(),
+              a.router.flitsForwarded.value());
+    EXPECT_EQ(b.router.bkillHops.value(), a.router.bkillHops.value());
+    EXPECT_EQ(b.router.pathWideKills.value(),
+              a.router.pathWideKills.value());
+    EXPECT_EQ(b.abortedByBkill.value(), a.abortedByBkill.value());
+    EXPECT_EQ(b.totalLatency.mean(), a.totalLatency.mean());
+    EXPECT_TRUE(captureSnapshot(cont).payload ==
+                captureSnapshot(straight).payload);
+}
+
 TEST(Shard, ConfigKeyRoundTripsAndValidates)
 {
     SimConfig cfg;

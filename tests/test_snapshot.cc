@@ -267,6 +267,22 @@ TEST_F(SnapshotFile, DetectsVersionSkew)
     EXPECT_NE(err.find("version"), std::string::npos) << err;
 }
 
+TEST_F(SnapshotFile, RefusesVersion3)
+{
+    // Version 3 carried every header field on every flit; its layout
+    // is refused, not migrated.
+    ASSERT_EQ(kSnapshotVersion, 4u);
+    std::vector<std::uint8_t> old = file_;
+    old[8] = 3;  // Little-endian u32 after the 8-byte magic.
+    old[9] = old[10] = old[11] = 0;
+    rewriteWithValidCrc(old);
+    Snapshot out;
+    const std::string err = readSnapshotFile(path_, out);
+    EXPECT_NE(err.find("format version 3; this build reads version 4"),
+              std::string::npos)
+        << err;
+}
+
 TEST_F(SnapshotFile, MissingFileIsAnError)
 {
     Snapshot out;
