@@ -8,6 +8,7 @@
 #ifndef CRNET_CORE_METRICS_HH
 #define CRNET_CORE_METRICS_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -74,7 +75,84 @@ struct NetworkStats
     Accumulator attempts;         //!< Attempts per delivered message.
     Accumulator padOverhead;      //!< Pad flits / wire flits per msg.
     Histogram latencyHist{8.0, 4096};  //!< Total latency, 8-cycle bins.
+
+    /**
+     * Snapshot field list (snapshot.hh): the counters in
+     * kRouterCounters then kNetworkCounters order, the accumulators,
+     * the latency histogram.
+     */
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 };
+
+/**
+ * Every Counter of the stats block, in the snapshot's order, as
+ * member-pointer tables: serialization, the per-shard fold and the
+ * restore-time reset of the shard blocks all walk them. Accumulators
+ * and the histogram are deliberately absent: shard blocks never
+ * receive order-sensitive adds (see Network::shardStats_).
+ */
+inline constexpr std::array<Counter RouterStats::*, 13> kRouterCounters = {
+    &RouterStats::flitsForwarded,
+    &RouterStats::headersRouted,
+    &RouterStats::escapeAllocations,
+    &RouterStats::misrouteHops,
+    &RouterStats::killsForwarded,
+    &RouterStats::killsAnnihilated,
+    &RouterStats::pathWideKills,
+    &RouterStats::bkillHops,
+    &RouterStats::flitsPurged,
+    &RouterStats::stragglersDropped,
+    &RouterStats::staleKills,
+    &RouterStats::lateCreditsDropped,
+    &RouterStats::linkDeathTeardowns,
+};
+
+inline constexpr std::array<Counter NetworkStats::*, 28> kNetworkCounters = {
+    &NetworkStats::messagesGenerated,
+    &NetworkStats::messagesMeasured,
+    &NetworkStats::sourceQueueDrops,
+    &NetworkStats::flitsInjected,
+    &NetworkStats::padFlitsInjected,
+    &NetworkStats::sourceKills,
+    &NetworkStats::abortedByBkill,
+    &NetworkStats::messagesCommitted,
+    &NetworkStats::messagesFailed,
+    &NetworkStats::measuredFailed,
+    &NetworkStats::messagesDelivered,
+    &NetworkStats::measuredDelivered,
+    &NetworkStats::corruptedDeliveries,
+    &NetworkStats::orderViolations,
+    &NetworkStats::duplicateDeliveries,
+    &NetworkStats::refusals,
+    &NetworkStats::staleAttemptFlits,
+    &NetworkStats::flitsConsumed,
+    &NetworkStats::padFlitsConsumed,
+    &NetworkStats::measuredPayloadFlits,
+    &NetworkStats::faultEventsApplied,
+    &NetworkStats::flitsLostOnDeadLinks,
+    &NetworkStats::killsAbsorbedAtDeadLinks,
+    &NetworkStats::controlAbsorbedAtDeadLinks,
+    &NetworkStats::receiverTimeouts,
+    &NetworkStats::assembliesFinalized,
+    &NetworkStats::assembliesDiscarded,
+    &NetworkStats::retryDuplicatesSuppressed,
+};
+
+template <typename Self, typename Io>
+void
+NetworkStats::serialize(Self& self, Io& io)
+{
+    for (const auto field : kRouterCounters)
+        Counter::serialize(self.router.*field, io);
+    for (const auto field : kNetworkCounters)
+        Counter::serialize(self.*field, io);
+    Accumulator::serialize(self.totalLatency, io);
+    Accumulator::serialize(self.netLatency, io);
+    Accumulator::serialize(self.attempts, io);
+    Accumulator::serialize(self.padOverhead, io);
+    Histogram::serialize(self.latencyHist, io);
+}
 
 /** Aggregate outcome of one simulated configuration. */
 struct RunResult

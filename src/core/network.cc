@@ -11,7 +11,6 @@
 #include "src/core/timeseries.hh"
 #include "src/fault/campaign.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 #include "src/sim/trace.hh"
 #include "src/sim/walltime.hh"
 
@@ -29,60 +28,6 @@ static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
               "kIdleProbePeriod must be a power of two: the probe "
               "boundary test masks with (kIdleProbePeriod - 1) "
               "instead of taking a modulus");
-
-/**
- * Every Counter field of the stats block, as member-pointer tables,
- * so the per-shard fold (and the restore-time reset) walks them
- * without hand-maintaining two copies of the list. Accumulators and
- * the histogram are deliberately absent: shard blocks never receive
- * order-sensitive adds (see NetworkStats shardStats_ doc).
- */
-constexpr std::array<Counter RouterStats::*, 13> kRouterCounters = {
-    &RouterStats::flitsForwarded,
-    &RouterStats::headersRouted,
-    &RouterStats::escapeAllocations,
-    &RouterStats::misrouteHops,
-    &RouterStats::killsForwarded,
-    &RouterStats::killsAnnihilated,
-    &RouterStats::pathWideKills,
-    &RouterStats::bkillHops,
-    &RouterStats::flitsPurged,
-    &RouterStats::stragglersDropped,
-    &RouterStats::staleKills,
-    &RouterStats::lateCreditsDropped,
-    &RouterStats::linkDeathTeardowns,
-};
-
-constexpr std::array<Counter NetworkStats::*, 28> kNetworkCounters = {
-    &NetworkStats::messagesGenerated,
-    &NetworkStats::messagesMeasured,
-    &NetworkStats::sourceQueueDrops,
-    &NetworkStats::flitsInjected,
-    &NetworkStats::padFlitsInjected,
-    &NetworkStats::sourceKills,
-    &NetworkStats::abortedByBkill,
-    &NetworkStats::messagesCommitted,
-    &NetworkStats::messagesFailed,
-    &NetworkStats::measuredFailed,
-    &NetworkStats::messagesDelivered,
-    &NetworkStats::measuredDelivered,
-    &NetworkStats::corruptedDeliveries,
-    &NetworkStats::orderViolations,
-    &NetworkStats::duplicateDeliveries,
-    &NetworkStats::refusals,
-    &NetworkStats::staleAttemptFlits,
-    &NetworkStats::flitsConsumed,
-    &NetworkStats::padFlitsConsumed,
-    &NetworkStats::measuredPayloadFlits,
-    &NetworkStats::faultEventsApplied,
-    &NetworkStats::flitsLostOnDeadLinks,
-    &NetworkStats::killsAbsorbedAtDeadLinks,
-    &NetworkStats::controlAbsorbedAtDeadLinks,
-    &NetworkStats::receiverTimeouts,
-    &NetworkStats::assembliesFinalized,
-    &NetworkStats::assembliesDiscarded,
-    &NetworkStats::retryDuplicatesSuppressed,
-};
 
 /** Fold every Counter of `from` into `into` and zero `from`. */
 void
@@ -102,16 +47,6 @@ foldCounters(NetworkStats& into, NetworkStats& from)
             f.reset();
         }
     }
-}
-
-/** Zero every Counter of a shard block (snapshot restore). */
-void
-resetCounters(NetworkStats& blk)
-{
-    for (const auto field : kRouterCounters)
-        (blk.router.*field).reset();
-    for (const auto field : kNetworkCounters)
-        (blk.*field).reset();
 }
 
 /**
@@ -705,6 +640,9 @@ Network::injectFaultEvent(const FaultEvent& ev)
             rcv->setDynamicFaults(true);
     }
     applyOneFaultEvent(ev);
+    // A link teardown counts into the routers' shard blocks: fold them
+    // now, so stats() is current and the blocks are zero between ticks.
+    foldShardCounters();
 }
 
 void
@@ -1696,449 +1634,38 @@ Network::measuredDrained() const
            measuredCreated_;
 }
 
-// --- Checkpoint/restore ------------------------------------------------
-//
-// Field order is the contract: saveState and loadState must mirror
-// each other exactly, and any change to either requires bumping
-// kSnapshotVersion (docs/ROBUSTNESS.md). Unordered containers are
-// serialized in sorted key order so the payload bytes are independent
-// of hash-table layout.
+// --- Checkpoint capture walk (the rest is in network_state.cc) --------
 
-CRNET_ALLOW("unordered-iter",
-            "explicit-send maps are snapshotted into sorted MsgId "
-            "order before serialization; every other container is "
-            "ordered already")
-void
-Network::saveState(StateWriter& w) const
+std::vector<Network::ListedBucket>
+Network::listBuckets() const
 {
-    // Shard Counter blocks are zero between ticks except when a
-    // between-tick writer (injectFaultEvent's link teardown) bumped a
-    // router counter; fold them now so the serialized master block —
-    // and with it the snapshot bytes — matches an unsharded run.
-    // Logically const: counts move between blocks that serialize as
-    // one.
-    const_cast<Network*>(this)->foldShardCounters();
-    saveNetworkStats(w, stats_);
-    faults_->saveState(w);
-    generator_->saveState(w);
-    const NodeId n = topo_->numNodes();
-    for (NodeId id = 0; id < n; ++id)
-        routers_[id]->saveState(w);
-    for (NodeId id = 0; id < n; ++id)
-        injectors_[id]->saveState(w);
-    for (NodeId id = 0; id < n; ++id)
-        receivers_[id]->saveState(w);
-
-    // Wave buckets in the payload's fixed layout (snapshotBuckets()),
-    // each written in the serial order, so the bytes depend on neither
-    // the shard count nor which bucket holds which cycle.
-    const PortId net_ports = netPorts_;
-    const auto count = [](const Wave& wave, const auto lane) {
-        std::uint64_t c = 0;
-        for (const Segment& seg : wave.segs)
-            c += (seg.*lane).events.size();
-        return c;
-    };
-    const std::size_t listed = snapshotBuckets();
-    w.u64(listed);
-    for (std::size_t i = 0; i < listed; ++i) {
-        const Cycle at = snapshotCycle(i);
-        if (at - now_ > cfg_.channelLatency) {
-            for (int kind = 0; kind < 6; ++kind)
-                w.u64(0);  // Past the live window: no event of any kind.
-            continue;
-        }
-        const Wave& wave = bucketOf(at);
-        w.u64(count(wave, &Segment::flits));
-        forEachInOrder(wave, &Segment::flits,
-                       [&](const PendingFlit& pf, const Segment& seg) {
-            w.u32(pf.node);
-            w.u16(pf.inPort);
-            w.u16(pf.vc);
-            saveFlit(w, pf.flit);
-            if (pf.header != kNoHeader)
-                saveHeader(w, seg.headers[pf.header]);
-            w.b(pf.inPort < net_ports);  // The network-hop bit.
-        });
-        w.u64(count(wave, &Segment::recvFlits));
-        forEachInOrder(wave, &Segment::recvFlits,
-                       [&](const PendingRecvFlit& pf,
-                           const Segment& seg) {
-            w.u32(pf.node);
-            w.u32(pf.ejChannel);
-            w.u16(pf.vc);
-            saveFlit(w, pf.flit);
-            if (pf.header != kNoHeader)
-                saveHeader(w, seg.headers[pf.header]);
-        });
-        w.u64(count(wave, &Segment::credits));
-        forEachInOrder(wave, &Segment::credits,
-                       [&](const PendingCredit& pc, const Segment&) {
-            w.u32(pc.node);
-            w.u16(pc.outPort);
-            w.u16(pc.vc);
-        });
-        w.u64(count(wave, &Segment::injCredits));
-        forEachInOrder(wave, &Segment::injCredits,
-                       [&](const PendingInjCredit& pc, const Segment&) {
-            w.u32(pc.node);
-            w.u32(pc.injChannel);
-            w.u16(pc.vc);
-        });
-        w.u64(count(wave, &Segment::bkills));
-        forEachInOrder(wave, &Segment::bkills,
-                       [&](const PendingBkill& pb, const Segment&) {
-            w.u32(pb.node);
-            w.u16(pb.outPort);
-            w.u16(pb.vc);
-        });
-        w.u64(count(wave, &Segment::aborts));
-        forEachInOrder(wave, &Segment::aborts,
-                       [&](const PendingAbort& pa, const Segment&) {
-            w.u32(pa.node);
-            w.u32(pa.injChannel);
-            w.u16(pa.vc);
-            w.u64(pa.msg);
-        });
-    }
-
-    // Active-set scheduler: wake flags and deadline arrays. The heaps
-    // are rebuilt from the nextAt arrays on load — stale heap entries
-    // only produce no-op wakes, which are state-invariant by the
-    // sweep-equivalence contract.
-    for (NodeId id = 0; id < n; ++id)
-        w.u8(injAwake_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u8(rtrAwake_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u8(rcvAwake_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u64(injNextAt_[id]);
-    for (NodeId id = 0; id < n; ++id)
-        w.u64(rcvNextAt_[id]);
-
-    w.u64(now_);
-    w.b(trafficEnabled_);
-    w.b(measuring_);
-    w.u64(measuredCreated_);
-    w.u64(lastActivity_);
-    w.u64(lastActivityLevel_);
-    w.b(forensicsDumped_);
-
-    w.b(dynamicFaults_);
-    w.b(schedule_ != nullptr);
-    if (schedule_ != nullptr)
-        schedule_->saveState(w);
-
-    w.b(ledger_ != nullptr);
-    if (ledger_ != nullptr) {
-        StateWriter inner;
-        ledger_->saveState(inner);
-        w.block(inner);
-    }
-
-    w.b(audit_ != nullptr);
-#if CRNET_AUDIT_ENABLED
-    if (audit_ != nullptr)
-        audit_->saveState(w);
-#endif
-
-    // Length-prefixed: the restore side may legitimately run without
-    // a tracer (traceFile is excluded from the fingerprint) and then
-    // skips the block wholesale.
-    w.b(trace_ != nullptr);
-    if (trace_ != nullptr) {
-        StateWriter inner;
-        trace_->saveState(inner);
-        w.block(inner);
-    }
-
-    w.b(timeseries_ != nullptr);
-    if (timeseries_ != nullptr)
-        timeseries_->saveState(w);
-
-    std::vector<MsgId> manual;
-    manual.reserve(manualDelivered_.size());
-    for (const auto& entry : manualDelivered_)
-        manual.push_back(entry.first);
-    std::sort(manual.begin(), manual.end());
-    w.u64(manual.size());
-    for (MsgId id : manual) {
-        const DeliveredMessage& d = manualDelivered_.at(id);
-        w.u64(id);
-        w.u64(d.id);
-        w.u32(d.src);
-        w.u32(d.dst);
-        w.u32(d.payloadLen);
-        w.u32(d.pairSeq);
-        w.u64(d.createdAt);
-        w.u64(d.headInjectedAt);
-        w.u64(d.deliveredAt);
-        w.u16(d.attempts);
-        w.b(d.measured);
-        w.b(d.corrupted);
-    }
-    manual.clear();
-    for (const auto& entry : manualPending_)
-        manual.push_back(entry.first);
-    std::sort(manual.begin(), manual.end());
-    w.u64(manual.size());
-    for (MsgId id : manual) {
-        w.u64(id);
-        w.b(manualPending_.at(id));
-    }
-}
-
-void
-Network::loadState(StateReader& r)
-{
-    loadNetworkStats(r, stats_);
-    // The snapshot's master block is the whole truth: any counts
-    // still sitting in shard blocks belong to the abandoned timeline.
-    for (auto& blk : shardStats_)
-        resetCounters(*blk);
-    faults_->loadState(r);
-    generator_->loadState(r);
-    const NodeId n = topo_->numNodes();
-    for (NodeId id = 0; id < n; ++id)
-        routers_[id]->loadState(r);
-    for (NodeId id = 0; id < n; ++id)
-        injectors_[id]->loadState(r);
-    for (NodeId id = 0; id < n; ++id)
-        receivers_[id]->loadState(r);
-
-    // The listed buckets are read here and placed once now_ is known.
-    const std::uint64_t listed = r.u64();
-    if (listed != snapshotBuckets())
-        panic("wave-bucket count mismatch on restore: saved ", listed,
-              ", have ", snapshotBuckets());
-    std::vector<Segment> restored(listed);
-    for (Segment& seg : restored) {
-        // A head's header follows it; index it in this segment's lane.
-        const auto loadHead = [&](const WireFlit& f) {
-            if (!f.isHead())
-                return kNoHeader;
-            seg.headers.emplace_back();
-            loadHeader(r, seg.headers.back());
-            return static_cast<std::uint32_t>(seg.headers.size() - 1);
-        };
-        const std::uint64_t numFlits = r.u64();
-        for (std::uint64_t i = 0; i < numFlits; ++i) {
-            PendingFlit pf;
-            pf.node = r.u32();
-            pf.inPort = r.u16();
-            pf.vc = r.u16();
-            loadFlit(r, pf.flit);
-            pf.header = loadHead(pf.flit);
-            if (r.b() != (pf.inPort < netPorts_))
-                panic("restored flit's network-hop bit disagrees with "
-                      "its input port ", pf.inPort);
-            seg.flits.events.push_back(pf);
-        }
-        const std::uint64_t numRecv = r.u64();
-        for (std::uint64_t i = 0; i < numRecv; ++i) {
-            PendingRecvFlit pf;
-            pf.node = r.u32();
-            const std::uint32_t ch = r.u32();
-            if (ch >= cfg_.ejectionChannels)
-                panic("restored ejection flit on channel ", ch,
-                      " of ", cfg_.ejectionChannels);
-            pf.ejChannel = static_cast<std::uint16_t>(ch);
-            pf.vc = r.u16();
-            loadFlit(r, pf.flit);
-            pf.header = loadHead(pf.flit);
-            seg.recvFlits.events.push_back(pf);
-        }
-        const std::uint64_t numCredits = r.u64();
-        for (std::uint64_t i = 0; i < numCredits; ++i) {
-            PendingCredit pc;
-            pc.node = r.u32();
-            pc.outPort = r.u16();
-            pc.vc = r.u16();
-            seg.credits.events.push_back(pc);
-        }
-        const std::uint64_t numInjCredits = r.u64();
-        for (std::uint64_t i = 0; i < numInjCredits; ++i) {
-            PendingInjCredit pc;
-            pc.node = r.u32();
-            pc.injChannel = r.u32();
-            pc.vc = r.u16();
-            seg.injCredits.events.push_back(pc);
-        }
-        const std::uint64_t numBkills = r.u64();
-        for (std::uint64_t i = 0; i < numBkills; ++i) {
-            PendingBkill pb;
-            pb.node = r.u32();
-            pb.outPort = r.u16();
-            pb.vc = r.u16();
-            seg.bkills.events.push_back(pb);
-        }
-        const std::uint64_t numAborts = r.u64();
-        for (std::uint64_t i = 0; i < numAborts; ++i) {
-            PendingAbort pa;
-            pa.node = r.u32();
-            pa.injChannel = r.u32();
-            pa.vc = r.u16();
-            pa.msg = r.u64();
-            seg.aborts.events.push_back(pa);
-        }
-    }
-
-    for (NodeId id = 0; id < n; ++id)
-        injAwake_[id] = r.u8();
-    for (NodeId id = 0; id < n; ++id)
-        rtrAwake_[id] = r.u8();
-    for (NodeId id = 0; id < n; ++id)
-        rcvAwake_[id] = r.u8();
-    for (NodeId id = 0; id < n; ++id)
-        injNextAt_[id] = r.u64();
-    for (NodeId id = 0; id < n; ++id)
-        rcvNextAt_[id] = r.u64();
-
-    now_ = r.u64();
-    // A restored bucket goes into shard 0's segment as its first run
-    // (every segment opens that run, so runs stay aligned): its saved
-    // order is the serial order, and run-major delivery keeps it. Its
-    // events for other shards' ranges go on shard 0's remote lists,
-    // and its heads' indices move past the headers already staged.
-    // The events are appended, so the segment keeps its reserved
-    // capacity.
-    for (Wave& wave : buckets_)
-        wave.clear();
-    const NodeId shard0_end = shardCtx_.front().end;
-    for (std::size_t i = 0; i < restored.size(); ++i) {
-        const Segment& from = restored[i];
-        if (from.empty())
-            continue;
+    std::vector<ListedBucket> listed(snapshotBuckets());
+    for (std::size_t i = 0; i < listed.size(); ++i) {
         const Cycle at = snapshotCycle(i);
         if (at - now_ > cfg_.channelLatency)
-            panic("snapshot bucket ", i, " holds events for cycle ", at,
-                  ", past the channel latency");
-        Wave& wave = bucketOf(at);
-        for (Segment& each : wave.segs)
-            each.openRun();
-        Segment& seg = wave.segs.front();
-        const auto base = static_cast<std::uint32_t>(seg.headers.size());
-        seg.headers.insert(seg.headers.end(), from.headers.begin(),
-                           from.headers.end());
-        const auto append = [&](auto& into, const auto& lane) {
-            for (auto e : lane.events) {
-                if constexpr (requires { e.header; }) {
-                    if (e.header != kNoHeader)
-                        e.header += base;
-                }
-                into.push(e, e.node >= shard0_end);
-            }
+            continue;  // Past the live window: no event of any kind.
+        const Wave& wave = bucketOf(at);
+        ListedBucket& into = listed[i];
+        const auto headed = [](auto& lane) {
+            return [&lane](const auto& e, const Segment& seg) {
+                lane.push_back({e, e.header != kNoHeader
+                                       ? seg.headers[e.header]
+                                       : WormHeader{}});
+            };
         };
-        append(seg.flits, from.flits);
-        append(seg.recvFlits, from.recvFlits);
-        append(seg.credits, from.credits);
-        append(seg.injCredits, from.injCredits);
-        append(seg.bkills, from.bkills);
-        append(seg.aborts, from.aborts);
+        const auto plain = [](auto& lane) {
+            return [&lane](const auto& e, const Segment&) {
+                lane.push_back(e);
+            };
+        };
+        forEachInOrder(wave, &Segment::flits, headed(into.flits));
+        forEachInOrder(wave, &Segment::recvFlits, headed(into.recvFlits));
+        forEachInOrder(wave, &Segment::credits, plain(into.credits));
+        forEachInOrder(wave, &Segment::injCredits, plain(into.injCredits));
+        forEachInOrder(wave, &Segment::bkills, plain(into.bkills));
+        forEachInOrder(wave, &Segment::aborts, plain(into.aborts));
     }
-    trafficEnabled_ = r.b();
-    measuring_ = r.b();
-    measuredCreated_ = r.u64();
-    lastActivity_ = r.u64();
-    lastActivityLevel_ = r.u64();
-    forensicsDumped_ = r.b();
-
-    // Rebuild the deadline heaps from the deduplicated nextAt arrays:
-    // one live entry per sleeping component. The saved run's stale
-    // heap entries are not reproduced — they pop as no-op wakes,
-    // which cannot change state (sweep equivalence).
-    injDeadlines_ = DeadlineHeap();
-    rcvDeadlines_ = DeadlineHeap();
-    for (NodeId id = 0; id < n; ++id)
-        if (injNextAt_[id] != kNeverCycle)
-            injDeadlines_.push({injNextAt_[id], id});
-    for (NodeId id = 0; id < n; ++id)
-        if (rcvNextAt_[id] != kNeverCycle)
-            rcvDeadlines_.push({rcvNextAt_[id], id});
-    dueEvents_.clear();
-
-    dynamicFaults_ = r.b();
-    const bool hadSchedule = r.b();
-    if (hadSchedule) {
-        // Runtime-armed dynamic faults (injectFaultEvent) may have
-        // created a schedule the config alone would not.
-        if (schedule_ == nullptr)
-            schedule_ = std::make_unique<FaultSchedule>();
-        schedule_->loadState(r);
-    } else {
-        schedule_.reset();
-    }
-
-    const bool hadLedger = r.b();
-    if (hadLedger) {
-        const std::uint64_t len = r.u64();
-        if (ledger_ != nullptr) {
-            const std::size_t before = r.remaining();
-            ledger_->loadState(r);
-            if (before - r.remaining() != len)
-                panic("ledger block size mismatch on restore");
-        } else {
-            warn("snapshot carries a delivery ledger but none is "
-                 "attached; skipping it");
-            r.skip(len);
-        }
-    }
-
-    const bool hadAudit = r.b();
-    if (hadAudit != (audit_ != nullptr))
-        panic("audit-build mismatch on restore (saved ", hadAudit,
-              ", have ", audit_ != nullptr, ")");
-#if CRNET_AUDIT_ENABLED
-    if (audit_ != nullptr)
-        audit_->loadState(r);
-#endif
-
-    const bool hadTracer = r.b();
-    if (hadTracer) {
-        const std::uint64_t len = r.u64();
-        if (trace_ != nullptr) {
-            const std::size_t before = r.remaining();
-            trace_->loadState(r);
-            if (before - r.remaining() != len)
-                panic("tracer block size mismatch on restore");
-        } else {
-            r.skip(len);
-        }
-    }
-
-    const bool hadTimeseries = r.b();
-    if (hadTimeseries != (timeseries_ != nullptr))
-        panic("timeseries presence mismatch on restore (saved ",
-              hadTimeseries, ", have ", timeseries_ != nullptr,
-              "); sample_interval is part of the fingerprint");
-    if (timeseries_ != nullptr)
-        timeseries_->loadState(r);
-
-    manualDelivered_.clear();
-    const std::uint64_t numManual = r.u64();
-    for (std::uint64_t i = 0; i < numManual; ++i) {
-        const MsgId key = r.u64();
-        DeliveredMessage d;
-        d.id = r.u64();
-        d.src = r.u32();
-        d.dst = r.u32();
-        d.payloadLen = r.u32();
-        d.pairSeq = r.u32();
-        d.createdAt = r.u64();
-        d.headInjectedAt = r.u64();
-        d.deliveredAt = r.u64();
-        d.attempts = r.u16();
-        d.measured = r.b();
-        d.corrupted = r.b();
-        manualDelivered_.emplace(key, d);
-    }
-    manualPending_.clear();
-    const std::uint64_t numPending = r.u64();
-    for (std::uint64_t i = 0; i < numPending; ++i) {
-        const MsgId key = r.u64();
-        manualPending_.emplace(key, r.b());
-    }
+    return listed;
 }
 
 } // namespace crnet

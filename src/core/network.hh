@@ -209,9 +209,9 @@ class Network
      * Serialize every field the tick mutates — stats, RNG streams,
      * wave buckets, router/NIC state, scheduler flags and deadline
      * arrays, sidecars (tracer/timeseries/auditor) and the attached
-     * ledger — in a fixed, sorted, little-endian layout. Prefer
-     * captureSnapshot()/restoreSnapshot() (snapshot.hh), which add
-     * the version/fingerprint envelope.
+     * ledger — in a fixed, sorted, little-endian layout (serialize()).
+     * Prefer captureSnapshot()/restoreSnapshot() (snapshot.hh), which
+     * add the version/fingerprint envelope.
      */
     CRNET_RESULT_AFFECTING
     void saveState(StateWriter& w) const;
@@ -568,6 +568,47 @@ class Network
     /** Cycle of snapshot entry `i` (see snapshotBuckets()). */
     Cycle snapshotCycle(std::size_t i) const;
 
+    /** A staged flit event with its head's header (heads only). */
+    template <typename E>
+    struct Headed
+    {
+        E event;
+        WormHeader header;
+    };
+
+    /**
+     * One snapshot bucket as the payload carries it: each kind's
+     * events in the serial order, each head with its header.
+     */
+    struct ListedBucket
+    {
+        std::vector<Headed<PendingFlit>> flits;
+        std::vector<Headed<PendingRecvFlit>> recvFlits;
+        std::vector<PendingCredit> credits;
+        std::vector<PendingInjCredit> injCredits;
+        std::vector<PendingBkill> bkills;
+        std::vector<PendingAbort> aborts;
+
+        bool empty() const;
+    };
+
+    /**
+     * The snapshot field list, run by saveState() and loadState().
+     * `listed` holds the snapshotBuckets() buckets: listBuckets() on
+     * capture, filled here on restore and placed by placeBuckets().
+     */
+    template <typename Self, typename Io, typename Buckets>
+    static void serialize(Self& self, Io& io, Buckets& listed);
+
+    /** Capture: the snapshot buckets, walked in the serial order. */
+    std::vector<ListedBucket> listBuckets() const;
+
+    /**
+     * Restore: put each restored bucket into shard 0's segment of its
+     * cycle's wave, with its remote lists and header lane.
+     */
+    void placeBuckets(std::vector<ListedBucket>& listed);
+
     /** topo_->neighbor(n, p), read from the precomputed table. */
     NodeId neighborOf(NodeId n, PortId p) const
     {
@@ -605,7 +646,8 @@ class Network
      * Per-shard Counter accumulation blocks (shards > 1 only).
      * Components of shard s write their Counter fields here, race-
      * free, and foldShardCounters() folds them into stats_ at the end
-     * of every sweep. Components never write accumulators or
+     * of every sweep and of injectFaultEvent(), so they are zero
+     * between ticks. Components never write accumulators or
      * histograms: only the Network adds to those, from staged events.
      */
     std::vector<std::unique_ptr<NetworkStats>> shardStats_;

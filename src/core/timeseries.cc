@@ -4,7 +4,6 @@
 
 #include "src/core/metrics.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 #include "src/sim/table.hh"
 
 namespace crnet {
@@ -66,58 +65,6 @@ TimeSeries::peekTail(Cycle now, const NetworkStats& stats,
                      std::uint64_t buffered_flits) const
 {
     return build(now, stats, in_flight_worms, buffered_flits);
-}
-
-void
-TimeSeries::saveState(StateWriter& w) const
-{
-    w.u64(samples_.size());
-    for (const TimeSeriesSample& s : samples_) {
-        w.u64(s.at);
-        w.u64(s.delivered);
-        w.u64(s.payloadFlits);
-        w.f64(s.meanLatency);
-        w.u64(s.kills);
-        w.u64(s.retransmits);
-        w.u64(s.faultEvents);
-        w.u64(s.inFlightWorms);
-        w.u64(s.bufferedFlits);
-    }
-    w.u64(lastDelivered_);
-    w.u64(lastPayload_);
-    w.u64(lastKills_);
-    w.u64(lastRetrans_);
-    w.u64(lastFaults_);
-    w.f64(lastLatencySum_);
-    w.u64(lastLatencyCount_);
-}
-
-void
-TimeSeries::loadState(StateReader& r)
-{
-    samples_.clear();
-    const std::uint64_t n = r.u64();
-    samples_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        TimeSeriesSample s;
-        s.at = r.u64();
-        s.delivered = r.u64();
-        s.payloadFlits = r.u64();
-        s.meanLatency = r.f64();
-        s.kills = r.u64();
-        s.retransmits = r.u64();
-        s.faultEvents = r.u64();
-        s.inFlightWorms = r.u64();
-        s.bufferedFlits = r.u64();
-        samples_.push_back(s);
-    }
-    lastDelivered_ = r.u64();
-    lastPayload_ = r.u64();
-    lastKills_ = r.u64();
-    lastRetrans_ = r.u64();
-    lastFaults_ = r.u64();
-    lastLatencySum_ = r.f64();
-    lastLatencyCount_ = r.u64();
 }
 
 void

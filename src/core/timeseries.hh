@@ -27,8 +27,6 @@
 namespace crnet {
 
 struct NetworkStats;
-class StateWriter;
-class StateReader;
 
 /** One sampling interval's deltas plus end-of-interval gauges. */
 struct TimeSeriesSample
@@ -81,9 +79,9 @@ class TimeSeries
         return samples_;
     }
 
-    /** Checkpoint support: samples plus the differencing baseline. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /** Snapshot field list: samples plus the differencing baseline. */
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     /** Deltas against the baselines, shared by sample()/peekTail(). */
@@ -132,6 +130,30 @@ struct HeatmapData
  * and per-network-port fwd_<p> / blk_<p> columns.
  */
 void writeHeatmapCsv(std::ostream& os, const HeatmapData& heat);
+
+template <typename Self, typename Io>
+void
+TimeSeries::serialize(Self& self, Io& io)
+{
+    io.seq(self.samples_, [&](auto& s) {
+        io.u64(s.at);
+        io.u64(s.delivered);
+        io.u64(s.payloadFlits);
+        io.f64(s.meanLatency);
+        io.u64(s.kills);
+        io.u64(s.retransmits);
+        io.u64(s.faultEvents);
+        io.u64(s.inFlightWorms);
+        io.u64(s.bufferedFlits);
+    });
+    io.u64(self.lastDelivered_);
+    io.u64(self.lastPayload_);
+    io.u64(self.lastKills_);
+    io.u64(self.lastRetrans_);
+    io.u64(self.lastFaults_);
+    io.f64(self.lastLatencySum_);
+    io.u64(self.lastLatencyCount_);
+}
 
 } // namespace crnet
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "src/core/network.hh"
 #include "src/sim/checksum.hh"
@@ -91,61 +92,30 @@ DeliveryLedger::sortedEntries() const
     return sorted;
 }
 
-CRNET_ALLOW("unordered-iter",
-            "serializes via sortedEntries(), so the snapshot bytes "
-            "never depend on hash order")
+template <typename Self, typename Io>
 void
-DeliveryLedger::saveState(StateWriter& w) const
+TrialOutcome::serialize(Self& self, Io& io)
 {
-    const auto sorted = sortedEntries();
-    w.u64(sorted.size());
-    for (const auto& entry : sorted) {
-        w.u64(entry.first);
-        const LedgerEntry& e = *entry.second;
-        w.u32(e.src);
-        w.u32(e.dst);
-        w.u64(e.createdAt);
-        w.b(e.measured);
-        w.u8(static_cast<std::uint8_t>(e.fate));
-        w.u64(e.resolvedAt);
-        w.u16(e.attempts);
-        w.b(e.corrupted);
-        w.b(e.deliveredAfterRefusal);
-    }
-    w.u64(delivered_);
-    w.u64(refused_);
-    w.u64(duplicates_);
-    w.u64(unknown_);
-    w.u64(corrupted_);
-    w.u64(refusalRaces_);
-}
-
-void
-DeliveryLedger::loadState(StateReader& r)
-{
-    entries_.clear();
-    const std::uint64_t count = r.u64();
-    entries_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const MsgId id = r.u64();
-        LedgerEntry e;
-        e.src = r.u32();
-        e.dst = r.u32();
-        e.createdAt = r.u64();
-        e.measured = r.b();
-        e.fate = static_cast<MessageFate>(r.u8());
-        e.resolvedAt = r.u64();
-        e.attempts = r.u16();
-        e.corrupted = r.b();
-        e.deliveredAfterRefusal = r.b();
-        entries_.emplace(id, e);
-    }
-    delivered_ = r.u64();
-    refused_ = r.u64();
-    duplicates_ = r.u64();
-    unknown_ = r.u64();
-    corrupted_ = r.u64();
-    refusalRaces_ = r.u64();
+    io.u32(self.trial);
+    io.u64(self.seed);
+    io.u64(self.accepted);
+    io.u64(self.delivered);
+    io.u64(self.refused);
+    io.u64(self.pendingAtEnd);
+    io.u64(self.duplicates);
+    io.u64(self.faultEvents);
+    io.u64(self.flitsLost);
+    io.u64(self.receiverTimeouts);
+    io.u64(self.firstFaultAt);
+    io.f64(self.preFaultLatency);
+    io.f64(self.postFaultLatency);
+    io.u64(self.recoveryCycles);
+    io.b(self.deadlocked);
+    io.b(self.fullyAccounted);
+    io.u64(self.cyclesRun);
+    io.u64(self.flitEvents);
+    io.b(self.quarantined);
+    io.u32(self.budgetRetries);
 }
 
 namespace {
@@ -380,58 +350,6 @@ campaignFingerprint(const CampaignConfig& cc)
 }
 
 void
-saveTrial(StateWriter& w, const TrialOutcome& t)
-{
-    w.u32(t.trial);
-    w.u64(t.seed);
-    w.u64(t.accepted);
-    w.u64(t.delivered);
-    w.u64(t.refused);
-    w.u64(t.pendingAtEnd);
-    w.u64(t.duplicates);
-    w.u64(t.faultEvents);
-    w.u64(t.flitsLost);
-    w.u64(t.receiverTimeouts);
-    w.u64(t.firstFaultAt);
-    w.f64(t.preFaultLatency);
-    w.f64(t.postFaultLatency);
-    w.u64(t.recoveryCycles);
-    w.b(t.deadlocked);
-    w.b(t.fullyAccounted);
-    w.u64(t.cyclesRun);
-    w.u64(t.flitEvents);
-    w.b(t.quarantined);
-    w.u32(t.budgetRetries);
-}
-
-TrialOutcome
-loadTrial(StateReader& r)
-{
-    TrialOutcome t;
-    t.trial = r.u32();
-    t.seed = r.u64();
-    t.accepted = r.u64();
-    t.delivered = r.u64();
-    t.refused = r.u64();
-    t.pendingAtEnd = r.u64();
-    t.duplicates = r.u64();
-    t.faultEvents = r.u64();
-    t.flitsLost = r.u64();
-    t.receiverTimeouts = r.u64();
-    t.firstFaultAt = r.u64();
-    t.preFaultLatency = r.f64();
-    t.postFaultLatency = r.f64();
-    t.recoveryCycles = r.u64();
-    t.deadlocked = r.b();
-    t.fullyAccounted = r.b();
-    t.cyclesRun = r.u64();
-    t.flitEvents = r.u64();
-    t.quarantined = r.b();
-    t.budgetRetries = r.u32();
-    return t;
-}
-
-void
 appendRecord(StateWriter& file, std::uint32_t type,
              const StateWriter& payload)
 {
@@ -525,7 +443,8 @@ replayJournal(const CampaignConfig& cc, std::uint64_t fingerprint,
                       "start over");
             sawHeader = true;
         } else if (type == kRecordTrial) {
-            const TrialOutcome t = loadTrial(payload);
+            TrialOutcome t;
+            TrialOutcome::serialize(t, payload);
             if (t.trial < cc.trials) {
                 if (!have[t.trial])
                     ++replayed;
@@ -637,7 +556,8 @@ runCampaign(const CampaignConfig& cc, std::vector<TrialOutcome>* out)
                     if (!journaled)
                         return;
                     StateWriter payload;
-                    saveTrial(payload, trials[trial]);
+                    TrialOutcome::serialize(std::as_const(trials[trial]),
+                                            payload);
                     const std::lock_guard<std::mutex> lock(
                         journalMutex);
                     StateWriter record;

@@ -35,8 +35,6 @@
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
 
 /** Terminal state of one accepted message. */
 enum class MessageFate : std::uint8_t {
@@ -115,9 +113,12 @@ class DeliveryLedger
 
     // --- Checkpoint support (snapshot.hh) -----------------------------
 
-    /** Entries in sorted MsgId order, then the derived counters. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /**
+     * Snapshot field list: entries in sorted MsgId order, then the
+     * derived counters.
+     */
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     std::unordered_map<MsgId, LedgerEntry> entries_;
@@ -181,6 +182,10 @@ struct TrialOutcome
      */
     bool quarantined = false;
     std::uint32_t budgetRetries = 0;  //!< Watchdog re-runs consumed.
+
+    /** Journal record field list (snapshot.hh's streams). */
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 };
 
 /** Aggregates across all trials of one campaign. */
@@ -234,6 +239,33 @@ struct CampaignSummary
  */
 CampaignSummary runCampaign(const CampaignConfig& cfg,
                             std::vector<TrialOutcome>* out = nullptr);
+
+template <typename Self, typename Io>
+CRNET_ALLOW("unordered-iter",
+            "serializes via sorted(), so the snapshot bytes never "
+            "depend on hash order")
+void
+DeliveryLedger::serialize(Self& self, Io& io)
+{
+    io.sorted(self.entries_, [&](auto& id, auto& e) {
+        io.u64(id);
+        io.u32(e.src);
+        io.u32(e.dst);
+        io.u64(e.createdAt);
+        io.b(e.measured);
+        io.u8(e.fate);
+        io.u64(e.resolvedAt);
+        io.u16(e.attempts);
+        io.b(e.corrupted);
+        io.b(e.deliveredAfterRefusal);
+    });
+    io.u64(self.delivered_);
+    io.u64(self.refused_);
+    io.u64(self.duplicates_);
+    io.u64(self.unknown_);
+    io.u64(self.corrupted_);
+    io.u64(self.refusalRaces_);
+}
 
 } // namespace crnet
 

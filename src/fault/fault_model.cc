@@ -1,7 +1,6 @@
 #include "src/fault/fault_model.hh"
 
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 
 namespace crnet {
 
@@ -175,33 +174,6 @@ FaultModel::deadLinks() const
         }
     }
     return out;
-}
-
-void
-FaultModel::saveState(StateWriter& w) const
-{
-    w.f64(burstRate_);
-    saveRng(w, rng_);
-    w.u64(dead_.size());
-    for (std::size_t i = 0; i < dead_.size(); ++i)
-        w.b(dead_[i]);
-    w.u64(corruptions_);
-    w.u32(permanent_);
-}
-
-void
-FaultModel::loadState(StateReader& r)
-{
-    burstRate_ = r.f64();
-    loadRng(r, rng_);
-    const std::uint64_t n = r.u64();
-    if (n != dead_.size())
-        panic("dead-link map size mismatch on restore: saved ", n,
-              ", have ", dead_.size());
-    for (std::size_t i = 0; i < dead_.size(); ++i)
-        dead_[i] = r.b();
-    corruptions_ = r.u64();
-    permanent_ = r.u32();
 }
 
 } // namespace crnet

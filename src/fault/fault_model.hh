@@ -37,14 +37,13 @@
 #include <vector>
 
 #include "src/router/flit.hh"
+#include "src/sim/log.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
 #include "src/topology/topology.hh"
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
 
 /** How much of a physical link a dead entry covers. */
 enum class DeadLinkKind : std::uint8_t {
@@ -137,9 +136,9 @@ class FaultModel
 
     // --- Checkpoint support (snapshot.hh) ---------------------------
 
-    /** Burst window, RNG stream, dead map and counters. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /** Snapshot field list: burst rate, RNG stream, dead map, counters. */
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     std::size_t index(NodeId node, PortId port) const;
@@ -153,6 +152,24 @@ class FaultModel
     std::uint64_t corruptions_ = 0;
     std::uint32_t permanent_ = 0;
 };
+
+template <typename Self, typename Io>
+void
+FaultModel::serialize(Self& self, Io& io)
+{
+    io.f64(self.burstRate_);
+    io.rng(self.rng_);
+    io.same(
+        [&](std::uint64_t saved) {
+            panic("dead-link map size mismatch on restore: saved ",
+                  saved, ", have ", self.dead_.size());
+        },
+        std::uint64_t{self.dead_.size()});
+    for (std::size_t i = 0; i < self.dead_.size(); ++i)
+        io.b(self.dead_[i]);
+    io.u64(self.corruptions_);
+    io.u32(self.permanent_);
+}
 
 } // namespace crnet
 

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 
 namespace crnet {
 
@@ -385,43 +384,6 @@ FaultSchedule::fromString(const std::string& text, const Topology& topo,
                          return a.at < b.at;
                      });
     return sched;
-}
-
-void
-FaultSchedule::saveState(StateWriter& w) const
-{
-    w.u64(events_.size());
-    for (const FaultEvent& e : events_) {
-        w.u64(e.at);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.u32(e.node);
-        w.u16(e.port);
-        w.f64(e.rate);
-    }
-    w.u64(cursor_);
-    w.u32(shortfall_);
-}
-
-void
-FaultSchedule::loadState(StateReader& r)
-{
-    events_.clear();
-    const std::uint64_t n = r.u64();
-    events_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        FaultEvent e;
-        e.at = r.u64();
-        e.kind = static_cast<FaultEventKind>(r.u8());
-        e.node = r.u32();
-        e.port = r.u16();
-        e.rate = r.f64();
-        events_.push_back(e);
-    }
-    cursor_ = static_cast<std::size_t>(r.u64());
-    if (cursor_ > events_.size())
-        panic("fault-schedule cursor ", cursor_, " beyond ",
-              events_.size(), " events on restore");
-    shortfall_ = r.u32();
 }
 
 } // namespace crnet

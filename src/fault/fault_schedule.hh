@@ -37,14 +37,13 @@
 #include <vector>
 
 #include "src/sim/config.hh"
+#include "src/sim/log.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
 #include "src/topology/topology.hh"
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
 
 /** What a scheduled fault event does when it fires. */
 enum class FaultEventKind : std::uint8_t {
@@ -116,19 +115,37 @@ class FaultSchedule
     std::uint32_t placementShortfall() const { return shortfall_; }
 
     /**
-     * Checkpoint support (snapshot.hh). The full event list is
+     * Snapshot field list (snapshot.hh). The full event list is
      * serialized — not just the cursor — because a schedule can be
      * grown at runtime (Network::injectFaultEvent), so the restored
      * side cannot rebuild it from config alone.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     std::vector<FaultEvent> events_;  //!< Sorted by `at`.
     std::size_t cursor_ = 0;          //!< First unfired event.
     std::uint32_t shortfall_ = 0;
 };
+
+template <typename Self, typename Io>
+void
+FaultSchedule::serialize(Self& self, Io& io)
+{
+    io.seq(self.events_, [&](auto& e) {
+        io.u64(e.at);
+        io.u8(e.kind);
+        io.u32(e.node);
+        io.u16(e.port);
+        io.f64(e.rate);
+    });
+    io.u64(self.cursor_);
+    if (self.cursor_ > self.events_.size())
+        panic("fault-schedule cursor ", self.cursor_, " beyond ",
+              self.events_.size(), " events on restore");
+    io.u32(self.shortfall_);
+}
 
 } // namespace crnet
 

@@ -6,7 +6,6 @@
 #include "src/nic/padding.hh"
 #include "src/sim/audit.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 #include "src/sim/trace.hh"
 
 namespace crnet {
@@ -545,75 +544,10 @@ Injector::idle() const
     return true;
 }
 
-CRNET_ALLOW("unordered-iter",
-            "busy-destination set is sorted before serialization so "
-            "the snapshot bytes never depend on hash order")
 void
-Injector::saveState(StateWriter& w) const
+Injector::afterRestore()
 {
-    w.u64(queue_.size());
-    for (const PendingMessage& m : queue_)
-        saveMessage(w, m);
-    w.u64(pendingRetries_.size());
-    for (const PendingMessage& m : pendingRetries_)
-        saveMessage(w, m);
-    for (const Slot& s : slots_) {
-        w.u8(static_cast<std::uint8_t>(s.state));
-        w.u32(s.credits);
-        w.u64(s.cooldownUntil);
-        saveMessage(w, s.msg);
-        w.u32(s.wireLen);
-        w.u32(s.nextSeq);
-        w.u32(s.hops);
-        w.u64(s.startCycle);
-        w.u64(s.stallCycles);
-    }
-    std::vector<NodeId> busy(busyDests_.begin(), busyDests_.end());
-    std::sort(busy.begin(), busy.end());
-    w.u64(busy.size());
-    for (NodeId dst : busy)
-        w.u32(dst);
-    for (VcId vc : rrVc_)
-        w.u16(vc);
-    saveRng(w, rng_);
-}
-
-void
-Injector::loadState(StateReader& r)
-{
-    queue_.clear();
-    const std::uint64_t queued = r.u64();
-    for (std::uint64_t i = 0; i < queued; ++i) {
-        PendingMessage m;
-        loadMessage(r, m);
-        queue_.push_back(m);
-    }
     recomputeQueueMin();
-    pendingRetries_.clear();
-    const std::uint64_t retries = r.u64();
-    for (std::uint64_t i = 0; i < retries; ++i) {
-        PendingMessage m;
-        loadMessage(r, m);
-        pendingRetries_.push_back(m);
-    }
-    for (Slot& s : slots_) {
-        s.state = static_cast<Slot::State>(r.u8());
-        s.credits = r.u32();
-        s.cooldownUntil = r.u64();
-        loadMessage(r, s.msg);
-        s.wireLen = r.u32();
-        s.nextSeq = r.u32();
-        s.hops = r.u32();
-        s.startCycle = r.u64();
-        s.stallCycles = r.u64();
-    }
-    busyDests_.clear();
-    const std::uint64_t busy = r.u64();
-    for (std::uint64_t i = 0; i < busy; ++i)
-        busyDests_.insert(r.u32());
-    for (VcId& vc : rrVc_)
-        vc = r.u16();
-    loadRng(r, rng_);
     sent.clear();
     sentHeaders.clear();
     failed.clear();

@@ -44,8 +44,6 @@ namespace crnet {
 
 class Auditor;
 class Tracer;
-class StateWriter;
-class StateReader;
 
 /** A flit the injector puts on an injection channel this cycle. */
 struct InjectedFlit
@@ -178,13 +176,16 @@ class Injector
     // --- Checkpoint support (snapshot.hh) -----------------------------
 
     /**
-     * Source queue, pending retries, per-slot worm state, busy-
-     * destination set (sorted) and the RNG stream. The `sent` outbox
-     * and channelUsed_ are cleared at tick entry and need not
-     * round-trip.
+     * Snapshot field list: source queue, pending retries, per-slot
+     * worm state, busy-destination set (sorted) and the RNG stream.
+     * The `sent` outbox and channelUsed_ are cleared at tick entry
+     * and need not round-trip.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
+
+    /** Restore's last step: rebuild the queue minimum, empty outboxes. */
+    void afterRestore();
 
   private:
     struct Slot
@@ -251,6 +252,33 @@ class Injector
     std::vector<bool> channelUsed_;  //!< One flit/channel/cycle.
     std::vector<NodeId> seenScratch_;  //!< startWorms queue-scan reuse.
 };
+
+template <typename Self, typename Io>
+CRNET_ALLOW("unordered-iter",
+            "busy-destination set is sorted before serialization so "
+            "the snapshot bytes never depend on hash order")
+void
+Injector::serialize(Self& self, Io& io)
+{
+    const auto message = [&](auto& m) { PendingMessage::serialize(m, io); };
+    io.seq(self.queue_, message);
+    io.seq(self.pendingRetries_, message);
+    for (auto& s : self.slots_) {
+        io.u8(s.state);
+        io.u32(s.credits);
+        io.u64(s.cooldownUntil);
+        message(s.msg);
+        io.u32(s.wireLen);
+        io.u32(s.nextSeq);
+        io.u32(s.hops);
+        io.u64(s.startCycle);
+        io.u64(s.stallCycles);
+    }
+    io.sorted(self.busyDests_, [&](auto& dst) { io.u32(dst); });
+    for (auto& vc : self.rrVc_)
+        io.u16(vc);
+    io.rng(self.rng_);
+}
 
 } // namespace crnet
 

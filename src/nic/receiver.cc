@@ -4,7 +4,6 @@
 
 #include "src/sim/audit.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 #include "src/sim/trace.hh"
 
 namespace crnet {
@@ -507,126 +506,9 @@ Receiver::nextEventCycle(Cycle now) const
     return next;
 }
 
-CRNET_ALLOW("unordered-iter",
-            "assembly map, seen-set and last-seq table are sorted "
-            "before serialization so the snapshot bytes never depend "
-            "on hash order")
 void
-Receiver::saveState(StateWriter& w) const
+Receiver::afterRestore()
 {
-    for (const VcBuffer& vb : bufs_) {
-        w.u64(vb.buf.size());
-        for (std::size_t i = 0; i < vb.buf.size(); ++i)
-            saveFlit(w, vb.buf.peek(i));
-        // The header is live only while its head is buffered.
-        if (headBuffered(vb))
-            saveHeader(w, vb.header);
-        w.b(vb.refusing);
-        w.u64(vb.refusedMsg);
-    }
-    for (VcId vc : rrVc_)
-        w.u16(vc);
-
-    std::vector<MsgId> ids;
-    ids.reserve(assemblies_.size());
-    for (const auto& entry : assemblies_)
-        ids.push_back(entry.first);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (MsgId id : ids) {
-        const Assembly& a = assemblies_.at(id);
-        w.u64(id);
-        w.u32(a.src);
-        w.u16(a.attempt);
-        w.u32(a.nextSeq);
-        w.b(a.corrupted);
-        saveHeader(w, a.header);
-        w.u32(a.ejChannel);
-        w.u16(a.vc);
-        w.u64(a.lastFlitAt);
-        w.b(a.terminated);
-    }
-
-    // Same bytes from either storage mode: sorted, and only sources
-    // that delivered something (the dense vector's -1 entries are the
-    // sparse map's absent keys).
-    std::vector<std::pair<NodeId, std::int64_t>> seqs;
-    if (!lastSeqDense_.empty()) {
-        for (NodeId src = 0; src < lastSeqDense_.size(); ++src)
-            if (lastSeqDense_[src] != -1)
-                seqs.emplace_back(src, lastSeqDense_[src]);
-    } else {
-        seqs.assign(lastSeqSparse_.begin(), lastSeqSparse_.end());
-        std::sort(seqs.begin(), seqs.end());
-    }
-    w.u64(seqs.size());
-    for (const auto& [src, seq] : seqs) {
-        w.u32(src);
-        w.i64(seq);
-    }
-    std::vector<std::uint64_t> seen(seenSeq_.begin(), seenSeq_.end());
-    std::sort(seen.begin(), seen.end());
-    w.u64(seen.size());
-    for (std::uint64_t key : seen)
-        w.u64(key);
-    w.u64(delivered_);
-    w.b(dynamicFaults_);
-}
-
-void
-Receiver::loadState(StateReader& r)
-{
-    for (VcBuffer& vb : bufs_) {
-        vb.buf.purge();
-        const std::uint64_t buffered = r.u64();
-        for (std::uint64_t i = 0; i < buffered; ++i) {
-            WireFlit f;
-            loadFlit(r, f);
-            vb.buf.push(f);
-        }
-        if (headBuffered(vb))
-            loadHeader(r, vb.header);
-        vb.refusing = r.b();
-        vb.refusedMsg = r.u64();
-    }
-    for (VcId& vc : rrVc_)
-        vc = r.u16();
-
-    assemblies_.clear();
-    const std::uint64_t numAssemblies = r.u64();
-    for (std::uint64_t i = 0; i < numAssemblies; ++i) {
-        const MsgId id = r.u64();
-        Assembly a;
-        a.src = r.u32();
-        a.attempt = r.u16();
-        a.nextSeq = r.u32();
-        a.corrupted = r.b();
-        loadHeader(r, a.header);
-        a.ejChannel = r.u32();
-        a.vc = r.u16();
-        a.lastFlitAt = r.u64();
-        a.terminated = r.b();
-        assemblies_.emplace(id, a);
-    }
-
-    if (!lastSeqDense_.empty())
-        std::fill(lastSeqDense_.begin(), lastSeqDense_.end(), -1);
-    lastSeqSparse_.clear();
-    const std::uint64_t numSeq = r.u64();
-    for (std::uint64_t i = 0; i < numSeq; ++i) {
-        const NodeId src = r.u32();
-        const std::int64_t seq = r.i64();
-        if (!lastSeqDense_.empty())
-            lastSeqDense_[src] = seq;
-        else
-            lastSeqSparse_.emplace(src, seq);
-    }
-    seenSeq_.clear();
-    const std::uint64_t numSeen = r.u64();
-    for (std::uint64_t i = 0; i < numSeen; ++i)
-        seenSeq_.insert(r.u64());
-    delivered_ = r.u64();
-    dynamicFaults_ = r.b();
     credits.clear();
     bkills.clear();
 }

@@ -49,14 +49,13 @@
 #include "src/router/buffer.hh"
 #include "src/router/flit.hh"
 #include "src/sim/config.hh"
+#include "src/sim/snapshot.hh"
 #include "src/sim/types.hh"
 
 namespace crnet {
 
 class Auditor;
 class Tracer;
-class StateWriter;
-class StateReader;
 
 /** A fully received message, as reported to the delivery sink. */
 struct DeliveredMessage
@@ -203,13 +202,16 @@ class Receiver
     // --- Checkpoint support (snapshot.hh) -----------------------------
 
     /**
-     * Ejection buffers, refusal state, open assemblies and the
-     * exactly-once bookkeeping (both serialized in sorted order). The
-     * credit/bkill outboxes are cleared at tick entry and need not
-     * round-trip.
+     * Snapshot field list: ejection buffers, refusal state, open
+     * assemblies and the exactly-once bookkeeping (both serialized in
+     * sorted order). The credit/bkill outboxes are cleared at tick
+     * entry and need not round-trip.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
+
+    /** Restore's last step: empty the outboxes. */
+    void afterRestore();
 
   private:
     struct VcBuffer
@@ -318,6 +320,51 @@ class Receiver
      */
     Cycle starvationThreshold_ = 0;
 };
+
+template <typename Self, typename Io>
+CRNET_ALLOW("unordered-iter",
+            "assembly map, seen-set and last-seq table are sorted "
+            "before serialization so the snapshot bytes never depend "
+            "on hash order")
+void
+Receiver::serialize(Self& self, Io& io)
+{
+    for (auto& vb : self.bufs_) {
+        io.seq(vb.buf, [&](auto& f) { WireFlit::serialize(f, io); });
+        // The header is live only while its head is buffered.
+        if (headBuffered(vb))
+            WormHeader::serialize(vb.header, io);
+        io.b(vb.refusing);
+        io.u64(vb.refusedMsg);
+    }
+    for (auto& vc : self.rrVc_)
+        io.u16(vc);
+    io.sorted(self.assemblies_, [&](auto& id, auto& a) {
+        io.u64(id);
+        io.u32(a.src);
+        io.u16(a.attempt);
+        io.u32(a.nextSeq);
+        io.b(a.corrupted);
+        WormHeader::serialize(a.header, io);
+        io.u32(a.ejChannel);
+        io.u16(a.vc);
+        io.u64(a.lastFlitAt);
+        io.b(a.terminated);
+    });
+    // Only sources that delivered something: the dense vector's -1
+    // entries are the sparse map's absent keys.
+    DenseOrSparse last_seq(
+        self.lastSeqDense_, self.lastSeqSparse_, std::int64_t{-1},
+        [](std::size_t i) { return static_cast<NodeId>(i); },
+        [](NodeId src) { return static_cast<std::size_t>(src); });
+    io.sorted(last_seq, [&](auto& src, auto& seq) {
+        io.u32(src);
+        io.i64(seq);
+    });
+    io.sorted(self.seenSeq_, [&](auto& key) { io.u64(key); });
+    io.u64(self.delivered_);
+    io.b(self.dynamicFaults_);
+}
 
 } // namespace crnet
 

@@ -103,6 +103,13 @@ class FlitBuffer
         return slots_[wrap(head_ + static_cast<std::uint32_t>(i))];
     }
 
+    // The sequence calls StateWriter/StateReader::seq() use (the
+    // qualified call keeps the analyzer's by-name call graph exact).
+    using value_type = WireFlit;
+    const WireFlit& operator[](std::size_t i) const { return peek(i); }
+    void clear() { purge(); }
+    void push_back(const WireFlit& flit) { FlitBuffer::push(flit); }
+
     /** Drop all contents (kill-token purge); returns dropped count. */
     std::size_t
     purge()

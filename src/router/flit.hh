@@ -76,6 +76,24 @@ struct WireFlit
 
     /** True when the payload still matches its checksum. */
     bool checksumOk() const { return crc8(payload) == crc; }
+
+    /** Snapshot field list (snapshot.hh). */
+    template <typename Self, typename Io>
+    static void
+    serialize(Self& self, Io& io)
+    {
+        io.u8(self.type);
+        io.u64(self.msg);
+        io.u32(self.seq);
+        io.u32(self.src);
+        io.u32(self.dst);
+        io.u8(self.vcClass);
+        io.u8(self.misrouteBudget);
+        io.u16(self.attempt);
+        io.u32(self.payload);
+        io.u8(self.crc);
+        io.b(self.corrupted);
+    }
 };
 
 static_assert(sizeof(WireFlit) <= 40,
@@ -95,6 +113,18 @@ struct WormHeader
     Cycle headInjectedAt = 0;
     /** Message is eligible for statistics (measurement window). */
     bool measured = false;
+
+    /** Snapshot field list (snapshot.hh). */
+    template <typename Self, typename Io>
+    static void
+    serialize(Self& self, Io& io)
+    {
+        io.u32(self.payloadLen);
+        io.u32(self.pairSeq);
+        io.u64(self.createdAt);
+        io.u64(self.headInjectedAt);
+        io.b(self.measured);
+    }
 };
 
 /** Index value of a staged flit that carries no header (not a head). */

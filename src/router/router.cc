@@ -5,7 +5,6 @@
 
 #include "src/sim/audit.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 #include "src/sim/trace.hh"
 
 namespace crnet {
@@ -798,130 +797,8 @@ Router::outputProbe(PortId out_port, VcId vc) const
 }
 
 void
-Router::saveState(StateWriter& w) const
+Router::afterRestore()
 {
-    const std::size_t nin = numInVcs();
-    for (std::size_t i = 0; i < nin; ++i) {
-        const InputVc& in = inputs_[i];
-        const InputVcCold& c = cold_[i];
-        w.u64(in.buf.size());
-        for (std::size_t f = 0; f < in.buf.size(); ++f)
-            saveFlit(w, in.buf.peek(f));
-        // The header is live only while its head is buffered.
-        if (!in.buf.empty() && in.buf.front().isHead())
-            saveHeader(w, c.header);
-        w.u8(static_cast<std::uint8_t>(in.state));
-        w.u64(in.msg);
-        w.u16(in.attempt);
-        w.u16(in.outPort);
-        w.u16(in.outVc);
-        w.u64(in.stallCycles);
-        w.u64(c.headArrivedAt);
-        w.b(in.movedThisCycle);
-        w.b(in.blockTraced);
-        w.b(in.killPending);
-        saveFlit(w, c.killFlit);
-        w.u16(c.killOutPort);
-        w.u16(c.killOutVc);
-        w.u64(c.purgeMsg);
-    }
-    const std::size_t nout = numOutVcs();
-    for (std::size_t i = 0; i < nout; ++i) {
-        const OutputVc& out = outputs_[i];
-        w.b(out.allocated);
-        w.u16(out.holderPort);
-        w.u16(out.holderVc);
-        w.u32(out.credits);
-        w.b(out.ejection);
-        w.u64(out.quarantineUntil);
-    }
-    w.u64(pendingBkillsAsOut_.size());
-    for (const SentBkill& bk : pendingBkillsAsOut_) {
-        w.u16(bk.inPort);
-        w.u16(bk.vc);
-    }
-    for (PortId p = 0; p < numInPorts_; ++p)
-        w.u16(rrInVc_[p]);
-    for (PortId p = 0; p < numOutPorts_; ++p)
-        w.u16(rrOutIn_[p]);
-    w.b(heatTracking_);
-    if (heatTracking_) {
-        for (std::uint64_t v : heatForwarded_)
-            w.u64(v);
-        for (std::uint64_t v : heatBlocked_)
-            w.u64(v);
-        w.u64(heatOccupancy_);
-    }
-    saveRng(w, rng_);
-    w.u64(now_);
-}
-
-void
-Router::loadState(StateReader& r)
-{
-    const std::size_t nin = numInVcs();
-    for (std::size_t idx = 0; idx < nin; ++idx) {
-        InputVc& in = inputs_[idx];
-        InputVcCold& c = cold_[idx];
-        in.buf.purge();
-        const std::uint64_t buffered = r.u64();
-        for (std::uint64_t i = 0; i < buffered; ++i) {
-            WireFlit f;
-            loadFlit(r, f);
-            in.buf.push(f);
-        }
-        if (!in.buf.empty() && in.buf.front().isHead())
-            loadHeader(r, c.header);
-        in.state = static_cast<InputVc::State>(r.u8());
-        in.msg = r.u64();
-        in.attempt = r.u16();
-        in.outPort = r.u16();
-        in.outVc = r.u16();
-        in.stallCycles = r.u64();
-        c.headArrivedAt = r.u64();
-        in.movedThisCycle = r.b();
-        in.blockTraced = r.b();
-        in.killPending = r.b();
-        loadFlit(r, c.killFlit);
-        c.killOutPort = r.u16();
-        c.killOutVc = r.u16();
-        c.purgeMsg = r.u64();
-    }
-    const std::size_t nout = numOutVcs();
-    for (std::size_t idx = 0; idx < nout; ++idx) {
-        OutputVc& out = outputs_[idx];
-        out.allocated = r.b();
-        out.holderPort = r.u16();
-        out.holderVc = r.u16();
-        out.credits = r.u32();
-        out.ejection = r.b();
-        out.quarantineUntil = r.u64();
-    }
-    pendingBkillsAsOut_.clear();
-    const std::uint64_t numBkills = r.u64();
-    for (std::uint64_t i = 0; i < numBkills; ++i) {
-        SentBkill bk;
-        bk.inPort = r.u16();
-        bk.vc = r.u16();
-        pendingBkillsAsOut_.push_back(bk);
-    }
-    for (PortId p = 0; p < numInPorts_; ++p)
-        rrInVc_[p] = r.u16();
-    for (PortId p = 0; p < numOutPorts_; ++p)
-        rrOutIn_[p] = r.u16();
-    const bool heat = r.b();
-    if (heat != heatTracking_)
-        panic("heat-tracking mismatch on restore (saved ", heat,
-              ", have ", heatTracking_, ")");
-    if (heatTracking_) {
-        for (std::uint64_t& v : heatForwarded_)
-            v = r.u64();
-        for (std::uint64_t& v : heatBlocked_)
-            v = r.u64();
-        heatOccupancy_ = r.u64();
-    }
-    loadRng(r, rng_);
-    now_ = r.u64();
     sentFlits.clear();
     sentHeaders.clear();
     sentCredits.clear();

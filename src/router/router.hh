@@ -58,6 +58,7 @@
 #include "src/router/flit.hh"
 #include "src/routing/routing.hh"
 #include "src/sim/config.hh"
+#include "src/sim/log.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/stats.hh"
 #include "src/sim/types.hh"
@@ -66,8 +67,6 @@ namespace crnet {
 
 class Auditor;
 class Tracer;
-class StateWriter;
-class StateReader;
 
 /** Counters shared by all routers of one network. */
 struct RouterStats
@@ -390,7 +389,7 @@ class Router
     // --- Checkpoint support (snapshot.hh) ------------------------------
 
     /**
-     * Serialize/restore every field that survives across ticks:
+     * Snapshot field list: every field that survives across ticks —
      * input/output VC state machines, pending backward kills,
      * round-robin pointers, heat counters and the RNG stream. The
      * outboxes are cleared at tick entry and need not round-trip.
@@ -398,8 +397,11 @@ class Router
      * or pool-backed (state is walked per-router in node order either
      * way).
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
+
+    /** Restore's last step: empty the outboxes. */
+    void afterRestore();
 
   private:
     /** Bind the pool slice at `index` and initialize its fields. */
@@ -474,6 +476,66 @@ class Router
     /** Scratch candidate list (avoids per-header allocation). */
     mutable std::vector<Candidate> scratch_;
 };
+
+template <typename Self, typename Io>
+void
+Router::serialize(Self& self, Io& io)
+{
+    for (std::size_t i = 0; i < self.numInVcs(); ++i) {
+        auto& in = self.inputs_[i];
+        auto& c = self.cold_[i];
+        io.seq(in.buf, [&](auto& f) { WireFlit::serialize(f, io); });
+        // The header is live only while its head is buffered.
+        if (!in.buf.empty() && in.buf.front().isHead())
+            WormHeader::serialize(c.header, io);
+        io.u8(in.state);
+        io.u64(in.msg);
+        io.u16(in.attempt);
+        io.u16(in.outPort);
+        io.u16(in.outVc);
+        io.u64(in.stallCycles);
+        io.u64(c.headArrivedAt);
+        io.b(in.movedThisCycle);
+        io.b(in.blockTraced);
+        io.b(in.killPending);
+        WireFlit::serialize(c.killFlit, io);
+        io.u16(c.killOutPort);
+        io.u16(c.killOutVc);
+        io.u64(c.purgeMsg);
+    }
+    for (std::size_t i = 0; i < self.numOutVcs(); ++i) {
+        auto& out = self.outputs_[i];
+        io.b(out.allocated);
+        io.u16(out.holderPort);
+        io.u16(out.holderVc);
+        io.u32(out.credits);
+        io.b(out.ejection);
+        io.u64(out.quarantineUntil);
+    }
+    io.seq(self.pendingBkillsAsOut_, [&](auto& bk) {
+        io.u16(bk.inPort);
+        io.u16(bk.vc);
+    });
+    for (PortId p = 0; p < self.numInPorts_; ++p)
+        io.u16(self.rrInVc_[p]);
+    for (PortId p = 0; p < self.numOutPorts_; ++p)
+        io.u16(self.rrOutIn_[p]);
+    io.same(
+        [&](bool saved) {
+            panic("heat-tracking mismatch on restore (saved ", saved,
+                  ", have ", self.heatTracking_, ")");
+        },
+        self.heatTracking_);
+    if (self.heatTracking_) {
+        for (auto& v : self.heatForwarded_)
+            io.u64(v);
+        for (auto& v : self.heatBlocked_)
+            io.u64(v);
+        io.u64(self.heatOccupancy_);
+    }
+    io.rng(self.rng_);
+    io.u64(self.now_);
+}
 
 } // namespace crnet
 

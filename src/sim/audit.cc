@@ -4,7 +4,6 @@
 
 #include "src/nic/padding.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 #include "src/topology/topology.hh"
 
 namespace crnet {
@@ -47,7 +46,7 @@ Auditor::foldStage(ShardStage& stage)
     purged_ += stage.purged;
     flitChecks_ += stage.flitChecks;
     // The kill registry is a set, so insertion order is immaterial;
-    // saveState sorts before serialization anyway.
+    // serialization sorts it anyway.
     for (const std::uint64_t key : stage.kills)
         issuedKills_.insert(key);
     stage.injected = 0;
@@ -377,66 +376,6 @@ Auditor::sweep(const AuditSnapshot& snap)
                   cfg_.bufferDepth);
         }
     }
-}
-
-CRNET_ALLOW("unordered-iter",
-            "issued-kill registry is sorted before serialization so "
-            "the snapshot bytes never depend on hash order")
-void
-Auditor::saveState(StateWriter& w) const
-{
-    for (const std::vector<ChannelState>* chans :
-         {&routerChannels_, &ejectionChannels_}) {
-        w.u64(chans->size());
-        for (const ChannelState& ch : *chans) {
-            w.u64(ch.msg);
-            w.u16(ch.attempt);
-            w.u32(ch.nextSeq);
-            w.u32(ch.payloadLen);
-            w.u64(ch.purgedMsg);
-        }
-    }
-    std::vector<std::uint64_t> kills(issuedKills_.begin(),
-                                     issuedKills_.end());
-    std::sort(kills.begin(), kills.end());
-    w.u64(kills.size());
-    for (std::uint64_t key : kills)
-        w.u64(key);
-    w.u64(injected_);
-    w.u64(consumed_);
-    w.u64(purged_);
-    w.u64(sweeps_);
-    w.u64(flitChecks_);
-    w.u64(now_);
-}
-
-void
-Auditor::loadState(StateReader& r)
-{
-    for (std::vector<ChannelState>* chans :
-         {&routerChannels_, &ejectionChannels_}) {
-        const std::uint64_t n = r.u64();
-        if (n != chans->size())
-            panic("audit channel-mirror count mismatch on restore: "
-                  "saved ", n, ", have ", chans->size());
-        for (ChannelState& ch : *chans) {
-            ch.msg = r.u64();
-            ch.attempt = r.u16();
-            ch.nextSeq = r.u32();
-            ch.payloadLen = r.u32();
-            ch.purgedMsg = r.u64();
-        }
-    }
-    issuedKills_.clear();
-    const std::uint64_t numKills = r.u64();
-    for (std::uint64_t i = 0; i < numKills; ++i)
-        issuedKills_.insert(r.u64());
-    injected_ = r.u64();
-    consumed_ = r.u64();
-    purged_ = r.u64();
-    sweeps_ = r.u64();
-    flitChecks_ = r.u64();
-    now_ = r.u64();
 }
 
 } // namespace crnet

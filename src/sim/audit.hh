@@ -46,6 +46,7 @@
 #include "src/core/annotations.hh"
 #include "src/router/flit.hh"
 #include "src/sim/config.hh"
+#include "src/sim/log.hh"
 #include "src/sim/types.hh"
 
 #ifndef CRNET_AUDIT_ENABLED
@@ -72,8 +73,6 @@
 namespace crnet {
 
 class Topology;
-class StateWriter;
-class StateReader;
 
 /** What kind of channel an AuditEdge describes. */
 enum class AuditEdgeKind : std::uint8_t {
@@ -220,12 +219,13 @@ class Auditor
     // --- Checkpoint support (snapshot.hh) -----------------------------
 
     /**
-     * Channel mirrors, kill registry and conservation counters must
+     * Snapshot field list. Channel mirrors, kill registry and
+     * conservation counters must
      * survive a restore or the first post-resume sweep would panic on
      * a phantom conservation violation.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     /** Mirror of one channel's worm state machine. */
@@ -289,6 +289,37 @@ class Auditor
     /** Per-thread staging area (null = update ledgers directly). */
     static thread_local ShardStage* tlsStage_;
 };
+
+template <typename Self, typename Io>
+CRNET_ALLOW("unordered-iter",
+            "issued-kill registry is sorted before serialization so "
+            "the snapshot bytes never depend on hash order")
+void
+Auditor::serialize(Self& self, Io& io)
+{
+    for (auto* chans : {&self.routerChannels_, &self.ejectionChannels_}) {
+        io.same(
+            [&](std::uint64_t saved) {
+                panic("audit channel-mirror count mismatch on restore: "
+                      "saved ", saved, ", have ", chans->size());
+            },
+            std::uint64_t{chans->size()});
+        for (auto& ch : *chans) {
+            io.u64(ch.msg);
+            io.u16(ch.attempt);
+            io.u32(ch.nextSeq);
+            io.u32(ch.payloadLen);
+            io.u64(ch.purgedMsg);
+        }
+    }
+    io.sorted(self.issuedKills_, [&](auto& key) { io.u64(key); });
+    io.u64(self.injected_);
+    io.u64(self.consumed_);
+    io.u64(self.purged_);
+    io.u64(self.sweeps_);
+    io.u64(self.flitChecks_);
+    io.u64(self.now_);
+}
 
 } // namespace crnet
 

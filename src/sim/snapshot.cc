@@ -1,9 +1,8 @@
 /**
  * @file
- * Snapshot container I/O, config fingerprinting and the shared
- * field-group serializers (flits, messages, the stats block). The
- * per-component saveState/loadState bodies live next to the
- * components they serialize; this file owns everything format-level.
+ * Snapshot container I/O and config fingerprinting. The field list
+ * of each serialized type lives next to the type; this file owns
+ * everything format-level.
  */
 
 #include "src/sim/snapshot.hh"
@@ -15,208 +14,13 @@
 
 #include <unistd.h>
 
-#include "src/core/metrics.hh"
 #include "src/core/network.hh"
-#include "src/router/flit.hh"
 #include "src/sim/audit.hh"
 #include "src/sim/checksum.hh"
 #include "src/sim/config.hh"
 #include "src/sim/telemetry.hh"
-#include "src/traffic/message.hh"
 
 namespace crnet {
-
-// --- Shared field-group serializers ------------------------------------
-
-void
-saveFlit(StateWriter& w, const WireFlit& f)
-{
-    w.u8(static_cast<std::uint8_t>(f.type));
-    w.u64(f.msg);
-    w.u32(f.seq);
-    w.u32(f.src);
-    w.u32(f.dst);
-    w.u8(f.vcClass);
-    w.u8(f.misrouteBudget);
-    w.u16(f.attempt);
-    w.u32(f.payload);
-    w.u8(f.crc);
-    w.b(f.corrupted);
-}
-
-void
-loadFlit(StateReader& r, WireFlit& f)
-{
-    f.type = static_cast<FlitType>(r.u8());
-    f.msg = r.u64();
-    f.seq = r.u32();
-    f.src = r.u32();
-    f.dst = r.u32();
-    f.vcClass = r.u8();
-    f.misrouteBudget = r.u8();
-    f.attempt = r.u16();
-    f.payload = r.u32();
-    f.crc = r.u8();
-    f.corrupted = r.b();
-}
-
-void
-saveHeader(StateWriter& w, const WormHeader& h)
-{
-    w.u32(h.payloadLen);
-    w.u32(h.pairSeq);
-    w.u64(h.createdAt);
-    w.u64(h.headInjectedAt);
-    w.b(h.measured);
-}
-
-void
-loadHeader(StateReader& r, WormHeader& h)
-{
-    h.payloadLen = r.u32();
-    h.pairSeq = r.u32();
-    h.createdAt = r.u64();
-    h.headInjectedAt = r.u64();
-    h.measured = r.b();
-}
-
-void
-saveMessage(StateWriter& w, const PendingMessage& m)
-{
-    w.u64(m.id);
-    w.u32(m.src);
-    w.u32(m.dst);
-    w.u32(m.payloadLen);
-    w.u64(m.createdAt);
-    w.u32(m.pairSeq);
-    w.u16(m.attempt);
-    w.u64(m.notBefore);
-    w.b(m.measured);
-}
-
-void
-loadMessage(StateReader& r, PendingMessage& m)
-{
-    m.id = r.u64();
-    m.src = r.u32();
-    m.dst = r.u32();
-    m.payloadLen = r.u32();
-    m.createdAt = r.u64();
-    m.pairSeq = r.u32();
-    m.attempt = r.u16();
-    m.notBefore = r.u64();
-    m.measured = r.b();
-}
-
-void
-saveNetworkStats(StateWriter& w, const NetworkStats& s)
-{
-    s.router.flitsForwarded.saveState(w);
-    s.router.headersRouted.saveState(w);
-    s.router.escapeAllocations.saveState(w);
-    s.router.misrouteHops.saveState(w);
-    s.router.killsForwarded.saveState(w);
-    s.router.killsAnnihilated.saveState(w);
-    s.router.pathWideKills.saveState(w);
-    s.router.bkillHops.saveState(w);
-    s.router.flitsPurged.saveState(w);
-    s.router.stragglersDropped.saveState(w);
-    s.router.staleKills.saveState(w);
-    s.router.lateCreditsDropped.saveState(w);
-    s.router.linkDeathTeardowns.saveState(w);
-
-    s.messagesGenerated.saveState(w);
-    s.messagesMeasured.saveState(w);
-    s.sourceQueueDrops.saveState(w);
-    s.flitsInjected.saveState(w);
-    s.padFlitsInjected.saveState(w);
-    s.sourceKills.saveState(w);
-    s.abortedByBkill.saveState(w);
-    s.messagesCommitted.saveState(w);
-    s.messagesFailed.saveState(w);
-    s.measuredFailed.saveState(w);
-
-    s.messagesDelivered.saveState(w);
-    s.measuredDelivered.saveState(w);
-    s.corruptedDeliveries.saveState(w);
-    s.orderViolations.saveState(w);
-    s.duplicateDeliveries.saveState(w);
-    s.refusals.saveState(w);
-    s.staleAttemptFlits.saveState(w);
-    s.flitsConsumed.saveState(w);
-    s.padFlitsConsumed.saveState(w);
-    s.measuredPayloadFlits.saveState(w);
-
-    s.faultEventsApplied.saveState(w);
-    s.flitsLostOnDeadLinks.saveState(w);
-    s.killsAbsorbedAtDeadLinks.saveState(w);
-    s.controlAbsorbedAtDeadLinks.saveState(w);
-    s.receiverTimeouts.saveState(w);
-    s.assembliesFinalized.saveState(w);
-    s.assembliesDiscarded.saveState(w);
-    s.retryDuplicatesSuppressed.saveState(w);
-
-    s.totalLatency.saveState(w);
-    s.netLatency.saveState(w);
-    s.attempts.saveState(w);
-    s.padOverhead.saveState(w);
-    s.latencyHist.saveState(w);
-}
-
-void
-loadNetworkStats(StateReader& r, NetworkStats& s)
-{
-    s.router.flitsForwarded.loadState(r);
-    s.router.headersRouted.loadState(r);
-    s.router.escapeAllocations.loadState(r);
-    s.router.misrouteHops.loadState(r);
-    s.router.killsForwarded.loadState(r);
-    s.router.killsAnnihilated.loadState(r);
-    s.router.pathWideKills.loadState(r);
-    s.router.bkillHops.loadState(r);
-    s.router.flitsPurged.loadState(r);
-    s.router.stragglersDropped.loadState(r);
-    s.router.staleKills.loadState(r);
-    s.router.lateCreditsDropped.loadState(r);
-    s.router.linkDeathTeardowns.loadState(r);
-
-    s.messagesGenerated.loadState(r);
-    s.messagesMeasured.loadState(r);
-    s.sourceQueueDrops.loadState(r);
-    s.flitsInjected.loadState(r);
-    s.padFlitsInjected.loadState(r);
-    s.sourceKills.loadState(r);
-    s.abortedByBkill.loadState(r);
-    s.messagesCommitted.loadState(r);
-    s.messagesFailed.loadState(r);
-    s.measuredFailed.loadState(r);
-
-    s.messagesDelivered.loadState(r);
-    s.measuredDelivered.loadState(r);
-    s.corruptedDeliveries.loadState(r);
-    s.orderViolations.loadState(r);
-    s.duplicateDeliveries.loadState(r);
-    s.refusals.loadState(r);
-    s.staleAttemptFlits.loadState(r);
-    s.flitsConsumed.loadState(r);
-    s.padFlitsConsumed.loadState(r);
-    s.measuredPayloadFlits.loadState(r);
-
-    s.faultEventsApplied.loadState(r);
-    s.flitsLostOnDeadLinks.loadState(r);
-    s.killsAbsorbedAtDeadLinks.loadState(r);
-    s.controlAbsorbedAtDeadLinks.loadState(r);
-    s.receiverTimeouts.loadState(r);
-    s.assembliesFinalized.loadState(r);
-    s.assembliesDiscarded.loadState(r);
-    s.retryDuplicatesSuppressed.loadState(r);
-
-    s.totalLatency.loadState(r);
-    s.netLatency.loadState(r);
-    s.attempts.loadState(r);
-    s.padOverhead.loadState(r);
-    s.latencyHist.loadState(r);
-}
 
 // --- Config fingerprint ------------------------------------------------
 

@@ -9,25 +9,31 @@
  * uninterrupted run (docs/ROBUSTNESS.md documents the format and the
  * compatibility policy).
  *
- * Layout discipline: every field is written little-endian in a fixed,
- * documented order; unordered containers are serialized in sorted key
- * order so the payload bytes are independent of hash-table layout.
- * The on-disk container is `CRNETSNP` + version + config fingerprint
- * + payload + CRC-32 trailer, written via write-temp/fsync/rename so
- * a crash mid-write can never leave a torn file in place of a good
- * one.
+ * Layout discipline: every field is written little-endian in a fixed
+ * order, set by one field list per type (see StateWriter); unordered
+ * containers are serialized in sorted key order so the payload bytes
+ * are independent of hash-table layout. The on-disk container is
+ * `CRNETSNP` + version + config fingerprint + payload + CRC-32
+ * trailer, written via write-temp/fsync/rename so a crash mid-write
+ * can never leave a torn file in place of a good one.
  */
 
 #ifndef CRNET_SIM_SNAPSHOT_HH
 #define CRNET_SIM_SNAPSHOT_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "src/core/annotations.hh"
 #include "src/sim/log.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
@@ -43,75 +49,144 @@ inline constexpr std::uint32_t kSnapshotVersion = 4;
 /**
  * Append-only little-endian byte sink for snapshot payloads.
  *
- * Not performance-critical (runs between ticks, never inside them),
- * so it favors an explicit, greppable field order over clever
- * packing.
+ * One field list per type: every serialized type has one function
+ * template, `serialize(Self& self, Io& io)`, that names each field
+ * once. StateWriter runs it on capture (`Self` const) and StateReader
+ * on restore, and both streams offer the same calls, so a field list
+ * holds no direction test:
+ *
+ *   - the field vocabulary u8 ... u64, i64, f64, b and str, which
+ *     takes the field and names its wire width at every call (a
+ *     member's type never picks it: PendingRecvFlit::ejChannel is 16
+ *     bits in memory and 32 on the wire);
+ *   - seq(), a counted sequence;
+ *   - sorted(), an unordered set or map in ascending key order;
+ *   - same(), values the reader must find equal to its own;
+ *   - rng(), an RNG stream;
+ *   - optional() and sidecar(), a component that may be absent.
+ *
+ * Steps only a restore needs (clearing outboxes, rebuilding derived
+ * indices) run in the restore entry point, after the shared list.
+ * Not performance-critical: it runs between ticks, never inside them.
  */
 class StateWriter
 {
   public:
-    void
-    u8(std::uint8_t v)
-    {
-        bytes_.push_back(v);
-    }
+    template <typename T>
+    void u8(const T& v) { put(static_cast<std::uint8_t>(v), 1); }
 
-    void
-    u16(std::uint16_t v)
-    {
-        u8(static_cast<std::uint8_t>(v));
-        u8(static_cast<std::uint8_t>(v >> 8));
-    }
+    template <typename T>
+    void u16(const T& v) { put(static_cast<std::uint16_t>(v), 2); }
 
-    void
-    u32(std::uint32_t v)
-    {
-        u16(static_cast<std::uint16_t>(v));
-        u16(static_cast<std::uint16_t>(v >> 16));
-    }
+    template <typename T>
+    void u32(const T& v) { put(static_cast<std::uint32_t>(v), 4); }
 
-    void
-    u64(std::uint64_t v)
-    {
-        u32(static_cast<std::uint32_t>(v));
-        u32(static_cast<std::uint32_t>(v >> 32));
-    }
+    template <typename T>
+    void u64(const T& v) { put(static_cast<std::uint64_t>(v), 8); }
 
-    void
-    i64(std::int64_t v)
-    {
-        u64(static_cast<std::uint64_t>(v));
-    }
+    template <typename T>
+    void i64(const T& v) { u64(static_cast<std::int64_t>(v)); }
 
     /** Exact bit pattern; round-trips NaNs and signed zeros. */
-    void
-    f64(double v)
-    {
-        u64(std::bit_cast<std::uint64_t>(v));
-    }
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-    void
-    b(bool v)
-    {
-        u8(v ? 1 : 0);
-    }
+    void b(bool v) { u8(v ? 1 : 0); }
 
     void
     str(const std::string& s)
     {
         u64(s.size());
         for (char c : s)
-            u8(static_cast<std::uint8_t>(c));
+            u8(c);
+    }
+
+    /** A counted sequence: its size, then each element via `each`. */
+    template <typename Seq, typename Each>
+    void
+    seq(const Seq& s, Each&& each)
+    {
+        u64(s.size());
+        for (std::size_t i = 0; i < s.size(); ++i)
+            each(s[i]);
     }
 
     /**
-     * Nested length-prefixed block. A reader that does not want the
-     * block's contents (e.g. no tracer attached on restore) can skip
-     * it wholesale without knowing its internal layout.
+     * An unordered set or map (or a table that iterates like one): its
+     * size, then each key — each key and value of a map — via `each`,
+     * in ascending key order, so the bytes never depend on hash order.
      */
+    template <typename C, typename Each>
     void
-    block(const StateWriter& inner)
+    sorted(const C& c, Each&& each)
     {
+        using K = typename C::key_type;
+        if constexpr (requires { typename C::mapped_type; }) {
+            std::vector<std::pair<K, typename C::mapped_type>> items;
+            for (const auto& [k, v] : c)
+                items.emplace_back(k, v);
+            std::sort(items.begin(), items.end(),
+                      [](const auto& x, const auto& y) {
+                          return x.first < y.first;
+                      });
+            u64(items.size());
+            for (const auto& [k, v] : items)
+                each(k, v);
+        } else {
+            std::vector<K> keys(c.begin(), c.end());
+            std::sort(keys.begin(), keys.end());
+            u64(keys.size());
+            for (const K& k : keys)
+                each(k);
+        }
+    }
+
+    /**
+     * Values the reader must find equal to its own (a geometry, a
+     * container size, a presence bit), each a uint64_t, double or bool
+     * whose type names its width. The writer writes `mine`; the reader
+     * calls `fail(saved...)` on a mismatch.
+     */
+    template <typename Fail, typename... Wire>
+    void
+    same(Fail&&, const Wire&... mine)
+    {
+        (putWire(mine), ...);
+    }
+
+    /** An RNG stream: the four raw xoshiro256** words. */
+    void
+    rng(const Rng& r)
+    {
+        for (std::uint64_t word : r.state())
+            u64(word);
+    }
+
+    /** An owned component that may be absent: a presence bit, then it. */
+    template <typename T, typename Each>
+    void
+    optional(const std::unique_ptr<T>& p, Each&& each)
+    {
+        b(p != nullptr);
+        if (p != nullptr)
+            each(std::as_const(*p));
+    }
+
+    /**
+     * A sidecar the restoring side may run without (a delivery ledger,
+     * a tracer): a presence bit, then a length-prefixed block written
+     * by `each(StateWriter&, const T&)`, which a reader without one
+     * skips wholesale (warning first when `warn_if_skipped`). `what`
+     * names it in the reader's messages.
+     */
+    template <typename P, typename Each>
+    void
+    sidecar(const P& p, const char*, bool, Each&& each)
+    {
+        b(p != nullptr);
+        if (p == nullptr)
+            return;
+        StateWriter inner;
+        each(inner, std::as_const(*p));
         u64(inner.bytes_.size());
         bytes_.insert(bytes_.end(), inner.bytes_.begin(),
                       inner.bytes_.end());
@@ -120,11 +195,34 @@ class StateWriter
     const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
   private:
+    void
+    put(std::uint64_t v, int width)
+    {
+        for (int i = 0; i < width; ++i)
+            bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
+    template <typename Wire>
+    void
+    putWire(const Wire& v)
+    {
+        if constexpr (std::is_same_v<Wire, bool>) {
+            b(v);
+        } else if constexpr (std::is_same_v<Wire, double>) {
+            f64(v);
+        } else {
+            static_assert(std::is_same_v<Wire, std::uint64_t>,
+                          "same() takes uint64_t, double or bool");
+            u64(v);
+        }
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
 /**
- * Bounds-checked reader over a snapshot payload.
+ * Bounds-checked reader over a snapshot payload, with StateWriter's
+ * calls taking each field by reference.
  *
  * The container CRC is verified before any parsing, so an overrun
  * here means a version-skew or serialization bug, not disk
@@ -142,6 +240,8 @@ class StateReader
         : StateReader(bytes.data(), bytes.size())
     {
     }
+
+    // --- Framing reads (file headers, journal records) -------------
 
     std::uint8_t
     u8()
@@ -203,6 +303,117 @@ class StateReader
         return s;
     }
 
+    // --- Field vocabulary (see StateWriter) --------------------------
+
+    template <typename T>
+    void u8(T& field) { assign(field, u8()); }
+
+    template <typename T>
+    void u16(T& field) { assign(field, u16()); }
+
+    template <typename T>
+    void u32(T& field) { assign(field, u32()); }
+
+    template <typename T>
+    void u64(T& field) { assign(field, u64()); }
+
+    template <typename T>
+    void i64(T& field) { assign(field, i64()); }
+
+    void f64(double& field) { field = f64(); }
+    void b(bool& field) { field = b(); }
+    void b(std::vector<bool>::reference field) { field = b(); }
+    void str(std::string& field) { field = str(); }
+
+    template <typename Seq, typename Each>
+    void
+    seq(Seq& s, Each&& each)
+    {
+        s.clear();
+        const std::uint64_t n = u64();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            typename Seq::value_type e{};
+            each(e);
+            s.push_back(std::move(e));
+        }
+    }
+
+    template <typename C, typename Each>
+    void
+    sorted(C& c, Each&& each)
+    {
+        c.clear();
+        const std::uint64_t n = u64();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            typename C::key_type k{};
+            if constexpr (requires { typename C::mapped_type; }) {
+                typename C::mapped_type v{};
+                each(k, v);
+                c.emplace(k, std::move(v));
+            } else {
+                each(k);
+                c.insert(k);
+            }
+        }
+    }
+
+    template <typename Fail, typename... Wire>
+    void
+    same(Fail&& fail, const Wire&... mine)
+    {
+        std::tuple<Wire...> saved;
+        std::apply([this](auto&... s) { (getWire(s), ...); }, saved);
+        if (saved != std::tie(mine...))
+            std::apply(fail, saved);
+    }
+
+    void
+    rng(Rng& r)
+    {
+        std::array<std::uint64_t, 4> s{};
+        for (std::uint64_t& word : s)
+            word = u64();
+        r.setState(s);
+    }
+
+    /** Makes the component if the snapshot has one and it is absent. */
+    template <typename T, typename Each>
+    void
+    optional(std::unique_ptr<T>& p, Each&& each)
+    {
+        if (!b()) {
+            p.reset();
+            return;
+        }
+        if (p == nullptr)
+            p = std::make_unique<T>();
+        each(*p);
+    }
+
+    /**
+     * Runs `each(StateReader&, T&)` over the block when `p` is set and
+     * checks it consumed exactly the block; skips the block otherwise.
+     */
+    template <typename P, typename Each>
+    void
+    sidecar(P& p, const char* what, bool warn_if_skipped, Each&& each)
+    {
+        if (!b())
+            return;
+        const std::uint64_t len = u64();
+        if (p == nullptr) {
+            if (warn_if_skipped)
+                warn("snapshot carries a ", what, " but none is "
+                     "attached; skipping it");
+            skip(len);
+            return;
+        }
+        const std::size_t before = remaining();
+        each(*this, *p);
+        if (before - remaining() != len)
+            panic(what, " block size mismatch on restore");
+    }
+
     /** Skip n bytes (e.g. an unwanted length-prefixed block). */
     void
     skip(std::uint64_t n)
@@ -224,9 +435,98 @@ class StateReader
                   " (version skew or serialization bug)");
     }
 
+    /** Store a wire value in a field, refusing one it cannot hold. */
+    template <typename T, typename W>
+    static void
+    assign(T& field, W v)
+    {
+        if constexpr (std::is_integral_v<T> &&
+                      !std::is_same_v<T, bool>) {
+            if (!std::in_range<T>(v))
+                panic("snapshot field value ", v, " does not fit its ",
+                      8 * sizeof(T),
+                      "-bit field (version skew or serialization bug)");
+        }
+        field = static_cast<T>(v);
+    }
+
+    template <typename Wire>
+    void
+    getWire(Wire& v)
+    {
+        if constexpr (std::is_same_v<Wire, bool>)
+            v = b();
+        else if constexpr (std::is_same_v<Wire, double>)
+            v = f64();
+        else
+            v = u64();
+    }
+
     const std::uint8_t* data_;
     std::size_t size_;
     std::size_t pos_ = 0;
+};
+
+/**
+ * A table stored dense — a vector indexed by index_of(key), `absent`
+ * marking an empty slot — or sparse — a hash map of the present keys
+ * only — as the one map of its present entries that sorted()
+ * serializes, so both storage modes give the same bytes. `Dense` and
+ * `Sparse` are const on capture, which only iterates; restore clears
+ * and emplaces.
+ */
+template <typename Dense, typename Sparse, typename KeyOf,
+          typename IndexOf>
+class DenseOrSparse
+{
+  public:
+    using key_type = typename std::remove_const_t<Sparse>::key_type;
+    using mapped_type = typename std::remove_const_t<Sparse>::mapped_type;
+
+    DenseOrSparse(Dense& dense, Sparse& sparse, mapped_type absent,
+                  KeyOf key_of, IndexOf index_of)
+        : dense_(dense), sparse_(sparse), absent_(absent),
+          indexOf_(index_of)
+    {
+        for (std::size_t i = 0; i < dense.size(); ++i)
+            if (dense[i] != absent)
+                present_.emplace_back(key_of(i), dense[i]);
+        present_.insert(present_.end(), sparse.begin(), sparse.end());
+    }
+
+    auto begin() const { return present_.begin(); }
+    auto end() const { return present_.end(); }
+
+    void
+    clear()
+    {
+        std::fill(dense_.begin(), dense_.end(), absent_);
+        sparse_.clear();
+    }
+
+    CRNET_ALLOW("alloc",
+                "restore-only insertion (StateReader::sorted); the tick "
+                "never reaches it, but the analyzer links every "
+                "emplace() call here by name")
+    void
+    emplace(key_type key, mapped_type value)
+    {
+        if (dense_.empty()) {
+            sparse_.emplace(key, value);
+            return;
+        }
+        const std::size_t at = indexOf_(key);
+        if (at >= dense_.size())
+            panic("restored table key ", key, " is out of range");
+        dense_[at] = value;
+    }
+
+  private:
+    Dense& dense_;
+    Sparse& sparse_;
+    mapped_type absent_;
+    IndexOf indexOf_;
+    std::vector<std::pair<key_type, mapped_type>> present_;
 };
 
 /** An in-memory snapshot: cycle, config identity, and state bytes. */
@@ -277,43 +577,6 @@ std::string writeSnapshotFile(const std::string& path,
  * to fall back or abort.
  */
 std::string readSnapshotFile(const std::string& path, Snapshot& out);
-
-// --- Shared field-group helpers (used by component saveState/loadState)
-
-/** RNG stream: the four raw xoshiro256** words. */
-inline void
-saveRng(StateWriter& w, const Rng& rng)
-{
-    for (std::uint64_t word : rng.state())
-        w.u64(word);
-}
-
-inline void
-loadRng(StateReader& r, Rng& rng)
-{
-    std::array<std::uint64_t, 4> s{};
-    for (auto& word : s)
-        word = r.u64();
-    rng.setState(s);
-}
-
-struct WireFlit;
-struct WormHeader;
-struct PendingMessage;
-struct NetworkStats;
-
-void saveFlit(StateWriter& w, const WireFlit& f);
-void loadFlit(StateReader& r, WireFlit& f);
-
-void saveHeader(StateWriter& w, const WormHeader& h);
-void loadHeader(StateReader& r, WormHeader& h);
-
-void saveMessage(StateWriter& w, const PendingMessage& m);
-void loadMessage(StateReader& r, PendingMessage& m);
-
-/** Every counter, accumulator and the latency histogram, in order. */
-void saveNetworkStats(StateWriter& w, const NetworkStats& s);
-void loadNetworkStats(StateReader& r, NetworkStats& s);
 
 // --- Crash-safe file primitives (shared with the campaign journal) ---
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 
 namespace crnet {
 
@@ -66,26 +65,6 @@ Accumulator::stddev() const
     return std::sqrt(variance());
 }
 
-void
-Accumulator::saveState(StateWriter& w) const
-{
-    w.u64(count_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(min_);
-    w.f64(max_);
-}
-
-void
-Accumulator::loadState(StateReader& r)
-{
-    count_ = r.u64();
-    mean_ = r.f64();
-    m2_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-}
-
 Histogram::Histogram(double bin_width, std::size_t num_bins)
     : binWidth_(bin_width), bins_(num_bins, 0)
 {
@@ -118,44 +97,6 @@ Histogram::reset()
     std::fill(bins_.begin(), bins_.end(), 0);
     overflow_ = 0;
     total_ = 0;
-}
-
-void
-Histogram::saveState(StateWriter& w) const
-{
-    w.f64(binWidth_);
-    w.u64(bins_.size());
-    for (std::uint64_t bin : bins_)
-        w.u64(bin);
-    w.u64(overflow_);
-    w.u64(total_);
-}
-
-void
-Histogram::loadState(StateReader& r)
-{
-    const double width = r.f64();
-    const std::uint64_t numBins = r.u64();
-    if (width != binWidth_ || numBins != bins_.size())
-        panic("Histogram geometry mismatch on restore: saved ",
-              numBins, " bins of width ", width, ", have ",
-              bins_.size(), " of width ", binWidth_);
-    for (auto& bin : bins_)
-        bin = r.u64();
-    overflow_ = r.u64();
-    total_ = r.u64();
-}
-
-void
-Counter::saveState(StateWriter& w) const
-{
-    w.u64(value_);
-}
-
-void
-Counter::loadState(StateReader& r)
-{
-    value_ = r.u64();
 }
 
 double

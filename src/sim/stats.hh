@@ -14,10 +14,9 @@
 #include <string>
 #include <vector>
 
-namespace crnet {
+#include "src/sim/log.hh"
 
-class StateWriter;
-class StateReader;
+namespace crnet {
 
 /**
  * Streaming scalar accumulator (Welford's algorithm).
@@ -49,9 +48,17 @@ class Accumulator
     /** Largest sample; 0 when empty. */
     double max() const { return count_ ? max_ : 0.0; }
 
-    /** Checkpoint support (snapshot.hh). */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /** Snapshot field list (snapshot.hh). */
+    template <typename Self, typename Io>
+    static void
+    serialize(Self& self, Io& io)
+    {
+        io.u64(self.count_);
+        io.f64(self.mean_);
+        io.f64(self.m2_);
+        io.f64(self.min_);
+        io.f64(self.max_);
+    }
 
   private:
     std::uint64_t count_ = 0;
@@ -92,9 +99,26 @@ class Histogram
      */
     double percentile(double p) const;
 
-    /** Checkpoint support; bin geometry must match the saved one. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /**
+     * Snapshot field list (snapshot.hh); the restoring histogram's bin
+     * geometry must match the saved one.
+     */
+    template <typename Self, typename Io>
+    static void
+    serialize(Self& self, Io& io)
+    {
+        io.same(
+            [&](double width, std::uint64_t num_bins) {
+                panic("Histogram geometry mismatch on restore: saved ",
+                      num_bins, " bins of width ", width, ", have ",
+                      self.bins_.size(), " of width ", self.binWidth_);
+            },
+            self.binWidth_, std::uint64_t{self.bins_.size()});
+        for (auto& bin : self.bins_)
+            io.u64(bin);
+        io.u64(self.overflow_);
+        io.u64(self.total_);
+    }
 
   private:
     double binWidth_;
@@ -111,9 +135,13 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
-    /** Checkpoint support (snapshot.hh). */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /** Snapshot field list (snapshot.hh). */
+    template <typename Self, typename Io>
+    static void
+    serialize(Self& self, Io& io)
+    {
+        io.u64(self.value_);
+    }
 
   private:
     std::uint64_t value_ = 0;

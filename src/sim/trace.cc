@@ -7,7 +7,6 @@
 
 #include "src/sim/config.hh"
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 
 namespace crnet {
 
@@ -267,57 +266,6 @@ Tracer::flush()
     flushed_ = true;
     writeJsonl();
     writeChrome();
-}
-
-CRNET_ALLOW("unordered-iter",
-            "adopted watch ids are sorted before serialization so the "
-            "snapshot bytes never depend on hash order")
-void
-Tracer::saveState(StateWriter& w) const
-{
-    w.u64(events_.size());
-    for (const TraceEvent& e : events_) {
-        w.u64(e.at);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.u64(e.msg);
-        w.u32(e.node);
-        w.u32(e.src);
-        w.u32(e.dst);
-        w.u16(e.attempt);
-        w.u64(e.arg);
-    }
-    std::vector<MsgId> watched(watchedMsgs_.begin(),
-                               watchedMsgs_.end());
-    std::sort(watched.begin(), watched.end());
-    w.u64(watched.size());
-    for (MsgId id : watched)
-        w.u64(id);
-    w.u64(now_);
-}
-
-void
-Tracer::loadState(StateReader& r)
-{
-    events_.clear();
-    const std::uint64_t numEvents = r.u64();
-    events_.reserve(numEvents);
-    for (std::uint64_t i = 0; i < numEvents; ++i) {
-        TraceEvent e;
-        e.at = r.u64();
-        e.kind = static_cast<TraceEventKind>(r.u8());
-        e.msg = r.u64();
-        e.node = r.u32();
-        e.src = r.u32();
-        e.dst = r.u32();
-        e.attempt = r.u16();
-        e.arg = r.u64();
-        events_.push_back(e);
-    }
-    watchedMsgs_.clear();
-    const std::uint64_t numWatched = r.u64();
-    for (std::uint64_t i = 0; i < numWatched; ++i)
-        watchedMsgs_.insert(r.u64());
-    now_ = r.u64();
 }
 
 } // namespace crnet

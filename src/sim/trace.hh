@@ -43,8 +43,6 @@
 namespace crnet {
 
 struct SimConfig;
-class StateWriter;
-class StateReader;
 
 /** Worm-lifecycle event taxonomy (see docs/OBSERVABILITY.md). */
 enum class TraceEventKind : std::uint8_t {
@@ -156,12 +154,12 @@ class Tracer
     void flush();
 
     /**
-     * Checkpoint support (snapshot.hh): event buffer, adopted watch
+     * Snapshot field list (snapshot.hh): event buffer, adopted watch
      * ids and current cycle. Config-derived fields (prefix, parsed
      * watch list) are reconstructed by the constructor.
      */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     bool pairMatches(NodeId src, NodeId dst) const;
@@ -180,6 +178,27 @@ class Tracer
     /** Per-thread staging buffer (null = record directly). */
     static thread_local std::vector<TraceEvent>* tlsStage_;
 };
+
+template <typename Self, typename Io>
+CRNET_ALLOW("unordered-iter",
+            "adopted watch ids are sorted before serialization so the "
+            "snapshot bytes never depend on hash order")
+void
+Tracer::serialize(Self& self, Io& io)
+{
+    io.seq(self.events_, [&](auto& e) {
+        io.u64(e.at);
+        io.u8(e.kind);
+        io.u64(e.msg);
+        io.u32(e.node);
+        io.u32(e.src);
+        io.u32(e.dst);
+        io.u16(e.attempt);
+        io.u64(e.arg);
+    });
+    io.sorted(self.watchedMsgs_, [&](auto& id) { io.u64(id); });
+    io.u64(self.now_);
+}
 
 } // namespace crnet
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/sim/log.hh"
-#include "src/sim/snapshot.hh"
 
 namespace crnet {
 
@@ -102,64 +101,6 @@ TrafficGenerator::makeMessage(NodeId src, NodeId dst,
     m.pairSeq = nextPairSeq(src, dst);
     m.measured = measured;
     return m;
-}
-
-CRNET_ALLOW("unordered-iter",
-            "pairSeq entries are sorted by key before serialization "
-            "so the snapshot bytes never depend on hash order")
-void
-TrafficGenerator::saveState(StateWriter& w) const
-{
-    saveRng(w, rng_);
-    w.u64(nextMsgId_);
-    // Same bytes from either storage mode: sorted, and only pairs
-    // that communicated (the dense matrix's zeros are the sparse
-    // map's absent keys).
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> seqs;
-    if (!pairSeqDense_.empty()) {
-        const std::size_t n = topo_.numNodes();
-        for (std::size_t src = 0; src < n; ++src) {
-            for (std::size_t dst = 0; dst < n; ++dst) {
-                const std::uint32_t seq =
-                    pairSeqDense_[src * n + dst];
-                if (seq != 0)
-                    seqs.emplace_back((static_cast<std::uint64_t>(src)
-                                       << 32) |
-                                          dst,
-                                      seq);
-            }
-        }
-    } else {
-        seqs.assign(pairSeqSparse_.begin(), pairSeqSparse_.end());
-        std::sort(seqs.begin(), seqs.end());
-    }
-    w.u64(seqs.size());
-    for (const auto& [key, seq] : seqs) {
-        w.u64(key);
-        w.u32(seq);
-    }
-}
-
-void
-TrafficGenerator::loadState(StateReader& r)
-{
-    loadRng(r, rng_);
-    nextMsgId_ = r.u64();
-    if (!pairSeqDense_.empty())
-        std::fill(pairSeqDense_.begin(), pairSeqDense_.end(), 0u);
-    pairSeqSparse_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t key = r.u64();
-        const std::uint32_t seq = r.u32();
-        if (!pairSeqDense_.empty()) {
-            pairSeqDense_[static_cast<std::size_t>(key >> 32) *
-                              topo_.numNodes() +
-                          static_cast<std::uint32_t>(key)] = seq;
-        } else {
-            pairSeqSparse_.emplace(key, seq);
-        }
-    }
 }
 
 } // namespace crnet

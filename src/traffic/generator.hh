@@ -20,13 +20,12 @@
 #include "src/core/annotations.hh"
 #include "src/sim/config.hh"
 #include "src/sim/rng.hh"
+#include "src/sim/snapshot.hh"
 #include "src/traffic/message.hh"
 #include "src/traffic/pattern.hh"
 
 namespace crnet {
 
-class StateWriter;
-class StateReader;
 
 /** Per-network message source. */
 class TrafficGenerator
@@ -86,9 +85,9 @@ class TrafficGenerator
 
     // --- Checkpoint support (snapshot.hh) ---------------------------
 
-    /** RNG stream, id counter and pairSeq table. */
-    void saveState(StateWriter& w) const;
-    void loadState(StateReader& r);
+    /** Snapshot field list: RNG stream, id counter, pairSeq table. */
+    template <typename Self, typename Io>
+    static void serialize(Self& self, Io& io);
 
   private:
     std::uint32_t drawLength();
@@ -119,6 +118,33 @@ class TrafficGenerator
     std::vector<std::uint32_t> pairSeqDense_;
     std::unordered_map<std::uint64_t, std::uint32_t> pairSeqSparse_;
 };
+
+template <typename Self, typename Io>
+CRNET_ALLOW("unordered-iter",
+            "pairSeq entries are sorted by key before serialization "
+            "so the snapshot bytes never depend on hash order")
+void
+TrafficGenerator::serialize(Self& self, Io& io)
+{
+    io.rng(self.rng_);
+    io.u64(self.nextMsgId_);
+    // Only pairs that communicated, keyed (src << 32) | dst: the dense
+    // matrix's zeros are the sparse map's absent keys.
+    const std::size_t n = self.topo_.numNodes();
+    DenseOrSparse pair_seq(
+        self.pairSeqDense_, self.pairSeqSparse_, std::uint32_t{0},
+        [n](std::size_t i) {
+            return (static_cast<std::uint64_t>(i / n) << 32) | (i % n);
+        },
+        [n](std::uint64_t key) {
+            return static_cast<std::size_t>(key >> 32) * n +
+                   static_cast<std::uint32_t>(key);
+        });
+    io.sorted(pair_seq, [&](auto& key, auto& seq) {
+        io.u64(key);
+        io.u32(seq);
+    });
+}
 
 } // namespace crnet
 

@@ -31,6 +31,22 @@ struct PendingMessage
     Cycle notBefore = 0;
     /** Created inside the measurement window (stats eligible). */
     bool measured = false;
+
+    /** Snapshot field list (snapshot.hh). */
+    template <typename Self, typename Io>
+    static void
+    serialize(Self& self, Io& io)
+    {
+        io.u64(self.id);
+        io.u32(self.src);
+        io.u32(self.dst);
+        io.u32(self.payloadLen);
+        io.u64(self.createdAt);
+        io.u32(self.pairSeq);
+        io.u16(self.attempt);
+        io.u64(self.notBefore);
+        io.b(self.measured);
+    }
 };
 
 } // namespace crnet

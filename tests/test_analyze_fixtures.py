@@ -9,6 +9,10 @@ property:
   alloc       `new` reachable from a hot path     -> exit 1
   unordered   hash-order iteration from a
               result-affecting root               -> exit 1
+  template_class
+              the same, in a member function
+              template whose parameter is spelled
+              `class` (not a class scope)         -> exit 1
   wallclock   steady_clock read, no shim          -> exit 1
   global      namespace-scope + function-local
               mutable state                       -> exit 1
@@ -58,6 +62,11 @@ CASES = [
         "src/unordered.cc:19: unordered-iter: range-for over "
         "unordered container 'entries_' "
         "[chain: summarize -> Ledger::total]",
+    ]),
+    ("template_class", 1, [
+        "src/template_class.cc:33: unordered-iter: range-for over "
+        "unordered container 'entries_' "
+        "[chain: save -> Ledger::transfer]",
     ]),
     ("wallclock", 1, [
         "src/wallclock.cc:12: wallclock: steady_clock [chain: elapsed]",

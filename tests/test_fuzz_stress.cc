@@ -133,7 +133,7 @@ std::vector<std::uint8_t>
 statsBytes(const NetworkStats& s)
 {
     StateWriter w;
-    saveNetworkStats(w, s);
+    NetworkStats::serialize(s, w);
     return w.bytes();
 }
 

@@ -424,6 +424,36 @@ TEST(Shard, UnshardedSnapshotRestoresIntoUnevenShards)
                 captureSnapshot(straight).payload);
 }
 
+TEST(Shard, BetweenTickFaultEventCountsAtOnce)
+{
+    // A fault event fired between ticks tears down worms through the
+    // routers, which count into their shard's block when shards > 1.
+    // stats() must show those counts before the next tick, exactly as
+    // an unsharded run does.
+    SimConfig cfg;
+    cfg.radixK = 8;
+    cfg.dimensionsN = 2;
+    cfg.numVcs = 2;
+    cfg.protocol = ProtocolKind::Fcr;
+    cfg.injectionRate = 0.3;
+    cfg.seed = 7;
+    FaultEvent ev;
+    ev.kind = FaultEventKind::RouterFailStop;
+    ev.node = 27;
+    auto statsAfterEvent = [&](std::uint32_t shards) {
+        SimConfig c = cfg;
+        c.shards = shards;
+        Network net(c);
+        net.run(400);
+        net.injectFaultEvent(ev);
+        EXPECT_GT(net.stats().router.linkDeathTeardowns.value(), 0u);
+        StateWriter w;
+        NetworkStats::serialize(net.stats(), w);
+        return w.bytes();
+    };
+    EXPECT_EQ(statsAfterEvent(3), statsAfterEvent(1));
+}
+
 TEST(Shard, ConfigKeyRoundTripsAndValidates)
 {
     SimConfig cfg;

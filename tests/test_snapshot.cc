@@ -3,13 +3,16 @@
  * Checkpoint/restore tests: the byte-identity guarantee (save →
  * restore → continue matches an uninterrupted run bit for bit, under
  * both schedulers), the on-disk container's corruption handling, the
+ * restore-side checks on state that does not fit its target, the
  * campaign journal's crash-resume semantics, and the watchdog's
- * quarantine fate (docs/ROBUSTNESS.md).
+ * quarantine fate (docs/ROBUSTNESS.md). test_snapshot_pins.cc pins the
+ * bytes themselves.
  */
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,8 @@
 #include "src/core/experiment.hh"
 #include "src/core/network.hh"
 #include "src/fault/campaign.hh"
+#include "src/fault/fault_schedule.hh"
+#include "src/sim/audit.hh"
 #include "src/sim/checksum.hh"
 #include "src/sim/config.hh"
 #include "src/sim/snapshot.hh"
@@ -485,6 +490,248 @@ TEST(CampaignWatchdog, RetryLadderClearsTransientBudgetShortfalls)
     EXPECT_EQ(s.quarantinedTrials, 0u);
     for (const TrialOutcome& t : trials)
         EXPECT_FALSE(t.quarantined);
+}
+
+// --- Restore-side checks ------------------------------------------------
+//
+// Restore refuses state that does not fit the target, each check with
+// its own panic. restoreSnapshot() already refuses a differently
+// configured network by fingerprint, so the shape checks are reached
+// through Network::loadState() or one type's field list directly, and
+// the wave checks through a patched payload.
+
+SimConfig
+smallConfig()
+{
+    SimConfig cfg;
+    cfg.radixK = 4;
+    cfg.dimensionsN = 2;
+    cfg.numVcs = 2;
+    cfg.injectionRate = 0.3;
+    cfg.messageLength = 8;
+    cfg.seed = 5;
+    return cfg;
+}
+
+/** Restore `from`'s state after `cycles` into a network built from `into`. */
+void
+loadInto(const SimConfig& from, Cycle cycles, const SimConfig& into)
+{
+    Network a(from);
+    a.run(cycles);
+    const Snapshot snap = captureSnapshot(a);
+    Network b(into);
+    StateReader r(snap.payload);
+    b.loadState(r);
+}
+
+TEST(SnapshotDeath, TrailingBytesPanic)
+{
+    Network a(smallConfig());
+    a.run(50);
+    Snapshot snap = captureSnapshot(a);
+    snap.payload.push_back(0);
+    Network b(smallConfig());
+    EXPECT_DEATH(restoreSnapshot(b, snap),
+                 "snapshot payload has 1 trailing bytes after restore");
+}
+
+TEST(SnapshotDeath, HistogramGeometryMustMatch)
+{
+    Histogram a(8.0, 16);
+    a.add(3.0);
+    StateWriter w;
+    Histogram::serialize(std::as_const(a), w);
+    Histogram b(4.0, 16);
+    StateReader r(w.bytes());
+    EXPECT_DEATH(Histogram::serialize(b, r),
+                 "Histogram geometry mismatch on restore: saved 16 bins "
+                 "of width 8, have 16 of width 4");
+}
+
+TEST(SnapshotDeath, DeadLinkMapSizeMustMatch)
+{
+    SimConfig big = smallConfig();
+    big.radixK = 5;
+    EXPECT_DEATH(loadInto(smallConfig(), 20, big),
+                 "dead-link map size mismatch on restore");
+}
+
+TEST(SnapshotDeath, AuditMirrorCountsMustMatch)
+{
+    if (!CRNET_AUDIT_ENABLED)
+        GTEST_SKIP() << "the audit is compiled out";
+    SimConfig big = smallConfig();
+    big.radixK = 5;
+    Network a(smallConfig());
+    Network b(big);
+    StateWriter w;
+    Auditor::serialize(std::as_const(*a.auditor()), w);
+    StateReader r(w.bytes());
+    EXPECT_DEATH(Auditor::serialize(*b.auditor(), r),
+                 "audit channel-mirror count mismatch on restore");
+}
+
+TEST(SnapshotDeath, FaultScheduleCursorMustBeInRange)
+{
+    StateWriter w;
+    w.u64(0);  // No events ...
+    w.u64(5);  // ... yet a cursor past five of them.
+    w.u32(0);
+    FaultSchedule sched;
+    StateReader r(w.bytes());
+    EXPECT_DEATH(FaultSchedule::serialize(sched, r),
+                 "fault-schedule cursor 5 beyond 0 events on restore");
+}
+
+TEST(SnapshotDeath, DenseTableKeyMustBeInRange)
+{
+    // A 16-node network keeps its pair sequences dense, so a restored
+    // pair with source 99 has no slot.
+    Network net(smallConfig());
+    StateWriter w;
+    for (int word = 0; word < 4; ++word)
+        w.u64(1);           // RNG stream
+    w.u64(0);               // next message id
+    w.u64(1);               // one pair sequence ...
+    w.u64(99ULL << 32);     // ... from source 99 to node 0
+    w.u32(1);
+    StateReader r(w.bytes());
+    EXPECT_DEATH(TrafficGenerator::serialize(net.generator(), r),
+                 "restored table key 425201762304 is out of range");
+}
+
+TEST(SnapshotDeath, HeatTrackingMustMatch)
+{
+    SimConfig heat = smallConfig();
+    heat.heatmapEnabled = true;
+    EXPECT_DEATH(loadInto(heat, 20, smallConfig()),
+                 "heat-tracking mismatch on restore");
+}
+
+TEST(SnapshotDeath, TimeseriesPresenceMustMatch)
+{
+    SimConfig sampled = smallConfig();
+    sampled.sampleInterval = 10;
+    EXPECT_DEATH(loadInto(sampled, 20, smallConfig()),
+                 "timeseries presence mismatch on restore");
+}
+
+TEST(SnapshotDeath, WaveBucketCountMustMatch)
+{
+    SimConfig deep = smallConfig();
+    deep.channelLatency = 4;
+    EXPECT_DEATH(loadInto(deep, 20, smallConfig()),
+                 "wave-bucket count mismatch on restore: saved 8, have 4");
+}
+
+TEST(SnapshotDeath, AuditPresenceMustMatch)
+{
+    if (!CRNET_AUDIT_ENABLED)
+        GTEST_SKIP() << "the audit is compiled out";
+    // The payload ends with the audit bit and the auditor, then the
+    // absent tracer and time series (a 0 byte each) and the two empty
+    // explicit-message maps (a 0 count each).
+    Network a(smallConfig());
+    a.run(20);
+    Snapshot snap = captureSnapshot(a);
+    StateWriter audit;
+    Auditor::serialize(std::as_const(*a.auditor()), audit);
+    const std::size_t bit =
+        snap.payload.size() - 8 - 8 - 1 - 1 - audit.bytes().size() - 1;
+    ASSERT_EQ(snap.payload[bit], 1u);
+    snap.payload[bit] = 0;
+    Network b(smallConfig());
+    EXPECT_DEATH(restoreSnapshot(b, snap),
+                 "audit-build mismatch on restore");
+}
+
+/** Payload offsets of the first staged flit's fields the restore checks. */
+struct WaveFields
+{
+    std::size_t hopBit = 0;     //!< Of the first router-bound flit.
+    std::size_t ejChannel = 0;  //!< Of the first ejection flit.
+};
+
+/**
+ * Walk `payload`, captured from `net` just now, to its wave buckets and
+ * find the first router-bound and the first ejection flit event (0
+ * where there is none).
+ */
+WaveFields
+findWaveFields(Network& net, const std::vector<std::uint8_t>& payload)
+{
+    // Everything ahead of the waves, serialized on its own.
+    StateWriter ahead;
+    NetworkStats::serialize(std::as_const(net).stats(), ahead);
+    FaultModel::serialize(std::as_const(net.faults()), ahead);
+    TrafficGenerator::serialize(std::as_const(net.generator()), ahead);
+    const NodeId n = net.topology().numNodes();
+    for (NodeId id = 0; id < n; ++id)
+        Router::serialize(std::as_const(net.router(id)), ahead);
+    for (NodeId id = 0; id < n; ++id)
+        Injector::serialize(std::as_const(net.injector(id)), ahead);
+    for (NodeId id = 0; id < n; ++id)
+        Receiver::serialize(std::as_const(net.receiver(id)), ahead);
+
+    StateReader r(payload);
+    r.skip(ahead.bytes().size());
+    const auto at = [&] { return payload.size() - r.remaining(); };
+    // A flit is 31 bytes, and a head's 25-byte header follows it.
+    const auto skipFlit = [&] {
+        const bool head = r.u8() == static_cast<std::uint8_t>(FlitType::Head);
+        r.skip(30 + (head ? 25 : 0));
+    };
+    WaveFields found;
+    const std::uint64_t buckets = r.u64();
+    for (std::uint64_t b = 0; b < buckets; ++b) {
+        for (std::uint64_t i = r.u64(); i > 0; --i) {
+            r.skip(4 + 2 + 2);  // node, inPort, vc
+            skipFlit();
+            if (found.hopBit == 0)
+                found.hopBit = at();
+            r.skip(1);
+        }
+        for (std::uint64_t i = r.u64(); i > 0; --i) {
+            r.skip(4);  // node
+            if (found.ejChannel == 0)
+                found.ejChannel = at();
+            r.skip(4 + 2);  // ejChannel, vc
+            skipFlit();
+        }
+        r.skip(r.u64() * 8);   // credits
+        r.skip(r.u64() * 10);  // injection credits
+        r.skip(r.u64() * 8);   // backward kills
+        r.skip(r.u64() * 18);  // aborts
+    }
+    return found;
+}
+
+TEST(SnapshotDeath, NetworkHopBitMustMatchInputPort)
+{
+    Network a(smallConfig());
+    a.run(60);
+    Snapshot snap = captureSnapshot(a);
+    const WaveFields f = findWaveFields(a, snap.payload);
+    ASSERT_NE(f.hopBit, 0u) << "no router-bound flit in flight";
+    snap.payload[f.hopBit] ^= 1;
+    Network b(smallConfig());
+    EXPECT_DEATH(restoreSnapshot(b, snap),
+                 "restored flit's network-hop bit disagrees with its "
+                 "input port");
+}
+
+TEST(SnapshotDeath, EjectionChannelMustBeInRange)
+{
+    Network a(smallConfig());
+    a.run(60);
+    Snapshot snap = captureSnapshot(a);
+    const WaveFields f = findWaveFields(a, snap.payload);
+    ASSERT_NE(f.ejChannel, 0u) << "no ejection flit in flight";
+    snap.payload[f.ejChannel] = 3;
+    Network b(smallConfig());
+    EXPECT_DEATH(restoreSnapshot(b, snap),
+                 "restored ejection flit on channel 3 of 1");
 }
 
 } // namespace

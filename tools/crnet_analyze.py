@@ -265,6 +265,12 @@ def skip_angle(toks: list, i: int) -> int:
     return i
 
 
+def is_template_head(toks: list, i: int) -> bool:
+    """toks[i] starts a `template <...>` parameter list."""
+    return (toks[i].text == "template" and i + 1 < len(toks)
+            and toks[i + 1].text == "<")
+
+
 def match_forward(toks: list, i: int, opener: str, closer: str) -> int:
     """Return index past the token matching toks[i] == opener."""
     depth = 0
@@ -315,6 +321,9 @@ class DeclIndex:
         i = 0
         while i < len(toks):
             t = toks[i]
+            if is_template_head(toks, i):
+                i = skip_angle(toks, i + 1)
+                continue
             if t.kind == "id" and t.text in ("class", "struct"):
                 if i + 1 < len(toks) and toks[i + 1].kind == "id":
                     self.classes.add(toks[i + 1].text)
@@ -510,6 +519,11 @@ class InternalFrontend:
                     pending_allows[rule or ""] = reason
                     continue
                 i += 1
+                continue
+            # `class Io` in a template parameter list names a
+            # parameter, not a class: never open a scope for it.
+            if is_template_head(toks, i):
+                i = skip_angle(toks, i + 1)
                 continue
             if t.kind == "id" and t.text in ("namespace",):
                 if i + 1 < n and toks[i + 1].kind == "id" \
