@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "src/core/experiment.hh"
@@ -66,8 +67,14 @@ latencyCell(const RunResult& r)
 {
     if (r.deadlocked)
         return "deadlock";
-    if (!r.drained)
-        return ">" + Table::cell(r.avgLatency, 0) + "*";
+    if (!r.drained) {
+        // Appended, not concatenated: GCC 12's -Wrestrict misfires on
+        // `"..." + std::string + "..."` at -O3.
+        std::string cell = ">";
+        cell += Table::cell(r.avgLatency, 0);
+        cell += '*';
+        return cell;
+    }
     return Table::cell(r.avgLatency, 1);
 }
 

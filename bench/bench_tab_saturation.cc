@@ -58,9 +58,10 @@ main(int argc, char** argv)
             record(sat);
             // belowRange: even the lower probe failed health — the
             // design saturates before load 0.05.
-            const std::string sat_cell = sat.belowRange
-                ? "<" + Table::cell(sat.load, 2)
-                : Table::cell(sat.load, 2);
+            // Appended, not concatenated: GCC 12's -Wrestrict misfires
+            // on `"..." + std::string` at -O3.
+            std::string sat_cell = sat.belowRange ? "<" : "";
+            sat_cell += Table::cell(sat.load, 2);
 
             SimConfig deep = cfg;
             deep.injectionRate = 0.45;

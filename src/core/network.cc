@@ -20,7 +20,8 @@ namespace {
 
 /**
  * How often (in cycles, a power of two) a busy router is probed with
- * idle() so it can leave the active set. See shardWorker().
+ * idle() so it can leave the active set. Part of the snapshot format:
+ * see shardWorker().
  */
 constexpr Cycle kIdleProbePeriod = 8;
 static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
@@ -906,12 +907,14 @@ Network::shardWorker(unsigned s)
         far.openRun();
     // Routers have no future-only deadlines: any held flit, allocation
     // or pending kill needs the very next tick, so a ticked router is
-    // assumed still busy. Probing idle() every cycle would re-scan
-    // every input VC and cost more than the skipped ticks save;
-    // instead busy routers are only probed for sleep on coarse
-    // boundaries (over-waking is harmless — a router lingers awake for
-    // at most kIdleProbePeriod - 1 no-op ticks after its last flit
-    // leaves).
+    // assumed still busy. idle() is a mask test, but busy routers are
+    // still only probed for sleep on coarse boundaries: a no-op tick
+    // stamps Router::now_, and both it and the headArrivedAt of a head
+    // that arrives while the router is awake are snapshot fields, so
+    // probing on another period would change snapshot bytes (results
+    // would not change: a router lingers awake for at most
+    // kIdleProbePeriod - 1 no-op ticks after its last flit leaves, and
+    // over-waking is harmless).
     const bool probe = (now_ & (kIdleProbePeriod - 1)) == 0;
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (rtrAwake_[id] == 0)

@@ -354,9 +354,9 @@ Injector::injectFlits(Cycle now)
     for (std::uint32_t ch = 0; ch < cfg_.injectionChannels; ++ch) {
         VcId injected_vc = kInvalidVc;
         if (!channelUsed_[ch]) {
-            for (std::uint32_t i = 0; i < cfg_.numVcs; ++i) {
-                const VcId vc = static_cast<VcId>(
-                    (rrVc_[ch] + i) % cfg_.numVcs);
+            VcId vc = rrVc_[ch];
+            for (std::uint32_t i = 0; i < cfg_.numVcs;
+                 ++i, vc = nextVc(vc, cfg_.numVcs)) {
                 Slot& s = slot(ch, vc);
                 if (s.state != Slot::State::Active)
                     continue;
@@ -394,7 +394,7 @@ Injector::injectFlits(Cycle now)
                                        : nullptr));
                 if (f.type == FlitType::Pad)
                     stats_->padFlitsInjected.inc();
-                rrVc_[ch] = static_cast<VcId>((vc + 1) % cfg_.numVcs);
+                rrVc_[ch] = nextVc(vc, cfg_.numVcs);
                 injected_vc = vc;
 
                 if (f.type == FlitType::Tail) {

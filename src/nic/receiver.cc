@@ -427,9 +427,9 @@ Receiver::tick(Cycle now)
             checkStarvation(now);
     }
     for (std::uint32_t ch = 0; ch < cfg_.ejectionChannels; ++ch) {
-        for (std::uint32_t i = 0; i < cfg_.numVcs; ++i) {
-            const VcId vc = static_cast<VcId>(
-                (rrVc_[ch] + i) % cfg_.numVcs);
+        VcId vc = rrVc_[ch];
+        for (std::uint32_t i = 0; i < cfg_.numVcs;
+             ++i, vc = nextVc(vc, cfg_.numVcs)) {
             VcBuffer& b = vcBuf(ch, vc);
             if (b.buf.empty())
                 continue;
@@ -439,7 +439,7 @@ Receiver::tick(Cycle now)
             consume(ch, vc, now);
             if (credits.size() != before) {
                 // Consumed: one flit per ejection channel per cycle.
-                rrVc_[ch] = static_cast<VcId>((vc + 1) % cfg_.numVcs);
+                rrVc_[ch] = nextVc(vc, cfg_.numVcs);
                 break;
             }
             // Refused at the head: try another VC this cycle.

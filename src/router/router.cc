@@ -1,6 +1,5 @@
 #include "src/router/router.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "src/sim/audit.hh"
@@ -25,6 +24,9 @@ Router::StatePool::StatePool(const SimConfig& cfg,
         panic("router with ", inPorts_, " input and ", outPorts_,
               " output ports exceeds the ", kMaxRouterPorts,
               "-port switch arbiter");
+    if (static_cast<std::size_t>(inPorts_) * vcs_ > 64)
+        panic("router with ", inPorts_ * vcs_,
+              " input VCs exceeds the 64-bit live-VC masks");
     const std::size_t inVcs =
         static_cast<std::size_t>(nodes) * inPorts_ * vcs_;
     const std::size_t outVcs =
@@ -118,19 +120,19 @@ Router::attach(StatePool& pool, std::uint64_t index)
 Router::InputVc&
 Router::ivc(PortId p, VcId v)
 {
-    return inputs_[static_cast<std::size_t>(p) * numVcs_ + v];
+    return inputs_[vcIndex(p, v)];
 }
 
 const Router::InputVc&
 Router::ivc(PortId p, VcId v) const
 {
-    return inputs_[static_cast<std::size_t>(p) * numVcs_ + v];
+    return inputs_[vcIndex(p, v)];
 }
 
 Router::InputVcCold&
 Router::icold(PortId p, VcId v)
 {
-    return cold_[static_cast<std::size_t>(p) * numVcs_ + v];
+    return cold_[vcIndex(p, v)];
 }
 
 Router::OutputVc&
@@ -143,6 +145,42 @@ const Router::OutputVc&
 Router::ovc(PortId p, VcId v) const
 {
     return outputs_[static_cast<std::size_t>(p) * numVcs_ + v];
+}
+
+namespace {
+
+void
+setBit(std::uint64_t& mask, std::size_t i, bool on)
+{
+    const std::uint64_t bit = std::uint64_t{1} << i;
+    mask = on ? mask | bit : mask & ~bit;
+}
+
+} // namespace
+
+void
+Router::setState(PortId p, VcId v, InputVc::State s)
+{
+    const std::size_t i = vcIndex(p, v);
+    inputs_[i].state = s;
+    setBit(routingMask_, i, s == InputVc::State::Routing);
+    setBit(activeMask_, i, s == InputVc::State::Active);
+}
+
+void
+Router::setKillPending(PortId p, VcId v, bool on)
+{
+    const std::size_t i = vcIndex(p, v);
+    inputs_[i].killPending = on;
+    setBit(killMask_, i, on);
+}
+
+void
+Router::markMoved(PortId p, VcId v)
+{
+    const std::size_t i = vcIndex(p, v);
+    inputs_[i].movedThisCycle = true;
+    setBit(movedMask_, i, true);
 }
 
 void
@@ -191,7 +229,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
                 panic("head of msg ", flit.msg, " arrived at node ", id_,
                       " without its worm header");
             in.buf.push(flit);
-            in.state = InputVc::State::Routing;
+            setState(in_port, vc, InputVc::State::Routing);
             in.msg = flit.msg;
             in.attempt = flit.attempt;
             in.stallCycles = 0;
@@ -307,16 +345,12 @@ std::uint64_t
 Router::forwardKills()
 {
     std::uint64_t busy = 0;
-    const std::size_t nin = numInVcs();
-    for (std::size_t i = 0; i < nin; ++i) {
-        InputVc& in = inputs_[i];
-        if (!in.killPending)
-            continue;
-        const InputVcCold& c = cold_[i];
+    forEachVc(killMask_, [&](PortId p, VcId v) {
+        const InputVcCold& c = icold(p, v);
         const PortId o = c.killOutPort;
         const std::uint64_t bit = std::uint64_t{1} << o;
         if (busy & bit)
-            continue;  // Another kill claimed the channel; wait.
+            return;  // Another kill claimed the channel; wait.
         busy |= bit;
         sentFlits.push_back(SentFlit{c.killFlit, o, c.killOutVc});
         stats_->killsForwarded.inc();
@@ -334,128 +368,140 @@ Router::forwardKills()
         // In-flight credits can still arrive for up to two
         // channel traversals after the reset.
         out.quarantineUntil = now_ + 2 * cfg_.channelLatency;
-        in.killPending = false;
-    }
+        setKillPending(p, v, false);
+    });
     return busy;
 }
 
 void
 Router::routeHeaders(Cycle now)
 {
-    for (PortId p = 0; p < numInPorts_; ++p) {
-        for (VcId v = 0; v < numVcs_; ++v) {
-            InputVc& in = ivc(p, v);
-            if (in.state != InputVc::State::Routing)
-                continue;
-            if (in.buf.empty())
-                panic("Routing-state VC with empty buffer at node ",
-                      id_);
-            WireFlit& head = in.buf.frontMutable();
-            if (!head.isHead())
-                panic("Routing-state VC without header at front");
+    forEachVc(routingMask_,
+              [&](PortId p, VcId v) { routeHeader(p, v, now); });
+}
 
-            // FCR routers validate header integrity: a corrupted
-            // header cannot be trusted to route, so it blocks until
-            // the source timeout recovers the worm.
-            if (cfg_.protocol == ProtocolKind::Fcr &&
-                (head.corrupted || !head.checksumOk())) {
-                continue;
-            }
+void
+Router::routeHeader(PortId p, VcId v, Cycle now)
+{
+    InputVc& in = ivc(p, v);
+    if (in.buf.empty())
+        panic("Routing-state VC with empty buffer at node ", id_);
+    WireFlit& head = in.buf.frontMutable();
+    if (!head.isHead())
+        panic("Routing-state VC without header at front");
 
-            bool allocated = false;
-            if (head.dst == id_) {
-                // Eject: claim any free ejection output VC.
-                const auto ej_ports = static_cast<std::uint32_t>(
-                    numOutPorts_ - ejBase());
-                const auto start = static_cast<std::uint32_t>(
-                    rng_.below(ej_ports));
-                for (std::uint32_t i = 0; i < ej_ports && !allocated;
-                     ++i) {
-                    const PortId ep = static_cast<PortId>(
-                        ejBase() + (start + i) % ej_ports);
-                    for (VcId ev = 0; ev < numVcs_; ++ev) {
-                        OutputVc& o = ovc(ep, ev);
-                        if (o.allocated ||
-                            o.credits < cfg_.bufferDepth ||
-                            now < o.quarantineUntil) {
-                            continue;
-                        }
-                        o.allocated = true;
-                        o.holderPort = p;
-                        o.holderVc = v;
-                        in.outPort = ep;
-                        in.outVc = ev;
-                        allocated = true;
-                        break;
-                    }
-                }
-            } else {
-                scratch_.clear();
-                algo_.candidates(id_, head, scratch_, rng_);
-                for (const Candidate& c : scratch_) {
-                    OutputVc& o = ovc(c.port, c.vc);
-                    if (o.allocated || o.credits < cfg_.bufferDepth ||
-                        now < o.quarantineUntil) {
-                        continue;
-                    }
-                    o.allocated = true;
-                    o.holderPort = p;
-                    o.holderVc = v;
-                    in.outPort = c.port;
-                    in.outVc = c.vc;
-                    if (c.escape)
-                        stats_->escapeAllocations.inc();
-                    if (c.misroute) {
-                        stats_->misrouteHops.inc();
-                        if (head.misrouteBudget > 0)
-                            --head.misrouteBudget;
-                    }
-                    allocated = true;
-                    break;
-                }
-            }
+    // FCR routers validate header integrity: a corrupted header
+    // cannot be trusted to route, so it blocks until the source
+    // timeout recovers the worm.
+    if (cfg_.protocol == ProtocolKind::Fcr &&
+        (head.corrupted || !head.checksumOk())) {
+        return;
+    }
 
-            if (allocated) {
-                in.state = InputVc::State::Active;
-                in.movedThisCycle = true;
-                stats_->headersRouted.inc();
-                in.blockTraced = false;
-                if (trace_ != nullptr) {
-                    trace_->record(TraceEventKind::HeadAdvance,
-                                   head.msg, id_, head.src, head.dst,
-                                   head.attempt, in.outPort);
+    bool allocated = false;
+    if (head.dst == id_) {
+        // Eject: claim any free ejection output VC.
+        const auto ej_ports =
+            static_cast<std::uint32_t>(numOutPorts_ - ejBase());
+        const auto start =
+            static_cast<std::uint32_t>(rng_.below(ej_ports));
+        for (std::uint32_t i = 0; i < ej_ports && !allocated; ++i) {
+            const PortId ep = static_cast<PortId>(
+                ejBase() + (start + i) % ej_ports);
+            for (VcId ev = 0; ev < numVcs_; ++ev) {
+                OutputVc& o = ovc(ep, ev);
+                if (o.allocated || o.credits < cfg_.bufferDepth ||
+                    now < o.quarantineUntil) {
+                    continue;
                 }
-            } else if (trace_ != nullptr && !in.blockTraced) {
-                in.blockTraced = true;
-                trace_->record(TraceEventKind::Block, head.msg, id_,
-                               head.src, head.dst, head.attempt, p);
+                o.allocated = true;
+                o.holderPort = p;
+                o.holderVc = v;
+                in.outPort = ep;
+                in.outVc = ev;
+                allocated = true;
+                break;
             }
         }
+    } else {
+        scratch_.clear();
+        algo_.candidates(id_, head, scratch_, rng_);
+        for (const Candidate& c : scratch_) {
+            OutputVc& o = ovc(c.port, c.vc);
+            if (o.allocated || o.credits < cfg_.bufferDepth ||
+                now < o.quarantineUntil) {
+                continue;
+            }
+            o.allocated = true;
+            o.holderPort = p;
+            o.holderVc = v;
+            in.outPort = c.port;
+            in.outVc = c.vc;
+            if (c.escape)
+                stats_->escapeAllocations.inc();
+            if (c.misroute) {
+                stats_->misrouteHops.inc();
+                if (head.misrouteBudget > 0)
+                    --head.misrouteBudget;
+            }
+            allocated = true;
+            break;
+        }
+    }
+
+    if (allocated) {
+        setState(p, v, InputVc::State::Active);
+        markMoved(p, v);
+        stats_->headersRouted.inc();
+        in.blockTraced = false;
+        if (trace_ != nullptr) {
+            trace_->record(TraceEventKind::HeadAdvance, head.msg, id_,
+                           head.src, head.dst, head.attempt,
+                           in.outPort);
+        }
+    } else if (trace_ != nullptr && !in.blockTraced) {
+        in.blockTraced = true;
+        trace_->record(TraceEventKind::Block, head.msg, id_, head.src,
+                       head.dst, head.attempt, p);
     }
 }
 
 void
 Router::allocateSwitch(std::uint64_t busy_outputs)
 {
-    // Phase 1: each input port nominates one VC (round-robin scan)
-    // and sets its bit in the request mask of that VC's output.
+    // Phase 1: each input port with an Active VC nominates one
+    // (round-robin scan over its Active bits) and sets its bit in the
+    // request mask of that VC's output.
     std::uint64_t requested = 0;  // Outputs with at least one request.
-    std::uint64_t req[kMaxRouterPorts];  // [out]: requesting inputs.
-    std::fill_n(req, numOutPorts_, std::uint64_t{0});
+    // [out]: requesting inputs; set where `requested` has the bit.
+    std::uint64_t req[kMaxRouterPorts];
     VcId nominee[kMaxRouterPorts];  // [in]: set before its bit is.
-    for (PortId p = 0; p < numInPorts_; ++p) {
-        VcId v = rrInVc_[p];
-        for (std::uint32_t i = 0; i < numVcs_;
-             ++i, v = static_cast<VcId>(v + 1u == numVcs_ ? 0 : v + 1)) {
+    const std::uint64_t lane = (std::uint64_t{1} << numVcs_) - 1;
+    std::uint64_t active = activeMask_;
+    for (PortId p = 0; active != 0; ++p, active >>= numVcs_) {
+        const std::uint64_t mine = active & lane;
+        if (mine == 0)
+            continue;
+        // Rotate the port's lane so bit j is VC rrInVc_[p] + j (mod
+        // numVcs): ascending bits are the round-robin scan order.
+        const VcId r = rrInVc_[p];
+        std::uint64_t order =
+            ((mine >> r) | (mine << (numVcs_ - r))) & lane;
+        for (; order != 0; order &= order - 1) {
+            auto v = static_cast<VcId>(r + std::countr_zero(order));
+            if (v >= numVcs_)
+                v = static_cast<VcId>(v - numVcs_);
             const InputVc& in = ivc(p, v);
-            if (in.state != InputVc::State::Active || in.buf.empty())
+            if (in.buf.empty())
                 continue;
             const std::uint64_t out = std::uint64_t{1} << in.outPort;
             if (busy_outputs & out)
                 continue;  // Channel taken by a kill this cycle.
             if (ovc(in.outPort, in.outVc).credits == 0)
                 continue;
-            req[in.outPort] |= std::uint64_t{1} << p;
+            const std::uint64_t mask =
+                (requested & out) ? req[in.outPort] : 0;
+            req[in.outPort] = mask | std::uint64_t{1} << p;
             requested |= out;
             nominee[p] = v;
             break;  // One nomination per input port.
@@ -490,14 +536,14 @@ Router::allocateSwitch(std::uint64_t busy_outputs)
         stats_->flitsForwarded.inc();
         if (heatTracking_)
             ++heatForwarded_[o];
-        in.movedThisCycle = true;
+        markMoved(p, v);
         in.stallCycles = 0;
-        rrInVc_[p] = static_cast<VcId>(v + 1u == numVcs_ ? 0 : v + 1);
+        rrInVc_[p] = nextVc(v, numVcs_);
         rrOutIn_[o] =
             static_cast<PortId>(p + 1 == numInPorts_ ? 0 : p + 1);
         if (flit.isTail()) {
             out.allocated = false;  // Credits drain back naturally.
-            in.state = InputVc::State::Idle;
+            setState(p, v, InputVc::State::Idle);
             in.msg = kInvalidMsg;
             if (!in.buf.empty())
                 panic("flits behind a tail on one VC at node ", id_);
@@ -538,9 +584,9 @@ Router::killWormAt(PortId p, VcId v)
 void
 Router::armKill(PortId p, VcId v, const WireFlit& token)
 {
-    InputVc& in = ivc(p, v);
+    const InputVc& in = ivc(p, v);
     InputVcCold& c = icold(p, v);
-    in.killPending = true;
+    setKillPending(p, v, true);
     c.killFlit = token;
     c.killOutPort = in.outPort;
     c.killOutVc = in.outVc;
@@ -550,7 +596,7 @@ void
 Router::retire(PortId p, VcId v, MsgId purged)
 {
     InputVc& in = ivc(p, v);
-    in.state = InputVc::State::Idle;
+    setState(p, v, InputVc::State::Idle);
     in.msg = kInvalidMsg;
     in.stallCycles = 0;
     icold(p, v).purgeMsg = purged;
@@ -635,24 +681,17 @@ Router::checkRouterTimeouts()
     // PathWide watches every worm segment; DropAtBlock (the BBN
     // Butterfly / abort-and-retry discipline from the paper's related
     // work) only rejects worms whose *header* is blocked here.
-    const bool headers_only =
-        cfg_.timeoutScheme == TimeoutScheme::DropAtBlock;
-    for (PortId p = 0; p < numInPorts_; ++p) {
-        for (VcId v = 0; v < numVcs_; ++v) {
-            InputVc& in = ivc(p, v);
-            if (in.state == InputVc::State::Idle)
-                continue;
-            if (headers_only && in.state != InputVc::State::Routing)
-                continue;
-            const bool blocked = !in.movedThisCycle &&
-                (in.state == InputVc::State::Routing ||
-                 !in.buf.empty());
-            if (!blocked)
-                continue;
-            if (++in.stallCycles > cfg_.timeout)
-                killWormAt(p, v);
-        }
-    }
+    const std::uint64_t watched =
+        cfg_.timeoutScheme == TimeoutScheme::DropAtBlock
+            ? routingMask_
+            : routingMask_ | activeMask_;
+    forEachVc(watched, [&](PortId p, VcId v) {
+        InputVc& in = ivc(p, v);
+        const bool blocked = !in.movedThisCycle &&
+            (in.state == InputVc::State::Routing || !in.buf.empty());
+        if (blocked && ++in.stallCycles > cfg_.timeout)
+            killWormAt(p, v);
+    });
 }
 
 void
@@ -664,9 +703,14 @@ Router::tick(Cycle now)
     sentCredits.clear();
     sentBkills.clear();
     sentAborts.clear();
-    const std::size_t nin = numInVcs();
-    for (std::size_t i = 0; i < nin; ++i)
-        inputs_[i].movedThisCycle = false;
+    if ((routingMask_ | activeMask_ | killMask_ | movedMask_) == 0 &&
+        pendingBkillsAsOut_.empty()) {
+        return;  // Every VC is Idle, clean and empty: nothing to do.
+    }
+    forEachVc(movedMask_, [&](PortId p, VcId v) {
+        ivc(p, v).movedThisCycle = false;
+    });
+    movedMask_ = 0;
 
     processBkills();
     const std::uint64_t busy_outputs = forwardKills();
@@ -728,15 +772,10 @@ Router::accumulateHeat()
 bool
 Router::idle() const
 {
-    const std::size_t nin = numInVcs();
-    for (std::size_t i = 0; i < nin; ++i) {
-        const InputVc& in = inputs_[i];
-        if (in.state != InputVc::State::Idle || !in.buf.empty() ||
-            in.killPending) {
-            return false;
-        }
-    }
-    return pendingBkillsAsOut_.empty();
+    // An Idle VC's buffer is empty: every path into Idle purges or
+    // drains it, and only a head (which leaves Idle) is buffered.
+    return (routingMask_ | activeMask_ | killMask_) == 0 &&
+           pendingBkillsAsOut_.empty();
 }
 
 std::uint64_t
@@ -758,7 +797,7 @@ Router::vcIdle(PortId in_port, VcId vc) const
 Router::InputProbe
 Router::inputProbe(PortId in_port, VcId vc) const
 {
-    const std::size_t i = static_cast<std::size_t>(in_port) * numVcs_ + vc;
+    const std::size_t i = vcIndex(in_port, vc);
     const InputVc& in = inputs_[i];
     InputProbe p;
     switch (in.state) {
@@ -804,6 +843,16 @@ Router::afterRestore()
     sentCredits.clear();
     sentBkills.clear();
     sentAborts.clear();
+    routingMask_ = activeMask_ = killMask_ = movedMask_ = 0;
+    for (PortId p = 0; p < numInPorts_; ++p) {
+        for (VcId v = 0; v < numVcs_; ++v) {
+            const InputVc& in = ivc(p, v);
+            setState(p, v, in.state);
+            setKillPending(p, v, in.killPending);
+            if (in.movedThisCycle)
+                markMoved(p, v);
+        }
+    }
 }
 
 } // namespace crnet

@@ -31,6 +31,17 @@
  * without an external pool owns a private single-node pool, keeping
  * standalone use (unit tests) source-compatible.
  *
+ * Live-VC masks: each router keeps four 64-bit masks over its input
+ * VCs (bit `port * numVcs + vc`): Routing, Active, kill pending and
+ * moved this cycle (hence at most 64 input VCs, which
+ * SimConfig::validate enforces). Setters write a VC's state, kill
+ * flag or moved flag together with its bit, and the tick clears all
+ * moved flags at once; afterRestore() rebuilds the masks from the VC
+ * records, so they are never serialized. The tick's stages visit only set bits, in ascending
+ * (port, VC) order, and a router whose masks are empty and that has
+ * no backward kill queued stops after clearing its outboxes; idle()
+ * is a mask test (docs/PERFORMANCE.md, "Live-VC masks").
+ *
  * Kill machinery (the CR-specific part):
  *  - A forward Kill token arriving at an input VC purges the worm's
  *    buffered flits. If the worm had an output allocated, the token is
@@ -49,6 +60,7 @@
 #ifndef CRNET_ROUTER_ROUTER_HH
 #define CRNET_ROUTER_ROUTER_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -400,7 +412,7 @@ class Router
     template <typename Self, typename Io>
     static void serialize(Self& self, Io& io);
 
-    /** Restore's last step: empty the outboxes. */
+    /** Restore's last step: empty the outboxes, rebuild the masks. */
     void afterRestore();
 
   private:
@@ -422,10 +434,40 @@ class Router
         return static_cast<std::size_t>(numOutPorts_) * numVcs_;
     }
 
+    /** Index of input VC (p, v) in the VC arrays and the masks. */
+    std::size_t vcIndex(PortId p, VcId v) const
+    {
+        return static_cast<std::size_t>(p) * numVcs_ + v;
+    }
+
+    /**
+     * Call `f(p, v)` for every set bit of `mask`, in ascending (port,
+     * VC) order. Walks one port's lane of bits at a time, so it needs
+     * no division and stops after the highest live port.
+     */
+    template <typename F>
+    void forEachVc(std::uint64_t mask, F&& f) const
+    {
+        const std::uint64_t lane = (std::uint64_t{1} << numVcs_) - 1;
+        for (PortId p = 0; mask != 0; ++p, mask >>= numVcs_) {
+            for (std::uint64_t m = mask & lane; m != 0; m &= m - 1)
+                f(p, static_cast<VcId>(std::countr_zero(m)));
+        }
+    }
+
+    // Each writes an input VC field and its mask bit together; no
+    // other code writes state or killPending, and tick() clears every
+    // moved flag and the moved mask at once.
+    void setState(PortId p, VcId v, InputVc::State s);
+    void setKillPending(PortId p, VcId v, bool on);
+    void markMoved(PortId p, VcId v);
+
     void processBkills();
     /** Send pending kill tokens; returns the output ports they took. */
     std::uint64_t forwardKills();
     void routeHeaders(Cycle now);
+    /** Route the waiting header on (p, v), if an output VC is free. */
+    void routeHeader(PortId p, VcId v, Cycle now);
     /** Switch allocation over the outputs not in `busy_outputs`. */
     void allocateSwitch(std::uint64_t busy_outputs);
     void checkRouterTimeouts();
@@ -460,6 +502,12 @@ class Router
     OutputVc* outputs_ = nullptr;
     VcId* rrInVc_ = nullptr;     //!< Round-robin, per input port.
     PortId* rrOutIn_ = nullptr;  //!< Round-robin, per output port.
+
+    // Input-VC masks (bit vcIndex(p, v)); derived, never serialized.
+    std::uint64_t routingMask_ = 0;  //!< State Routing.
+    std::uint64_t activeMask_ = 0;   //!< State Active.
+    std::uint64_t killMask_ = 0;     //!< killPending.
+    std::uint64_t movedMask_ = 0;    //!< movedThisCycle.
 
     /** Backward kills accepted last delivery, processed this tick. */
     std::vector<SentBkill> pendingBkillsAsOut_;

@@ -33,14 +33,14 @@ datelineClass(const Topology& topo, NodeId node, NodeId dst, PortId port)
         return 0;
     const std::uint32_t d = portDim(port);
     const std::uint32_t k = topo.radix();
-    const std::uint32_t a = topo.coords(node)[d];
-    const std::uint32_t b = topo.coords(dst)[d];
+    const std::uint32_t a = topo.coord(node, d);
+    const std::uint32_t b = topo.coord(dst, d);
     bool cross_later = false;
     if (portDir(port) == Direction::Plus) {
-        const std::uint32_t after = (a + 1) % k;
+        const std::uint32_t after = a + 1 == k ? 0 : a + 1;
         cross_later = after != b && b < after;
     } else {
-        const std::uint32_t after = (a + k - 1) % k;
+        const std::uint32_t after = a == 0 ? k - 1 : a - 1;
         cross_later = after != b && b > after;
     }
     return cross_later ? 0 : 1;

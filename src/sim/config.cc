@@ -81,6 +81,10 @@ SimConfig::validate() const
         fatal("2*dimensionsN + ejectionChannels must be <= ",
               kMaxRouterPorts, " router output ports (got ",
               net_ports + ejectionChannels, ")");
+    if ((net_ports + injectionChannels) * numVcs > 64)
+        fatal("(2*dimensionsN + injectionChannels) * numVcs must be "
+              "<= 64 router input VCs (got ",
+              (net_ports + injectionChannels) * numVcs, ")");
     if (channelLatency < 1 || channelLatency > 64)
         fatal("channelLatency must be in [1, 64]");
     if (messageLength < 2)
@@ -128,6 +132,14 @@ SimConfig::validate() const
     if (protocol == ProtocolKind::Fcr && transientFaultRate > 0.0 &&
         timeout == 0) {
         fatal("FCR with faults requires a non-zero timeout");
+    }
+    if (protocol == ProtocolKind::Fcr &&
+        timeoutScheme == TimeoutScheme::DropAtBlock) {
+        fatal("FCR cannot run timeout_scheme=drop_at_block: the FCR "
+              "receiver refuses a corrupted flit and waits for the "
+              "source timeout, which drop_at_block turns off, and its "
+              "routers drop only blocked headers, so a refused worm "
+              "would hold its path forever");
     }
     if (auditInterval < 1)
         fatal("auditInterval must be >= 1");

@@ -43,6 +43,16 @@ inline constexpr PortId kInvalidPort =
 /** Sentinel for "no virtual channel". */
 inline constexpr VcId kInvalidVc = std::numeric_limits<VcId>::max();
 
+/**
+ * The VC after `vc` among `n`, wrapping to 0: the round-robin step,
+ * by compare instead of division.
+ */
+inline constexpr VcId
+nextVc(VcId vc, std::uint32_t n)
+{
+    return static_cast<VcId>(vc + 1u == n ? 0 : vc + 1);
+}
+
 } // namespace crnet
 
 #endif // CRNET_SIM_TYPES_HH

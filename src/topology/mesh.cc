@@ -28,24 +28,6 @@ MeshTopology::neighbor(NodeId node, PortId port) const
     return nodeId(c);
 }
 
-DimRoute
-MeshTopology::dimRoute(NodeId from, NodeId to, std::uint32_t dim) const
-{
-    const Coordinates a = coords(from);
-    const Coordinates b = coords(to);
-    DimRoute r;
-    if (a[dim] == b[dim])
-        return r;
-    if (b[dim] > a[dim]) {
-        r.plusMinimal = true;
-        r.plusHops = static_cast<std::uint32_t>(b[dim] - a[dim]);
-    } else {
-        r.minusMinimal = true;
-        r.minusHops = static_cast<std::uint32_t>(a[dim] - b[dim]);
-    }
-    return r;
-}
-
 std::uint32_t
 MeshTopology::diameter() const
 {

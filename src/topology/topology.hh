@@ -11,6 +11,7 @@
 #ifndef CRNET_TOPOLOGY_TOPOLOGY_HH
 #define CRNET_TOPOLOGY_TOPOLOGY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,6 +68,10 @@ struct DimRoute
 /**
  * A direct k-ary n-cube network graph. Immutable once constructed;
  * link fault state lives in the fault model / network, not here.
+ *
+ * Every node's coordinates sit in a table built once at construction
+ * by an odometer walk, so coordinate lookups and dimRoute() do no
+ * division.
  */
 class Topology
 {
@@ -80,8 +85,14 @@ class Topology
     /** Network ports per router (excludes injection/ejection). */
     PortId numPorts() const { return static_cast<PortId>(2 * n_); }
 
-    Coordinates coords(NodeId id) const { return toCoordinates(id, k_, n_); }
+    Coordinates coords(NodeId id) const;
     NodeId nodeId(const Coordinates& c) const { return toNodeId(c, k_); }
+
+    /** Coordinate of `id` in dimension `dim` (table lookup). */
+    std::uint32_t coord(NodeId id, std::uint32_t dim) const
+    {
+        return coord_[static_cast<std::size_t>(id) * n_ + dim];
+    }
 
     /**
      * Neighbor of `node` through `port`, or kInvalidNode when the port
@@ -102,8 +113,29 @@ class Topology
      * heading for `to`. On a torus with delta == k/2 both directions
      * can be minimal.
      */
-    virtual DimRoute dimRoute(NodeId from, NodeId to,
-                              std::uint32_t dim) const = 0;
+    DimRoute dimRoute(NodeId from, NodeId to, std::uint32_t dim) const
+    {
+        const std::uint32_t a = coord(from, dim);
+        const std::uint32_t b = coord(to, dim);
+        DimRoute r;
+        if (a == b)
+            return r;
+        if (kind_ == TopologyKind::Torus) {
+            const std::uint32_t plus = b > a ? b - a : b + k_ - a;
+            const std::uint32_t minus = k_ - plus;
+            r.plusHops = plus;
+            r.minusHops = minus;
+            r.plusMinimal = plus <= minus;
+            r.minusMinimal = minus <= plus;
+        } else if (b > a) {
+            r.plusMinimal = true;
+            r.plusHops = b - a;
+        } else {
+            r.minusMinimal = true;
+            r.minusHops = a - b;
+        }
+        return r;
+    }
 
     /** Minimal hop count between two nodes. */
     std::uint32_t distance(NodeId from, NodeId to) const;
@@ -125,6 +157,18 @@ class Topology
     std::uint32_t k_;
     std::uint32_t n_;
     NodeId numNodes_;
+
+  private:
+    using Odometer = std::array<std::uint32_t, kMaxDims>;
+
+    /**
+     * Call `f(id, c)` for every node in id order, `c` its coordinates:
+     * an odometer over n counters, so no division.
+     */
+    template <typename F>
+    void forEachNode(F&& f) const;
+
+    std::vector<std::uint16_t> coord_;  //!< [node][dim].
 };
 
 /** k-ary n-cube with wraparound links. */
@@ -134,8 +178,6 @@ class TorusTopology : public Topology
     TorusTopology(std::uint32_t k, std::uint32_t n);
 
     NodeId neighbor(NodeId node, PortId port) const override;
-    DimRoute dimRoute(NodeId from, NodeId to,
-                      std::uint32_t dim) const override;
     bool crossesDateline(NodeId node, PortId port) const override;
     std::uint32_t diameter() const override;
 };
@@ -147,8 +189,6 @@ class MeshTopology : public Topology
     MeshTopology(std::uint32_t k, std::uint32_t n);
 
     NodeId neighbor(NodeId node, PortId port) const override;
-    DimRoute dimRoute(NodeId from, NodeId to,
-                      std::uint32_t dim) const override;
     bool crossesDateline(NodeId, PortId) const override { return false; }
     std::uint32_t diameter() const override;
 };

@@ -6,6 +6,18 @@
 
 namespace crnet {
 
+template <typename F>
+void
+Topology::forEachNode(F&& f) const
+{
+    Odometer c{};
+    for (NodeId id = 0; id < numNodes_; ++id) {
+        f(id, c);
+        for (std::uint32_t d = 0; d < n_ && ++c[d] == k_; ++d)
+            c[d] = 0;
+    }
+}
+
 Topology::Topology(TopologyKind kind, std::uint32_t k, std::uint32_t n)
     : kind_(kind), k_(k), n_(n)
 {
@@ -18,7 +30,25 @@ Topology::Topology(TopologyKind kind, std::uint32_t k, std::uint32_t n)
         nodes *= k;
     if (nodes > (1ULL << 24))
         fatal("topology too large: ", nodes, " nodes");
+    if (k > (1U << 16))
+        fatal("topology radix must be <= ", 1U << 16, " (got ", k, ")");
     numNodes_ = static_cast<NodeId>(nodes);
+    coord_.resize(static_cast<std::size_t>(numNodes_) * n_);
+    std::size_t at = 0;
+    forEachNode([&](NodeId, const Odometer& c) {
+        for (std::uint32_t d = 0; d < n_; ++d)
+            coord_[at++] = static_cast<std::uint16_t>(c[d]);
+    });
+}
+
+Coordinates
+Topology::coords(NodeId id) const
+{
+    Coordinates r;
+    r.n = static_cast<std::uint8_t>(n_);
+    for (std::uint32_t d = 0; d < n_; ++d)
+        r.c[d] = static_cast<std::uint16_t>(coord(id, d));
+    return r;
 }
 
 std::uint32_t
@@ -44,10 +74,8 @@ Topology::neighborTable() const
         stride[d] = s;
     std::vector<NodeId> table(static_cast<std::size_t>(numNodes_) *
                               numPorts());
-    // Walk the nodes in id order with an odometer over coordinates.
-    std::array<std::uint32_t, kMaxDims> c{};
     std::size_t at = 0;
-    for (NodeId id = 0; id < numNodes_; ++id) {
+    forEachNode([&](NodeId id, const Odometer& c) {
         for (std::uint32_t d = 0; d < n_; ++d) {
             const NodeId span = (k_ - 1) * stride[d];  // Wrap distance.
             table[at++] = c[d] + 1 < k_ ? id + stride[d]
@@ -57,9 +85,7 @@ Topology::neighborTable() const
                           : wraps  ? id + span
                                    : kInvalidNode;
         }
-        for (std::uint32_t d = 0; d < n_ && ++c[d] == k_; ++d)
-            c[d] = 0;
-    }
+    });
     return table;
 }
 
@@ -80,23 +106,6 @@ TorusTopology::neighbor(NodeId node, PortId port) const
     else
         c[d] = static_cast<std::uint16_t>((c[d] + k_ - 1) % k_);
     return nodeId(c);
-}
-
-DimRoute
-TorusTopology::dimRoute(NodeId from, NodeId to, std::uint32_t dim) const
-{
-    const Coordinates a = coords(from);
-    const Coordinates b = coords(to);
-    DimRoute r;
-    if (a[dim] == b[dim])
-        return r;
-    const std::uint32_t plus = (b[dim] + k_ - a[dim]) % k_;
-    const std::uint32_t minus = k_ - plus;
-    r.plusHops = plus;
-    r.minusHops = minus;
-    r.plusMinimal = plus <= minus;
-    r.minusMinimal = minus <= plus;
-    return r;
 }
 
 bool

@@ -128,6 +128,33 @@ TEST(Config, EjectionPortsBeyondArbiterMaskRejected)
     EXPECT_DEATH(cfg.validate(), "ejectionChannels must be <= 64");
 }
 
+TEST(Config, InputVcsBeyondLiveVcMasksRejected)
+{
+    SimConfig cfg;
+    cfg.dimensionsN = 3;
+    cfg.injectionChannels = 2;
+    cfg.numVcs = 8;  // (6 + 2) * 8 = 64 input VCs: the limit.
+    cfg.validate();
+    cfg.numVcs = 9;  // 72.
+    EXPECT_DEATH(cfg.validate(), "must be <= 64 router input VCs");
+    cfg.numVcs = 8;
+    cfg.injectionChannels = 3;  // 9 * 8 = 72.
+    EXPECT_DEATH(cfg.validate(), "must be <= 64 router input VCs");
+}
+
+TEST(Config, FcrWithDropAtBlockRejected)
+{
+    SimConfig cfg;
+    cfg.protocol = ProtocolKind::Fcr;
+    cfg.timeoutScheme = TimeoutScheme::DropAtBlock;
+    EXPECT_DEATH(cfg.validate(), "refused worm would hold its path");
+    cfg.protocol = ProtocolKind::Cr;
+    cfg.validate();
+    cfg.protocol = ProtocolKind::Fcr;
+    cfg.timeoutScheme = TimeoutScheme::PathWide;
+    cfg.validate();
+}
+
 TEST(Config, ApplyArgsParsesArgv)
 {
     SimConfig cfg;

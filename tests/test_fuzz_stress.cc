@@ -1,8 +1,9 @@
 /**
  * @file
  * Randomized stress: draw whole network configurations at random
- * (topology, shape, VCs, depths, channel latency, protocol, loads,
- * faults), run them hot, quiesce, and assert every system invariant.
+ * (topology, shape, VCs, depths, channel latency, protocol, timeout
+ * scheme, loads, faults), run them hot, quiesce, and assert every
+ * system invariant.
  * Any panic inside the simulator (credit overflow, interleaved worms,
  * out-of-order assembly...) also fails the test, so this sweeps the
  * corner-case space the targeted tests cannot enumerate.
@@ -17,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/core/network.hh"
@@ -84,10 +87,17 @@ randomConfig(Rng& rng)
             cfg.routing = RoutingKind::DimensionOrder;
         }
     }
-    if (cfg.protocol != ProtocolKind::None && rng.chance(0.25)) {
-        cfg.timeoutScheme = rng.chance(0.5)
-            ? TimeoutScheme::SourceImin
-            : TimeoutScheme::SourceStall;
+    if (cfg.protocol != ProtocolKind::None && rng.chance(0.9)) {
+        // Both source schemes and both router-side ones; FCR cannot
+        // drop at block (SimConfig::validate says why). Over the
+        // suite's seeds this draws every router-side scheme on CR and
+        // path_wide on FCR (SeedsCoverTheRouterTimeoutSchemes).
+        const TimeoutScheme schemes[] = {
+            TimeoutScheme::SourceImin, TimeoutScheme::SourceStall,
+            TimeoutScheme::PathWide, TimeoutScheme::DropAtBlock};
+        const std::uint64_t n =
+            cfg.protocol == ProtocolKind::Fcr ? 3 : 4;
+        cfg.timeoutScheme = schemes[rng.below(n)];
     }
     return cfg;
 }
@@ -137,13 +147,40 @@ statsBytes(const NetworkStats& s)
     return w.bytes();
 }
 
+/** Seeds of the parameterized suite: [0, kSeeds). */
+constexpr std::uint64_t kSeeds = 40;
+
+/** The stream that draws seed `param`'s config and snapshot hop. */
+Rng
+metaRng(std::uint64_t param)
+{
+    return Rng(param * 0x9e3779b97f4a7c15ULL + 17);
+}
+
+TEST(FuzzStressDraw, SeedsCoverTheRouterTimeoutSchemes)
+{
+    // The suite exercises the router-side timeout loop only if some
+    // seed draws each router-side scheme under each protocol it
+    // supports.
+    std::set<std::pair<ProtocolKind, TimeoutScheme>> drawn;
+    for (std::uint64_t p = 0; p < kSeeds; ++p) {
+        Rng meta = metaRng(p);
+        const SimConfig cfg = randomConfig(meta);
+        drawn.emplace(cfg.protocol, cfg.timeoutScheme);
+    }
+    EXPECT_TRUE(drawn.count({ProtocolKind::Cr, TimeoutScheme::PathWide}));
+    EXPECT_TRUE(drawn.count({ProtocolKind::Fcr, TimeoutScheme::PathWide}));
+    EXPECT_TRUE(
+        drawn.count({ProtocolKind::Cr, TimeoutScheme::DropAtBlock}));
+}
+
 class FuzzStress : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
 TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
 {
-    Rng meta(GetParam() * 0x9e3779b97f4a7c15ULL + 17);
+    Rng meta = metaRng(GetParam());
     SimConfig cfg = randomConfig(meta);
     cfg.shards = 1;
     SCOPED_TRACE(cfg.summary());
@@ -200,7 +237,7 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FuzzStress,
-                         ::testing::Range<std::uint64_t>(0, 40));
+                         ::testing::Range<std::uint64_t>(0, kSeeds));
 
 } // namespace
 } // namespace crnet

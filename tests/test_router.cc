@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests driving a single Router: VC allocation, switch behavior,
- * credits, tail release, kill purge/forward, backward kills.
+ * credits, tail release, kill purge/forward, backward kills, and the
+ * live-VC masks under a long random sequence with snapshot hops.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/router/router.hh"
+#include "src/sim/snapshot.hh"
 
 namespace crnet {
 namespace {
@@ -477,6 +479,212 @@ TEST_F(RouterTest, SwitchGrantRotatesAcrossInputPorts)
         vcs.insert(vc);
     EXPECT_EQ(heldVc.size(), 4u);
     EXPECT_EQ(vcs.size(), 4u);
+}
+
+/** Every outbox of `r`, serialized in order. */
+std::vector<std::uint8_t>
+outboxBytes(const Router& r)
+{
+    StateWriter w;
+    w.seq(r.sentFlits, [&](const SentFlit& s) {
+        WireFlit::serialize(s.flit, w);
+        w.u16(s.outPort);
+        w.u16(s.vc);
+        w.u32(s.header);
+    });
+    w.seq(r.sentHeaders,
+          [&](const WormHeader& h) { WormHeader::serialize(h, w); });
+    w.seq(r.sentCredits, [&](const SentCredit& c) {
+        w.u16(c.inPort);
+        w.u16(c.vc);
+    });
+    w.seq(r.sentBkills, [&](const SentBkill& b) {
+        w.u16(b.inPort);
+        w.u16(b.vc);
+    });
+    w.seq(r.sentAborts, [&](const SentAbort& a) {
+        w.u32(a.injChannel);
+        w.u16(a.vc);
+        w.u64(a.msg);
+    });
+    return w.bytes();
+}
+
+/**
+ * idle() is a test of the live-VC masks. Drive one router through a
+ * fixed-seed random sequence of flits, forward and backward kills,
+ * credits, router-side timeouts, link deaths and snapshot hops, and
+ * after every call compare idle() with a scan of the per-VC probes;
+ * after each hop the restored router's next tick must emit the same
+ * outboxes as the original's.
+ */
+TEST_F(RouterTest, LiveVcMasksTrackEveryStateChange)
+{
+    for (const TimeoutScheme scheme :
+         {TimeoutScheme::PathWide, TimeoutScheme::DropAtBlock}) {
+        SCOPED_TRACE(toString(scheme));
+        numVcs = 3;
+        rebuild();
+        cfg.timeoutScheme = scheme;
+        cfg.timeout = 3;
+        router = std::make_unique<Router>(5, cfg, *algo, &stats, Rng(2));
+
+        const PortId nin = router->numInPorts();
+        const PortId nout = router->numOutPorts();
+        const PortId nnet = router->networkPorts();
+        // What the test has fed each input VC: its worm and progress.
+        struct Feed
+        {
+            MsgId msg = kInvalidMsg;
+            std::uint32_t seq = 0;
+            std::uint32_t len = 0;
+            NodeId dst = 0;
+        };
+        std::vector<Feed> feed(static_cast<std::size_t>(nin) * numVcs);
+        auto at = [&](PortId p, VcId v) -> Feed& {
+            return feed[static_cast<std::size_t>(p) * numVcs + v];
+        };
+        MsgId next_msg = 1;
+        bool bkill_queued = false;
+        int hops = 0;
+        int idle_seen = 0;
+        Rng rng(20260706);
+
+        auto check = [&](const char* after) {
+            bool scan = !bkill_queued;
+            for (PortId p = 0; p < nin; ++p) {
+                for (VcId v = 0; v < numVcs; ++v) {
+                    scan = scan && router->vcIdle(p, v) &&
+                           router->inputOccupancy(p, v) == 0 &&
+                           !router->inputKillPending(p, v);
+                }
+            }
+            ASSERT_EQ(router->idle(), scan) << "after " << after;
+            idle_seen += scan;
+        };
+
+        for (int step = 0; step < 4000; ++step) {
+            // Forget worms the router has retired (tail gone, or torn
+            // down); a torn-down worm may still send one straggler.
+            for (PortId p = 0; p < nin; ++p) {
+                for (VcId v = 0; v < numVcs; ++v) {
+                    Feed& f = at(p, v);
+                    if (f.msg == kInvalidMsg || !router->vcIdle(p, v))
+                        continue;
+                    if (f.seq < f.len && rng.chance(0.3)) {
+                        router->acceptFlit(
+                            p, v, makeFlit(FlitType::Body, f.msg, f.seq,
+                                           f.dst));
+                        check("straggler");
+                    }
+                    f = Feed{};
+                }
+            }
+
+            // Alternate loaded stretches with draining ones (no new
+            // heads), so the router also passes through idle states.
+            const bool draining = step / 250 % 2 == 1;
+            const auto p = static_cast<PortId>(rng.below(nin));
+            const auto v = static_cast<VcId>(rng.below(numVcs));
+            Feed& f = at(p, v);
+            // Every 200th step ticks through a snapshot hop.
+            const bool hop = step % 200 == 100;
+            const std::uint64_t action = hop ? 99 : rng.below(100);
+            if (action < 45) {
+                // Data: a head into an idle, empty VC, else the next
+                // flit of its worm while the buffer has room.
+                if (f.msg == kInvalidMsg && !draining &&
+                    router->vcIdle(p, v) &&
+                    router->inputOccupancy(p, v) == 0) {
+                    f.msg = next_msg++;
+                    f.len = static_cast<std::uint32_t>(rng.between(2, 6));
+                    f.dst = static_cast<NodeId>(rng.below(16));
+                    f.seq = 1;
+                    router->acceptFlit(
+                        p, v, makeFlit(FlitType::Head, f.msg, 0, f.dst));
+                } else if (f.msg != kInvalidMsg && f.seq < f.len &&
+                           router->inputOccupancy(p, v) <
+                               cfg.bufferDepth) {
+                    const auto type = f.seq + 1 == f.len
+                        ? FlitType::Tail
+                        : FlitType::Body;
+                    router->acceptFlit(
+                        p, v, makeFlit(type, f.msg, f.seq++, f.dst));
+                }
+                check("data flit");
+            } else if (action < 50) {
+                // A forward kill: live on a Routing or Active VC (it
+                // must name the worm there), stale on an idle one.
+                const MsgId msg = router->vcIdle(p, v)
+                    ? next_msg + 1000
+                    : router->inputProbe(p, v).msg;
+                router->acceptFlit(p, v,
+                                   makeFlit(FlitType::Kill, msg, 0, 0));
+                check("forward kill");
+            } else if (action < 54) {
+                // A backward kill: live when the output is allocated.
+                const auto o = static_cast<PortId>(rng.below(nout));
+                router->acceptBkill(o, v);
+                bkill_queued = true;
+                check("backward kill");
+            } else if (action < 80) {
+                const auto o = static_cast<PortId>(rng.below(nout));
+                if (router->outputProbe(o, v).credits < cfg.bufferDepth)
+                    router->acceptCredit(o, v);
+                check("credit");
+            } else if (action < 81) {
+                const auto o = static_cast<PortId>(rng.below(nnet));
+                for (VcId ov = 0; ov < numVcs; ++ov)
+                    bkill_queued = bkill_queued ||
+                                   router->outputProbe(o, ov).allocated;
+                router->onOutputLinkDead(o, now);
+                check("output link death");
+            } else if (action < 82) {
+                router->onInputLinkDead(static_cast<PortId>(
+                                            rng.below(nnet)),
+                                        now);
+                check("input link death");
+            } else if (hop) {
+                // Restore into a fresh router, tick both, compare, and
+                // carry on with the restored one.
+                StateWriter w;
+                Router::serialize(std::as_const(*router), w);
+                auto restored = std::make_unique<Router>(
+                    5, cfg, *algo, &stats, Rng(99));
+                StateReader r(w.bytes());
+                Router::serialize(*restored, r);
+                restored->afterRestore();
+                ASSERT_EQ(restored->idle(), router->idle());
+                router->tick(now);
+                restored->tick(now);
+                ASSERT_EQ(outboxBytes(*restored), outboxBytes(*router))
+                    << "restored tick differs at step " << step;
+                router = std::move(restored);
+                ++hops;
+                ++now;
+                bkill_queued = false;
+                check("restored tick");
+            } else {
+                router->tick(now++);
+                bkill_queued = false;
+                check("tick");
+            }
+            if (HasFatalFailure())
+                return;
+        }
+        // The sequence reached every kind of state change it drives.
+        EXPECT_GT(hops, 0);
+        EXPECT_GT(idle_seen, 0);
+        EXPECT_GT(stats.headersRouted.value(), 0u);
+        EXPECT_GT(stats.flitsForwarded.value(), 0u);
+        EXPECT_GT(stats.killsForwarded.value(), 0u);
+        EXPECT_GT(stats.killsAnnihilated.value(), 0u);
+        EXPECT_GT(stats.staleKills.value(), 0u);
+        EXPECT_GT(stats.bkillHops.value(), 0u);
+        EXPECT_GT(stats.pathWideKills.value(), 0u);
+        EXPECT_GT(stats.stragglersDropped.value(), 0u);
+        EXPECT_GT(stats.linkDeathTeardowns.value(), 0u);
+    }
 }
 
 } // namespace

@@ -140,6 +140,30 @@ TEST(SnapshotPins, FcrDeepChannelsWithFaultsAndLedger)
     EXPECT_GT(ledger.accepted(), 0u);
 }
 
+TEST(SnapshotPins, CrDropAtBlockRouterTimeouts)
+{
+    if (!CRNET_AUDIT_ENABLED)
+        GTEST_SKIP() << kAuditOff;
+    // CR whose routers reject blocked headers (drop_at_block), near
+    // saturation on the 8-ary 2-cube with a short timeout and the
+    // heatmap on: captured while router-side rejects are under way.
+    SimConfig cfg;
+    cfg.radixK = 8;
+    cfg.dimensionsN = 2;
+    cfg.numVcs = 2;
+    cfg.protocol = ProtocolKind::Cr;
+    cfg.timeoutScheme = TimeoutScheme::DropAtBlock;
+    cfg.timeout = 8;
+    cfg.messageLength = 16;
+    cfg.injectionRate = 0.4;
+    cfg.heatmapEnabled = true;
+    cfg.seed = 1994;
+    Network net(cfg);
+    expectPinnedAt(net, {300, 700},
+                   {{183347, 0xcf98faf8}, {206684, 0x7ca79b1d}});
+    EXPECT_GT(net.stats().router.pathWideKills.value(), 0u);
+}
+
 TEST(SnapshotPins, SparseStoragePastFiveHundredTwelveNodes)
 {
     if (!CRNET_AUDIT_ENABLED)
