@@ -5,8 +5,13 @@
  *
  * Expected shape: latency rises gently with the number of dead links
  * (paths lengthen, retries around blocked minimal routes appear) and
- * every message is still delivered uncorrupted — FCR's permanent
- * fault tolerance via adaptive retry + bounded misrouting.
+ * nothing is delivered corrupted. Up to 8 dead links every message
+ * arrives — FCR's permanent fault tolerance via adaptive retry +
+ * bounded misrouting. At 12 the network tips over: at the default
+ * seed 17 of the 1,884 measured messages stay undelivered, because a
+ * retry with misroute budget misroutes whenever its minimal VCs are
+ * busy, not only when their links are dead (ROADMAP.md, "Misrouting
+ * as a last resort").
  */
 
 #include "bench/bench_common.hh"
@@ -55,9 +60,11 @@ main(int argc, char** argv)
                   Table::cell(r.corruptedDeliveries)});
     }
     emit(t);
-    std::printf("expected shape: graceful latency growth, zero "
-                "failures, zero corruption;\nmisrouting appears once "
-                "faults block whole minimal-path sets.\n");
+    std::printf("expected shape: graceful latency growth and zero "
+                "corruption; zero failures\nup to 8 dead links, some "
+                "messages undelivered at 12 (retries misroute before\n"
+                "their minimal links are dead); misrouting appears once "
+                "faults block whole\nminimal-path sets.\n");
     timingFooter();
     return 0;
 }

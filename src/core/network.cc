@@ -234,6 +234,11 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             shardStats_.push_back(std::make_unique<NetworkStats>());
     }
 
+    for (ShardCtx& ctx : shardCtx_) {
+        ctx.injOut = InjectorOutbox(cfg_);
+        ctx.rtrOut = RouterOutbox(cfg_);
+        ctx.rcvOut = ReceiverOutbox(cfg_);
+    }
     routerPool_ = std::make_unique<Router::StatePool>(cfg_, n);
     routers_.reserve(n);
     injectors_.reserve(n);
@@ -244,16 +249,17 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             ++shard;
         // Counters accumulate in the owning shard's block (folded
         // into stats_ every sweep); with one shard that block IS
-        // stats_. Deliveries go to the owning shard's context.
+        // stats_. Deliveries and outboxes are the owning shard's.
         NetworkStats* blk =
             shards_ > 1 ? shardStats_[shard].get() : &stats_;
+        ShardCtx& ctx = shardCtx_[shard];
         routers_.push_back(std::make_unique<Router>(
             id, cfg_, *routing_, &blk->router, root.fork(),
-            *routerPool_, id));
+            *routerPool_, id, ctx.rtrOut));
         injectors_.push_back(std::make_unique<Injector>(
-            id, cfg_, *topo_, *routing_, blk, root.fork()));
-        receivers_.push_back(std::make_unique<Receiver>(
-            id, cfg_, blk, &shardCtx_[shard]));
+            id, cfg_, *topo_, *routing_, blk, root.fork(), &ctx.injOut));
+        receivers_.push_back(
+            std::make_unique<Receiver>(id, cfg_, blk, &ctx, &ctx.rcvOut));
     }
 
     // Pre-size the hot-path containers so the steady state never
@@ -680,13 +686,13 @@ Network::generate()
 }
 
 void
-Network::collectInjector(Segment& next, NodeId n)
+Network::collectInjector(const ShardCtx& ctx, Segment& next, NodeId n)
 {
-    const Injector& inj = *injectors_[n];
-    for (const InjectedFlit& f : inj.sent) {
+    const InjectorOutbox& out = ctx.injOut;
+    for (const InjectedFlit& f : out.flits) {
         next.flits.events.push_back(PendingFlit{
             f.flit, n, static_cast<PortId>(netPorts_ + f.injChannel),
-            f.vc, stageHeader(next, inj.sentHeaders, f.header)});
+            f.vc, stageHeader(next, out.headers, f.header)});
     }
 }
 
@@ -694,14 +700,14 @@ void
 Network::collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
                        NodeId n)
 {
-    const Router& r = *routers_[n];
+    const RouterOutbox& r = ctx.rtrOut;
     const PortId net_ports = netPorts_;
     const auto away = [begin = ctx.begin,
                        span = ctx.end - ctx.begin](NodeId node) {
         return node - begin >= span;
     };
 
-    for (const SentFlit& s : r.sentFlits) {
+    for (const SentFlit& s : r.flits) {
         if (s.outPort < net_ports) {
             const NodeId nbr = neighborOf(n, s.outPort);
             if (nbr == kInvalidNode)
@@ -709,17 +715,17 @@ Network::collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
                       "port ", s.outPort);
             far.flits.push(
                 PendingFlit{s.flit, nbr, oppositePort(s.outPort), s.vc,
-                            stageHeader(far, r.sentHeaders, s.header)},
+                            stageHeader(far, r.headers, s.header)},
                 away(nbr));
         } else {
             next.recvFlits.events.push_back(PendingRecvFlit{
                 s.flit, n,
                 static_cast<std::uint16_t>(s.outPort - net_ports), s.vc,
-                stageHeader(next, r.sentHeaders, s.header)});
+                stageHeader(next, r.headers, s.header)});
         }
     }
 
-    for (const SentCredit& c : r.sentCredits) {
+    for (const SentCredit& c : r.credits) {
         if (c.inPort < net_ports) {
             const NodeId upstream = neighborOf(n, c.inPort);
             if (upstream == kInvalidNode)
@@ -734,7 +740,7 @@ Network::collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
         }
     }
 
-    for (const SentBkill& b : r.sentBkills) {
+    for (const SentBkill& b : r.bkills) {
         if (b.inPort >= net_ports)
             panic("backward kill to an injection port must be an "
                   "abort");
@@ -747,16 +753,16 @@ Network::collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
             away(upstream));
     }
 
-    for (const SentAbort& a : r.sentAborts) {
+    for (const SentAbort& a : r.aborts) {
         next.aborts.events.push_back(
             PendingAbort{n, a.injChannel, a.vc, a.msg});
     }
 }
 
 void
-Network::collectReceiver(Segment& next, NodeId n)
+Network::collectReceiver(const ShardCtx& ctx, Segment& next, NodeId n)
 {
-    const Receiver& rcv = *receivers_[n];
+    const ReceiverOutbox& rcv = ctx.rcvOut;
     for (const ReceiverCredit& c : rcv.credits) {
         next.credits.events.push_back(PendingCredit{
             n, static_cast<PortId>(netPorts_ + c.ejChannel), c.vc});
@@ -884,7 +890,7 @@ Network::shardWorker(unsigned s)
         Injector& inj = *injectors_[id];
         inj.tick(now_);
         ++ticked;
-        collectInjector(next, id);
+        collectInjector(ctx, next, id);
         const Cycle at = inj.nextEventCycle(now_);
         if (merge) {
             if (!inj.failed.empty() || !inj.committedStats.empty())
@@ -939,7 +945,7 @@ Network::shardWorker(unsigned s)
         Receiver& rcv = *receivers_[id];
         rcv.tick(now_);
         ++ticked;
-        collectReceiver(next, id);
+        collectReceiver(ctx, next, id);
         const Cycle at = rcv.nextEventCycle(now_);
         if (deferWake(rcvAwake_, rcvNextAt_, id, at)) {
             if (merge)

@@ -389,16 +389,16 @@ class Network
     void deliver(unsigned owner, unsigned kinds);
     void generate();
     /**
-     * Stage one ticked component's outbox into its shard's segments:
-     * `next` is the segment of the bucket one cycle out, `far` the one
-     * channel_latency cycles out (the same when the latency is 1).
-     * A router's hops into another shard's range also go on `far`'s
-     * remote lists.
+     * Stage what node `n`'s component just emitted into the shard
+     * outbox of `ctx` into the shard's segments: `next` is the segment
+     * of the bucket one cycle out, `far` the one channel_latency
+     * cycles out (the same when the latency is 1). A router's hops
+     * into another shard's range also go on `far`'s remote lists.
      */
-    void collectInjector(Segment& next, NodeId n);
+    void collectInjector(const ShardCtx& ctx, Segment& next, NodeId n);
     void collectRouter(const ShardCtx& ctx, Segment& next, Segment& far,
                        NodeId n);
-    void collectReceiver(Segment& next, NodeId n);
+    void collectReceiver(const ShardCtx& ctx, Segment& next, NodeId n);
     std::uint64_t activityLevel() const;
 
     // --- The cycle loop (see docs/PERFORMANCE.md) -------------------
@@ -707,6 +707,13 @@ class Network
 
         NodeId begin = 0;  //!< First node of this shard's range.
         NodeId end = 0;    //!< One past the last node.
+        /**
+         * The outboxes every component of the range emits into, one
+         * per kind; each is collected right after the tick filling it.
+         */
+        InjectorOutbox injOut;
+        RouterOutbox rtrOut;
+        ReceiverOutbox rcvOut;
         // Staged for the serial merge (shards > 1 only), in node order;
         // ranges are contiguous, so shard-major iteration over these is
         // global node order.

@@ -1,6 +1,7 @@
 #include "src/nic/injector.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "src/nic/backoff.hh"
 #include "src/nic/padding.hh"
@@ -10,20 +11,47 @@
 
 namespace crnet {
 
+namespace {
+
+/** Queue entries startWorms examines per free slot, at most. */
+constexpr std::size_t kStartScanBound = 16;
+
+} // namespace
+
+InjectorOutbox::InjectorOutbox(const SimConfig& cfg)
+{
+    flits.reserve(cfg.injectionChannels);
+    headers.reserve(cfg.injectionChannels);
+}
+
+void
+InjectorOutbox::clear()
+{
+    flits.clear();
+    headers.clear();
+}
+
 Injector::Injector(NodeId node, const SimConfig& cfg,
                    const Topology& topo, const RoutingAlgorithm& algo,
-                   NetworkStats* stats, Rng rng)
-    : node_(node), cfg_(cfg), topo_(topo), algo_(algo), stats_(stats),
-      rng_(rng),
+                   NetworkStats* stats, Rng rng, InjectorOutbox* outbox)
+    : selfOutbox_(outbox == nullptr
+                      ? std::make_unique<InjectorOutbox>(cfg)
+                      : nullptr),
+      out_(outbox == nullptr ? *selfOutbox_ : *outbox),
+      sent(out_.flits), sentHeaders(out_.headers), node_(node),
+      cfg_(cfg), topo_(topo), algo_(algo), stats_(stats), rng_(rng),
       slots_(static_cast<std::size_t>(cfg.injectionChannels) *
              cfg.numVcs),
-      rrVc_(cfg.injectionChannels, 0),
-      channelUsed_(cfg.injectionChannels, false)
+      rrVc_(cfg.injectionChannels, 0)
 {
     if (stats == nullptr)
         panic("Injector requires a NetworkStats block");
+    if (cfg.injectionChannels > 64)
+        panic("injector with ", cfg.injectionChannels,
+              " channels exceeds the 64-bit channel mask");
     for (auto& s : slots_)
         s.credits = cfg.bufferDepth;
+    busyDests_.reserve(slots_.size());
 }
 
 Injector::Slot&
@@ -51,6 +79,30 @@ Injector::slotInCooldown(std::uint32_t ch, VcId vc) const
 }
 
 bool
+Injector::destBusy(NodeId dst) const
+{
+    return std::binary_search(busyDests_.begin(), busyDests_.end(), dst);
+}
+
+void
+Injector::markDestBusy(NodeId dst)
+{
+    const auto it =
+        std::lower_bound(busyDests_.begin(), busyDests_.end(), dst);
+    if (it == busyDests_.end() || *it != dst)
+        busyDests_.insert(it, dst);
+}
+
+void
+Injector::releaseDest(NodeId dst)
+{
+    const auto it =
+        std::lower_bound(busyDests_.begin(), busyDests_.end(), dst);
+    if (it != busyDests_.end() && *it == dst)
+        busyDests_.erase(it);
+}
+
+bool
 Injector::queueFull() const
 {
     return queue_.size() >= cfg_.maxPendingPerNode;
@@ -63,7 +115,7 @@ Injector::enqueue(const PendingMessage& msg)
         stats_->sourceQueueDrops.inc();
         return false;
     }
-    queue_.push_back(msg);
+    queue_.pushBack(msg);
     queueMinNotBefore_ = std::min(queueMinNotBefore_, msg.notBefore);
     return true;
 }
@@ -72,8 +124,9 @@ void
 Injector::recomputeQueueMin()
 {
     queueMinNotBefore_ = kNeverCycle;
-    for (const PendingMessage& m : queue_)
-        queueMinNotBefore_ = std::min(queueMinNotBefore_, m.notBefore);
+    for (std::size_t i = 0; i < queue_.size(); ++i)
+        queueMinNotBefore_ =
+            std::min(queueMinNotBefore_, queue_[i].notBefore);
 }
 
 void
@@ -112,8 +165,8 @@ Injector::acceptAbort(std::uint32_t inj_channel, VcId vc, MsgId msg)
         if (s.state == Slot::State::Active) {
             if (s.nextSeq != 0)
                 return;
-            busyDests_.erase(s.msg.dst);
-            queue_.push_front(s.msg);
+            releaseDest(s.msg.dst);
+            queue_.pushFront(s.msg);
             queueMinNotBefore_ =
                 std::min(queueMinNotBefore_, s.msg.notBefore);
         }
@@ -130,7 +183,7 @@ Injector::acceptAbort(std::uint32_t inj_channel, VcId vc, MsgId msg)
     retry.attempt = static_cast<std::uint16_t>(retry.attempt + 1);
     // The backoff gap is anchored at the next tick (requeueForRetry
     // runs there, where "now" is known).
-    pendingRetries_.push_back(retry);
+    pendingRetries_.pushBack(retry);
     // A backward kill arrives only after the router purged the
     // injection VC, so all credit traffic has settled; the slot can be
     // reused at the next tick.
@@ -150,7 +203,7 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
             trace_->record(TraceEventKind::GiveUp, msg.id, node_,
                            node_, msg.dst, msg.attempt);
         }
-        busyDests_.erase(msg.dst);
+        releaseDest(msg.dst);
         failed.push_back(FailedMessage{msg, now});
         return;
     }
@@ -160,14 +213,14 @@ Injector::requeueForRetry(PendingMessage msg, Cycle now)
                        node_, msg.dst, msg.attempt,
                        msg.notBefore - now);
     }
-    queue_.push_front(msg);
+    queue_.pushFront(msg);
     queueMinNotBefore_ = std::min(queueMinNotBefore_, msg.notBefore);
     // The worm is out of the network, so release the destination
     // reservation. No younger message to the same destination can
     // overtake the retry anyway: the retry sits at the front of the
     // queue and startWorms() skips any destination already seen
     // earlier in the scan.
-    busyDests_.erase(msg.dst);
+    releaseDest(msg.dst);
 }
 
 WireFlit
@@ -260,8 +313,8 @@ Injector::killWorm(std::uint32_t ch, VcId vc, Cycle now)
     token.dst = s.msg.dst;
     token.attempt = s.msg.attempt;
     CRNET_AUDIT_HOOK(audit_, onKillIssued(token.msg, token.attempt));
-    sent.push_back(InjectedFlit{token, ch, vc});
-    channelUsed_[ch] = true;
+    out_.flits.push_back(InjectedFlit{token, ch, vc});
+    channelUsed_ |= std::uint64_t{1} << ch;
 
     PendingMessage retry = s.msg;
     retry.attempt = static_cast<std::uint16_t>(retry.attempt + 1);
@@ -284,28 +337,30 @@ Injector::startWorms(Cycle now)
             // backoff expired and (if ordering is enforced) no
             // earlier message, queued or in flight, targets the same
             // destination.
-            std::vector<NodeId>& seen = seenScratch_;
-            seen.clear();
-            auto it = queue_.begin();
-            for (; it != queue_.end(); ++it) {
+            std::array<NodeId, kStartScanBound> seen;
+            std::size_t nseen = 0;
+            const std::size_t len = queue_.size();
+            std::size_t at = 0;
+            for (; at < len; ++at) {
+                const PendingMessage& m = queue_[at];
+                const auto seen_end = seen.begin() + nseen;
                 const bool dst_clear = !cfg_.enforceDestOrder ||
-                    (!busyDests_.count(it->dst) &&
-                     std::find(seen.begin(), seen.end(), it->dst) ==
-                         seen.end());
-                if (dst_clear && it->notBefore <= now)
+                    (!destBusy(m.dst) &&
+                     std::find(seen.begin(), seen_end, m.dst) == seen_end);
+                if (dst_clear && m.notBefore <= now)
                     break;
-                seen.push_back(it->dst);
-                if (seen.size() >= 16)
-                    it = queue_.end() - 1;  // Bound the scan cost.
+                seen[nseen++] = m.dst;
+                if (nseen == kStartScanBound)
+                    at = len - 1;  // Bound the scan cost.
             }
-            if (it == queue_.end())
+            if (at == len)
                 continue;
 
-            PendingMessage msg = *it;
-            queue_.erase(it);
+            PendingMessage msg = queue_[at];
+            queue_.erase(at);
             if (msg.notBefore == queueMinNotBefore_)
                 recomputeQueueMin();
-            busyDests_.insert(msg.dst);
+            markDestBusy(msg.dst);
 
             s.state = Slot::State::Active;
             s.msg = msg;
@@ -340,7 +395,7 @@ Injector::checkTimeouts(Cycle now)
             Slot& s = slot(ch, vc);
             if (s.state != Slot::State::Active)
                 continue;
-            if (channelUsed_[ch])
+            if ((channelUsed_ >> ch) & 1)
                 continue;  // One kill token per channel per cycle.
             if (timeoutExpired(s, now))
                 killWorm(ch, vc, now);
@@ -353,7 +408,7 @@ Injector::injectFlits(Cycle now)
 {
     for (std::uint32_t ch = 0; ch < cfg_.injectionChannels; ++ch) {
         VcId injected_vc = kInvalidVc;
-        if (!channelUsed_[ch]) {
+        if (((channelUsed_ >> ch) & 1) == 0) {
             VcId vc = rrVc_[ch];
             for (std::uint32_t i = 0; i < cfg_.numVcs;
                  ++i, vc = nextVc(vc, cfg_.numVcs)) {
@@ -373,15 +428,15 @@ Injector::injectFlits(Cycle now)
                 std::uint32_t header = kNoHeader;
                 if (s.nextSeq == 0) {
                     header = static_cast<std::uint32_t>(
-                        sentHeaders.size());
-                    sentHeaders.push_back(buildHeader(s, now));
+                        out_.headers.size());
+                    out_.headers.push_back(buildHeader(s, now));
                     if (trace_ != nullptr) {
                         trace_->record(TraceEventKind::Inject,
                                        s.msg.id, node_, node_,
                                        s.msg.dst, s.msg.attempt);
                     }
                 }
-                sent.push_back(InjectedFlit{f, ch, vc, header});
+                out_.flits.push_back(InjectedFlit{f, ch, vc, header});
                 --s.credits;
                 ++s.nextSeq;
                 s.stallCycles = 0;
@@ -390,7 +445,7 @@ Injector::injectFlits(Cycle now)
                     audit_,
                     onFlitInjected(node_, f,
                                    header != kNoHeader
-                                       ? &sentHeaders[header]
+                                       ? &out_.headers[header]
                                        : nullptr));
                 if (f.type == FlitType::Pad)
                     stats_->padFlitsInjected.inc();
@@ -414,7 +469,7 @@ Injector::injectFlits(Cycle now)
                                                 s.msg.payloadLen - 1) /
                                 s.wireLen});
                     }
-                    busyDests_.erase(s.msg.dst);
+                    releaseDest(s.msg.dst);
                     s.state = Slot::State::Free;
                 }
                 break;
@@ -444,15 +499,14 @@ Injector::injectFlits(Cycle now)
 void
 Injector::tick(Cycle now)
 {
-    sent.clear();
-    sentHeaders.clear();
+    out_.clear();
     failed.clear();
     committedStats.clear();
-    std::fill(channelUsed_.begin(), channelUsed_.end(), false);
+    channelUsed_ = 0;
 
     // Finish processing aborts accepted during delivery.
-    for (PendingMessage& retry : pendingRetries_)
-        requeueForRetry(retry, now);
+    for (std::size_t i = 0; i < pendingRetries_.size(); ++i)
+        requeueForRetry(pendingRetries_[i], now);
     pendingRetries_.clear();
 
     // Leave cooldown: the router-side VC is purged and all credit
@@ -548,8 +602,7 @@ void
 Injector::afterRestore()
 {
     recomputeQueueMin();
-    sent.clear();
-    sentHeaders.clear();
+    out_.clear();
     failed.clear();
     committedStats.clear();
 }

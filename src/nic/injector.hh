@@ -20,14 +20,19 @@
  * destination d never starts while an earlier message to d is still
  * unfinished, which preserves per-(src,dst) order even with several
  * worms in flight.
+ *
+ * The source queue is a RingDeque and the busy-destination set a
+ * sorted table reserved to one entry per slot, so neither allocates
+ * per worm (docs/PERFORMANCE.md §10). A tick emits into an
+ * InjectorOutbox: a network binds each injector to its shard's, a
+ * standalone injector owns a private one.
  */
 
 #ifndef CRNET_NIC_INJECTOR_HH
 #define CRNET_NIC_INJECTOR_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -35,6 +40,7 @@
 #include "src/router/flit.hh"
 #include "src/routing/routing.hh"
 #include "src/sim/config.hh"
+#include "src/sim/ring_deque.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
 #include "src/topology/topology.hh"
@@ -69,22 +75,45 @@ struct CommittedSample
     double padFrac = 0.0;   //!< Pad flits / wire length.
 };
 
+/**
+ * What one injector tick puts on its channels. Cleared at tick entry;
+ * valid until the next tick of any injector bound to it.
+ */
+struct InjectorOutbox
+{
+    std::vector<InjectedFlit> flits;
+    /** The worm headers of the heads in `flits`, in order. */
+    std::vector<WormHeader> headers;
+
+    InjectorOutbox() = default;
+    /** Reserve the most one tick can emit: one flit per channel. */
+    explicit InjectorOutbox(const SimConfig& cfg);
+
+    void clear();
+};
+
 /** Per-node source interface. */
 class Injector
 {
+  private:
+    /** Private outbox of a standalone injector (else null). */
+    std::unique_ptr<InjectorOutbox> selfOutbox_;
+    /** Where tick() emits: selfOutbox_ or the shard's outbox. */
+    InjectorOutbox& out_;
+
   public:
+    /**
+     * tick() emits into `outbox`, which must outlive the injector; a
+     * standalone injector (null) owns a private one.
+     */
     Injector(NodeId node, const SimConfig& cfg, const Topology& topo,
-             const RoutingAlgorithm& algo, NetworkStats* stats,
-             Rng rng);
+             const RoutingAlgorithm& algo, NetworkStats* stats, Rng rng,
+             InjectorOutbox* outbox = nullptr);
 
     /**
      * Queue a message for transmission. Returns false (and counts a
      * drop) when the source queue is full.
      */
-    CRNET_ALLOW("alloc",
-                "per-message source-queue bookkeeping: deque block "
-                "growth is amortized and recycled in steady state "
-                "(tests/test_alloc_steady.cc)")
     bool enqueue(const PendingMessage& msg);
 
     // --- Delivery phase ----------------------------------------------
@@ -93,22 +122,18 @@ class Injector
     void acceptCredit(std::uint32_t inj_channel, VcId vc);
 
     /** Backward kill reached the source: abort and schedule a retry. */
-    CRNET_ALLOW("alloc",
-                "per-abort retry bookkeeping: requeue/retry-list "
-                "growth is amortized and recycled in steady state "
-                "(tests/test_alloc_steady.cc)")
     void acceptAbort(std::uint32_t inj_channel, VcId vc, MsgId msg);
 
     // --- Compute phase -------------------------------------------------
 
-    /** Advance one cycle; fills the `sent` outbox. */
+    /** Advance one cycle; fills the outbox. */
     CRNET_HOT_PATH
     void tick(Cycle now);
 
-    /** Flits entering injection channels this cycle. */
-    std::vector<InjectedFlit> sent;
+    /** Flits entering injection channels this cycle (the outbox's). */
+    std::vector<InjectedFlit>& sent;
     /** The worm headers of the heads in `sent`, in order. */
-    std::vector<WormHeader> sentHeaders;
+    std::vector<WormHeader>& sentHeaders;
 
     /**
      * Order-sensitive events of this tick, for the owner to apply.
@@ -178,8 +203,8 @@ class Injector
     /**
      * Snapshot field list: source queue, pending retries, per-slot
      * worm state, busy-destination set (sorted) and the RNG stream.
-     * The `sent` outbox and channelUsed_ are cleared at tick entry
-     * and need not round-trip.
+     * The outbox and channelUsed_ are cleared at tick entry and need
+     * not round-trip.
      */
     template <typename Self, typename Io>
     static void serialize(Self& self, Io& io);
@@ -207,17 +232,20 @@ class Injector
 
     Slot& slot(std::uint32_t ch, VcId vc);
     const Slot& slot(std::uint32_t ch, VcId vc) const;
+    /** True while busyDests_ holds `dst`. */
+    bool destBusy(NodeId dst) const;
+    /** Add `dst` to busyDests_, keeping it sorted (set semantics). */
     CRNET_ALLOW("alloc",
-                "seenScratch_/busyDests_ reuse: amortized growth "
-                "only, steady-state-free (tests/test_alloc_steady.cc)")
+                "busyDests_ holds at most one entry per slot and is "
+                "reserved to the slot count at construction, so this "
+                "insert never grows it")
+    void markDestBusy(NodeId dst);
+    /** Remove `dst` from busyDests_ (a no-op when absent). */
+    void releaseDest(NodeId dst);
     void startWorms(Cycle now);
     void checkTimeouts(Cycle now);
     void injectFlits(Cycle now);
     void killWorm(std::uint32_t ch, VcId vc, Cycle now);
-    CRNET_ALLOW("alloc",
-                "per-retry queue bookkeeping: deque block growth is "
-                "amortized and recycled in steady state "
-                "(tests/test_alloc_steady.cc)")
     void requeueForRetry(PendingMessage msg, Cycle now);
     WireFlit buildFlit(const Slot& s, std::uint32_t seq) const;
     /** The header of the worm in `s`, whose head goes out `now`. */
@@ -235,7 +263,7 @@ class Injector
     Tracer* trace_ = nullptr;
     Rng rng_;
 
-    std::deque<PendingMessage> queue_;
+    RingDeque<PendingMessage> queue_;
     /**
      * Exact minimum notBefore over queue_ (kNeverCycle when empty),
      * maintained incrementally so nextEventCycle() never rescans a
@@ -245,18 +273,20 @@ class Injector
      */
     Cycle queueMinNotBefore_ = kNeverCycle;
     /** Aborts accepted during delivery, requeued at the next tick. */
-    std::vector<PendingMessage> pendingRetries_;
+    RingDeque<PendingMessage> pendingRetries_;
     std::vector<Slot> slots_;  //!< [channel][vc] flattened.
-    std::unordered_set<NodeId> busyDests_;
+    /**
+     * Destinations of unfinished worms, ascending: a set, flat. Each
+     * worm start inserts its destination and each worm end (commit,
+     * retry, give-up) erases it, so it never holds more entries than
+     * there are slots.
+     */
+    std::vector<NodeId> busyDests_;
     std::vector<VcId> rrVc_;   //!< Injection arbitration per channel.
-    std::vector<bool> channelUsed_;  //!< One flit/channel/cycle.
-    std::vector<NodeId> seenScratch_;  //!< startWorms queue-scan reuse.
+    std::uint64_t channelUsed_ = 0;  //!< Bit ch: channel ch sent.
 };
 
 template <typename Self, typename Io>
-CRNET_ALLOW("unordered-iter",
-            "busy-destination set is sorted before serialization so "
-            "the snapshot bytes never depend on hash order")
 void
 Injector::serialize(Self& self, Io& io)
 {
@@ -274,7 +304,8 @@ Injector::serialize(Self& self, Io& io)
         io.u64(s.startCycle);
         io.u64(s.stallCycles);
     }
-    io.sorted(self.busyDests_, [&](auto& dst) { io.u32(dst); });
+    // Kept sorted: the bytes of a set listed in ascending order.
+    io.seq(self.busyDests_, [&](auto& dst) { io.u32(dst); });
     for (auto& vc : self.rrVc_)
         io.u16(vc);
     io.rng(self.rng_);

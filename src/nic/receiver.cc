@@ -8,9 +8,28 @@
 
 namespace crnet {
 
+ReceiverOutbox::ReceiverOutbox(const SimConfig& cfg)
+{
+    credits.reserve(cfg.ejectionChannels);
+    bkills.reserve(static_cast<std::size_t>(cfg.ejectionChannels) *
+                   cfg.numVcs);
+}
+
+void
+ReceiverOutbox::clear()
+{
+    credits.clear();
+    bkills.clear();
+}
+
 Receiver::Receiver(NodeId node, const SimConfig& cfg,
-                   NetworkStats* stats, DeliverySink* sink)
-    : node_(node), cfg_(cfg), stats_(stats), sink_(sink),
+                   NetworkStats* stats, DeliverySink* sink,
+                   ReceiverOutbox* outbox)
+    : selfOutbox_(outbox == nullptr
+                      ? std::make_unique<ReceiverOutbox>(cfg)
+                      : nullptr),
+      out_(outbox == nullptr ? *selfOutbox_ : *outbox), node_(node),
+      cfg_(cfg), stats_(stats), sink_(sink),
       rrVc_(cfg.ejectionChannels, 0)
 {
     if (stats == nullptr || sink == nullptr)
@@ -146,7 +165,7 @@ Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
     b.refusing = false;
 
     const WireFlit flit = b.buf.pop();
-    credits.push_back(ReceiverCredit{ch, vc});
+    out_.credits.push_back(ReceiverCredit{ch, vc});
     stats_->flitsConsumed.inc();
     CRNET_AUDIT_HOOK(audit_,
                      onFlitConsumed(node_, flit,
@@ -372,7 +391,7 @@ Receiver::checkStarvation(Cycle now)
         }
         // Tear the stranded ejection reservation down toward the
         // source; the router treats this like any backward kill.
-        bkills.push_back(ReceiverCredit{a.ejChannel, a.vc});
+        out_.bkills.push_back(ReceiverCredit{a.ejChannel, a.vc});
         resolveTerminated(id, a, now);
     }
 }
@@ -419,8 +438,7 @@ Receiver::resolveAllTerminated(Cycle now)
 void
 Receiver::tick(Cycle now)
 {
-    credits.clear();
-    bkills.clear();
+    out_.clear();
     if (dynamicFaults_) {
         resolveAllTerminated(now);
         if (now % kStarvationCheckPeriod == 0)
@@ -435,9 +453,9 @@ Receiver::tick(Cycle now)
                 continue;
             if (b.refusing && b.refusedMsg == b.buf.front().msg)
                 continue;  // Withholding flow control on purpose.
-            const std::size_t before = credits.size();
+            const std::size_t before = out_.credits.size();
             consume(ch, vc, now);
-            if (credits.size() != before) {
+            if (out_.credits.size() != before) {
                 // Consumed: one flit per ejection channel per cycle.
                 rrVc_[ch] = nextVc(vc, cfg_.numVcs);
                 break;
@@ -509,8 +527,7 @@ Receiver::nextEventCycle(Cycle now) const
 void
 Receiver::afterRestore()
 {
-    credits.clear();
-    bkills.clear();
+    out_.clear();
 }
 
 } // namespace crnet

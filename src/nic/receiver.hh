@@ -40,6 +40,7 @@
 #define CRNET_NIC_RECEIVER_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -95,16 +96,40 @@ struct ReceiverCredit
     VcId vc = kInvalidVc;
 };
 
+/**
+ * What one receiver tick owes the local router. Cleared at tick entry;
+ * valid until the next tick of any receiver bound to it.
+ */
+struct ReceiverOutbox
+{
+    std::vector<ReceiverCredit> credits;
+    /** Backward kills (starvation timeouts; dynamic faults only). */
+    std::vector<ReceiverCredit> bkills;
+
+    ReceiverOutbox() = default;
+    /** Reserve a credit per ejection channel, a bkill per its VC. */
+    explicit ReceiverOutbox(const SimConfig& cfg);
+
+    void clear();
+};
+
 /** Per-node sink interface. */
 class Receiver
 {
+  private:
+    /** Private outbox of a standalone receiver (else null). */
+    std::unique_ptr<ReceiverOutbox> selfOutbox_;
+    /** Where tick() emits: selfOutbox_ or the shard's outbox. */
+    ReceiverOutbox& out_;
+
   public:
     /**
      * `sink` gets every completed message. Neither `stats` nor `sink`
-     * may be null.
+     * may be null. tick() emits into `outbox`, which must outlive the
+     * receiver; a standalone receiver (null) owns a private one.
      */
     Receiver(NodeId node, const SimConfig& cfg, NetworkStats* stats,
-             DeliverySink* sink);
+             DeliverySink* sink, ReceiverOutbox* outbox = nullptr);
 
     // The ejection buffers point into slots_.
     Receiver(const Receiver&) = delete;
@@ -129,18 +154,12 @@ class Receiver
 
     // --- Compute phase -------------------------------------------------
 
-    /** Consume up to one flit per ejection channel. */
+    /**
+     * Consume up to one flit per ejection channel; the credits and
+     * backward kills owed to the router go to the outbox.
+     */
     CRNET_HOT_PATH
     void tick(Cycle now);
-
-    /** Credits owed to the router's ejection output VCs this cycle. */
-    std::vector<ReceiverCredit> credits;
-
-    /**
-     * Backward kills owed to the router's ejection output VCs this
-     * cycle (starvation timeouts; dynamic-fault mode only).
-     */
-    std::vector<ReceiverCredit> bkills;
 
     // --- Introspection ---------------------------------------------------
 
@@ -204,8 +223,8 @@ class Receiver
     /**
      * Snapshot field list: ejection buffers, refusal state, open
      * assemblies and the exactly-once bookkeeping (both serialized in
-     * sorted order). The credit/bkill outboxes are cleared at tick
-     * entry and need not round-trip.
+     * sorted order). The outbox is cleared at tick entry and need not
+     * round-trip.
      */
     template <typename Self, typename Io>
     static void serialize(Self& self, Io& io);
@@ -268,7 +287,7 @@ class Receiver
                 "collects starved ids from the assembly map, then "
                 "sorts into MsgId order before salvaging")
     CRNET_ALLOW("alloc",
-                "starvedScratch_/bkills reuse: amortized growth only, "
+                "starvedScratch_ reuse: amortized growth only, "
                 "steady-state-free (tests/test_alloc_steady.cc)")
     void checkStarvation(Cycle now);
 

@@ -54,31 +54,64 @@ Router::StatePool::bytes() const
            rrOutIn_.capacity() * sizeof(PortId);
 }
 
-Router::Router(NodeId id, const SimConfig& cfg,
-               const RoutingAlgorithm& algo, RouterStats* stats,
-               Rng rng)
-    : id_(id), cfg_(cfg), algo_(algo), stats_(stats), rng_(rng),
-      networkPorts_(static_cast<PortId>(2 * cfg.dimensionsN)),
-      numInPorts_(static_cast<PortId>(networkPorts_ +
-                                      cfg.injectionChannels)),
-      numOutPorts_(static_cast<PortId>(networkPorts_ +
-                                       cfg.ejectionChannels)),
-      numVcs_(cfg.numVcs),
-      selfPool_(std::make_unique<StatePool>(cfg, 1))
+RouterOutbox::RouterOutbox(const SimConfig& cfg)
 {
-    attach(*selfPool_, 0);
+    const std::size_t net = 2 * static_cast<std::size_t>(cfg.dimensionsN);
+    const std::size_t in_ports = net + cfg.injectionChannels;
+    const std::size_t out_ports = net + cfg.ejectionChannels;
+    // One flit per output port (a kill token or a granted flit), one
+    // credit per input port, one backward kill or abort per input VC.
+    flits.reserve(out_ports);
+    headers.reserve(out_ports);
+    credits.reserve(in_ports);
+    bkills.reserve(in_ports * cfg.numVcs);
+    aborts.reserve(in_ports * cfg.numVcs);
+    candidates.reserve(out_ports * cfg.numVcs);
+}
+
+void
+RouterOutbox::clear()
+{
+    flits.clear();
+    headers.clear();
+    credits.clear();
+    bkills.clear();
+    aborts.clear();
 }
 
 Router::Router(NodeId id, const SimConfig& cfg,
                const RoutingAlgorithm& algo, RouterStats* stats,
-               Rng rng, StatePool& pool, std::uint64_t poolIndex)
-    : id_(id), cfg_(cfg), algo_(algo), stats_(stats), rng_(rng),
+               Rng rng, RouterOutbox* outbox)
+    : selfOutbox_(outbox == nullptr ? std::make_unique<RouterOutbox>(cfg)
+                                    : nullptr),
+      out_(outbox == nullptr ? *selfOutbox_ : *outbox),
+      sentFlits(out_.flits), sentHeaders(out_.headers),
+      sentCredits(out_.credits), sentBkills(out_.bkills),
+      sentAborts(out_.aborts),
+      id_(id), cfg_(cfg), algo_(algo), stats_(stats), rng_(rng),
       networkPorts_(static_cast<PortId>(2 * cfg.dimensionsN)),
       numInPorts_(static_cast<PortId>(networkPorts_ +
                                       cfg.injectionChannels)),
       numOutPorts_(static_cast<PortId>(networkPorts_ +
                                        cfg.ejectionChannels)),
       numVcs_(cfg.numVcs)
+{
+}
+
+Router::Router(NodeId id, const SimConfig& cfg,
+               const RoutingAlgorithm& algo, RouterStats* stats,
+               Rng rng)
+    : Router(id, cfg, algo, stats, rng, nullptr)
+{
+    selfPool_ = std::make_unique<StatePool>(cfg, 1);
+    attach(*selfPool_, 0);
+}
+
+Router::Router(NodeId id, const SimConfig& cfg,
+               const RoutingAlgorithm& algo, RouterStats* stats,
+               Rng rng, StatePool& pool, std::uint64_t poolIndex,
+               RouterOutbox& outbox)
+    : Router(id, cfg, algo, stats, rng, &outbox)
 {
     attach(pool, poolIndex);
 }
@@ -109,11 +142,6 @@ Router::attach(StatePool& pool, std::uint64_t index)
         }
     }
 
-    scratch_.reserve(numOutVcs());
-    sentFlits.reserve(numOutVcs());
-    sentCredits.reserve(numInVcs());
-    sentBkills.reserve(8);
-    sentAborts.reserve(8);
     pendingBkillsAsOut_.reserve(8);
 }
 
@@ -147,40 +175,37 @@ Router::ovc(PortId p, VcId v) const
     return outputs_[static_cast<std::size_t>(p) * numVcs_ + v];
 }
 
-namespace {
-
-void
-setBit(std::uint64_t& mask, std::size_t i, bool on)
-{
-    const std::uint64_t bit = std::uint64_t{1} << i;
-    mask = on ? mask | bit : mask & ~bit;
-}
-
-} // namespace
-
 void
 Router::setState(PortId p, VcId v, InputVc::State s)
 {
     const std::size_t i = vcIndex(p, v);
-    inputs_[i].state = s;
+    InputVc& in = inputs_[i];
+    in.state = s;
+    const bool active = s == InputVc::State::Active;
     setBit(routingMask_, i, s == InputVc::State::Routing);
-    setBit(activeMask_, i, s == InputVc::State::Active);
+    setBit(activeMask_, i, active);
+    setBit(creditMask_, i,
+           active && ovc(in.outPort, in.outVc).credits > 0);
 }
 
 void
 Router::setKillPending(PortId p, VcId v, bool on)
 {
-    const std::size_t i = vcIndex(p, v);
-    inputs_[i].killPending = on;
-    setBit(killMask_, i, on);
+    setBit(killMask_, vcIndex(p, v), on);
 }
 
 void
 Router::markMoved(PortId p, VcId v)
 {
+    setBit(movedMask_, vcIndex(p, v), true);
+}
+
+std::size_t
+Router::purge(PortId p, VcId v)
+{
     const std::size_t i = vcIndex(p, v);
-    inputs_[i].movedThisCycle = true;
-    setBit(movedMask_, i, true);
+    setBit(bufferedMask_, i, false);
+    return inputs_[i].buf.purge();
 }
 
 void
@@ -194,7 +219,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
     InputVc& in = ivc(in_port, vc);
 
     if (flit.isKill()) {
-        const std::size_t purged = in.buf.purge();
+        const std::size_t purged = purge(in_port, vc);
         stats_->flitsPurged.inc(purged);
         CRNET_AUDIT_HOOK(audit_, onFlitsPurged(purged));
         switch (in.state) {
@@ -229,6 +254,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
                 panic("head of msg ", flit.msg, " arrived at node ", id_,
                       " without its worm header");
             in.buf.push(flit);
+            setBit(bufferedMask_, vcIndex(in_port, vc), true);
             setState(in_port, vc, InputVc::State::Routing);
             in.msg = flit.msg;
             in.attempt = flit.attempt;
@@ -255,6 +281,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
         panic("interleaved worms on one VC: msg ", flit.msg, " vs ",
               in.msg, " at node ", id_);
     in.buf.push(flit);
+    setBit(bufferedMask_, vcIndex(in_port, vc), true);
 }
 
 void
@@ -267,7 +294,17 @@ Router::acceptCredit(PortId out_port, VcId vc)
         stats_->lateCreditsDropped.inc();
         return;
     }
-    ++o.credits;
+    if (o.credits++ != 0 || !o.allocated)
+        return;  // The credit-ready bit is already right.
+    // The output can outlive its holder: a kill retires the input VC
+    // before its token crosses the switch and frees the output, and
+    // the VC may by now carry a worm bound elsewhere. Only a holder
+    // still Active on this very output becomes ready.
+    const InputVc& h = ivc(o.holderPort, o.holderVc);
+    if (h.state == InputVc::State::Active && h.outPort == out_port &&
+        h.outVc == vc) {
+        setBit(creditMask_, vcIndex(o.holderPort, o.holderVc), true);
+    }
 }
 
 void
@@ -311,7 +348,7 @@ Router::processBkills()
             continue;
         }
         const MsgId msg = in.msg;
-        const std::size_t purged = in.buf.purge();
+        const std::size_t purged = purge(hp, hv);
         stats_->flitsPurged.inc(purged);
         stats_->bkillHops.inc();
         if (trace_ != nullptr) {
@@ -334,11 +371,11 @@ void
 Router::propagateUpstream(PortId in_port, VcId vc, MsgId msg)
 {
     if (in_port >= injBase()) {
-        sentAborts.push_back(SentAbort{
+        out_.aborts.push_back(SentAbort{
             static_cast<std::uint32_t>(in_port - injBase()), vc, msg});
         return;
     }
-    sentBkills.push_back(SentBkill{in_port, vc});
+    out_.bkills.push_back(SentBkill{in_port, vc});
 }
 
 std::uint64_t
@@ -352,7 +389,7 @@ Router::forwardKills()
         if (busy & bit)
             return;  // Another kill claimed the channel; wait.
         busy |= bit;
-        sentFlits.push_back(SentFlit{c.killFlit, o, c.killOutVc});
+        out_.flits.push_back(SentFlit{c.killFlit, o, c.killOutVc});
         stats_->killsForwarded.inc();
         if (trace_ != nullptr) {
             trace_->record(TraceEventKind::KillHop, c.killFlit.msg, id_,
@@ -424,9 +461,10 @@ Router::routeHeader(PortId p, VcId v, Cycle now)
             }
         }
     } else {
-        scratch_.clear();
-        algo_.candidates(id_, head, scratch_, rng_);
-        for (const Candidate& c : scratch_) {
+        std::vector<Candidate>& cands = out_.candidates;
+        cands.clear();
+        algo_.candidates(id_, head, cands, rng_);
+        for (const Candidate& c : cands) {
             OutputVc& o = ovc(c.port, c.vc);
             if (o.allocated || o.credits < cfg_.bufferDepth ||
                 now < o.quarantineUntil) {
@@ -469,17 +507,18 @@ Router::routeHeader(PortId p, VcId v, Cycle now)
 void
 Router::allocateSwitch(std::uint64_t busy_outputs)
 {
-    // Phase 1: each input port with an Active VC nominates one
-    // (round-robin scan over its Active bits) and sets its bit in the
-    // request mask of that VC's output.
+    // Phase 1: each input port with a ready VC (Active, a flit
+    // buffered, a credit on its output VC) nominates one, by a
+    // round-robin scan over its ready bits, and sets its bit in the
+    // request mask of that VC's output. A blocked VC is never loaded.
     std::uint64_t requested = 0;  // Outputs with at least one request.
     // [out]: requesting inputs; set where `requested` has the bit.
     std::uint64_t req[kMaxRouterPorts];
     VcId nominee[kMaxRouterPorts];  // [in]: set before its bit is.
     const std::uint64_t lane = (std::uint64_t{1} << numVcs_) - 1;
-    std::uint64_t active = activeMask_;
-    for (PortId p = 0; active != 0; ++p, active >>= numVcs_) {
-        const std::uint64_t mine = active & lane;
+    std::uint64_t ready = activeMask_ & bufferedMask_ & creditMask_;
+    for (PortId p = 0; ready != 0; ++p, ready >>= numVcs_) {
+        const std::uint64_t mine = ready & lane;
         if (mine == 0)
             continue;
         // Rotate the port's lane so bit j is VC rrInVc_[p] + j (mod
@@ -492,13 +531,9 @@ Router::allocateSwitch(std::uint64_t busy_outputs)
             if (v >= numVcs_)
                 v = static_cast<VcId>(v - numVcs_);
             const InputVc& in = ivc(p, v);
-            if (in.buf.empty())
-                continue;
             const std::uint64_t out = std::uint64_t{1} << in.outPort;
             if (busy_outputs & out)
                 continue;  // Channel taken by a kill this cycle.
-            if (ovc(in.outPort, in.outVc).credits == 0)
-                continue;
             const std::uint64_t mask =
                 (requested & out) ? req[in.outPort] : 0;
             req[in.outPort] = mask | std::uint64_t{1} << p;
@@ -520,19 +555,23 @@ Router::allocateSwitch(std::uint64_t busy_outputs)
         const auto p = static_cast<PortId>(
             std::countr_zero(after != 0 ? after : mask));
         const VcId v = nominee[p];
-        InputVc& in = ivc(p, v);
+        const std::size_t i = vcIndex(p, v);
+        InputVc& in = inputs_[i];
         OutputVc& out = ovc(o, in.outVc);
         WireFlit flit = in.buf.pop();
+        if (in.buf.empty())
+            setBit(bufferedMask_, i, false);
         std::uint32_t header = kNoHeader;
         if (flit.isHead()) {
             if (o < networkPorts_)
                 algo_.onTraverse(id_, o, flit);
-            header = static_cast<std::uint32_t>(sentHeaders.size());
-            sentHeaders.push_back(icold(p, v).header);
+            header = static_cast<std::uint32_t>(out_.headers.size());
+            out_.headers.push_back(cold_[i].header);
         }
-        --out.credits;
-        sentFlits.push_back(SentFlit{flit, o, in.outVc, header});
-        sentCredits.push_back(SentCredit{p, v});
+        if (--out.credits == 0)
+            setBit(creditMask_, i, false);
+        out_.flits.push_back(SentFlit{flit, o, in.outVc, header});
+        out_.credits.push_back(SentCredit{p, v});
         stats_->flitsForwarded.inc();
         if (heatTracking_)
             ++heatForwarded_[o];
@@ -556,7 +595,7 @@ Router::killWormAt(PortId p, VcId v)
 {
     InputVc& in = ivc(p, v);
     const MsgId msg = in.msg;
-    const std::size_t purged = in.buf.purge();
+    const std::size_t purged = purge(p, v);
     stats_->flitsPurged.inc(purged);
     stats_->pathWideKills.inc();
     if (trace_ != nullptr) {
@@ -633,7 +672,7 @@ Router::onInputLinkDead(PortId in_port, Cycle now)
         if (in.state == InputVc::State::Idle)
             continue;  // Nothing stranded on this VC.
         const MsgId msg = in.msg;
-        const std::size_t purged = in.buf.purge();
+        const std::size_t purged = purge(in_port, v);
         stats_->flitsPurged.inc(purged);
         stats_->linkDeathTeardowns.inc();
         CRNET_AUDIT_HOOK(audit_, onFlitsPurged(purged));
@@ -685,11 +724,13 @@ Router::checkRouterTimeouts()
         cfg_.timeoutScheme == TimeoutScheme::DropAtBlock
             ? routingMask_
             : routingMask_ | activeMask_;
-    forEachVc(watched, [&](PortId p, VcId v) {
-        InputVc& in = ivc(p, v);
-        const bool blocked = !in.movedThisCycle &&
-            (in.state == InputVc::State::Routing || !in.buf.empty());
-        if (blocked && ++in.stallCycles > cfg_.timeout)
+    // Blocked: no progress this cycle and something to move (a waiting
+    // header counts). A kill touches only its own VC, so the mask
+    // taken up front is what a per-VC test would see.
+    const std::uint64_t blocked =
+        watched & ~movedMask_ & (routingMask_ | bufferedMask_);
+    forEachVc(blocked, [&](PortId p, VcId v) {
+        if (++ivc(p, v).stallCycles > cfg_.timeout)
             killWormAt(p, v);
     });
 }
@@ -698,18 +739,11 @@ void
 Router::tick(Cycle now)
 {
     now_ = now;
-    sentFlits.clear();
-    sentHeaders.clear();
-    sentCredits.clear();
-    sentBkills.clear();
-    sentAborts.clear();
+    out_.clear();
     if ((routingMask_ | activeMask_ | killMask_ | movedMask_) == 0 &&
         pendingBkillsAsOut_.empty()) {
         return;  // Every VC is Idle, clean and empty: nothing to do.
     }
-    forEachVc(movedMask_, [&](PortId p, VcId v) {
-        ivc(p, v).movedThisCycle = false;
-    });
     movedMask_ = 0;
 
     processBkills();
@@ -748,23 +782,17 @@ Router::heatBlocked(PortId in_port) const
 void
 Router::accumulateHeat()
 {
-    for (PortId p = 0; p < numInPorts_; ++p) {
-        bool blocked = false;
-        for (VcId v = 0; v < numVcs_; ++v) {
-            const InputVc& in = ivc(p, v);
-            heatOccupancy_ += in.buf.size();
-            if (in.state == InputVc::State::Idle)
-                continue;
-            // Same notion of "blocked" as the path-wide timeout: the
-            // worm holds the VC, made no progress this cycle, and has
-            // something to move (a waiting header counts).
-            if (!in.movedThisCycle &&
-                (in.state == InputVc::State::Routing ||
-                 !in.buf.empty())) {
-                blocked = true;
-            }
-        }
-        if (blocked)
+    // Same notion of "blocked" as the path-wide timeout: the worm
+    // holds the VC, made no progress this cycle, and has something to
+    // move (a waiting header counts).
+    forEachVc(bufferedMask_, [&](PortId p, VcId v) {
+        heatOccupancy_ += ivc(p, v).buf.size();
+    });
+    const std::uint64_t lane = (std::uint64_t{1} << numVcs_) - 1;
+    std::uint64_t blocked = (routingMask_ | activeMask_) & ~movedMask_ &
+                            (routingMask_ | bufferedMask_);
+    for (PortId p = 0; blocked != 0; ++p, blocked >>= numVcs_) {
+        if ((blocked & lane) != 0)
             ++heatBlocked_[p];
     }
 }
@@ -782,9 +810,8 @@ std::uint64_t
 Router::bufferedFlits() const
 {
     std::uint64_t n = 0;
-    const std::size_t nin = numInVcs();
-    for (std::size_t i = 0; i < nin; ++i)
-        n += inputs_[i].buf.size();
+    forEachVc(bufferedMask_,
+              [&](PortId p, VcId v) { n += ivc(p, v).buf.size(); });
     return n;
 }
 
@@ -809,7 +836,7 @@ Router::inputProbe(PortId in_port, VcId vc) const
     p.attempt = in.attempt;
     p.buffered = static_cast<std::uint32_t>(in.buf.size());
     p.stallCycles = in.stallCycles;
-    p.killPending = in.killPending;
+    p.killPending = ((killMask_ >> i) & 1) != 0;
     p.outPort = in.outPort;
     p.outVc = in.outVc;
     p.headArrivedAt = cold_[i].headArrivedAt;
@@ -825,7 +852,15 @@ Router::inputOccupancy(PortId in_port, VcId vc) const
 bool
 Router::inputKillPending(PortId in_port, VcId vc) const
 {
-    return ivc(in_port, vc).killPending;
+    return ((killMask_ >> vcIndex(in_port, vc)) & 1) != 0;
+}
+
+Router::ReadyBits
+Router::readyBits(PortId in_port, VcId vc) const
+{
+    const std::size_t i = vcIndex(in_port, vc);
+    return ReadyBits{((bufferedMask_ >> i) & 1) != 0,
+                     ((creditMask_ >> i) & 1) != 0};
 }
 
 Router::OutputProbe
@@ -838,19 +873,15 @@ Router::outputProbe(PortId out_port, VcId vc) const
 void
 Router::afterRestore()
 {
-    sentFlits.clear();
-    sentHeaders.clear();
-    sentCredits.clear();
-    sentBkills.clear();
-    sentAborts.clear();
-    routingMask_ = activeMask_ = killMask_ = movedMask_ = 0;
+    out_.clear();
+    // The kill and moved masks came with the snapshot; the derived
+    // ones are rebuilt from the VC records.
+    routingMask_ = activeMask_ = bufferedMask_ = creditMask_ = 0;
     for (PortId p = 0; p < numInPorts_; ++p) {
         for (VcId v = 0; v < numVcs_; ++v) {
             const InputVc& in = ivc(p, v);
             setState(p, v, in.state);
-            setKillPending(p, v, in.killPending);
-            if (in.movedThisCycle)
-                markMoved(p, v);
+            setBit(bufferedMask_, vcIndex(p, v), !in.buf.empty());
         }
     }
 }

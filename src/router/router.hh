@@ -31,16 +31,23 @@
  * without an external pool owns a private single-node pool, keeping
  * standalone use (unit tests) source-compatible.
  *
- * Live-VC masks: each router keeps four 64-bit masks over its input
- * VCs (bit `port * numVcs + vc`): Routing, Active, kill pending and
- * moved this cycle (hence at most 64 input VCs, which
- * SimConfig::validate enforces). Setters write a VC's state, kill
- * flag or moved flag together with its bit, and the tick clears all
- * moved flags at once; afterRestore() rebuilds the masks from the VC
- * records, so they are never serialized. The tick's stages visit only set bits, in ascending
+ * Live-VC masks: each router keeps six 64-bit masks over its input
+ * VCs (bit `port * numVcs + vc`, hence at most 64 input VCs, which
+ * SimConfig::validate enforces). Routing and Active mirror the VC
+ * state, written with it by setState(). Kill pending and moved this
+ * cycle are the only copy of those two flags; the snapshot lists each
+ * bit as a bool among its VC's fields. Buffered (the buffer
+ * holds a flit) and credit-ready (Active, and its output VC has a
+ * credit) let switch allocation nominate without loading a blocked
+ * VC's line. afterRestore() rebuilds the four derived masks from the
+ * VC records. The tick's stages visit only set bits, in ascending
  * (port, VC) order, and a router whose masks are empty and that has
- * no backward kill queued stops after clearing its outboxes; idle()
- * is a mask test (docs/PERFORMANCE.md, "Live-VC masks").
+ * no backward kill queued stops after clearing its outbox; idle() is
+ * a mask test (docs/PERFORMANCE.md, "Live-VC masks" and §10).
+ *
+ * Outbox: a tick emits into a RouterOutbox. A network binds every
+ * router of a shard to the shard's outbox and drains it right after
+ * each tick; a standalone router owns a private one.
  *
  * Kill machinery (the CR-specific part):
  *  - A forward Kill token arriving at an input VC purges the worm's
@@ -63,6 +70,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -132,10 +140,37 @@ struct SentAbort
     MsgId msg = kInvalidMsg;
 };
 
+/**
+ * What one router tick emits, plus route computation's candidate
+ * scratch. Cleared at tick entry; valid until the next tick of any
+ * router bound to it.
+ */
+struct RouterOutbox
+{
+    std::vector<SentFlit> flits;
+    /** The headers of the heads in `flits`, in order. */
+    std::vector<WormHeader> headers;
+    std::vector<SentCredit> credits;
+    std::vector<SentBkill> bkills;
+    std::vector<SentAbort> aborts;
+    std::vector<Candidate> candidates;
+
+    RouterOutbox() = default;
+    /** Reserve the most one tick can emit under `cfg`'s geometry. */
+    explicit RouterOutbox(const SimConfig& cfg);
+
+    void clear();
+};
+
 /** One wormhole router. */
 class Router
 {
   private:
+    /** Private outbox of a standalone router (else null). */
+    std::unique_ptr<RouterOutbox> selfOutbox_;
+    /** Where tick() emits: selfOutbox_ or the shard's outbox. */
+    RouterOutbox& out_;
+
     /**
      * Hot per-input-VC state: exactly the fields Router::tick reads
      * every cycle, packed into one cache line. What only kills and
@@ -152,11 +187,8 @@ class Router
         PortId outPort = kInvalidPort;  //!< Allocation when Active.
         VcId outVc = kInvalidVc;
         State state = State::Idle;
-        bool movedThisCycle = false;    //!< Progress flag (stall calc).
         bool blockTraced = false;       //!< Block event emitted for
                                         //!< the current stall episode.
-        bool killPending = false;       //!< Cold record holds a token
-                                        //!< to forward.
     };
     static_assert(sizeof(InputVc) <= 64,
                   "Router::InputVc must stay within one cache line");
@@ -246,12 +278,14 @@ class Router
 
     /**
      * Pool-backed router: mutable VC state lives in `pool` at slice
-     * `poolIndex`. The pool must outlive the router and its arrays
-     * must never reallocate (they are sized once at construction).
+     * `poolIndex`, and tick() emits into `outbox`. Both must outlive
+     * the router; the pool's arrays never reallocate (they are sized
+     * once at construction).
      */
     Router(NodeId id, const SimConfig& cfg,
            const RoutingAlgorithm& algo, RouterStats* stats, Rng rng,
-           StatePool& pool, std::uint64_t poolIndex);
+           StatePool& pool, std::uint64_t poolIndex,
+           RouterOutbox& outbox);
 
     NodeId id() const { return id_; }
     PortId numInPorts() const { return numInPorts_; }
@@ -321,13 +355,13 @@ class Router
      */
     void onOutputLinkRepaired(PortId out_port, Cycle now);
 
-    // --- Outboxes (valid after tick; cleared at next tick) -----------
-    std::vector<SentFlit> sentFlits;
+    // --- The bound outbox's lists (valid after tick) -----------------
+    std::vector<SentFlit>& sentFlits;
     /** The headers of the heads in sentFlits, in order. */
-    std::vector<WormHeader> sentHeaders;
-    std::vector<SentCredit> sentCredits;
-    std::vector<SentBkill> sentBkills;
-    std::vector<SentAbort> sentAborts;
+    std::vector<WormHeader>& sentHeaders;
+    std::vector<SentCredit>& sentCredits;
+    std::vector<SentBkill>& sentBkills;
+    std::vector<SentAbort>& sentAborts;
 
     // --- Introspection (tests, watchdog) ------------------------------
 
@@ -389,6 +423,14 @@ class Router
     /** True while a forward kill waits on this input VC. */
     bool inputKillPending(PortId in_port, VcId vc) const;
 
+    /** The switch-readiness mask bits of one input VC (test hook). */
+    struct ReadyBits
+    {
+        bool buffered = false;     //!< The buffer holds a flit.
+        bool creditReady = false;  //!< Active, output VC has a credit.
+    };
+    ReadyBits readyBits(PortId in_port, VcId vc) const;
+
     /** Credit-ledger view of one output VC. */
     struct OutputProbe
     {
@@ -412,12 +454,26 @@ class Router
     template <typename Self, typename Io>
     static void serialize(Self& self, Io& io);
 
-    /** Restore's last step: empty the outboxes, rebuild the masks. */
+    /** Restore's last step: empty the outbox, rebuild the masks. */
     void afterRestore();
 
   private:
+    /** The common part: a null `outbox` makes a private one. */
+    Router(NodeId id, const SimConfig& cfg, const RoutingAlgorithm& algo,
+           RouterStats* stats, Rng rng, RouterOutbox* outbox);
+
     /** Bind the pool slice at `index` and initialize its fields. */
     void attach(StatePool& pool, std::uint64_t index);
+
+    static void setBit(std::uint64_t& mask, std::size_t i, bool on)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        mask = on ? mask | bit : mask & ~bit;
+    }
+
+    /** Snapshot mask bit `i` as one bool field. */
+    template <typename Io, typename Mask>
+    static void serializeBit(Io& io, Mask& mask, std::size_t i);
 
     InputVc& ivc(PortId p, VcId v);
     const InputVc& ivc(PortId p, VcId v) const;
@@ -455,12 +511,16 @@ class Router
         }
     }
 
-    // Each writes an input VC field and its mask bit together; no
-    // other code writes state or killPending, and tick() clears every
-    // moved flag and the moved mask at once.
+    /**
+     * Write (p, v)'s state and its Routing, Active and credit-ready
+     * bits; entering Active reads the credits of the output VC the
+     * caller already stored in the record. No other code writes state.
+     */
     void setState(PortId p, VcId v, InputVc::State s);
     void setKillPending(PortId p, VcId v, bool on);
     void markMoved(PortId p, VcId v);
+    /** Empty (p, v)'s buffer; returns the flits dropped. */
+    std::size_t purge(PortId p, VcId v);
 
     void processBkills();
     /** Send pending kill tokens; returns the output ports they took. */
@@ -503,11 +563,15 @@ class Router
     VcId* rrInVc_ = nullptr;     //!< Round-robin, per input port.
     PortId* rrOutIn_ = nullptr;  //!< Round-robin, per output port.
 
-    // Input-VC masks (bit vcIndex(p, v)); derived, never serialized.
-    std::uint64_t routingMask_ = 0;  //!< State Routing.
-    std::uint64_t activeMask_ = 0;   //!< State Active.
-    std::uint64_t killMask_ = 0;     //!< killPending.
-    std::uint64_t movedMask_ = 0;    //!< movedThisCycle.
+    // Input-VC masks (bit vcIndex(p, v)). The kill and moved masks are
+    // the flags themselves and serialized; the rest are derived,
+    // rebuilt on restore and never serialized.
+    std::uint64_t routingMask_ = 0;   //!< State Routing.
+    std::uint64_t activeMask_ = 0;    //!< State Active.
+    std::uint64_t killMask_ = 0;      //!< A kill token waits to leave.
+    std::uint64_t movedMask_ = 0;     //!< Moved this cycle (stalls).
+    std::uint64_t bufferedMask_ = 0;  //!< The buffer holds a flit.
+    std::uint64_t creditMask_ = 0;    //!< Active, output has a credit.
 
     /** Backward kills accepted last delivery, processed this tick. */
     std::vector<SentBkill> pendingBkillsAsOut_;
@@ -520,10 +584,17 @@ class Router
 
     /** Current cycle (set at tick entry; used by helpers). */
     Cycle now_ = 0;
-
-    /** Scratch candidate list (avoids per-header allocation). */
-    mutable std::vector<Candidate> scratch_;
 };
+
+template <typename Io, typename Mask>
+void
+Router::serializeBit(Io& io, Mask& mask, std::size_t i)
+{
+    bool on = ((mask >> i) & 1) != 0;
+    io.b(on);
+    if constexpr (!std::is_const_v<Mask>)
+        setBit(mask, i, on);
+}
 
 template <typename Self, typename Io>
 void
@@ -543,9 +614,9 @@ Router::serialize(Self& self, Io& io)
         io.u16(in.outVc);
         io.u64(in.stallCycles);
         io.u64(c.headArrivedAt);
-        io.b(in.movedThisCycle);
+        serializeBit(io, self.movedMask_, i);
         io.b(in.blockTraced);
-        io.b(in.killPending);
+        serializeBit(io, self.killMask_, i);
         WireFlit::serialize(c.killFlit, io);
         io.u16(c.killOutPort);
         io.u16(c.killOutVc);

@@ -481,6 +481,60 @@ TEST_F(RouterTest, SwitchGrantRotatesAcrossInputPorts)
     EXPECT_EQ(vcs.size(), 4u);
 }
 
+/**
+ * A kill retires an Active VC before its token frees the output the VC
+ * held, and with the token queued behind others the VC can carry a new
+ * worm, Active on another output, while the old output is still
+ * allocated to it. A credit for the old output must not make the new
+ * worm ready: its own output has no credit, and granting it would
+ * underflow that output's ledger.
+ */
+TEST_F(RouterTest, CreditForOutputOfRehomedHolderIsNotReady)
+{
+    numVcs = 3;
+    rebuild();
+    cfg.bufferDepth = 1;
+    router = std::make_unique<Router>(5, cfg, *algo, &stats, Rng(2));
+    const PortId plusX = makePort(0, Direction::Plus);
+    const PortId plusY = makePort(1, Direction::Plus);
+    // Three worms to (2,1) = 6 hold the three VCs of +x, each with its
+    // head sent and no credit back (one-flit buffers).
+    const std::vector<PortId> ins = {makePort(0, Direction::Minus),
+                                     plusY, makePort(1, Direction::Minus)};
+    for (std::size_t w = 0; w < ins.size(); ++w) {
+        router->acceptFlit(ins[w], 0,
+                           makeFlit(FlitType::Head, 10 + w, 0, 6));
+        router->tick(now++);
+        ASSERT_EQ(router->inputProbe(ins[w], 0).outPort, plusX);
+        ASSERT_FALSE(router->readyBits(ins[w], 0).creditReady);
+    }
+    // Kill all three: their tokens leave +x one per cycle.
+    for (std::size_t w = 0; w < ins.size(); ++w)
+        router->acceptFlit(ins[w], 0,
+                           makeFlit(FlitType::Kill, 10 + w, 0, 0));
+    router->tick(now++);
+    // The last worm's VC takes a worm to (1,2) = 9, out of +y, whose
+    // head leaves at once, spending that output's only credit.
+    const PortId last = ins.back();
+    const VcId old_vc = router->inputProbe(last, 0).outVc;
+    router->acceptFlit(last, 0, makeFlit(FlitType::Head, 20, 0, 9));
+    router->tick(now++);
+    const Router::InputProbe in = router->inputProbe(last, 0);
+    ASSERT_EQ(in.state, Router::VcState::Active);
+    ASSERT_EQ(in.outPort, plusY);
+    ASSERT_TRUE(router->inputKillPending(last, 0));
+    ASSERT_TRUE(router->outputProbe(plusX, old_vc).allocated);
+    ASSERT_EQ(router->outputProbe(plusY, in.outVc).credits, 0u);
+    EXPECT_FALSE(router->readyBits(last, 0).creditReady);
+
+    router->acceptCredit(plusX, old_vc);
+    EXPECT_EQ(router->outputProbe(plusX, old_vc).credits, 1u);
+    EXPECT_FALSE(router->readyBits(last, 0).creditReady);
+    // Its own output's credit does make it ready.
+    router->acceptCredit(plusY, in.outVc);
+    EXPECT_TRUE(router->readyBits(last, 0).creditReady);
+}
+
 /** Every outbox of `r`, serialized in order. */
 std::vector<std::uint8_t>
 outboxBytes(const Router& r)
@@ -511,12 +565,17 @@ outboxBytes(const Router& r)
 }
 
 /**
- * idle() is a test of the live-VC masks. Drive one router through a
- * fixed-seed random sequence of flits, forward and backward kills,
- * credits, router-side timeouts, link deaths and snapshot hops, and
- * after every call compare idle() with a scan of the per-VC probes;
- * after each hop the restored router's next tick must emit the same
- * outboxes as the original's.
+ * idle() and switch allocation read the live-VC masks. Drive one
+ * router through a fixed-seed random sequence of flits, forward and
+ * backward kills, credits, router-side timeouts, link deaths and
+ * snapshot hops. After every call compare idle() with a scan of the
+ * per-VC probes, and each VC's buffered and credit-ready bits with
+ * its buffer occupancy and with the credits of the output it holds
+ * while Active. A forward kill that retires an Active VC is often
+ * followed by a credit for the output it held, which stays allocated
+ * to the retired VC until the token crosses the switch. After each
+ * hop the restored router's next tick must emit the same outboxes as
+ * the original's.
  */
 TEST_F(RouterTest, LiveVcMasksTrackEveryStateChange)
 {
@@ -548,6 +607,7 @@ TEST_F(RouterTest, LiveVcMasksTrackEveryStateChange)
         bool bkill_queued = false;
         int hops = 0;
         int idle_seen = 0;
+        int retired_holder_credits = 0;
         Rng rng(20260706);
 
         auto check = [&](const char* after) {
@@ -557,6 +617,16 @@ TEST_F(RouterTest, LiveVcMasksTrackEveryStateChange)
                     scan = scan && router->vcIdle(p, v) &&
                            router->inputOccupancy(p, v) == 0 &&
                            !router->inputKillPending(p, v);
+                    const Router::InputProbe in = router->inputProbe(p, v);
+                    const Router::ReadyBits bits = router->readyBits(p, v);
+                    ASSERT_EQ(bits.buffered, in.buffered > 0)
+                        << "VC (" << p << ", " << v << ") after " << after;
+                    const bool ready =
+                        in.state == Router::VcState::Active &&
+                        router->outputProbe(in.outPort, in.outVc)
+                                .credits > 0;
+                    ASSERT_EQ(bits.creditReady, ready)
+                        << "VC (" << p << ", " << v << ") after " << after;
                 }
             }
             ASSERT_EQ(router->idle(), scan) << "after " << after;
@@ -615,12 +685,26 @@ TEST_F(RouterTest, LiveVcMasksTrackEveryStateChange)
             } else if (action < 50) {
                 // A forward kill: live on a Routing or Active VC (it
                 // must name the worm there), stale on an idle one.
+                const Router::InputProbe was = router->inputProbe(p, v);
                 const MsgId msg = router->vcIdle(p, v)
                     ? next_msg + 1000
-                    : router->inputProbe(p, v).msg;
+                    : was.msg;
                 router->acceptFlit(p, v,
                                    makeFlit(FlitType::Kill, msg, 0, 0));
                 check("forward kill");
+                // A credit for the output the retired VC still holds.
+                if (HasFatalFailure())
+                    return;
+                if (was.state == Router::VcState::Active &&
+                    rng.chance(0.5) &&
+                    router->outputProbe(was.outPort, was.outVc).credits <
+                        cfg.bufferDepth) {
+                    retired_holder_credits +=
+                        router->outputProbe(was.outPort, was.outVc)
+                            .credits == 0;
+                    router->acceptCredit(was.outPort, was.outVc);
+                    check("credit for a retired holder");
+                }
             } else if (action < 54) {
                 // A backward kill: live when the output is allocated.
                 const auto o = static_cast<PortId>(rng.below(nout));
@@ -675,6 +759,7 @@ TEST_F(RouterTest, LiveVcMasksTrackEveryStateChange)
         // The sequence reached every kind of state change it drives.
         EXPECT_GT(hops, 0);
         EXPECT_GT(idle_seen, 0);
+        EXPECT_GT(retired_holder_credits, 0);
         EXPECT_GT(stats.headersRouted.value(), 0u);
         EXPECT_GT(stats.flitsForwarded.value(), 0u);
         EXPECT_GT(stats.killsForwarded.value(), 0u);

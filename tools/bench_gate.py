@@ -15,9 +15,11 @@ odd pairs the change, so a drift in host speed lands on both sides.
 Each checkout builds its own benchmark on its first run.
 
 It prints, per workload, both sides' `provenance:` lines, the failed
-share of ops, and each end-to-end metric's median and IQR (distance
-between the quartiles) on both sides, then writes the same figures to
-REPORT as JSON. A metric's verdict is
+share of ops, and for each end-to-end metric both sides' median and
+IQR (distance between the quartiles) and in how many pairs the
+change's run beat the parent's ("better k/n", over the n pairs where
+both runs report the metric), then writes the same figures to REPORT
+as JSON (`better_pairs`: [k, n]). A metric's verdict is
   ok          the change's median is no worse than the parent's by
               more than the metric's BENCHMARK.json bound;
   worse       it is worse by more than the bound, and both sides'
@@ -79,6 +81,29 @@ def summary(values):
     return {"runs": values, "median": median, "iqr": q3 - q1}
 
 
+def metric_value(result, name):
+    """A run's value of metric `name`; None for a failed run or none."""
+    if result is None or name not in result["metrics"]:
+        return None
+    return result["metrics"][name]["value"]
+
+
+def pairs_better(metric, parent_runs, change_runs):
+    """(k, n): of the n pairs whose runs both report `metric`, the k
+    in which the change's value is better than the parent's. Run i of
+    each side is pair i; a run is a (provenance, result) tuple."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    k = n = 0
+    for (_, p), (_, c) in zip(parent_runs, change_runs):
+        pv = metric_value(p, metric["name"])
+        cv = metric_value(c, metric["name"])
+        if pv is None or cv is None:
+            continue
+        n += 1
+        k += sign * (cv - pv) < 0
+    return k, n
+
+
 def verdict(metric, parent, change):
     """The gate's verdict on one metric (see the module docstring)."""
     if parent is None:
@@ -132,6 +157,9 @@ def gate_workload(name, roots, metrics, in_parent):
             m, row.get("parent"), row["change"])
         row["bound"] = m["bound"]
         row["unit"] = m["unit"]
+        if in_parent:
+            row["better_pairs"] = list(
+                pairs_better(m, runs["parent"], runs["change"]))
 
     problems = [f"{side}: {n} run(s) failed"
                 for side, n in entry["failed_runs"].items() if n]
@@ -157,8 +185,8 @@ def print_workload(name, entry):
                        for side, share in entry["failed_share"].items())
     print(f"  failed share of ops: {shares}")
     print(f"  {'metric':26} {'parent median (IQR)':>26} "
-          f"{'change median (IQR)':>26} {'worse':>8} {'bound':>6}  "
-          "verdict")
+          f"{'change median (IQR)':>26} {'worse':>8} {'bound':>6} "
+          f"{'better':>6}  verdict")
     for name_m, v in entry["metrics"].items():
         cells = []
         for side in ("parent", "change"):
@@ -169,8 +197,11 @@ def print_workload(name, entry):
         worse_cell = "-" if worse is None else f"{100 * worse:+.1f}%"
         bound = v.get("bound")
         bound_cell = "-" if bound is None else f"{100 * bound:.0f}%"
+        better = v.get("better_pairs")
+        better_cell = "-" if better is None else f"{better[0]}/{better[1]}"
         print(f"  {name_m:26} {cells[0]:>26} {cells[1]:>26} "
-              f"{worse_cell:>8} {bound_cell:>6}  {v['verdict']}")
+              f"{worse_cell:>8} {bound_cell:>6} {better_cell:>6}  "
+              f"{v['verdict']}")
     for problem in entry["problems"]:
         print(f"  FAIL {problem}")
 
