@@ -65,6 +65,14 @@ stageHeader(Segment& seg, const std::vector<WormHeader>& from,
     return static_cast<std::uint32_t>(seg.headers.size() - 1);
 }
 
+/** The worm header staged with event `p` (null unless a head). */
+template <typename Event, typename Segment>
+const WormHeader*
+headerOf(const Event& p, const Segment& seg)
+{
+    return p.header == kNoHeader ? nullptr : &seg.headers[p.header];
+}
+
 } // namespace
 
 void
@@ -75,8 +83,10 @@ Network::Segment::openRun()
     const auto mark = [this](auto& lane) {
         lane.runStart[runs] =
             static_cast<std::uint32_t>(lane.events.size());
-        lane.remoteStart[runs] =
-            static_cast<std::uint32_t>(lane.remote.size());
+        if constexpr (requires { lane.remote; }) {
+            lane.remoteStart[runs] =
+                static_cast<std::uint32_t>(lane.remote.size());
+        }
     };
     mark(flits);
     mark(recvFlits);
@@ -92,7 +102,8 @@ Network::Segment::clear()
 {
     const auto reset = [](auto& lane) {
         lane.events.clear();
-        lane.remote.clear();
+        if constexpr (requires { lane.remote; })
+            lane.remote.clear();
     };
     reset(flits);
     reset(recvFlits);
@@ -134,9 +145,9 @@ Network::Wave::empty() const
     return true;
 }
 
-template <typename W, typename T, typename Fn>
+template <typename W, typename L, typename Fn>
 void
-Network::forEachInOrder(W& wave, Lane<T> Segment::*lane, Fn&& fn)
+Network::forEachInOrder(W& wave, L Segment::*lane, Fn&& fn)
 {
     const std::uint32_t runs = wave.segs.front().runs;
     for (std::uint32_t r = 0; r < runs; ++r) {
@@ -152,13 +163,9 @@ Network::forEachInOrder(W& wave, Lane<T> Segment::*lane, Fn&& fn)
 
 template <typename T, typename Fn>
 void
-Network::forEachAddressed(Wave& wave, Lane<T> Segment::*lane,
+Network::forEachAddressed(Wave& wave, OwnedLane<T> Segment::*lane,
                           unsigned owner, Fn&& fn)
 {
-    if (owner == kAllShards) {
-        forEachInOrder(wave, lane, fn);
-        return;
-    }
     // One unsigned compare: node - begin wraps above span when
     // node < begin.
     const NodeId begin = shardCtx_[owner].begin;
@@ -167,7 +174,7 @@ Network::forEachAddressed(Wave& wave, Lane<T> Segment::*lane,
     for (std::uint32_t r = 0; r < runs; ++r) {
         for (unsigned t = 0; t < wave.segs.size(); ++t) {
             Segment& seg = wave.segs[t];
-            Lane<T>& l = seg.*lane;
+            OwnedLane<T>& l = seg.*lane;
             const bool last = r + 1 == runs;
             if (t == owner) {
                 // Own events, less the few addressed elsewhere.
@@ -228,16 +235,24 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             shardCtx_[s].end = at;
         }
     }
+    // Counters accumulate in the owning shard's block (folded into
+    // stats_ every cycle); with one shard that block IS stats_.
     if (shards_ > 1) {
         shardStats_.reserve(shards_);
         for (unsigned s = 0; s < shards_; ++s)
             shardStats_.push_back(std::make_unique<NetworkStats>());
     }
-
-    for (ShardCtx& ctx : shardCtx_) {
+    for (unsigned s = 0; s < shards_; ++s) {
+        ShardCtx& ctx = shardCtx_[s];
+        ctx.stats = shards_ > 1 ? shardStats_[s].get() : &stats_;
         ctx.injOut = InjectorOutbox(cfg_);
         ctx.rtrOut = RouterOutbox(cfg_);
         ctx.rcvOut = ReceiverOutbox(cfg_);
+        const std::size_t range = ctx.end - ctx.begin;
+        ctx.injReports.reserve(range);
+        ctx.injSleeps.reserve(range);
+        ctx.rcvSleeps.reserve(range);
+        ctx.audit.kills.reserve(16);
     }
     routerPool_ = std::make_unique<Router::StatePool>(cfg_, n);
     routers_.reserve(n);
@@ -247,12 +262,9 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     for (NodeId id = 0; id < n; ++id) {
         if (id >= shardCtx_[shard].end)
             ++shard;
-        // Counters accumulate in the owning shard's block (folded
-        // into stats_ every sweep); with one shard that block IS
-        // stats_. Deliveries and outboxes are the owning shard's.
-        NetworkStats* blk =
-            shards_ > 1 ? shardStats_[shard].get() : &stats_;
+        // Counters, deliveries and outboxes are the owning shard's.
         ShardCtx& ctx = shardCtx_[shard];
+        NetworkStats* blk = ctx.stats;
         routers_.push_back(std::make_unique<Router>(
             id, cfg_, *routing_, &blk->router, root.fork(),
             *routerPool_, id, ctx.rtrOut));
@@ -338,12 +350,6 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         for (unsigned s = 0; s < shards_; ++s) {
             shardTickGauges_.push_back(reg.gauge(
                 "sched.shard_ticks." + std::to_string(s)));
-            ShardCtx& ctx = shardCtx_[s];
-            const std::size_t range = ctx.end - ctx.begin;
-            ctx.injReports.reserve(range);
-            ctx.injSleeps.reserve(range);
-            ctx.rcvSleeps.reserve(range);
-            ctx.audit.kills.reserve(16);
         }
     }
 
@@ -452,18 +458,15 @@ Network::popDueDeadlines()
 }
 
 void
-Network::deliver(unsigned owner, unsigned kinds)
+Network::deliverPrologue()
 {
-    const PortId net_ports = netPorts_;
     Wave& cur = bucketOf(now_);
-    const auto headerOf = [](const auto& p, const Segment& seg) {
-        return p.header == kNoHeader ? nullptr : &seg.headers[p.header];
-    };
-    if ((kinds & kToRouters) != 0) {
-        forEachAddressed(cur, &Segment::flits, owner,
-                         [&](PendingFlit& p, const Segment& seg) {
-            const bool network_hop = p.inPort < net_ports;
-            if (dynamicFaults_ && network_hop) {
+    if (dynamicFaults_ || faults_->effectiveTransientRate() > 0.0) {
+        forEachInOrder(cur, &Segment::flits,
+                       [this](PendingFlit& p, const Segment&) {
+            if (p.inPort >= netPorts_)
+                return;  // An injection hop crosses no wire.
+            if (dynamicFaults_) {
                 // A flit in flight on a channel that died under it is
                 // gone — data counts as purged (conservation holds), a
                 // kill token is absorbed (the death-time teardown
@@ -484,63 +487,66 @@ Network::deliver(unsigned owner, unsigned kinds)
                     } else {
                         stats_.killsAbsorbedAtDeadLinks.inc();
                     }
+                    p.node = kInvalidNode;  // No owner delivers it.
                     return;
                 }
             }
-            if (network_hop && p.flit.isData())
+            if (p.flit.isData())
                 faults_->maybeCorrupt(p.flit);
-            routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit,
-                                         headerOf(p, seg));
-            wakeRouter(p.node);
         });
     }
-    if ((kinds & kToReceivers) != 0) {
-        forEachAddressed(cur, &Segment::recvFlits, owner,
-                         [&](const PendingRecvFlit& p,
-                             const Segment& seg) {
-            receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit,
-                                           headerOf(p, seg));
-            wakeReceiver(p.node);
-        });
-    }
-    if ((kinds & kToRouters) != 0) {
-        forEachAddressed(cur, &Segment::credits, owner,
-                         [&](const PendingCredit& p, const Segment&) {
-            if (dynamicFaults_ && p.outPort < net_ports &&
-                !faults_->linkOk(p.node, p.outPort)) {
-                stats_.controlAbsorbedAtDeadLinks.inc();
-                return;
-            }
-            routers_[p.node]->acceptCredit(p.outPort, p.vc);
-            wakeRouter(p.node);
-        });
-    }
-    if ((kinds & kToInjectors) != 0) {
-        forEachAddressed(cur, &Segment::injCredits, owner,
-                         [&](const PendingInjCredit& p, const Segment&) {
-            injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
-            wakeInjector(p.node);
-        });
-    }
-    if ((kinds & kToRouters) != 0) {
-        forEachAddressed(cur, &Segment::bkills, owner,
-                         [&](const PendingBkill& p, const Segment&) {
-            if (dynamicFaults_ && p.outPort < net_ports &&
-                !faults_->linkOk(p.node, p.outPort)) {
-                stats_.controlAbsorbedAtDeadLinks.inc();
-                return;
-            }
-            routers_[p.node]->acceptBkill(p.outPort, p.vc);
-            wakeRouter(p.node);
-        });
-    }
-    if ((kinds & kToInjectors) != 0) {
-        forEachAddressed(cur, &Segment::aborts, owner,
-                         [&](const PendingAbort& p, const Segment&) {
-            injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
-            wakeInjector(p.node);
-        });
-    }
+    forEachInOrder(cur, &Segment::recvFlits,
+                   [this](const PendingRecvFlit& p, const Segment& seg) {
+        receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit,
+                                       headerOf(p, seg));
+        wakeReceiver(p.node);
+    });
+    forEachInOrder(cur, &Segment::injCredits,
+                   [this](const PendingInjCredit& p, const Segment&) {
+        injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
+        wakeInjector(p.node);
+    });
+    forEachInOrder(cur, &Segment::aborts,
+                   [this](const PendingAbort& p, const Segment&) {
+        injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
+        wakeInjector(p.node);
+    });
+}
+
+void
+Network::deliverOwned(unsigned s)
+{
+    Wave& cur = bucketOf(now_);
+    NetworkStats& blk = *shardCtx_[s].stats;
+    forEachAddressed(cur, &Segment::flits, s,
+                     [this](const PendingFlit& p, const Segment& seg) {
+        routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit,
+                                     headerOf(p, seg));
+        wakeRouter(p.node);
+    });
+    // A credit or backward kill for an output whose wire died is lost
+    // with the wire.
+    const auto lost = [this, &blk](NodeId node, PortId out) {
+        if (!dynamicFaults_ || out >= netPorts_ ||
+            faults_->linkOk(node, out))
+            return false;
+        blk.controlAbsorbedAtDeadLinks.inc();
+        return true;
+    };
+    forEachAddressed(cur, &Segment::credits, s,
+                     [&](const PendingCredit& p, const Segment&) {
+        if (lost(p.node, p.outPort))
+            return;
+        routers_[p.node]->acceptCredit(p.outPort, p.vc);
+        wakeRouter(p.node);
+    });
+    forEachAddressed(cur, &Segment::bkills, s,
+                     [&](const PendingBkill& p, const Segment&) {
+        if (lost(p.node, p.outPort))
+            return;
+        routers_[p.node]->acceptBkill(p.outPort, p.vc);
+        wakeRouter(p.node);
+    });
 }
 
 void
@@ -788,28 +794,28 @@ Network::activityLevel() const
 
 // --- The cycle loop ---------------------------------------------------
 //
-// Determinism argument for shards > 1 (docs/PERFORMANCE.md has the
-// long form): the parallel section runs only owner delivery and
-// component ticks and collects. Each touches only the owning shard's
-// components, flags and segments; every cross-component effect is
-// staged in a wave bucket at least one cycle out, give-ups and commit
-// samples in the injector's outboxes, deliveries in the shard context
-// (the receivers' sink), trace records in per-shard buffers and audit
-// deltas in per-shard stages. Counters are commutative and land in
-// per-shard blocks. Owner delivery visits the current bucket in the
-// serial order (run-major, shard-minor), so every destination sees its
-// events in the one-shard order. Only the Network applies ledger calls,
-// accumulator adds and heap pushes, at every shard count, and every
-// order-sensitive replay below iterates shard-major over contiguous
-// ascending ranges, i.e. in global node order — exactly the one-shard
-// order — so stats, traces, wave contents, heap layouts and snapshots
-// are byte-identical to shards=1.
+// Determinism argument (docs/PERFORMANCE.md has the long form): the
+// shard workers run only owner delivery, component ticks and collects.
+// Each touches only the owning shard's components, flags and segments;
+// every cross-component effect is staged in a wave bucket at least one
+// cycle out, give-ups and commit samples in the injector's outboxes,
+// deliveries in the shard context (the receivers' sink), trace records
+// in per-shard buffers and audit deltas in per-shard stages. Counters
+// are commutative and land in per-shard blocks. Owner delivery visits
+// the current bucket in the serial order (run-major, shard-minor), so
+// every router sees its events in the one-shard order, and it neither
+// records nor draws: every delivery that does stays in the prologue.
+// Only the Network applies ledger calls, accumulator adds and heap
+// pushes, and every order-sensitive replay below iterates shard-major
+// over contiguous ascending ranges, i.e. in global node order — the
+// one-shard order — so stats, traces, wave contents, heap layouts and
+// snapshots are byte-identical at every shard count.
 //
 // A component's wake flag is cleared before its tick; the only wake a
-// tick can raise is its own re-registration when it is finished (all
-// cross-component wakes happen at delivery time, next cycle), so
-// clearing in place is safe and the node-order scan matches the
-// exhaustive sweep's tick order exactly.
+// tick can raise is its own re-registration (all cross-component wakes
+// happen at delivery time, next cycle), so clearing in place is safe
+// and the node-order scan matches the exhaustive sweep's tick order
+// exactly.
 
 void
 Network::profileLap(TickPhase phase, std::uint64_t& pt)
@@ -862,26 +868,24 @@ void
 Network::shardWorker(unsigned s)
 {
     ShardCtx& ctx = shardCtx_[s];
-    const bool merge = shards_ > 1;
-    const bool stage_trace = merge && trace_ != nullptr;
-    std::uint64_t pt = 0;
-    if (merge) {
-        Auditor::setThreadStage(&ctx.audit);
-        if (ownerDelivery_)
-            deliver(s, kToRouters | kToReceivers);
-        ctx.injReports.clear();
-        ctx.injSleeps.clear();
-        ctx.rcvSleeps.clear();
-    } else if (profTimed_) {
-        pt = TickProfiler::stamp();
-    }
+    // Shard 0 runs on the ticking thread, the profiler's.
+    std::uint64_t pt = s == 0 && profTimed_ ? TickProfiler::stamp() : 0;
+    const auto lap = [&](TickPhase phase) {
+        if (s == 0)
+            profileLap(phase, pt);
+    };
+    Auditor::setThreadStage(&ctx.audit);
+    deliverOwned(s);
+    ctx.injReports.clear();
+    ctx.injSleeps.clear();
+    ctx.rcvSleeps.clear();
+    lap(TickPhase::Deliver);
     std::uint64_t ticked = 0;
     const Cycle latency = cfg_.channelLatency;
     Segment& next = segmentIn(s, 1);
     Segment& far = segmentIn(s, latency);
 
-    if (stage_trace)
-        Tracer::setThreadStage(&ctx.injTrace);
+    Tracer::setThreadStage(&ctx.injTrace);
     next.openRun();
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (injAwake_[id] == 0)
@@ -891,23 +895,15 @@ Network::shardWorker(unsigned s)
         inj.tick(now_);
         ++ticked;
         collectInjector(ctx, next, id);
+        if (!inj.failed.empty() || !inj.committedStats.empty())
+            ctx.injReports.push_back(id);
         const Cycle at = inj.nextEventCycle(now_);
-        if (merge) {
-            if (!inj.failed.empty() || !inj.committedStats.empty())
-                ctx.injReports.push_back(id);
-            if (deferWake(injAwake_, injNextAt_, id, at))
-                ctx.injSleeps.emplace_back(at, id);
-        } else {
-            applyInjectorReports(id);
-            if (deferWake(injAwake_, injNextAt_, id, at))
-                injDeadlines_.push({at, id});
-        }
+        if (deferWake(injAwake_, injNextAt_, id, at))
+            ctx.injSleeps.emplace_back(at, id);
     }
-    if (!merge)
-        profileLap(TickPhase::Injectors, pt);
+    lap(TickPhase::Injectors);
 
-    if (stage_trace)
-        Tracer::setThreadStage(&ctx.rtrTrace);
+    Tracer::setThreadStage(&ctx.rtrTrace);
     next.openRun();
     if (latency > 1)
         far.openRun();
@@ -932,11 +928,9 @@ Network::shardWorker(unsigned s)
         if (probe && r.idle())
             rtrAwake_[id] = 0;
     }
-    if (!merge)
-        profileLap(TickPhase::Routers, pt);
+    lap(TickPhase::Routers);
 
-    if (stage_trace)
-        Tracer::setThreadStage(&ctx.rcvTrace);
+    Tracer::setThreadStage(&ctx.rcvTrace);
     next.openRun();
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
         if (rcvAwake_[id] == 0)
@@ -947,23 +941,14 @@ Network::shardWorker(unsigned s)
         ++ticked;
         collectReceiver(ctx, next, id);
         const Cycle at = rcv.nextEventCycle(now_);
-        if (deferWake(rcvAwake_, rcvNextAt_, id, at)) {
-            if (merge)
-                ctx.rcvSleeps.emplace_back(at, id);
-            else
-                rcvDeadlines_.push({at, id});
-        }
+        if (deferWake(rcvAwake_, rcvNextAt_, id, at))
+            ctx.rcvSleeps.emplace_back(at, id);
     }
-    if (!merge) {
-        applyDeliveries(ctx);
-        profileLap(TickPhase::Receivers, pt);
-    }
+    lap(TickPhase::Receivers);
 
     ctx.ticks += ticked;
-    if (stage_trace)
-        Tracer::setThreadStage(nullptr);
-    if (merge)
-        Auditor::setThreadStage(nullptr);
+    Tracer::setThreadStage(nullptr);
+    Auditor::setThreadStage(nullptr);
 }
 
 void
@@ -977,36 +962,30 @@ Network::mergeShards(std::uint64_t& pt)
             audit_->foldStage(ctx.audit);
     }
 #endif
-    if (trace_ != nullptr) {
-        // Phase-major, shard-minor = the serial recording order. The
-        // replay re-enters record() with no stage installed, so the
-        // watch filter (whose pair-adoption mutates watchedMsgs_) runs
-        // in deterministic order; Tracer::now_ is constant through the
-        // cycle, so the re-recorded timestamps match the staged ones.
-        const auto replay = [this](std::vector<TraceEvent>& staged) {
-            for (const TraceEvent& e : staged)
-                trace_->record(e.kind, e.msg, e.node, e.src, e.dst,
-                               e.attempt, e.arg);
-            staged.clear();
-        };
-        for (ShardCtx& ctx : shardCtx_)
-            replay(ctx.injTrace);
-        for (ShardCtx& ctx : shardCtx_)
-            replay(ctx.rtrTrace);
-        for (ShardCtx& ctx : shardCtx_)
-            replay(ctx.rcvTrace);
-    }
-    // The parallel section (owner delivery included) and the sidecar
-    // replay are billed to the router phase.
-    profileLap(TickPhase::Routers, pt);
-    for (const ShardCtx& ctx : shardCtx_) {
+    // Phase-major, shard-minor = the serial order. The trace replay
+    // re-enters record() with no stage installed, so the watch filter
+    // (whose pair-adoption mutates watchedMsgs_) runs in deterministic
+    // order; Tracer::now_ is constant through the cycle, so the
+    // re-recorded timestamps match the staged ones.
+    const auto replay = [this](std::vector<TraceEvent>& staged) {
+        for (const TraceEvent& e : staged)
+            trace_->record(e.kind, e.msg, e.node, e.src, e.dst,
+                           e.attempt, e.arg);
+        staged.clear();
+    };
+    for (ShardCtx& ctx : shardCtx_) {
+        replay(ctx.injTrace);
         for (const NodeId id : ctx.injReports)
             applyInjectorReports(id);
         for (const auto& due : ctx.injSleeps)
             injDeadlines_.push(due);
     }
     profileLap(TickPhase::Injectors, pt);
+    for (ShardCtx& ctx : shardCtx_)
+        replay(ctx.rtrTrace);
+    profileLap(TickPhase::Routers, pt);
     for (ShardCtx& ctx : shardCtx_) {
+        replay(ctx.rcvTrace);
         for (const auto& due : ctx.rcvSleeps)
             rcvDeadlines_.push(due);
         applyDeliveries(ctx);
@@ -1022,30 +1001,24 @@ Network::foldShardCounters()
         foldCounters(stats_, *blk);
 }
 
-bool
-Network::serialDelivery() const
-{
-    return shards_ == 1 || trace_ != nullptr || dynamicFaults_ ||
-           faults_->effectiveTransientRate() > 0.0;
-}
-
 void
 Network::tickComponents()
 {
-    if (shards_ == 1) {
+    if (crew_ == nullptr) {
         shardWorker(0);
     } else {
-        std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
         shardBarrierNanos_->fetch_add(crew_->run(),
                                       std::memory_order_relaxed);
         // The crew's join provides the happens-before for reading the
         // workers' tick totals.
-        for (unsigned s = 0; s < shards_; ++s) {
+        for (unsigned s = 0; s < shardTickGauges_.size(); ++s) {
             shardTickGauges_[s]->store(shardCtx_[s].ticks,
                                        std::memory_order_relaxed);
         }
-        mergeShards(pt);
     }
+    // The join wait is billed to no phase.
+    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
+    mergeShards(pt);
     bucketOf(now_).clear();
 }
 
@@ -1073,13 +1046,11 @@ Network::tick()
         std::fill(rtrAwake_.begin(), rtrAwake_.end(), 1);
         std::fill(rcvAwake_.begin(), rcvAwake_.end(), 1);
     }
-    // Injector-bound events always go first, here: a stale abort can
+    // Injector-bound events go before generate(): a stale abort can
     // push its message back onto the source queue, and generate()
-    // reads queueFull(). Under owner delivery the shard workers apply
-    // the rest to their own ranges.
-    ownerDelivery_ = !serialDelivery();
-    deliver(kAllShards,
-            ownerDelivery_ ? unsigned{kToInjectors} : unsigned{kToAll});
+    // reads queueFull(). The shard workers deliver the router-bound
+    // rest to their own ranges.
+    deliverPrologue();
     // Cycle-open bookkeeping (faults, deadlines, trace) rides with the
     // delivery phase.
     profileLap(TickPhase::Deliver, pt);

@@ -287,18 +287,24 @@ class Network
      */
     static constexpr std::uint32_t kMaxRuns = 4;
 
-    /**
-     * One kind of staged event, with the start of each run and the
-     * events addressed outside the segment's shard (its remote list),
-     * so an owner-delivering worker reads only those of other shards'
-     * segments.
-     */
+    /** One kind of staged event, with the start of each run. */
     template <typename T>
     struct Lane
     {
         std::vector<T> events;
         /** events[runStart[r]] is the first event of run r. */
         std::array<std::uint32_t, kMaxRuns> runStart{};
+    };
+
+    /**
+     * A router-bound lane, which each shard delivers to its own range.
+     * It also lists the events addressed outside the segment's shard
+     * (its remote list), so a worker reads only those of other shards'
+     * segments.
+     */
+    template <typename T>
+    struct OwnedLane : Lane<T>
+    {
         /** Indices of the events addressed outside the shard. */
         std::vector<std::uint32_t> remote;
         /** remote[remoteStart[r]] is the first remote index of run r. */
@@ -308,8 +314,9 @@ class Network
         void push(const T& e, bool away)
         {
             if (away)
-                remote.push_back(static_cast<std::uint32_t>(events.size()));
-            events.push_back(e);
+                remote.push_back(
+                    static_cast<std::uint32_t>(this->events.size()));
+            this->events.push_back(e);
         }
     };
 
@@ -321,11 +328,11 @@ class Network
      */
     struct alignas(64) Segment  // Own cache lines: one writer each.
     {
-        Lane<PendingFlit> flits;
+        OwnedLane<PendingFlit> flits;
         Lane<PendingRecvFlit> recvFlits;
-        Lane<PendingCredit> credits;
+        OwnedLane<PendingCredit> credits;
         Lane<PendingInjCredit> injCredits;
-        Lane<PendingBkill> bkills;
+        OwnedLane<PendingBkill> bkills;
         Lane<PendingAbort> aborts;
         /** Worm headers of the staged heads (PendingFlit::header). */
         std::vector<WormHeader> headers;
@@ -357,36 +364,36 @@ class Network
      * Visit a wave's events of one kind in the serial order, as
      * fn(event, segment holding it) (`W` is Wave or const Wave).
      */
-    template <typename W, typename T, typename Fn>
-    static void forEachInOrder(W& wave, Lane<T> Segment::*lane,
-                               Fn&& fn);
-
-    /** deliver()'s owner for the whole bucket in the serial order. */
-    static constexpr unsigned kAllShards = ~0u;
+    template <typename W, typename L, typename Fn>
+    static void forEachInOrder(W& wave, L Segment::*lane, Fn&& fn);
 
     /**
-     * Visit the current bucket's events of one kind addressed to
-     * `owner`'s range, in the serial order: the owner's own segment
-     * plus the other segments' remote lists. kAllShards visits every
-     * event (forEachInOrder).
+     * Visit the current bucket's events of one router-bound kind
+     * addressed to `owner`'s range, in the serial order: the owner's
+     * own segment plus the other segments' remote lists.
      */
     template <typename T, typename Fn>
-    void forEachAddressed(Wave& wave, Lane<T> Segment::*lane,
+    void forEachAddressed(Wave& wave, OwnedLane<T> Segment::*lane,
                           unsigned owner, Fn&& fn);
 
-    /** Event destinations deliver() can be asked to serve. */
-    enum DeliverKinds : unsigned {
-        kToInjectors = 1u << 0,  //!< Injection credits, aborts.
-        kToRouters = 1u << 1,    //!< Flits, credits, backward kills.
-        kToReceivers = 1u << 2,  //!< Ejection flits.
-        kToAll = kToInjectors | kToRouters | kToReceivers,
-    };
+    /**
+     * The prologue's delivery, on the ticking thread and in the serial
+     * order, of every event whose delivery draws RNG or records a
+     * trace event, and of the injector-bound events generate() reads.
+     * When faults can fire, one pass over the flit lane draws each
+     * network hop's corruption and absorbs the flits on dead wires (a
+     * tombstone, kInvalidNode, hides them from every owner). Then the
+     * receiver-bound flits, the injection credits and the aborts.
+     */
+    void deliverPrologue();
 
     /**
-     * Apply the current bucket's events of `kinds` addressed to shard
-     * `owner`'s range (kAllShards: every node), in the serial order.
+     * Shard `s`'s delivery of the router-bound flits, credits and
+     * backward kills addressed to its range, in the serial order. It
+     * records nothing and draws nothing, and counts the credits and
+     * backward kills lost on dead wires into the shard's block.
      */
-    void deliver(unsigned owner, unsigned kinds);
+    void deliverOwned(unsigned s);
     void generate();
     /**
      * Stage what node `n`'s component just emitted into the shard
@@ -413,49 +420,45 @@ class Network
     // keeps `sched=active` bit-identical to `sched=sweep`: the same
     // loop with every flag raised at the top of each cycle.
     //
-    // The node array is cut into `shards` contiguous ranges. With one
-    // shard the worker runs inline. With more, each shard owns its
-    // range for the whole cycle, on the same crew thread every cycle:
-    // it applies the current bucket's router- and receiver-bound
-    // events addressed to its range (read from its own segment and
-    // the other segments' short remote lists), ticks its components,
-    // and collects their outboxes (plus the router idle probe) into
-    // its own segment of each wave bucket. The >= 1-cycle channel latency
-    // is the synchronization slack: every cross-component effect is
-    // staged in the waves, so one cycle's deliveries and ticks touch
-    // only the owner's components. Everything order-sensitive —
-    // ledger calls, Welford accumulator adds, deadline-heap pushes,
-    // deliveries, trace records — is staged per shard and applied
-    // serially in node order after the crew joins, which keeps every
-    // result byte-identical to shards=1.
+    // Every cycle runs one sequence, at every shard count. The node
+    // array is cut into `shards` contiguous ranges (one range at
+    // shards=1):
+    //  1. The prologue, on the ticking thread: fault events, due
+    //     deadlines, deliverPrologue() (every delivery that draws RNG
+    //     or records a trace event, and the injector-bound ones) and
+    //     generate().
+    //  2. One shardWorker per range: shard 0 on the ticking thread,
+    //     shards 1..K-1 on crew threads (no crew at shards=1). Each
+    //     owns its range for the whole cycle: it delivers the
+    //     router-bound events addressed to its range, ticks its
+    //     components and collects their outboxes (plus the router idle
+    //     probe) into its own segment of each wave bucket. The
+    //     >= 1-cycle channel latency is the synchronization slack:
+    //     every cross-component effect is staged in the waves, so one
+    //     cycle's deliveries and ticks touch only the owner's
+    //     components.
+    //  3. mergeShards(): everything order-sensitive — ledger calls,
+    //     Welford accumulator adds, deadline-heap pushes, deliveries,
+    //     trace records — was staged per shard and is applied here in
+    //     node order, which keeps every result byte-identical to
+    //     shards=1.
 
     /**
-     * True when this cycle's whole bucket is delivered serially, in
-     * the one-shard order, before generate(): one shard, a tracer
-     * (its records are ordered across destinations), or faults that
-     * can fire (the dead-link checks and the corruption RNG consume
-     * one stream in global order).
-     */
-    bool serialDelivery() const;
-
-    /**
-     * Tick this cycle's woken components, shard by shard, then run the
-     * serial merge and clear the delivered bucket.
+     * Run every shard's worker (on the crew, if there is one), then
+     * the serial merge, and clear the delivered bucket.
      */
     void tickComponents();
 
     /**
-     * One shard's compute phase. With several shards: install the
-     * tracer/auditor staging areas and, under owner delivery, apply
-     * this range's router- and receiver-bound events (own segment plus
-     * the others' remote lists, in the serial order). Then tick the
-     * woken injectors, routers and receivers of the range (in that
-     * phase order, each in node order), clearing the injector and
-     * receiver flags on the way, and collect each into this shard's
-     * segments. With one shard each injector and receiver is finished
-     * (reports applied, re-scheduled) right after its tick and the
-     * deliveries are applied after the receiver phase; with several
-     * those go to the shard's stages for the serial merge.
+     * One shard's part of the cycle: install the tracer/auditor
+     * staging areas, deliver the router-bound events addressed to the
+     * range (deliverOwned()), then tick the woken injectors, routers
+     * and receivers of the range (in that phase order, each in node
+     * order), clearing the injector and receiver flags on the way, and
+     * collect each into this shard's segments. Injector reports,
+     * deadline pushes and deliveries go to the shard's stages for
+     * mergeShards(). Shard 0, on the ticking thread, laps the
+     * profiler's phases.
      */
     CRNET_HOT_PATH CRNET_RESULT_AFFECTING
     CRNET_ALLOW("alloc",
@@ -467,9 +470,10 @@ class Network
     void shardWorker(unsigned s);
 
     /**
-     * The serial merge after the crew joins: fold audit stages,
-     * replay staged trace events, apply injector reports, push staged
-     * deadlines, apply deliveries and fold the shard counters.
+     * The serial merge after the workers: fold audit stages, then
+     * phase by phase and shard by shard replay staged trace events,
+     * apply injector reports, push staged deadlines, apply deliveries,
+     * and fold the shard counters.
      */
     CRNET_ALLOW("alloc",
                 "deadline min-heap push: amortized vector growth, "
@@ -643,7 +647,8 @@ class Network
      */
     std::unique_ptr<Router::StatePool> routerPool_;
     /**
-     * Per-shard Counter accumulation blocks (shards > 1 only).
+     * Per-shard Counter accumulation blocks (shards > 1 only; at
+     * shards=1 the one block is stats_, see ShardCtx::stats).
      * Components of shard s write their Counter fields here, race-
      * free, and foldShardCounters() folds them into stats_ at the end
      * of every sweep and of injectFaultEvent(), so they are zero
@@ -707,6 +712,8 @@ class Network
 
         NodeId begin = 0;  //!< First node of this shard's range.
         NodeId end = 0;    //!< One past the last node.
+        /** The Counter block of the range's components and delivery. */
+        NetworkStats* stats = nullptr;
         /**
          * The outboxes every component of the range emits into, one
          * per kind; each is collected right after the tick filling it.
@@ -714,9 +721,9 @@ class Network
         InjectorOutbox injOut;
         RouterOutbox rtrOut;
         ReceiverOutbox rcvOut;
-        // Staged for the serial merge (shards > 1 only), in node order;
-        // ranges are contiguous, so shard-major iteration over these is
-        // global node order.
+        // Staged for the serial merge, in node order; ranges are
+        // contiguous, so shard-major iteration over these is global
+        // node order.
         /** Injectors ticked with give-ups or commit samples to apply. */
         std::vector<NodeId> injReports;
         /** Deadline-heap pushes, (at, id). */
@@ -737,11 +744,6 @@ class Network
      */
     void applyDeliveries(ShardCtx& ctx);
 
-    /**
-     * Owner delivery this cycle: the workers apply their own range's
-     * router- and receiver-bound events (see serialDelivery()).
-     */
-    bool ownerDelivery_ = false;
     // Registry handles (registered at construction; updates are
     // relaxed atomic stores, hot-path safe).
     std::atomic<std::uint64_t>* shardBarrierNanos_ = nullptr;

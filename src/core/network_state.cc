@@ -208,9 +208,10 @@ Network::placeBuckets(std::vector<ListedBucket>& listed)
     // A restored bucket goes into shard 0's segment as its first run
     // (every segment opens that run, so runs stay aligned): its saved
     // order is the serial order, and run-major delivery keeps it. Its
-    // events for other shards' ranges go on shard 0's remote lists,
-    // and its heads' headers join the segment's header lane. The
-    // events are appended, so the segment keeps its reserved capacity.
+    // router-bound events for other shards' ranges go on shard 0's
+    // remote lists, and its heads' headers join the segment's header
+    // lane. The events are appended, so the segment keeps its reserved
+    // capacity.
     for (Wave& wave : buckets_)
         wave.clear();
     const NodeId shard0_end = shardCtx_.front().end;
@@ -241,16 +242,17 @@ Network::placeBuckets(std::vector<ListedBucket>& listed)
             if (e.event.ejChannel >= cfg_.ejectionChannels)
                 panic("restored ejection flit on channel ",
                       e.event.ejChannel, " of ", cfg_.ejectionChannels);
-            seg.recvFlits.push(staged(e), e.event.node >= shard0_end);
+            seg.recvFlits.events.push_back(staged(e));
         }
-        const auto append = [&](auto& lane, const auto& events) {
-            for (const auto& e : events)
-                lane.push(e, e.node >= shard0_end);
-        };
-        append(seg.credits, from.credits);
-        append(seg.injCredits, from.injCredits);
-        append(seg.bkills, from.bkills);
-        append(seg.aborts, from.aborts);
+        for (const auto& e : from.credits)
+            seg.credits.push(e, e.node >= shard0_end);
+        for (const auto& e : from.bkills)
+            seg.bkills.push(e, e.node >= shard0_end);
+        seg.injCredits.events.insert(seg.injCredits.events.end(),
+                                     from.injCredits.begin(),
+                                     from.injCredits.end());
+        seg.aborts.events.insert(seg.aborts.events.end(),
+                                 from.aborts.begin(), from.aborts.end());
     }
 }
 

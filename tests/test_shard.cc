@@ -235,6 +235,72 @@ TEST(Shard, WatchFilterAdoptionSurvivesSharding)
     EXPECT_EQ(four, one);
 }
 
+TEST(Shard, TracedFaultRunsMatchAtEveryShardCount)
+{
+    // The prologue keeps every delivery that draws RNG or records a
+    // trace event (the corruption draws, dead-wire absorption and its
+    // link_loss records, the receivers' and injectors' records), and
+    // the shards owner-deliver the router-bound rest. FCR with link
+    // kills that get repaired, one fail-stop router (one cycle absorbs
+    // flits bound for several shards), a transient rate and a
+    // corruption burst, traced unwatched and under a watch list: every
+    // shard count must reproduce shards=1's results and trace bytes.
+    auto slurp = [](const std::string& path) {
+        std::ifstream in(path);
+        std::ostringstream os;
+        os << in.rdbuf();
+        return os.str();
+    };
+    auto runTraced = [&](std::uint32_t shards, const std::string& watch,
+                         RunResult& result) {
+        SimConfig cfg = baseCfg();
+        cfg.protocol = ProtocolKind::Fcr;
+        cfg.maxRetries = 4;  // Messages for the dead router give up.
+        // Two flits in flight per wire: a dying router's wires lose
+        // flits bound for several shards in the same cycle.
+        cfg.channelLatency = 2;
+        cfg.injectionRate = 0.12;
+        cfg.warmupCycles = 100;
+        cfg.measureCycles = 700;
+        cfg.dynamicLinkKills = 3;
+        cfg.linkRepairAfter = 150;
+        cfg.dynamicRouterKills = 1;
+        cfg.transientFaultRate = 5e-4;
+        cfg.burstStart = 300;
+        cfg.burstLen = 100;
+        cfg.burstRate = 0.02;
+        cfg.watchSpec = watch;
+        cfg.shards = shards;
+        cfg.traceFile = ::testing::TempDir() + "crnet_fault_trace_" +
+                        std::to_string(shards);
+        result = runExperiment(cfg);
+        const std::string text = slurp(cfg.traceFile + ".jsonl");
+        std::remove((cfg.traceFile + ".jsonl").c_str());
+        std::remove((cfg.traceFile + ".json").c_str());
+        return text;
+    };
+    for (const std::string watch : {"", "0-15,3-12,5-10,9-6"}) {
+        SCOPED_TRACE("watch='" + watch + "'");
+        RunResult one;
+        const std::string trace = runTraced(1, watch, one);
+        EXPECT_GT(one.refusals, 0u);  // Some corruption was detected.
+        EXPECT_TRUE(one.drained);
+        if (watch.empty()) {
+            EXPECT_NE(trace.find("\"ev\":\"link_loss\""),
+                      std::string::npos);
+            EXPECT_NE(trace.find("\"ev\":\"abort\""), std::string::npos);
+        } else {
+            EXPECT_FALSE(trace.empty());
+        }
+        for (const std::uint32_t shards : {2u, 3u, 4u}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards));
+            RunResult split;
+            EXPECT_TRUE(runTraced(shards, watch, split) == trace);
+            expectSameResult(split, one);
+        }
+    }
+}
+
 TEST(Shard, CampaignAggregatesMatch)
 {
     CampaignConfig cc;
