@@ -10,6 +10,8 @@
  * software.
  */
 
+#include <algorithm>
+
 #include "bench/bench_common.hh"
 
 int
@@ -69,12 +71,16 @@ main(int argc, char** argv)
     // series (see docs/OBSERVABILITY.md) shows the kill-rate spike at
     // the fault window and throughput recovering once retries drain;
     // the heatmap shows which channels absorbed the detour traffic.
+    // Both events fall inside any measurement window: the kill at
+    // most halfway in, the repair at most a quarter of it later
+    // (1500 and 1000 cycles at the default window).
     SimConfig rec = base;
     rec.transientFaultRate = 0.0;
     rec.dynamicLinkKills = 2;
-    rec.faultWindowStart = rec.warmupCycles + 1500;
+    rec.faultWindowStart =
+        rec.warmupCycles + std::min<Cycle>(1500, rec.measureCycles / 2);
     rec.faultWindowEnd = rec.faultWindowStart + 1;
-    rec.linkRepairAfter = 1000;
+    rec.linkRepairAfter = std::min<Cycle>(1000, rec.measureCycles / 4);
     rec.sampleInterval = 250;
     rec.heatmapEnabled = true;
     const RunResult rr = runOne(rec);

@@ -18,18 +18,6 @@ namespace crnet {
 
 namespace {
 
-/**
- * How often (in cycles, a power of two) a busy router is probed with
- * idle() so it can leave the active set. Part of the snapshot format:
- * see shardWorker().
- */
-constexpr Cycle kIdleProbePeriod = 8;
-static_assert((kIdleProbePeriod & (kIdleProbePeriod - 1)) == 0 &&
-                  kIdleProbePeriod != 0,
-              "kIdleProbePeriod must be a power of two: the probe "
-              "boundary test masks with (kIdleProbePeriod - 1) "
-              "instead of taking a modulus");
-
 /** Fold every Counter of `from` into `into` and zero `from`. */
 void
 foldCounters(NetworkStats& into, NetworkStats& from)
@@ -250,8 +238,6 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         ctx.rcvOut = ReceiverOutbox(cfg_);
         const std::size_t range = ctx.end - ctx.begin;
         ctx.injReports.reserve(range);
-        ctx.injSleeps.reserve(range);
-        ctx.rcvSleeps.reserve(range);
         ctx.audit.kills.reserve(16);
     }
     routerPool_ = std::make_unique<Router::StatePool>(cfg_, n);
@@ -324,21 +310,9 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             }
         }
     }
-    injAwake_.assign(n, 0);
-    rtrAwake_.assign(n, 0);
-    rcvAwake_.assign(n, 0);
-    injNextAt_.assign(n, kNeverCycle);
-    rcvNextAt_.assign(n, kNeverCycle);
-    {
-        std::vector<std::pair<Cycle, NodeId>> heap_store;
-        heap_store.reserve(n);
-        injDeadlines_ =
-            DeadlineHeap(std::greater<>{}, std::move(heap_store));
-        std::vector<std::pair<Cycle, NodeId>> heap_store2;
-        heap_store2.reserve(n);
-        rcvDeadlines_ =
-            DeadlineHeap(std::greater<>{}, std::move(heap_store2));
-    }
+    injWakeAt_.assign(n, kNeverCycle);
+    rtrWakeAt_.assign(n, kNeverCycle);
+    rcvWakeAt_.assign(n, kNeverCycle);
     // Everything starts asleep: at cycle 0 every component is idle,
     // and generate()/sendMessage()/deliver() wake whoever gets work.
 
@@ -418,43 +392,6 @@ Network::snapshotCycle(std::size_t i) const
 {
     const std::size_t listed = snapshotBuckets();
     return now_ + (i + listed - now_ % listed) % listed;
-}
-
-bool
-Network::deferWake(std::vector<std::uint8_t>& awake,
-                   std::vector<Cycle>& next_at, NodeId id, Cycle at)
-{
-    if (at == kNeverCycle)
-        return false;
-    if (at <= now_ + 1) {
-        awake[id] = 1;
-        return false;
-    }
-    if (at >= next_at[id])
-        return false;  // An earlier-or-equal deadline is already queued.
-    next_at[id] = at;
-    return true;
-}
-
-void
-Network::popDueDeadlines()
-{
-    while (!injDeadlines_.empty() &&
-           injDeadlines_.top().first <= now_) {
-        const NodeId id = injDeadlines_.top().second;
-        if (injNextAt_[id] == injDeadlines_.top().first)
-            injNextAt_[id] = kNeverCycle;
-        injDeadlines_.pop();
-        wakeInjector(id);  // Stale entries = harmless no-op ticks.
-    }
-    while (!rcvDeadlines_.empty() &&
-           rcvDeadlines_.top().first <= now_) {
-        const NodeId id = rcvDeadlines_.top().second;
-        if (rcvNextAt_[id] == rcvDeadlines_.top().first)
-            rcvNextAt_[id] = kNeverCycle;
-        rcvDeadlines_.pop();
-        wakeReceiver(id);
-    }
 }
 
 void
@@ -664,11 +601,9 @@ Network::generate()
     if (!trafficEnabled_)
         return;
     const NodeId n = topo_->numNodes();
-    // Batched arrival scan: scanArrivals consumes exactly the same
-    // per-node Bernoulli draws the old per-node drawArrival loop did,
-    // so the RNG interleaving with makeFor below is unchanged — but
-    // the (overwhelmingly common) no-arrival nodes stay inside one
-    // tight loop over the generator stream.
+    // One arrival scan per cycle: the (overwhelmingly common)
+    // no-arrival nodes stay inside one tight loop over the generator
+    // stream, and makeFor() draws in between at each fired node.
     for (NodeId src = generator_->scanArrivals(0); src < n;
          src = generator_->scanArrivals(src + 1)) {
         if (injectors_[src]->queueFull()) {
@@ -796,26 +731,25 @@ Network::activityLevel() const
 //
 // Determinism argument (docs/PERFORMANCE.md has the long form): the
 // shard workers run only owner delivery, component ticks and collects.
-// Each touches only the owning shard's components, flags and segments;
-// every cross-component effect is staged in a wave bucket at least one
-// cycle out, give-ups and commit samples in the injector's outboxes,
-// deliveries in the shard context (the receivers' sink), trace records
-// in per-shard buffers and audit deltas in per-shard stages. Counters
-// are commutative and land in per-shard blocks. Owner delivery visits
-// the current bucket in the serial order (run-major, shard-minor), so
-// every router sees its events in the one-shard order, and it neither
-// records nor draws: every delivery that does stays in the prologue.
-// Only the Network applies ledger calls, accumulator adds and heap
-// pushes, and every order-sensitive replay below iterates shard-major
-// over contiguous ascending ranges, i.e. in global node order — the
-// one-shard order — so stats, traces, wave contents, heap layouts and
-// snapshots are byte-identical at every shard count.
+// Each touches only the owning shard's components, wake entries and
+// segments; every cross-component effect is staged in a wave bucket at
+// least one cycle out, give-ups and commit samples in the injector's
+// outboxes, deliveries in the shard context (the receivers' sink),
+// trace records in per-shard buffers and audit deltas in per-shard
+// stages. Counters are commutative and land in per-shard blocks. Owner
+// delivery visits the current bucket in the serial order (run-major,
+// shard-minor), so every router sees its events in the one-shard
+// order, and it neither records nor draws: every delivery that does
+// stays in the prologue. Only the Network applies ledger calls and accumulator adds, and every
+// order-sensitive replay below iterates shard-major over contiguous
+// ascending ranges, i.e. in global node order — the one-shard order —
+// so stats, traces, wave contents, wake tables and snapshots are
+// byte-identical at every shard count.
 //
-// A component's wake flag is cleared before its tick; the only wake a
-// tick can raise is its own re-registration (all cross-component wakes
-// happen at delivery time, next cycle), so clearing in place is safe
-// and the node-order scan matches the exhaustive sweep's tick order
-// exactly.
+// A component's wake entry is rewritten right after its tick; no tick
+// wakes another component (all cross-component wakes happen at
+// delivery time, next cycle), so rewriting in place is safe and the
+// node-order scan matches the exhaustive sweep's tick order exactly.
 
 void
 Network::profileLap(TickPhase phase, std::uint64_t& pt)
@@ -877,8 +811,6 @@ Network::shardWorker(unsigned s)
     Auditor::setThreadStage(&ctx.audit);
     deliverOwned(s);
     ctx.injReports.clear();
-    ctx.injSleeps.clear();
-    ctx.rcvSleeps.clear();
     lap(TickPhase::Deliver);
     std::uint64_t ticked = 0;
     const Cycle latency = cfg_.channelLatency;
@@ -888,18 +820,15 @@ Network::shardWorker(unsigned s)
     Tracer::setThreadStage(&ctx.injTrace);
     next.openRun();
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
-        if (injAwake_[id] == 0)
+        if (injWakeAt_[id] > now_)
             continue;
-        injAwake_[id] = 0;
         Injector& inj = *injectors_[id];
         inj.tick(now_);
         ++ticked;
         collectInjector(ctx, next, id);
         if (!inj.failed.empty() || !inj.committedStats.empty())
             ctx.injReports.push_back(id);
-        const Cycle at = inj.nextEventCycle(now_);
-        if (deferWake(injAwake_, injNextAt_, id, at))
-            ctx.injSleeps.emplace_back(at, id);
+        injWakeAt_[id] = inj.nextEventCycle(now_);
     }
     lap(TickPhase::Injectors);
 
@@ -908,41 +837,30 @@ Network::shardWorker(unsigned s)
     if (latency > 1)
         far.openRun();
     // Routers have no future-only deadlines: any held flit, allocation
-    // or pending kill needs the very next tick, so a ticked router is
-    // assumed still busy. idle() is a mask test, but busy routers are
-    // still only probed for sleep on coarse boundaries: a no-op tick
-    // stamps Router::now_, and both it and the headArrivedAt of a head
-    // that arrives while the router is awake are snapshot fields, so
-    // probing on another period would change snapshot bytes (results
-    // would not change: a router lingers awake for at most
-    // kIdleProbePeriod - 1 no-op ticks after its last flit leaves, and
-    // over-waking is harmless).
-    const bool probe = (now_ & (kIdleProbePeriod - 1)) == 0;
+    // or pending kill needs the very next tick, so a busy router stays
+    // due and an idle() one (a mask test) sleeps until a delivery.
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
-        if (rtrAwake_[id] == 0)
+        if (rtrWakeAt_[id] > now_)
             continue;
         Router& r = *routers_[id];
         r.tick(now_);
         ++ticked;
         collectRouter(ctx, next, far, id);
-        if (probe && r.idle())
-            rtrAwake_[id] = 0;
+        if (r.idle())
+            rtrWakeAt_[id] = kNeverCycle;
     }
     lap(TickPhase::Routers);
 
     Tracer::setThreadStage(&ctx.rcvTrace);
     next.openRun();
     for (NodeId id = ctx.begin; id < ctx.end; ++id) {
-        if (rcvAwake_[id] == 0)
+        if (rcvWakeAt_[id] > now_)
             continue;
-        rcvAwake_[id] = 0;
         Receiver& rcv = *receivers_[id];
         rcv.tick(now_);
         ++ticked;
         collectReceiver(ctx, next, id);
-        const Cycle at = rcv.nextEventCycle(now_);
-        if (deferWake(rcvAwake_, rcvNextAt_, id, at))
-            ctx.rcvSleeps.emplace_back(at, id);
+        rcvWakeAt_[id] = rcv.nextEventCycle(now_);
     }
     lap(TickPhase::Receivers);
 
@@ -977,8 +895,6 @@ Network::mergeShards(std::uint64_t& pt)
         replay(ctx.injTrace);
         for (const NodeId id : ctx.injReports)
             applyInjectorReports(id);
-        for (const auto& due : ctx.injSleeps)
-            injDeadlines_.push(due);
     }
     profileLap(TickPhase::Injectors, pt);
     for (ShardCtx& ctx : shardCtx_)
@@ -986,8 +902,6 @@ Network::mergeShards(std::uint64_t& pt)
     profileLap(TickPhase::Routers, pt);
     for (ShardCtx& ctx : shardCtx_) {
         replay(ctx.rcvTrace);
-        for (const auto& due : ctx.rcvSleeps)
-            rcvDeadlines_.push(due);
         applyDeliveries(ctx);
     }
     foldShardCounters();
@@ -1037,22 +951,21 @@ Network::tick()
         trace_->beginCycle(now_);
     if (dynamicFaults_ && schedule_ != nullptr)
         applyFaultEvents();
-    popDueDeadlines();
     if (!activeSched_) {
         // sched=sweep: every component ticks every cycle — including
         // the first one after a restore — so sweep stays an
         // independent check of the wake rules.
-        std::fill(injAwake_.begin(), injAwake_.end(), 1);
-        std::fill(rtrAwake_.begin(), rtrAwake_.end(), 1);
-        std::fill(rcvAwake_.begin(), rcvAwake_.end(), 1);
+        std::fill(injWakeAt_.begin(), injWakeAt_.end(), 0);
+        std::fill(rtrWakeAt_.begin(), rtrWakeAt_.end(), 0);
+        std::fill(rcvWakeAt_.begin(), rcvWakeAt_.end(), 0);
     }
     // Injector-bound events go before generate(): a stale abort can
     // push its message back onto the source queue, and generate()
     // reads queueFull(). The shard workers deliver the router-bound
     // rest to their own ranges.
     deliverPrologue();
-    // Cycle-open bookkeeping (faults, deadlines, trace) rides with the
-    // delivery phase.
+    // Cycle-open bookkeeping (faults, trace) rides with the delivery
+    // phase.
     profileLap(TickPhase::Deliver, pt);
     generate();
     profileLap(TickPhase::Generate, pt);
@@ -1104,17 +1017,16 @@ Network::sampleGauges(std::uint64_t& in_flight,
 {
     const NodeId n = topo_->numNodes();
     if (activeSched_) {
-        // Post-sweep, the wake flags mark every component re-armed
-        // for the next cycle — which covers every nonzero gauge: a
-        // sleeping injector has no active worm, and sleeping
+        // Post-sweep, the entries due next cycle cover every nonzero
+        // gauge: a sleeping injector has no active worm, and sleeping
         // routers/receivers buffer nothing (buffered flits always
         // demand the next tick).
         for (NodeId id = 0; id < n; ++id) {
-            if (injAwake_[id] != 0)
+            if (dueNext(injWakeAt_[id]))
                 in_flight += injectors_[id]->activeWorms();
-            if (rtrAwake_[id] != 0)
+            if (dueNext(rtrWakeAt_[id]))
                 buffered += routers_[id]->bufferedFlits();
-            if (rcvAwake_[id] != 0)
+            if (dueNext(rcvWakeAt_[id]))
                 buffered += receivers_[id]->bufferedFlits();
         }
     } else {
@@ -1369,7 +1281,6 @@ Network::attachProfiler(TickProfiler* prof)
     if (prof == nullptr) {
         gaugeInjAwake_ = gaugeRtrAwake_ = gaugeRcvAwake_ = nullptr;
         gaugeWaveOcc_ = gaugeRngMessages_ = nullptr;
-        histInjHeap_ = histRcvHeap_ = nullptr;
         return;
     }
     Telemetry& reg = Telemetry::instance();
@@ -1378,20 +1289,19 @@ Network::attachProfiler(TickProfiler* prof)
     gaugeRcvAwake_ = reg.gauge("sched.receivers_awake");
     gaugeWaveOcc_ = reg.gauge("sched.wave_ring_occupancy");
     gaugeRngMessages_ = reg.gauge("rng.messages_generated");
-    histInjHeap_ = reg.histogram("sched.injector_heap_size");
-    histRcvHeap_ = reg.histogram("sched.receiver_heap_size");
 }
 
 void
 Network::sampleTelemetryGauges()
 {
-    const auto awake = [](const std::vector<std::uint8_t>& flags) {
+    const auto awake = [this](const std::vector<Cycle>& wake_at) {
         return static_cast<std::uint64_t>(
-            std::count(flags.begin(), flags.end(), 1));
+            std::count_if(wake_at.begin(), wake_at.end(),
+                          [this](Cycle at) { return dueNext(at); }));
     };
-    gaugeInjAwake_->store(awake(injAwake_), std::memory_order_relaxed);
-    gaugeRtrAwake_->store(awake(rtrAwake_), std::memory_order_relaxed);
-    gaugeRcvAwake_->store(awake(rcvAwake_), std::memory_order_relaxed);
+    gaugeInjAwake_->store(awake(injWakeAt_), std::memory_order_relaxed);
+    gaugeRtrAwake_->store(awake(rtrWakeAt_), std::memory_order_relaxed);
+    gaugeRcvAwake_->store(awake(rcvWakeAt_), std::memory_order_relaxed);
     std::uint64_t occ = 0;
     for (const Wave& w : buckets_)
         for (const Segment& seg : w.segs)
@@ -1399,8 +1309,6 @@ Network::sampleTelemetryGauges()
     gaugeWaveOcc_->store(occ, std::memory_order_relaxed);
     gaugeRngMessages_->store(generator_->generatedCount(),
                              std::memory_order_relaxed);
-    histInjHeap_->observe(injDeadlines_.size());
-    histRcvHeap_->observe(rcvDeadlines_.size());
 }
 
 MsgId

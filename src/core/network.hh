@@ -16,11 +16,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -207,9 +204,9 @@ class Network
 
     /**
      * Serialize every field the tick mutates — stats, RNG streams,
-     * wave buckets, router/NIC state, scheduler flags and deadline
-     * arrays, sidecars (tracer/timeseries/auditor) and the attached
-     * ledger — in a fixed, sorted, little-endian layout (serialize()).
+     * wave buckets, router/NIC state, the scheduler's wake tables,
+     * sidecars (tracer/timeseries/auditor) and the attached ledger —
+     * in a fixed, sorted, little-endian layout (serialize()).
      * Prefer captureSnapshot()/restoreSnapshot() (snapshot.hh), which
      * add the version/fingerprint envelope.
      */
@@ -410,38 +407,38 @@ class Network
 
     // --- The cycle loop (see docs/PERFORMANCE.md) -------------------
     //
-    // Only components whose wake flag is set are ticked: anything
-    // receiving a delivery, a new message or a fault teardown is woken
-    // for the same cycle, and components whose next state change is a
-    // known future deadline (cooldown exit, backoff expiry,
-    // starvation-check boundary) sleep on a deadline heap until then.
-    // Ticking an idle component is a provable no-op, so over-waking is
-    // always safe; the wake rules never under-wake, which is what
-    // keeps `sched=active` bit-identical to `sched=sweep`: the same
-    // loop with every flag raised at the top of each cycle.
+    // Only components whose wake entry is due (<= now_) are ticked.
+    // Anything receiving a delivery, a new message or a fault teardown
+    // is woken for the same cycle (entry 0). A ticked injector or
+    // receiver stores its nextEventCycle(): now_ + 1, a known future
+    // deadline (cooldown exit, backoff expiry, starvation-check
+    // boundary) or kNeverCycle. A ticked router stores kNeverCycle
+    // once idle(), and otherwise stays due. Ticking a component before
+    // its entry is a provable no-op, so over-waking is always safe;
+    // the wake rules never under-wake, which is what keeps
+    // `sched=active` bit-identical to `sched=sweep`: the same loop
+    // with every entry zeroed at the top of each cycle.
     //
     // Every cycle runs one sequence, at every shard count. The node
     // array is cut into `shards` contiguous ranges (one range at
     // shards=1):
-    //  1. The prologue, on the ticking thread: fault events, due
-    //     deadlines, deliverPrologue() (every delivery that draws RNG
-    //     or records a trace event, and the injector-bound ones) and
-    //     generate().
+    //  1. The prologue, on the ticking thread: fault events,
+    //     deliverPrologue() (every delivery that draws RNG or records
+    //     a trace event, and the injector-bound ones) and generate().
     //  2. One shardWorker per range: shard 0 on the ticking thread,
     //     shards 1..K-1 on crew threads (no crew at shards=1). Each
     //     owns its range for the whole cycle: it delivers the
-    //     router-bound events addressed to its range, ticks its
-    //     components and collects their outboxes (plus the router idle
-    //     probe) into its own segment of each wave bucket. The
+    //     router-bound events addressed to its range, ticks its due
+    //     components, stores their next wake cycles and collects their
+    //     outboxes into its own segment of each wave bucket. The
     //     >= 1-cycle channel latency is the synchronization slack:
     //     every cross-component effect is staged in the waves, so one
     //     cycle's deliveries and ticks touch only the owner's
     //     components.
     //  3. mergeShards(): everything order-sensitive — ledger calls,
-    //     Welford accumulator adds, deadline-heap pushes, deliveries,
-    //     trace records — was staged per shard and is applied here in
-    //     node order, which keeps every result byte-identical to
-    //     shards=1.
+    //     Welford accumulator adds, deliveries, trace records — was
+    //     staged per shard and is applied here in node order, which
+    //     keeps every result byte-identical to shards=1.
 
     /**
      * Run every shard's worker (on the crew, if there is one), then
@@ -452,13 +449,12 @@ class Network
     /**
      * One shard's part of the cycle: install the tracer/auditor
      * staging areas, deliver the router-bound events addressed to the
-     * range (deliverOwned()), then tick the woken injectors, routers
-     * and receivers of the range (in that phase order, each in node
-     * order), clearing the injector and receiver flags on the way, and
-     * collect each into this shard's segments. Injector reports,
-     * deadline pushes and deliveries go to the shard's stages for
-     * mergeShards(). Shard 0, on the ticking thread, laps the
-     * profiler's phases.
+     * range (deliverOwned()), then tick the due injectors, routers and
+     * receivers of the range (in that phase order, each in node
+     * order), store each one's next wake cycle, and collect each into
+     * this shard's segments. Injector reports and deliveries go to the
+     * shard's stages for mergeShards(). Shard 0, on the ticking
+     * thread, laps the profiler's phases.
      */
     CRNET_HOT_PATH CRNET_RESULT_AFFECTING
     CRNET_ALLOW("alloc",
@@ -472,12 +468,9 @@ class Network
     /**
      * The serial merge after the workers: fold audit stages, then
      * phase by phase and shard by shard replay staged trace events,
-     * apply injector reports, push staged deadlines, apply deliveries,
-     * and fold the shard counters.
+     * apply injector reports and deliveries, and fold the shard
+     * counters.
      */
-    CRNET_ALLOW("alloc",
-                "deadline min-heap push: amortized vector growth, "
-                "bounded by the node count in steady state")
     void mergeShards(std::uint64_t& pt);
 
     /** Fold per-shard Counter blocks into the master stats block. */
@@ -492,22 +485,10 @@ class Network
     /** Bill the time since `pt` to `phase` (sampled ticks only). */
     void profileLap(TickPhase phase, std::uint64_t& pt);
 
-    /** Queue a component for this cycle's sweep (idempotent). */
-    void wakeInjector(NodeId id) { injAwake_[id] = 1; }
-    void wakeRouter(NodeId id) { rtrAwake_[id] = 1; }
-    void wakeReceiver(NodeId id) { rcvAwake_[id] = 1; }
-
-    /**
-     * Sleep component `id` until `at` (kNeverCycle = fully idle;
-     * now_ + 1 or earlier = stay in the wake list). Touches only the
-     * component's own flag and deadline slot; returns true when
-     * (at, id) must still go onto the deadline heap.
-     */
-    bool deferWake(std::vector<std::uint8_t>& awake,
-                   std::vector<Cycle>& next_at, NodeId id, Cycle at);
-
-    /** Wake every component whose deadline is due at now_. */
-    void popDueDeadlines();
+    /** Queue a component for this cycle's tick (idempotent). */
+    void wakeInjector(NodeId id) { injWakeAt_[id] = 0; }
+    void wakeRouter(NodeId id) { rtrWakeAt_[id] = 0; }
+    void wakeReceiver(NodeId id) { rcvWakeAt_[id] = 0; }
 
     void applyFaultEvents();
     void applyOneFaultEvent(const FaultEvent& ev);
@@ -532,18 +513,20 @@ class Network
     void takeSample();
 
     /**
-     * Refresh the cached registry gauges/histograms (awake counts,
-     * counted from the flag arrays; wave-ring occupancy; deadline-
-     * heap sizes; generator draws). Runs only on the profiler's
-     * sampled ticks; allocation-free.
+     * Refresh the cached registry gauges (awake counts: wake entries
+     * due next cycle; wave-ring occupancy; generator draws). Runs only
+     * on the profiler's sampled ticks; allocation-free.
      */
     void sampleTelemetryGauges();
 
+    /** True when wake entry `at` is due by the next cycle. */
+    bool dueNext(Cycle at) const { return at <= now_ + 1; }
+
     /**
      * Instantaneous gauges for a time-series sample: in-flight worms
-     * and buffered flits, flag-gated under the active scheduler (a
-     * sleeping component's gauges are provably zero) and read from
-     * every component under sweep.
+     * and buffered flits, read under the active scheduler from the
+     * components due next cycle (a sleeping component's gauges are
+     * provably zero) and from every component under sweep.
      */
     void sampleGauges(std::uint64_t& in_flight,
                       std::uint64_t& buffered) const;
@@ -673,23 +656,16 @@ class Network
     /** Router network ports (= injection/ejection port base). */
     PortId netPorts_ = 0;
 
-    // Scheduler state. A wake is one byte store; each shard worker
-    // scans its range of the flag arrays in node order, which keeps
-    // the tick order — and with it every wave, arbitration and RNG
-    // interleaving — identical to the exhaustive sweep (the scan is a
-    // few hundred predictable byte loads, far cheaper than
-    // maintaining sorted wake lists). The deadline heaps hold sleeping
-    // components' next event cycles, deduplicated through the
-    // per-component `nextAt` arrays (stale entries pop as harmless
-    // spurious wakes).
-    using DeadlineHeap =
-        std::priority_queue<std::pair<Cycle, NodeId>,
-                            std::vector<std::pair<Cycle, NodeId>>,
-                            std::greater<>>;
+    // Scheduler state: one wake table per component kind, holding per
+    // node the first cycle at which that component's tick may change
+    // state. A wake is one store of 0; each shard worker scans its
+    // range of the tables in node order, which keeps the tick order —
+    // and with it every wave, arbitration and RNG interleaving —
+    // identical to the exhaustive sweep. An entry is written only by
+    // the prologue (before the workers run) and by the worker owning
+    // its node, so nothing is staged for the merge.
     bool activeSched_ = true;
-    std::vector<std::uint8_t> injAwake_, rtrAwake_, rcvAwake_;
-    DeadlineHeap injDeadlines_, rcvDeadlines_;
-    std::vector<Cycle> injNextAt_, rcvNextAt_;
+    std::vector<Cycle> injWakeAt_, rtrWakeAt_, rcvWakeAt_;
 
     /**
      * Per-shard worker context: node range and merge stages. It is
@@ -726,8 +702,6 @@ class Network
         // node order.
         /** Injectors ticked with give-ups or commit samples to apply. */
         std::vector<NodeId> injReports;
-        /** Deadline-heap pushes, (at, id). */
-        std::vector<std::pair<Cycle, NodeId>> injSleeps, rcvSleeps;
         /** This cycle's completed messages, in node order. */
         std::vector<DeliveredMessage> deliveries;
         // Staged trace tuples, one buffer per phase so the replay can
@@ -760,8 +734,6 @@ class Network
     std::atomic<std::uint64_t>* gaugeRcvAwake_ = nullptr;
     std::atomic<std::uint64_t>* gaugeWaveOcc_ = nullptr;
     std::atomic<std::uint64_t>* gaugeRngMessages_ = nullptr;
-    TelemetryHistogram* histInjHeap_ = nullptr;
-    TelemetryHistogram* histRcvHeap_ = nullptr;
 
     Cycle now_ = 0;
     bool trafficEnabled_ = true;

@@ -5,10 +5,10 @@
  * listBuckets(), the capture walk over the wave buckets, stays in
  * network.cc beside the other wave walkers. This code lives apart
  * from the tick's translation unit on purpose: instantiating the
- * field lists there changed GCC's inlining of the tick (the deadline
- * heap push left Network::shardWorker, costing paper_lowload ~4%).
- * For the same reason the component field lists are defined in their
- * headers and instantiated here, not in the component sources.
+ * field lists there changed GCC's inlining of Network::shardWorker
+ * (once measured at ~4% of paper_lowload). For the same reason the
+ * component field lists are defined in their headers and instantiated
+ * here, not in the component sources.
  */
 
 #include <type_traits>
@@ -133,13 +133,10 @@ Network::serialize(Self& self, Io& io, Buckets& listed)
         });
     }
 
-    // Active-set scheduler: wake flags and deadline arrays. The heaps
-    // are rebuilt from the nextAt arrays on restore.
-    for (auto* flags : {&self.injAwake_, &self.rtrAwake_, &self.rcvAwake_})
-        for (auto& v : *flags)
-            io.u8(v);
-    for (auto* next_at : {&self.injNextAt_, &self.rcvNextAt_})
-        for (auto& at : *next_at)
+    // Active-set scheduler: the wake tables, the whole of its state.
+    for (auto* wake_at :
+         {&self.injWakeAt_, &self.rtrWakeAt_, &self.rcvWakeAt_})
+        for (auto& at : *wake_at)
             io.u64(at);
 
     io.u64(self.now_);
@@ -280,19 +277,6 @@ Network::loadState(StateReader& r)
         receivers_[id]->afterRestore();
     }
     placeBuckets(listed);
-
-    // Rebuild the deadline heaps from the deduplicated nextAt arrays:
-    // one live entry per sleeping component. The saved run's stale
-    // heap entries are not reproduced — they pop as no-op wakes,
-    // which cannot change state (sweep equivalence).
-    injDeadlines_ = DeadlineHeap();
-    rcvDeadlines_ = DeadlineHeap();
-    for (NodeId id = 0; id < n; ++id)
-        if (injNextAt_[id] != kNeverCycle)
-            injDeadlines_.push({injNextAt_[id], id});
-    for (NodeId id = 0; id < n; ++id)
-        if (rcvNextAt_[id] != kNeverCycle)
-            rcvDeadlines_.push({rcvNextAt_[id], id});
     dueEvents_.clear();
 }
 

@@ -232,8 +232,21 @@ Receiver::consume(std::uint32_t ch, VcId vc, Cycle now)
 }
 
 void
-Receiver::commitDelivery(const DeliveredMessage& d)
+Receiver::commitDelivery(MsgId msg, const Assembly& a, Cycle now)
 {
+    DeliveredMessage d;
+    d.id = msg;
+    d.src = a.src;
+    d.dst = node_;
+    d.payloadLen = a.header.payloadLen;
+    d.pairSeq = a.header.pairSeq;
+    d.createdAt = a.header.createdAt;
+    d.headInjectedAt = a.header.headInjectedAt;
+    d.deliveredAt = now;
+    d.attempts = static_cast<std::uint16_t>(a.attempt + 1);
+    d.measured = a.header.measured;
+    d.corrupted = a.corrupted;
+
     stats_->messagesDelivered.inc();
     ++delivered_;
     if (d.corrupted)
@@ -269,20 +282,7 @@ Receiver::deliver(MsgId msg, const Assembly& a, Cycle now)
         }
     }
 
-    DeliveredMessage d;
-    d.id = msg;
-    d.src = a.src;
-    d.dst = node_;
-    d.payloadLen = a.header.payloadLen;
-    d.pairSeq = a.header.pairSeq;
-    d.createdAt = a.header.createdAt;
-    d.headInjectedAt = a.header.headInjectedAt;
-    d.deliveredAt = now;
-    d.attempts = static_cast<std::uint16_t>(a.attempt + 1);
-    d.measured = a.header.measured;
-    d.corrupted = a.corrupted;
-
-    commitDelivery(d);
+    commitDelivery(msg, a, now);
     assemblies_.erase(msg);
 }
 
@@ -334,19 +334,7 @@ Receiver::resolveTerminated(MsgId msg, Assembly& a, Cycle now)
         finalize = false;
     } else if (finalize) {
         stats_->assembliesFinalized.inc();
-        DeliveredMessage d;
-        d.id = msg;
-        d.src = a.src;
-        d.dst = node_;
-        d.payloadLen = a.header.payloadLen;
-        d.pairSeq = a.header.pairSeq;
-        d.createdAt = a.header.createdAt;
-        d.headInjectedAt = a.header.headInjectedAt;
-        d.deliveredAt = now;
-        d.attempts = static_cast<std::uint16_t>(a.attempt + 1);
-        d.measured = a.header.measured;
-        d.corrupted = a.corrupted;
-        commitDelivery(d);
+        commitDelivery(msg, a, now);
     } else {
         stats_->assembliesDiscarded.inc();
         if (trace_ != nullptr) {

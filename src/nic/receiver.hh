@@ -268,7 +268,12 @@ class Receiver
     const VcBuffer& vcBuf(std::uint32_t ch, VcId vc) const;
     void consume(std::uint32_t ch, VcId vc, Cycle now);
     void deliver(MsgId msg, const Assembly& a, Cycle now);
-    void commitDelivery(const DeliveredMessage& d);
+    /**
+     * Report assembly `a` of `msg` as delivered at `now`: build its
+     * DeliveredMessage, count, check and trace it, and hand it to the
+     * sink.
+     */
+    void commitDelivery(MsgId msg, const Assembly& a, Cycle now);
     CRNET_ALLOW("alloc",
                 "per-delivery exactly-once bookkeeping: one seen-set "
                 "node per delivered message, by design")

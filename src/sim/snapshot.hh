@@ -44,7 +44,7 @@ class Network;
 struct SimConfig;
 
 /** Snapshot container format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /**
  * Append-only little-endian byte sink for snapshot payloads.

@@ -51,12 +51,6 @@ TrafficGenerator::nextPairSeq(NodeId src, NodeId dst)
     return pairSeqSparse_.try_emplace(key, 0).first->second++;
 }
 
-bool
-TrafficGenerator::drawArrival()
-{
-    return rng_.chance(perCycleProb_);
-}
-
 NodeId
 TrafficGenerator::scanArrivals(NodeId from)
 {
@@ -73,14 +67,6 @@ TrafficGenerator::makeFor(NodeId src, Cycle now, bool measured)
 {
     const NodeId dst = pattern_->destination(src, rng_);
     return makeMessage(src, dst, drawLength(), now, measured);
-}
-
-std::optional<PendingMessage>
-TrafficGenerator::maybeGenerate(NodeId src, Cycle now, bool measured)
-{
-    if (!drawArrival())
-        return std::nullopt;
-    return makeFor(src, now, measured);
 }
 
 PendingMessage

@@ -13,7 +13,6 @@
 #define CRNET_TRAFFIC_GENERATOR_HH
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,21 +34,15 @@ class TrafficGenerator
                      Rng rng);
 
     /**
-     * One Bernoulli arrival draw for `src` this cycle. Callers that
-     * cannot accept the message (full source queue) must still call
-     * this so offered-load accounting and the random stream stay
-     * consistent, then count the drop instead of calling makeFor().
-     */
-    bool drawArrival();
-
-    /**
-     * Draw arrivals for nodes [from, n) of the current cycle in one
-     * tight loop, stopping at the first success. Returns the node
-     * whose draw fired, or n when the rest of the cycle is
-     * arrival-free. The stream consumption is exactly the per-node
-     * drawArrival() sequence, so callers may interleave makeFor()
-     * (which draws destination/length) at each returned node and
-     * resume with scanArrivals(node + 1).
+     * Draw the current cycle's Bernoulli arrivals for nodes [from, n),
+     * one draw per node in node order, stopping at the first success.
+     * Returns the node whose draw fired, or n when the rest of the
+     * cycle is arrival-free. A cycle is one scan from node 0, resumed
+     * with scanArrivals(node + 1) after each fired node, so every node
+     * draws exactly once per cycle. At a fired node the caller calls
+     * makeFor() (which draws destination and length) before resuming,
+     * or, when it cannot accept the message (full source queue),
+     * counts the drop and resumes without calling makeFor().
      */
     NodeId scanArrivals(NodeId from);
 
@@ -61,13 +54,6 @@ class TrafficGenerator
      * receiver.
      */
     PendingMessage makeFor(NodeId src, Cycle now, bool measured);
-
-    /**
-     * Convenience: drawArrival() + makeFor(). `measured` marks the
-     * message as eligible for statistics.
-     */
-    std::optional<PendingMessage>
-    maybeGenerate(NodeId src, Cycle now, bool measured);
 
     /**
      * Create one specific message (examples / tests / targeted

@@ -6,7 +6,10 @@
      Chrome .json trace must parse and pair each `b` (span begin)
      event with an `e`, and the recorded kinds must include the
      inject -> source_kill -> retransmit -> deliver lifecycle
-     docs/OBSERVABILITY.md promises.
+     docs/OBSERVABILITY.md promises. The recovery run's trace
+     (<tmp>/fig15.jsonl, the one file without `_run`) must hold its
+     two link deaths and two repairs as `fault` records: the bench
+     places both inside any measurement window.
   2. The same output must carry `timeseries:`, `heatmap:` and
      `profile: enabled=1` blocks, and tools/extract_csv.py must split
      it, as printed (no `===== name =====` header), into CSV files.
@@ -27,6 +30,9 @@ from pathlib import Path
 EXTRACT_CSV = Path(__file__).resolve().parent.parent / "tools" / \
     "extract_csv.py"
 LIFECYCLE = {"inject", "source_kill", "retransmit", "deliver"}
+# A `fault` record's `attempt` field carries the FaultEventKind
+# (src/fault/fault_schedule.hh): LinkDeath = 0, LinkRepair = 3.
+LINK_DEATH, LINK_REPAIR = 0, 3
 
 
 def run(cmd):
@@ -67,6 +73,23 @@ def check_traces(prefix):
     return problems
 
 
+def check_recovery_faults(path):
+    """Problems with the fault records of the recovery run's trace."""
+    if not os.path.exists(path):
+        return [f"no recovery-run trace at {path}"]
+    kinds = []
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            rec = json.loads(line)
+            if rec["ev"] == "fault":
+                kinds.append(rec["attempt"])
+    print(f"recovery run: fault records of kinds {kinds}")
+    if sorted(kinds) != [LINK_DEATH] * 2 + [LINK_REPAIR] * 2:
+        return [f"{path}: fault records of kinds {kinds}, want two link "
+                f"deaths ({LINK_DEATH}) and two repairs ({LINK_REPAIR})"]
+    return []
+
+
 def main():
     if len(sys.argv) != 3:
         print(__doc__)
@@ -78,6 +101,7 @@ def main():
         out = run([fig15, "warmup=500", "measure=1000", "drain=20000",
                    f"trace={prefix}"])
         failures += check_traces(prefix)
+        failures += check_recovery_faults(prefix + ".jsonl")
         lines = out.splitlines()
         for block in ("timeseries:", "heatmap:", "profile: enabled=1"):
             if not any(line.startswith(block) for line in lines):

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/traffic/generator.hh"
 
 namespace crnet {
@@ -29,16 +31,34 @@ TEST(Generator, OfferedLoadMatchesConfig)
     EXPECT_DOUBLE_EQ(gen.offeredLoad(), 0.25);
 }
 
+/**
+ * One cycle of arrivals, as Network::generate() draws them: call
+ * fn(src) at every node whose arrival fired, in node order.
+ */
+template <typename Fn>
+void
+forEachArrival(TrafficGenerator& gen, NodeId nodes, Fn&& fn)
+{
+    for (NodeId src = gen.scanArrivals(0); src < nodes;
+         src = gen.scanArrivals(src + 1))
+        fn(src);
+}
+
 TEST(Generator, ArrivalRateIsLoadOverLength)
 {
     auto cfg = genCfg(0.32, 16);  // P(msg) = 0.02 per node-cycle.
     auto topo = makeTopology(cfg);
     TrafficGenerator gen(cfg, *topo, Rng(2));
-    int msgs = 0;
+    std::vector<int> msgs(16, 0);
     const int cycles = 200000;
     for (int t = 0; t < cycles; ++t)
-        msgs += gen.maybeGenerate(3, t, false).has_value();
-    EXPECT_NEAR(static_cast<double>(msgs) / cycles, 0.02, 0.002);
+        forEachArrival(gen, 16, [&](NodeId src) { ++msgs[src]; });
+    // Every node draws once per cycle at the configured probability.
+    for (NodeId src = 0; src < 16; ++src) {
+        EXPECT_NEAR(static_cast<double>(msgs[src]) / cycles, 0.02,
+                    0.002)
+            << "node " << src;
+    }
 }
 
 TEST(Generator, MessagesAreWellFormed)
@@ -46,18 +66,21 @@ TEST(Generator, MessagesAreWellFormed)
     auto cfg = genCfg(0.5, 16);
     auto topo = makeTopology(cfg);
     TrafficGenerator gen(cfg, *topo, Rng(3));
+    int msgs = 0;
     for (int t = 0; t < 5000; ++t) {
-        auto m = gen.maybeGenerate(7, t, true);
-        if (!m)
-            continue;
-        EXPECT_EQ(m->src, 7u);
-        EXPECT_NE(m->dst, 7u);
-        EXPECT_LT(m->dst, 16u);
-        EXPECT_EQ(m->payloadLen, 16u);
-        EXPECT_EQ(m->createdAt, static_cast<Cycle>(t));
-        EXPECT_TRUE(m->measured);
-        EXPECT_EQ(m->attempt, 0u);
+        forEachArrival(gen, 16, [&](NodeId src) {
+            const PendingMessage m = gen.makeFor(src, t, true);
+            ++msgs;
+            EXPECT_EQ(m.src, src);
+            EXPECT_NE(m.dst, src);
+            EXPECT_LT(m.dst, 16u);
+            EXPECT_EQ(m.payloadLen, 16u);
+            EXPECT_EQ(m.createdAt, static_cast<Cycle>(t));
+            EXPECT_TRUE(m.measured);
+            EXPECT_EQ(m.attempt, 0u);
+        });
     }
+    EXPECT_GT(msgs, 0);
 }
 
 TEST(Generator, PairSeqIncreasesPerPair)
@@ -93,15 +116,15 @@ TEST(Generator, BimodalMixesLengths)
     TrafficGenerator gen(cfg, *topo, Rng(6));
     int shorts = 0, longs = 0;
     for (int t = 0; t < 400000 && longs + shorts < 2000; ++t) {
-        auto m = gen.maybeGenerate(1, t, false);
-        if (!m)
-            continue;
-        if (m->payloadLen == 8)
-            ++shorts;
-        else if (m->payloadLen == 64)
-            ++longs;
-        else
-            FAIL() << "unexpected length " << m->payloadLen;
+        forEachArrival(gen, 16, [&](NodeId src) {
+            const PendingMessage m = gen.makeFor(src, t, false);
+            if (m.payloadLen == 8)
+                ++shorts;
+            else if (m.payloadLen == 64)
+                ++longs;
+            else
+                ADD_FAILURE() << "unexpected length " << m.payloadLen;
+        });
     }
     const double frac_b =
         static_cast<double>(longs) / (shorts + longs);

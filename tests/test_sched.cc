@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,7 +18,9 @@
 #include <vector>
 
 #include "src/core/experiment.hh"
+#include "src/core/network.hh"
 #include "src/fault/campaign.hh"
+#include "src/sim/telemetry.hh"
 #include "src/sim/trace.hh"
 
 namespace crnet {
@@ -293,6 +296,36 @@ TEST(Sched, DeadlockDetectedAtSameCycleAcrossSchedulers)
     const Cycle active = deadlockCycle(SchedulerKind::Active);
     ASSERT_LT(sweep, 30000u);  // The run really deadlocked.
     EXPECT_EQ(active, sweep);
+}
+
+TEST(Sched, RouterSleepsTheTickItGoesIdle)
+{
+    // A ticked router's wake entry is kNeverCycle exactly when it is
+    // idle(), checked every tick, so after every cycle the awake-router
+    // gauge (entries due next cycle) counts exactly the busy routers.
+    SimConfig cfg = baseCfg();
+    cfg.sched = SchedulerKind::Active;
+    cfg.injectionRate = 0.1;
+    Network net(cfg);
+    TickProfiler prof(1);  // Every tick refreshes the gauges.
+    net.attachProfiler(&prof);
+    const std::atomic<std::uint64_t>* awake =
+        Telemetry::instance().gauge("sched.routers_awake");
+    const NodeId n = net.topology().numNodes();
+    bool mixed = false;
+    for (Cycle c = 0; c < 600; ++c) {
+        net.run(1);
+        std::uint64_t busy = 0;
+        for (NodeId id = 0; id < n; ++id)
+            busy += net.router(id).idle() ? 0 : 1;
+        ASSERT_EQ(awake->load(std::memory_order_relaxed), busy)
+            << "after cycle " << c;
+        mixed = mixed || (busy > 0 && busy < n);
+    }
+    net.attachProfiler(nullptr);
+    // A run that never had busy and idle routers side by side proves
+    // nothing.
+    EXPECT_TRUE(mixed);
 }
 
 TEST(Sched, ConfigRoundTripsAndDefaultsToActive)

@@ -272,18 +272,19 @@ TEST_F(SnapshotFile, DetectsVersionSkew)
     EXPECT_NE(err.find("version"), std::string::npos) << err;
 }
 
-TEST_F(SnapshotFile, RefusesVersion3)
+TEST_F(SnapshotFile, RefusesVersion4)
 {
-    // Version 3 carried every header field on every flit; its layout
-    // is refused, not migrated.
-    ASSERT_EQ(kSnapshotVersion, 4u);
+    // Version 4 carried the scheduler's wake flags and deadline arrays
+    // instead of one wake table per component kind; its layout is
+    // refused, not migrated.
+    ASSERT_EQ(kSnapshotVersion, 5u);
     std::vector<std::uint8_t> old = file_;
-    old[8] = 3;  // Little-endian u32 after the 8-byte magic.
+    old[8] = 4;  // Little-endian u32 after the 8-byte magic.
     old[9] = old[10] = old[11] = 0;
     rewriteWithValidCrc(old);
     Snapshot out;
     const std::string err = readSnapshotFile(path_, out);
-    EXPECT_NE(err.find("format version 3; this build reads version 4"),
+    EXPECT_NE(err.find("format version 4; this build reads version 5"),
               std::string::npos)
         << err;
 }

@@ -90,7 +90,7 @@ TEST(SnapshotPins, CrBaselineNearSaturationWithSidecars)
     cfg.seed = 20260706;
     Network net(cfg);
     expectPinnedAt(net, {250, 600},
-                   {{183016, 0x9572f47c}, {209521, 0x3fadf056}});
+                   {{183336, 0x70f68c30}, {209841, 0xc1f5b552}});
     ASSERT_NE(net.tracer(), nullptr);
     EXPECT_FALSE(net.tracer()->events().empty());
 }
@@ -131,7 +131,7 @@ TEST(SnapshotPins, FcrDeepChannelsWithFaultsAndLedger)
     DeliveryLedger ledger;
     net.attachLedger(&ledger);
     expectPinnedAt(net, {300, 710},
-                   {{88032, 0x9022764f}, {106466, 0x68e5600b}});
+                   {{88112, 0x1537ad4c}, {106546, 0x9e187752}});
     const Network::WaveCensus c = net.inFlight(0, 16);
     EXPECT_GT(c.flits, 0u);
     EXPECT_GT(c.credits, 0u);
@@ -160,7 +160,7 @@ TEST(SnapshotPins, CrDropAtBlockRouterTimeouts)
     cfg.seed = 1994;
     Network net(cfg);
     expectPinnedAt(net, {300, 700},
-                   {{183347, 0xcf98faf8}, {206684, 0x7ca79b1d}});
+                   {{183667, 0x740a2bad}, {207004, 0x3783b658}});
     EXPECT_GT(net.stats().router.pathWideKills.value(), 0u);
 }
 
@@ -179,7 +179,7 @@ TEST(SnapshotPins, SparseStoragePastFiveHundredTwelveNodes)
     cfg.messageLength = 8;
     cfg.seed = 1994;
     Network net(cfg);
-    expectPinnedAt(net, {200}, {{1346292, 0xe3f57fef}});
+    expectPinnedAt(net, {200}, {{1349172, 0x292a8912}});
 }
 
 TEST(SnapshotPins, CampaignJournal)
