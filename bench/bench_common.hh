@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/experiment.hh"
+#include "src/core/presets.hh"
 #include "src/core/timeseries.hh"
 #include "src/fault/campaign.hh"
 #include "src/sim/config.hh"
@@ -28,24 +29,11 @@
 
 namespace crnet::bench {
 
-/** The evaluation baseline network: 8-ary 2-cube torus, 16-flit msgs. */
+/** The evaluation baseline network: preset `eval_base`, profiled. */
 inline SimConfig
 baseConfig()
 {
-    SimConfig cfg;
-    cfg.topology = TopologyKind::Torus;
-    cfg.radixK = 8;
-    cfg.dimensionsN = 2;
-    cfg.numVcs = 2;
-    cfg.bufferDepth = 2;
-    cfg.routing = RoutingKind::MinimalAdaptive;
-    cfg.protocol = ProtocolKind::Cr;
-    cfg.messageLength = 16;
-    cfg.timeout = 8;  // message length / VCs, the paper's setting.
-    cfg.warmupCycles = 1000;
-    cfg.measureCycles = 5000;
-    cfg.drainCycles = 60000;
-    cfg.seed = 20260706;
+    SimConfig cfg = presetConfig("eval_base");
     // Benches self-profile by default (`profile:` footer). Off the
     // results path: stats/traces are byte-identical either way, and
     // CI byte-diff steps strip the footer like `timing:`.

@@ -286,13 +286,4 @@ findSaturation(SimConfig cfg, double lo, double hi, double tolerance,
     return res;
 }
 
-double
-findSaturationLoad(SimConfig cfg, double lo, double hi,
-                   double tolerance, double latency_cap)
-{
-    const SaturationResult res =
-        findSaturation(std::move(cfg), lo, hi, tolerance, latency_cap);
-    return res.belowRange ? -1.0 : res.load;
-}
-
 } // namespace crnet

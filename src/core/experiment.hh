@@ -68,16 +68,6 @@ SaturationResult findSaturation(SimConfig cfg, double lo, double hi,
                                 double tolerance = 0.01,
                                 double latency_cap = 2000.0);
 
-/**
- * Scalar convenience wrapper over findSaturation. Returns the
- * saturation load, or -1.0 (sentinel) when even `lo` was unhealthy —
- * callers that need the distinction without magic numbers should use
- * findSaturation directly.
- */
-double findSaturationLoad(SimConfig cfg, double lo, double hi,
-                          double tolerance = 0.01,
-                          double latency_cap = 2000.0);
-
 /** Extract a RunResult from a finished network (shared summarizer). */
 CRNET_RESULT_AFFECTING
 RunResult summarize(const Network& net, bool drained, Cycle cycles);

@@ -875,7 +875,7 @@ Network::mergeShards(std::uint64_t& pt)
 #if CRNET_AUDIT_ENABLED
     if (audit_ != nullptr) {
         // Conservation counters, flit checks and the kill-token set
-        // are order-insensitive (issuedKills_ serializes sorted).
+        // are order-insensitive (issuedKills_ is an ordered set).
         for (ShardCtx& ctx : shardCtx_)
             audit_->foldStage(ctx.audit);
     }

@@ -16,8 +16,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -751,8 +751,8 @@ class Network
     std::vector<FaultEvent> dueEvents_;  //!< collectDue scratch.
 
     /** Explicit-send tracking. */
-    std::unordered_map<MsgId, DeliveredMessage> manualDelivered_;
-    std::unordered_map<MsgId, bool> manualPending_;
+    std::map<MsgId, DeliveredMessage> manualDelivered_;
+    std::map<MsgId, bool> manualPending_;
 
     /**
      * The thread-stable crew running shardWorker (shards_ > 1 only).

@@ -27,8 +27,8 @@ namespace crnet {
 //
 // serialize() is the one field list: its order is the contract, and
 // any change to it requires bumping kSnapshotVersion
-// (docs/ROBUSTNESS.md). Unordered containers are serialized in sorted
-// key order so the payload bytes are independent of hash-table layout.
+// (docs/ROBUSTNESS.md). Keyed tables are ordered containers, serialized
+// in their own ascending key order.
 
 namespace {
 
@@ -60,10 +60,6 @@ Network::ListedBucket::empty() const
 }
 
 template <typename Self, typename Io, typename Buckets>
-CRNET_ALLOW("unordered-iter",
-            "explicit-send maps are snapshotted into sorted MsgId "
-            "order before serialization; every other container is "
-            "ordered already")
 void
 Network::serialize(Self& self, Io& io, Buckets& listed)
 {

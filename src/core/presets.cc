@@ -18,7 +18,7 @@ evalBase()
     cfg.routing = RoutingKind::MinimalAdaptive;
     cfg.protocol = ProtocolKind::Cr;
     cfg.messageLength = 16;
-    cfg.timeout = 8;
+    cfg.timeout = 8;  // message length / VCs, the paper's setting.
     cfg.warmupCycles = 1000;
     cfg.measureCycles = 5000;
     cfg.drainCycles = 60000;

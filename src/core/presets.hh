@@ -1,9 +1,10 @@
 /**
  * @file
  * Named configuration presets: one per paper experiment, plus the
- * common baselines. `presetConfig("fig14a_cr")` gives exactly the
- * setup the corresponding bench uses, so examples, tests and user
- * code can reference experiments by name.
+ * common baselines, so examples, tests and user code can reference
+ * experiments by name. `eval_base` is exactly the benches' baseline
+ * network (bench::baseConfig() starts from it); the other presets
+ * give an experiment's headline setup, which its bench may vary.
  */
 
 #ifndef CRNET_CORE_PRESETS_HH

@@ -74,24 +74,6 @@ DeliveryLedger::onRefused(const PendingMessage& msg, Cycle now)
     ++refused_;
 }
 
-CRNET_ALLOW("unordered-iter",
-            "sorts the hash-ordered ledger into MsgId order before "
-            "returning; the one sanctioned crossing from entries_ to "
-            "result-affecting consumers")
-std::vector<std::pair<MsgId, const LedgerEntry*>>
-DeliveryLedger::sortedEntries() const
-{
-    std::vector<std::pair<MsgId, const LedgerEntry*>> sorted;
-    sorted.reserve(entries_.size());
-    for (const auto& entry : entries_)
-        sorted.emplace_back(entry.first, &entry.second);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) {
-                  return a.first < b.first;
-              });
-    return sorted;
-}
-
 template <typename Self, typename Io>
 void
 TrialOutcome::serialize(Self& self, Io& io)
@@ -237,15 +219,13 @@ runTrialOnce(const CampaignConfig& cc, std::uint32_t trial,
     t.firstFaultAt =
         sched != nullptr ? sched->firstEventCycle() : 0;
 
-    // Latency transient and recovery time, from the ledger itself.
-    // MsgId order, not hash order: these are float accumulations, so
-    // the sums (and hence the reported means) must not depend on the
-    // unordered_map's bucket layout.
+    // Latency transient and recovery time, from the ledger itself, in
+    // MsgId order: these are float accumulations.
     double pre_sum = 0.0, post_sum = 0.0;
     std::uint64_t pre_n = 0, post_n = 0;
     Cycle last_pre_resolved = 0;
-    for (const auto& entry : ledger.sortedEntries()) {
-        const LedgerEntry& e = *entry.second;
+    for (const auto& entry : ledger.entries()) {
+        const LedgerEntry& e = entry.second;
         if (e.fate != MessageFate::Delivered)
             continue;
         const double lat =

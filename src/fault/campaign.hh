@@ -22,8 +22,7 @@
 #define CRNET_FAULT_CAMPAIGN_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <map>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -96,32 +95,23 @@ class DeliveryLedger
         return pending() == 0 && duplicates_ == 0 && unknown_ == 0;
     }
 
-    const std::unordered_map<MsgId, LedgerEntry>& entries() const
+    /** Every accepted message's entry, in ascending MsgId order. */
+    const std::map<MsgId, LedgerEntry>& entries() const
     {
         return entries_;
     }
 
-    /**
-     * Entries snapshotted into ascending-MsgId order. Anything that
-     * folds the ledger into a reported number (latency transients,
-     * recovery times, audit dumps) must iterate this, not entries():
-     * float accumulation over hash order would make the result depend
-     * on the container's bucket layout.
-     */
-    std::vector<std::pair<MsgId, const LedgerEntry*>>
-    sortedEntries() const;
-
     // --- Checkpoint support (snapshot.hh) -----------------------------
 
     /**
-     * Snapshot field list: entries in sorted MsgId order, then the
-     * derived counters.
+     * Snapshot field list: entries in MsgId order, then the derived
+     * counters.
      */
     template <typename Self, typename Io>
     static void serialize(Self& self, Io& io);
 
   private:
-    std::unordered_map<MsgId, LedgerEntry> entries_;
+    std::map<MsgId, LedgerEntry> entries_;
     std::uint64_t delivered_ = 0;
     std::uint64_t refused_ = 0;
     std::uint64_t duplicates_ = 0;
@@ -241,9 +231,6 @@ CampaignSummary runCampaign(const CampaignConfig& cfg,
                             std::vector<TrialOutcome>* out = nullptr);
 
 template <typename Self, typename Io>
-CRNET_ALLOW("unordered-iter",
-            "serializes via sorted(), so the snapshot bytes never "
-            "depend on hash order")
 void
 DeliveryLedger::serialize(Self& self, Io& io)
 {

@@ -34,8 +34,6 @@ Receiver::Receiver(NodeId node, const SimConfig& cfg,
 {
     if (stats == nullptr || sink == nullptr)
         panic("Receiver requires a NetworkStats block and a sink");
-    if (cfg.numNodes() <= kDenseSeqNodeLimit)
-        lastSeqDense_.assign(cfg.numNodes(), -1);
     // Far beyond any stall the source timeout resolves on its own
     // (timeout scales with VC sharing, plus kill/retry round trips).
     const Cycle legit = 16 * (cfg.timeout + 1) * cfg.numVcs;
@@ -348,21 +346,14 @@ Receiver::resolveTerminated(MsgId msg, Assembly& a, Cycle now)
 void
 Receiver::checkStarvation(Cycle now)
 {
-    std::vector<MsgId>& starved = starvedScratch_;
-    starved.clear();
-    for (const auto& entry : assemblies_) {
-        if (!entry.second.terminated &&
-            now - entry.second.lastFlitAt > starvationThreshold_) {
-            starved.push_back(entry.first);
-        }
-    }
-    // Salvage in MsgId order, not hash order: the loop below emits
-    // trace events, folds latencies into stats and queues bkills, so
-    // its order is part of the deterministic contract.
-    std::sort(starved.begin(), starved.end());
-    for (const MsgId id : starved) {
-        auto it = assemblies_.find(id);
-        Assembly& a = it->second;
+    // Salvaging emits trace events, folds latencies into stats and
+    // queues bkills, so its MsgId order is part of the deterministic
+    // contract. Resolving erases only the entry being resolved.
+    for (auto it = assemblies_.begin(); it != assemblies_.end();) {
+        const MsgId id = it->first;
+        Assembly& a = (it++)->second;
+        if (a.terminated || now - a.lastFlitAt <= starvationThreshold_)
+            continue;
         stats_->receiverTimeouts.inc();
         // Salvage what the buffer still holds, then drop the rest
         // (e.g. a refused corrupt flit at the head).
@@ -393,10 +384,7 @@ Receiver::checkDeliveryOrder(NodeId src, std::uint32_t pair_seq)
         stats_->duplicateDeliveries.inc();
         return;
     }
-    std::int64_t& last =
-        !lastSeqDense_.empty()
-            ? lastSeqDense_[src]
-            : lastSeqSparse_.try_emplace(src, -1).first->second;
+    std::int64_t& last = findOrInsert(lastSeq_, src, std::int64_t{-1});
     if (static_cast<std::int64_t>(pair_seq) < last)
         stats_->orderViolations.inc();
     else
@@ -406,20 +394,14 @@ Receiver::checkDeliveryOrder(NodeId src, std::uint32_t pair_seq)
 void
 Receiver::resolveAllTerminated(Cycle now)
 {
-    // Resolve kill-terminated assemblies (collected first: the
-    // resolution erases map entries). MsgId order, not hash order:
-    // resolution emits trace events and accumulates stats, so its
-    // order is part of the deterministic contract.
-    std::vector<MsgId>& done = doneScratch_;
-    done.clear();
-    for (const auto& entry : assemblies_)
-        if (entry.second.terminated)
-            done.push_back(entry.first);
-    std::sort(done.begin(), done.end());
-    for (const MsgId id : done) {
-        auto it = assemblies_.find(id);
-        if (it != assemblies_.end())
-            resolveTerminated(id, it->second, now);
+    // Resolution emits trace events and accumulates stats, so its
+    // MsgId order is part of the deterministic contract. Resolving
+    // erases only the entry being resolved.
+    for (auto it = assemblies_.begin(); it != assemblies_.end();) {
+        const MsgId id = it->first;
+        Assembly& a = (it++)->second;
+        if (a.terminated)
+            resolveTerminated(id, a, now);
     }
 }
 
@@ -468,12 +450,6 @@ Receiver::openAssemblies() const
         p.lastFlitAt = entry.second.lastFlitAt;
         out.push_back(p);
     }
-    // MsgId order: probes feed forensics dumps, whose text must not
-    // depend on the assembly map's bucket layout.
-    std::sort(out.begin(), out.end(),
-              [](const AssemblyProbe& a, const AssemblyProbe& b) {
-                  return a.msg < b.msg;
-              });
     return out;
 }
 

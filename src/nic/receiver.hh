@@ -40,9 +40,9 @@
 #define CRNET_NIC_RECEIVER_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -175,9 +175,6 @@ class Receiver
      * conservative (early) — a tick before the returned cycle is a
      * state no-op — but never late.
      */
-    CRNET_ALLOW("unordered-iter",
-                "pure min-fold over assembly deadlines: commutative, "
-                "so the fold result is independent of hash order")
     Cycle nextEventCycle(Cycle now) const;
 
     std::uint64_t deliveredCount() const { return delivered_; }
@@ -199,9 +196,7 @@ class Receiver
         std::uint32_t payloadLen = 0;
         Cycle lastFlitAt = 0;
     };
-    CRNET_ALLOW("unordered-iter",
-                "snapshots the assembly map, then sorts the probes "
-                "into MsgId order before returning")
+    /** The open assemblies, in MsgId order. */
     std::vector<AssemblyProbe> openAssemblies() const;
 
     // --- Audit probes (see src/sim/audit.hh) --------------------------
@@ -222,9 +217,9 @@ class Receiver
 
     /**
      * Snapshot field list: ejection buffers, refusal state, open
-     * assemblies and the exactly-once bookkeeping (both serialized in
-     * sorted order). The outbox is cleared at tick entry and need not
-     * round-trip.
+     * assemblies and the exactly-once bookkeeping, each table in
+     * ascending key order. The outbox is cleared at tick entry and
+     * need not round-trip.
      */
     template <typename Self, typename Io>
     static void serialize(Self& self, Io& io);
@@ -281,19 +276,8 @@ class Receiver
     void drainIntoAssembly(std::uint32_t ch, VcId vc, MsgId msg);
     void resolveTerminated(MsgId msg, Assembly& a, Cycle now);
     /** Resolve kill-terminated assemblies, in MsgId order. */
-    CRNET_ALLOW("unordered-iter",
-                "collects terminated ids from the assembly map, then "
-                "sorts into MsgId order before resolving")
-    CRNET_ALLOW("alloc",
-                "doneScratch_ reuse: amortized growth only, "
-                "steady-state-free (tests/test_alloc_steady.cc)")
     void resolveAllTerminated(Cycle now);
-    CRNET_ALLOW("unordered-iter",
-                "collects starved ids from the assembly map, then "
-                "sorts into MsgId order before salvaging")
-    CRNET_ALLOW("alloc",
-                "starvedScratch_ reuse: amortized growth only, "
-                "steady-state-free (tests/test_alloc_steady.cc)")
+    /** Salvage assemblies whose worm went quiet, in MsgId order. */
     void checkStarvation(Cycle now);
 
     NodeId node_;
@@ -306,36 +290,24 @@ class Receiver
     std::vector<WireFlit> slots_; //!< [channel][vc][depth] flattened.
     std::vector<VcBuffer> bufs_;  //!< [channel][vc] flattened.
     std::vector<VcId> rrVc_;      //!< Consumption RR per channel.
-    std::unordered_map<MsgId, Assembly> assemblies_;
+    std::map<MsgId, Assembly> assemblies_;
     /**
      * Exactly-once / order bookkeeping. A delivery whose pairSeq was
      * already seen is a duplicate; one below the last delivered
      * sequence of its source is a reorder (order violation). The
      * seen-set distinguishes the two (a plain expected-counter cannot
      * tell a late arrival from a true duplicate).
+     *
+     * The last-sequence table holds only the sources that delivered
+     * here, so it stays small on a network of any size.
      */
-    /**
-     * Per-source last-delivered-sequence table, adaptive by network
-     * size. Small networks (<= kDenseSeqNodeLimit nodes, which covers
-     * every paper-scale configuration) use the dense vector — one
-     * branch-free indexed load per delivery, -1 meaning nothing
-     * delivered yet. Above the limit the dense form is O(nodes^2) per
-     * network (34 GB on a 64k-node torus), so giant networks fall
-     * back to a sparse map holding only the sources that actually
-     * reached this node. Both forms serialize identically (sorted,
-     * non-empty entries only).
-     */
-    static constexpr NodeId kDenseSeqNodeLimit = 512;
-    std::vector<std::int64_t> lastSeqDense_;
-    std::unordered_map<NodeId, std::int64_t> lastSeqSparse_;
-    std::unordered_set<std::uint64_t> seenSeq_;  //!< (src<<32)|seq.
+    SortedTable<NodeId, std::int64_t> lastSeq_;
+    std::set<std::uint64_t> seenSeq_;  //!< (src<<32)|seq.
     std::uint64_t delivered_ = 0;
 
     bool dynamicFaults_ = false;
     /** Cycles between starvation scans (tick only acts on multiples). */
     static constexpr Cycle kStarvationCheckPeriod = 64;
-    std::vector<MsgId> doneScratch_;     //!< tick() terminated-id reuse.
-    std::vector<MsgId> starvedScratch_;  //!< checkStarvation() reuse.
     /**
      * Starvation backstop: far beyond any legitimate stall (the
      * source timeout resolves those), so it only fires when the
@@ -346,10 +318,6 @@ class Receiver
 };
 
 template <typename Self, typename Io>
-CRNET_ALLOW("unordered-iter",
-            "assembly map, seen-set and last-seq table are sorted "
-            "before serialization so the snapshot bytes never depend "
-            "on hash order")
 void
 Receiver::serialize(Self& self, Io& io)
 {
@@ -375,15 +343,11 @@ Receiver::serialize(Self& self, Io& io)
         io.u64(a.lastFlitAt);
         io.b(a.terminated);
     });
-    // Only sources that delivered something: the dense vector's -1
-    // entries are the sparse map's absent keys.
-    DenseOrSparse last_seq(
-        self.lastSeqDense_, self.lastSeqSparse_, std::int64_t{-1},
-        [](std::size_t i) { return static_cast<NodeId>(i); },
-        [](NodeId src) { return static_cast<std::size_t>(src); });
-    io.sorted(last_seq, [&](auto& src, auto& seq) {
+    io.sorted(self.lastSeq_, [&](auto& src, auto& seq) {
         io.u32(src);
         io.i64(seq);
+        if (src >= self.cfg_.numNodes())
+            panic("restored table key ", src, " is out of range");
     });
     io.sorted(self.seenSeq_, [&](auto& key) { io.u64(key); });
     io.u64(self.delivered_);

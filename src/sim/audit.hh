@@ -40,7 +40,7 @@
 #define CRNET_SIM_AUDIT_HH
 
 #include <cstdint>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -276,7 +276,7 @@ class Auditor
     std::vector<ChannelState> ejectionChannels_;
 
     /** Every (msg, attempt) a kill token was legitimately issued for. */
-    std::unordered_set<std::uint64_t> issuedKills_;
+    std::set<std::uint64_t> issuedKills_;
 
     // Conservation ledger, independent of NetworkStats counters.
     std::uint64_t injected_ = 0;
@@ -291,9 +291,6 @@ class Auditor
 };
 
 template <typename Self, typename Io>
-CRNET_ALLOW("unordered-iter",
-            "issued-kill registry is sorted before serialization so "
-            "the snapshot bytes never depend on hash order")
 void
 Auditor::serialize(Self& self, Io& io)
 {

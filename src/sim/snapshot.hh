@@ -10,12 +10,12 @@
  * compatibility policy).
  *
  * Layout discipline: every field is written little-endian in a fixed
- * order, set by one field list per type (see StateWriter); unordered
- * containers are serialized in sorted key order so the payload bytes
- * are independent of hash-table layout. The on-disk container is
- * `CRNETSNP` + version + config fingerprint + payload + CRC-32
- * trailer, written via write-temp/fsync/rename so a crash mid-write
- * can never leave a torn file in place of a good one.
+ * order, set by one field list per type (see StateWriter); keyed
+ * tables are ordered containers, serialized in their own ascending
+ * key order, and a restore refuses a key out of that order. The
+ * on-disk container is `CRNETSNP` + version + config fingerprint +
+ * payload + CRC-32 trailer, written via write-temp/fsync/rename so a
+ * crash mid-write can never leave a torn file in place of a good one.
  */
 
 #ifndef CRNET_SIM_SNAPSHOT_HH
@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/annotations.hh"
 #include "src/sim/log.hh"
 #include "src/sim/rng.hh"
 #include "src/sim/types.hh"
@@ -60,7 +59,8 @@ inline constexpr std::uint32_t kSnapshotVersion = 5;
  *     member's type never picks it: PendingRecvFlit::ejChannel is 16
  *     bits in memory and 32 on the wire);
  *   - seq(), a counted sequence;
- *   - sorted(), an unordered set or map in ascending key order;
+ *   - sorted(), a keyed table (a set, a map or a SortedTable) in its
+ *     ascending key order;
  *   - same(), values the reader must find equal to its own;
  *   - rng(), an RNG stream;
  *   - optional() and sidecar(), a component that may be absent.
@@ -111,32 +111,20 @@ class StateWriter
     }
 
     /**
-     * An unordered set or map (or a table that iterates like one): its
-     * size, then each key — each key and value of a map — via `each`,
-     * in ascending key order, so the bytes never depend on hash order.
+     * A keyed table: its size, then each key — each key and value of a
+     * table of pairs — via `each`, in the table's own order, which is
+     * ascending by key.
      */
     template <typename C, typename Each>
     void
     sorted(const C& c, Each&& each)
     {
-        using K = typename C::key_type;
-        if constexpr (requires { typename C::mapped_type; }) {
-            std::vector<std::pair<K, typename C::mapped_type>> items;
-            for (const auto& [k, v] : c)
-                items.emplace_back(k, v);
-            std::sort(items.begin(), items.end(),
-                      [](const auto& x, const auto& y) {
-                          return x.first < y.first;
-                      });
-            u64(items.size());
-            for (const auto& [k, v] : items)
-                each(k, v);
-        } else {
-            std::vector<K> keys(c.begin(), c.end());
-            std::sort(keys.begin(), keys.end());
-            u64(keys.size());
-            for (const K& k : keys)
-                each(k);
+        u64(c.size());
+        for (const auto& e : c) {
+            if constexpr (requires { e.second; })
+                each(e.first, e.second);
+            else
+                each(e);
         }
     }
 
@@ -338,21 +326,28 @@ class StateReader
         }
     }
 
+    /** Refuses a key that is not above the key before it. */
     template <typename C, typename Each>
     void
     sorted(C& c, Each&& each)
     {
+        using Entry = typename C::value_type;
         c.clear();
         const std::uint64_t n = u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            typename C::key_type k{};
-            if constexpr (requires { typename C::mapped_type; }) {
-                typename C::mapped_type v{};
+        if constexpr (requires { typename Entry::second_type; }) {
+            std::remove_const_t<typename Entry::first_type> k{}, last{};
+            for (std::uint64_t i = 0; i < n; ++i, last = k) {
+                typename Entry::second_type v{};
                 each(k, v);
-                c.emplace(k, std::move(v));
-            } else {
+                ascending(i, last, k);
+                c.insert(c.end(), {k, std::move(v)});
+            }
+        } else {
+            Entry k{}, last{};
+            for (std::uint64_t i = 0; i < n; ++i, last = k) {
                 each(k);
-                c.insert(k);
+                ascending(i, last, k);
+                c.insert(c.end(), k);
             }
         }
     }
@@ -435,6 +430,16 @@ class StateReader
                   " (version skew or serialization bug)");
     }
 
+    /** Panics unless the `i`-th key read, `k`, is above `last`. */
+    template <typename K>
+    static void
+    ascending(std::uint64_t i, const K& last, const K& k)
+    {
+        if (i > 0 && !(last < k))
+            panic("restored table key ", k,
+                  " is not above the key before it, ", last);
+    }
+
     /** Store a wire value in a field, refusing one it cannot hold. */
     template <typename T, typename W>
     static void
@@ -468,66 +473,25 @@ class StateReader
 };
 
 /**
- * A table stored dense — a vector indexed by index_of(key), `absent`
- * marking an empty slot — or sparse — a hash map of the present keys
- * only — as the one map of its present entries that sorted()
- * serializes, so both storage modes give the same bytes. `Dense` and
- * `Sparse` are const on capture, which only iterates; restore clears
- * and emplaces.
+ * A map kept as a vector of (key, value) pairs in ascending key order:
+ * one pair per entry, for tables of small entries that grow slowly.
+ * sorted() serializes it like any map.
  */
-template <typename Dense, typename Sparse, typename KeyOf,
-          typename IndexOf>
-class DenseOrSparse
+template <typename K, typename V>
+using SortedTable = std::vector<std::pair<K, V>>;
+
+/** The value under `key` in `table`, inserted as `absent` if missing. */
+template <typename K, typename V>
+V&
+findOrInsert(SortedTable<K, V>& table, K key, V absent)
 {
-  public:
-    using key_type = typename std::remove_const_t<Sparse>::key_type;
-    using mapped_type = typename std::remove_const_t<Sparse>::mapped_type;
-
-    DenseOrSparse(Dense& dense, Sparse& sparse, mapped_type absent,
-                  KeyOf key_of, IndexOf index_of)
-        : dense_(dense), sparse_(sparse), absent_(absent),
-          indexOf_(index_of)
-    {
-        for (std::size_t i = 0; i < dense.size(); ++i)
-            if (dense[i] != absent)
-                present_.emplace_back(key_of(i), dense[i]);
-        present_.insert(present_.end(), sparse.begin(), sparse.end());
-    }
-
-    auto begin() const { return present_.begin(); }
-    auto end() const { return present_.end(); }
-
-    void
-    clear()
-    {
-        std::fill(dense_.begin(), dense_.end(), absent_);
-        sparse_.clear();
-    }
-
-    CRNET_ALLOW("alloc",
-                "restore-only insertion (StateReader::sorted); the tick "
-                "never reaches it, but the analyzer links every "
-                "emplace() call here by name")
-    void
-    emplace(key_type key, mapped_type value)
-    {
-        if (dense_.empty()) {
-            sparse_.emplace(key, value);
-            return;
-        }
-        const std::size_t at = indexOf_(key);
-        if (at >= dense_.size())
-            panic("restored table key ", key, " is out of range");
-        dense_[at] = value;
-    }
-
-  private:
-    Dense& dense_;
-    Sparse& sparse_;
-    mapped_type absent_;
-    IndexOf indexOf_;
-    std::vector<std::pair<key_type, mapped_type>> present_;
-};
+    auto it = std::lower_bound(
+        table.begin(), table.end(), key,
+        [](const std::pair<K, V>& e, K k) { return e.first < k; });
+    if (it == table.end() || it->first != key)
+        it = table.emplace(it, key, absent);
+    return it->second;
+}
 
 /** An in-memory snapshot: cycle, config identity, and state bytes. */
 struct Snapshot

@@ -19,7 +19,6 @@ const char* toString(MetricKind kind)
     switch (kind) {
     case MetricKind::Counter: return "counter";
     case MetricKind::Gauge: return "gauge";
-    case MetricKind::Histogram: return "histogram";
     }
     return "unknown";
 }
@@ -77,11 +76,6 @@ std::atomic<std::uint64_t>* Telemetry::gauge(const std::string& name)
     return &entry(name, MetricKind::Gauge)->value;
 }
 
-TelemetryHistogram* Telemetry::histogram(const std::string& name)
-{
-    return &entry(name, MetricKind::Histogram)->hist;
-}
-
 std::vector<MetricSample> Telemetry::snapshot() const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -92,17 +86,7 @@ std::vector<MetricSample> Telemetry::snapshot() const
         MetricSample s;
         s.name = name;
         s.kind = e.kind;
-        if (e.kind == MetricKind::Histogram) {
-            s.value = e.hist.count();
-            for (std::size_t b = 0; b <= TelemetryHistogram::kBuckets;
-                 ++b) {
-                const std::uint64_t n = e.hist.bucket(b);
-                if (n != 0)
-                    s.buckets.emplace_back(b, n);
-            }
-        } else {
-            s.value = e.value.load(std::memory_order_relaxed);
-        }
+        s.value = e.value.load(std::memory_order_relaxed);
         out.push_back(std::move(s));
     }
     return out;
@@ -111,10 +95,8 @@ std::vector<MetricSample> Telemetry::snapshot() const
 void Telemetry::resetAll()
 {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (Entry& e : entries_) {
+    for (Entry& e : entries_)
         e.value.store(0, std::memory_order_relaxed);
-        e.hist.reset();
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,10 +14,10 @@
  *
  * Three pieces:
  *
- *   Telemetry        process-wide registry of named counters, gauges
- *                    and histograms. Registration (allocating, mutex)
- *                    is done once at attach time; updates are single
- *                    atomic ops, safe from CRNET_HOT_PATH code.
+ *   Telemetry        process-wide registry of named counters and
+ *                    gauges. Registration (allocating, mutex) is done
+ *                    once at attach time; updates are single atomic
+ *                    ops, safe from CRNET_HOT_PATH code.
  *
  *   TickProfiler     per-run sampling profiler attributing wall time
  *                    to experiment phases (warmup/measure/drain) and
@@ -64,75 +64,30 @@ enum class MetricKind : std::uint8_t
 {
     Counter,   //!< Monotonic sum (adds).
     Gauge,     //!< Last written value wins.
-    Histogram, //!< Log2-bucketed distribution of observed values.
 };
 
-/** Printable kind name ("counter" / "gauge" / "histogram"). */
+/** Printable kind name ("counter" / "gauge"). */
 const char* toString(MetricKind kind);
-
-/**
- * Log2-bucketed histogram with atomic buckets: observe(v) lands v in
- * bucket floor(log2(v)) + 1 (bucket 0 holds zeros). Lock-free and
- * allocation-free after construction.
- */
-class TelemetryHistogram
-{
-  public:
-    static constexpr std::size_t kBuckets = 64;
-
-    /** Record one value. Safe from CRNET_HOT_PATH code. */
-    void observe(std::uint64_t value)
-    {
-        std::size_t bucket = 0;
-        while (value != 0) {
-            ++bucket;
-            value >>= 1;
-        }
-        buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    std::uint64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t bucket(std::size_t i) const
-    {
-        return buckets_[i].load(std::memory_order_relaxed);
-    }
-    void reset()
-    {
-        count_.store(0, std::memory_order_relaxed);
-        for (auto& b : buckets_)
-            b.store(0, std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> count_{0};
-    std::atomic<std::uint64_t> buckets_[kBuckets + 1] = {};
-};
 
 /** One registry entry, resolved to a value at snapshot time. */
 struct MetricSample
 {
     std::string name;
     MetricKind kind = MetricKind::Counter;
-    std::uint64_t value = 0; //!< Counter/gauge value; histogram count.
-    /** Non-empty for histograms: (bucket index, count) pairs. */
-    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
+    std::uint64_t value = 0;
 };
 
 /**
  * Process-wide registry of named metrics.
  *
- * counter()/gauge()/histogram() register-or-look-up an entry and
- * return a stable pointer (entries live in a deque and are never
- * destroyed before process exit); callers cache the pointer at attach
- * time and update through it with plain atomic ops — no lock, no
- * allocation — which is what makes updates legal from hot-path code.
- * Under the jobs=N engine the registry is shared by all workers:
- * counters and histograms aggregate across runs, gauges reflect the
- * most recent writer. Nothing result-affecting ever reads it.
+ * counter()/gauge() register-or-look-up an entry and return a stable
+ * pointer (entries live in a deque and are never destroyed before
+ * process exit); callers cache the pointer at attach time and update
+ * through it with plain atomic ops — no lock, no allocation — which
+ * is what makes updates legal from hot-path code. Under the jobs=N
+ * engine the registry is shared by all workers: counters aggregate
+ * across runs, gauges reflect the most recent writer. Nothing
+ * result-affecting ever reads it.
  */
 class Telemetry
 {
@@ -144,8 +99,6 @@ class Telemetry
     std::atomic<std::uint64_t>* counter(const std::string& name);
     /** Register or look up a gauge. Allocates; not for hot paths. */
     std::atomic<std::uint64_t>* gauge(const std::string& name);
-    /** Register or look up a histogram. Allocates; not for hot paths. */
-    TelemetryHistogram* histogram(const std::string& name);
 
     /** Consistent dump of every metric, sorted by name. */
     std::vector<MetricSample> snapshot() const;
@@ -161,7 +114,6 @@ class Telemetry
         std::string name;
         MetricKind kind = MetricKind::Counter;
         std::atomic<std::uint64_t> value{0};
-        TelemetryHistogram hist;
     };
 
     Entry* entry(const std::string& name, MetricKind kind);

@@ -32,8 +32,8 @@
 #define CRNET_SIM_TRACE_HH
 
 #include <cstdint>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -169,7 +169,7 @@ class Tracer
     std::string prefix_;
     bool enabled_ = false;
     bool watchAll_ = true;
-    std::unordered_set<MsgId> watchedMsgs_;
+    std::set<MsgId> watchedMsgs_;
     std::vector<std::pair<NodeId, NodeId>> watchedPairs_;
     std::vector<TraceEvent> events_;
     Cycle now_ = 0;
@@ -180,9 +180,6 @@ class Tracer
 };
 
 template <typename Self, typename Io>
-CRNET_ALLOW("unordered-iter",
-            "adopted watch ids are sorted before serialization so the "
-            "snapshot bytes never depend on hash order")
 void
 Tracer::serialize(Self& self, Io& io)
 {

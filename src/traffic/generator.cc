@@ -17,11 +17,7 @@ TrafficGenerator::TrafficGenerator(const SimConfig& cfg,
         mean_len = (1.0 - cfg.bimodalFracB) * cfg.messageLength +
                    cfg.bimodalFracB * cfg.messageLengthB;
     }
-    if (topo.numNodes() <= kDensePairNodeLimit) {
-        pairSeqDense_.assign(static_cast<std::size_t>(topo.numNodes()) *
-                                 topo.numNodes(),
-                             0u);
-    }
+    pairSeq_.resize(topo.numNodes());
     perCycleProb_ = cfg.injectionRate / mean_len;
     if (perCycleProb_ > 1.0)
         fatal("injection rate ", cfg.injectionRate,
@@ -41,14 +37,7 @@ TrafficGenerator::drawLength()
 std::uint32_t
 TrafficGenerator::nextPairSeq(NodeId src, NodeId dst)
 {
-    if (!pairSeqDense_.empty()) {
-        return pairSeqDense_[static_cast<std::size_t>(src) *
-                                 topo_.numNodes() +
-                             dst]++;
-    }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(src) << 32) | dst;
-    return pairSeqSparse_.try_emplace(key, 0).first->second++;
+    return findOrInsert(pairSeq_[src], dst, 0u)++;
 }
 
 NodeId

@@ -12,8 +12,9 @@
 #ifndef CRNET_TRAFFIC_GENERATOR_HH
 #define CRNET_TRAFFIC_GENERATOR_HH
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -78,9 +79,57 @@ class TrafficGenerator
   private:
     std::uint32_t drawLength();
     CRNET_ALLOW("alloc",
-                "per-pair sequence bookkeeping: one map node the "
-                "first time a (src, dst) pair communicates, by design")
+                "per-pair sequence bookkeeping: a source's table grows "
+                "the first time it sends to a destination, by design")
     std::uint32_t nextPairSeq(NodeId src, NodeId dst);
+
+    /** Each source's (destination, next sequence number) table. */
+    using PairSeqTables = std::vector<SortedTable<NodeId, std::uint32_t>>;
+
+    /**
+     * The per-source tables as the one table, keyed (src << 32) | dst
+     * and ascending, that the field list serializes.
+     */
+    template <typename Tables>
+    class PairSeqView
+    {
+      public:
+        using value_type = std::pair<std::uint64_t, std::uint32_t>;
+
+        explicit PairSeqView(Tables& tables) : tables_(tables)
+        {
+            for (std::uint64_t src = 0; src < tables.size(); ++src)
+                for (const auto& [dst, seq] : tables[src])
+                    flat_.emplace_back(src << 32 | dst, seq);
+        }
+
+        auto begin() const { return flat_.begin(); }
+        auto end() const { return flat_.end(); }
+        std::size_t size() const { return flat_.size(); }
+
+        void
+        clear()
+        {
+            for (auto& t : tables_)
+                t.clear();
+        }
+
+        /** Appends: the reader refuses keys out of ascending order. */
+        CRNET_ALLOW("alloc",
+                    "restore-only insertion (StateReader::sorted); the "
+                    "tick never reaches it, but the analyzer links "
+                    "every insert() call here by name")
+        void
+        insert(auto, value_type e)
+        {
+            tables_[e.first >> 32].emplace_back(
+                static_cast<NodeId>(e.first), e.second);
+        }
+
+      private:
+        Tables& tables_;
+        std::vector<value_type> flat_;
+    };
 
     const SimConfig& cfg_;
     const Topology& topo_;
@@ -90,45 +139,27 @@ class TrafficGenerator
     double offered_;
     MsgId nextMsgId_ = 0;
     /**
-     * Per-pair sequence counters, adaptive by network size. Small
-     * networks (<= kDensePairNodeLimit nodes — every paper-scale
-     * configuration) use the dense n x n matrix: one indexed
-     * increment per generated message, at most 1 MB. Above the limit
-     * the matrix is O(nodes^2) — 17 GB on a 64k-node torus — so
-     * giant networks fall back to a sparse map keyed
-     * (src << 32) | dst holding only the pairs that actually
-     * communicated (absent = 0, never sent). Both forms serialize
-     * identically (sorted, non-zero entries only).
+     * Per-pair sequence counters: each source's table holds only the
+     * destinations it sent to, so the tables stay in proportion to
+     * the traffic on a network of any size, and a new pair's insert
+     * shifts one source's entries, not the network's.
      */
-    static constexpr NodeId kDensePairNodeLimit = 512;
-    std::vector<std::uint32_t> pairSeqDense_;
-    std::unordered_map<std::uint64_t, std::uint32_t> pairSeqSparse_;
+    PairSeqTables pairSeq_;
 };
 
 template <typename Self, typename Io>
-CRNET_ALLOW("unordered-iter",
-            "pairSeq entries are sorted by key before serialization "
-            "so the snapshot bytes never depend on hash order")
 void
 TrafficGenerator::serialize(Self& self, Io& io)
 {
     io.rng(self.rng_);
     io.u64(self.nextMsgId_);
-    // Only pairs that communicated, keyed (src << 32) | dst: the dense
-    // matrix's zeros are the sparse map's absent keys.
-    const std::size_t n = self.topo_.numNodes();
-    DenseOrSparse pair_seq(
-        self.pairSeqDense_, self.pairSeqSparse_, std::uint32_t{0},
-        [n](std::size_t i) {
-            return (static_cast<std::uint64_t>(i / n) << 32) | (i % n);
-        },
-        [n](std::uint64_t key) {
-            return static_cast<std::size_t>(key >> 32) * n +
-                   static_cast<std::uint32_t>(key);
-        });
+    const std::uint64_t n = self.topo_.numNodes();
+    PairSeqView pair_seq(self.pairSeq_);
     io.sorted(pair_seq, [&](auto& key, auto& seq) {
         io.u64(key);
         io.u32(seq);
+        if (key >> 32 >= n || (key & 0xffffffffu) >= n)
+            panic("restored table key ", key, " is out of range");
     });
 }
 

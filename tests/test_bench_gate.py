@@ -4,7 +4,9 @@
 Covers verdict() (ok, worse, unresolved, every change run better, new)
 and the per-metric pair count ("better k/n"): pairs_better() directly,
 and through gate_workload() and print_workload() with run() replaced by
-canned run lists, so the report entry and the printout carry it.
+canned run lists, so the report entry and the printout carry it. The
+digest report reads each run's `sim_digest=` through parse_run() from
+canned crnet-bench output: digests the same, different, and missing.
 
 Usage: test_bench_gate.py
 """
@@ -12,6 +14,7 @@ Usage: test_bench_gate.py
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -113,10 +116,53 @@ def test_report_and_printout(gate):
     check(" 3/4 " in line, f"printout: {line!r}")
 
 
+def bench_output(digest):
+    """A passing crnet-bench run's stdout; no digest when `digest` is
+    None."""
+    passes = "passes=3 ops=21 failed_ops=0"
+    if digest is not None:
+        passes += f" sim_digest={digest}"
+    return "\n".join([
+        "provenance: cores=4 build=Release audit=off",
+        passes + " setup_reps=5 pass_s=1.000,1.000,1.000",
+        json.dumps(result(wall_ref=1.0))]) + "\n"
+
+
+def test_digests(gate):
+    _, r = gate.parse_run(bench_output("00000000000000ab"), 0)
+    check(r["sim_digest"] == "00000000000000ab", f"parsed: {r}")
+    _, r = gate.parse_run(bench_output(None), 0)
+    check(r["sim_digest"] is None, f"no digest: {r}")
+    roots = {"parent": "parent", "change": "change"}
+    cases = [
+        ("same", ["aa", "aa"], ["aa", "aa"], True, "digest: same aa"),
+        ("different", ["aa", "aa"], ["bb", "bb"], False,
+         "digest: parent aa change bb"),
+        ("no digest", ["aa", "aa"], ["aa", None], False,
+         "digest: parent aa change aa,none"),
+    ]
+    for what, parent, change, same, line in cases:
+        canned = {"parent": [bench_output(d) for d in parent],
+                  "change": [bench_output(d) for d in change]}
+        gate.PAIRS = 2
+        gate.run = lambda root, workload, c=canned: gate.parse_run(
+            c[root].pop(0), 0)
+        entry = gate.gate_workload("w", roots, [LOWER], True)
+        check(entry["digest"]["same"] == same,
+              f"{what}: {entry['digest']}")
+        # Report only: a change may alter results on purpose.
+        check(entry["status"] == "pass", f"{what}: {entry['status']}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            gate.print_workload("w", entry)
+        check(f"  {line}\n" in out.getvalue(),
+              f"{what} printout: {out.getvalue()!r}")
+
+
 def main() -> int:
     gate = load_gate()
     for test in (test_verdict, test_pairs_better,
-                 test_report_and_printout):
+                 test_report_and_printout, test_digests):
         test(gate)
         print(f"ok {test.__name__}")
     return 0

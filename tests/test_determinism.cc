@@ -5,13 +5,13 @@
  * hash-ordered containers must be byte-for-byte independent of the
  * container's bucket layout.
  *
- * The mechanism under test is deterministic *ordering* — sorted
- * snapshots between the unordered containers and every
- * result-affecting consumer — so the tests drive the orderings
- * directly: ledgers populated in adversarial insertion orders must
- * produce bit-identical folds, assembly probes must come out in
- * MsgId order, and the forensics report must be byte-stable across
- * independently constructed networks.
+ * The mechanism under test is deterministic *ordering* — keyed tables
+ * are ordered containers, so every result-affecting consumer walks
+ * them in key order — so the tests drive the orderings directly:
+ * ledgers populated in adversarial insertion orders must produce
+ * bit-identical folds, assembly probes must come out in MsgId order,
+ * and the forensics report must be byte-stable across independently
+ * constructed networks.
  */
 
 #include <gtest/gtest.h>
@@ -54,23 +54,23 @@ double
 latencyFold(const DeliveryLedger& ledger)
 {
     double sum = 0.0;
-    for (const auto& entry : ledger.sortedEntries()) {
-        const LedgerEntry& e = *entry.second;
+    for (const auto& entry : ledger.entries()) {
+        const LedgerEntry& e = entry.second;
         if (e.fate == MessageFate::Delivered)
             sum += static_cast<double>(e.resolvedAt - e.createdAt);
     }
     return sum;
 }
 
-// sortedEntries() must return ascending MsgIds no matter the
-// insertion order (and hence no matter the bucket layout).
+// entries() must iterate ascending MsgIds no matter the insertion
+// order.
 TEST(Determinism, SortedEntriesAscendingRegardlessOfInsertion)
 {
     // Adversarial id set: large, non-contiguous, inserted forward in
     // one ledger and reversed in the other.
     std::vector<MsgId> ids;
     for (MsgId i = 0; i < 200; ++i)
-        ids.push_back(1 + i * 7919);  // Spread across buckets.
+        ids.push_back(1 + i * 7919);
 
     DeliveryLedger fwd, rev;
     for (std::size_t i = 0; i < ids.size(); ++i)
@@ -78,17 +78,17 @@ TEST(Determinism, SortedEntriesAscendingRegardlessOfInsertion)
     for (std::size_t i = ids.size(); i-- > 0;)
         rev.onAccepted(pending(ids[i], 0, 1, 10 + ids[i] % 97));
 
-    const auto a = fwd.sortedEntries();
-    const auto b = rev.sortedEntries();
+    const auto& a = fwd.entries();
+    const auto& b = rev.entries();
     ASSERT_EQ(a.size(), ids.size());
     ASSERT_EQ(b.size(), ids.size());
     EXPECT_TRUE(std::is_sorted(
         a.begin(), a.end(), [](const auto& x, const auto& y) {
             return x.first < y.first;
         }));
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].first, b[i].first);
-        EXPECT_EQ(a[i].second->createdAt, b[i].second->createdAt);
+    for (auto x = a.begin(), y = b.begin(); x != a.end(); ++x, ++y) {
+        EXPECT_EQ(x->first, y->first);
+        EXPECT_EQ(x->second.createdAt, y->second.createdAt);
     }
 }
 

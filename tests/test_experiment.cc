@@ -79,11 +79,13 @@ TEST(Experiment, SaturationSearchFindsReasonablePoint)
     cfg.warmupCycles = 200;
     cfg.measureCycles = 800;
     cfg.drainCycles = 8000;
-    const double sat = findSaturationLoad(cfg, 0.05, 1.0, 0.05, 400.0);
+    const SaturationResult res = findSaturation(cfg, 0.05, 1.0, 0.05,
+                                                400.0);
     // A 4x4 CR torus saturates well above trickle load and cannot
     // exceed the injection bound.
-    EXPECT_GT(sat, 0.1);
-    EXPECT_LT(sat, 1.0);
+    EXPECT_FALSE(res.belowRange);
+    EXPECT_GT(res.load, 0.1);
+    EXPECT_LT(res.load, 1.0);
 }
 
 TEST(Experiment, ReplicatedRunsAggregateAcrossSeeds)
@@ -172,8 +174,8 @@ TEST(Experiment, SweepPreservesInputOrder)
         EXPECT_DOUBLE_EQ(results[i].offeredLoad, loads[i]);
 }
 
-// Regression: findSaturationLoad returned `lo` when even `lo` failed
-// the health predicate, indistinguishable from "saturates at lo".
+// Regression: the search returned `lo` when even `lo` failed the
+// health predicate, indistinguishable from "saturates at lo".
 TEST(Experiment, SaturationReportsBelowRangeWhenLoIsUnhealthy)
 {
     SimConfig cfg = quickCfg();
@@ -187,8 +189,6 @@ TEST(Experiment, SaturationReportsBelowRangeWhenLoIsUnhealthy)
     EXPECT_TRUE(res.belowRange);
     EXPECT_DOUBLE_EQ(res.load, 0.05);
     EXPECT_GE(res.probes, 1u);
-    EXPECT_DOUBLE_EQ(findSaturationLoad(cfg, 0.05, 1.0, 0.05, 1.0),
-                     -1.0);
 }
 
 TEST(Experiment, SaturationStructMatchesScalarOnHealthyRange)
@@ -201,8 +201,6 @@ TEST(Experiment, SaturationStructMatchesScalarOnHealthyRange)
                                                 400.0);
     EXPECT_FALSE(res.belowRange);
     EXPECT_GT(res.probes, 1u);
-    EXPECT_DOUBLE_EQ(findSaturationLoad(cfg, 0.05, 1.0, 0.05, 400.0),
-                     res.load);
 }
 
 // Regression: the drain loop stepped fixed 256-cycle quanta and could

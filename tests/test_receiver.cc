@@ -191,6 +191,37 @@ TEST_F(ReceiverTest, RetryAfterKillDeliversOnce)
     EXPECT_EQ(stats->duplicateDeliveries.value(), 0u);
 }
 
+TEST_F(ReceiverTest, KillCutAssembliesFinalizeInMsgIdOrder)
+{
+    // Two complete payloads, ids 9 then 3, on different ejection VCs;
+    // kills cut both worms before their tails. The next tick
+    // finalizes both, and the sink sees them in MsgId order.
+    cfg.numVcs = 2;
+    rebuild();
+    rcv->setDynamicFaults(true);
+    for (std::uint32_t seq = 0; seq < 2; ++seq) {
+        const FlitType t = seq == 0 ? FlitType::Head : FlitType::Body;
+        rcv->acceptFlit(0, 0, makeFlit(t, 9, seq, 4, 2, /*src=*/1));
+        rcv->acceptFlit(0, 1, makeFlit(t, 3, seq, 4, 2, /*src=*/2));
+    }
+    for (int i = 0; i < 4; ++i)
+        rcv->tick(now++);
+    EXPECT_EQ(stats->flitsConsumed.value(), 4u);
+    Flit kill;
+    kill.type = FlitType::Kill;
+    kill.msg = 9;
+    rcv->acceptFlit(0, 0, kill);
+    kill.msg = 3;
+    rcv->acceptFlit(0, 1, kill);
+    EXPECT_TRUE(sink->delivered.empty());
+    rcv->tick(now++);
+    ASSERT_EQ(sink->delivered.size(), 2u);
+    EXPECT_EQ(sink->delivered[0].id, 3u);
+    EXPECT_EQ(sink->delivered[1].id, 9u);
+    EXPECT_EQ(stats->assembliesFinalized.value(), 2u);
+    EXPECT_TRUE(rcv->idle());
+}
+
 TEST_F(ReceiverTest, ReorderedDeliveryCountsAsViolationNotDuplicate)
 {
     feedWorm(1, 4, 10, /*src=*/2, /*pair_seq=*/0);

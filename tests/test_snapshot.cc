@@ -105,6 +105,18 @@ TEST(SnapshotIdentity, RestoredRunMatchesUninterruptedSweep)
     EXPECT_TRUE(straight == hopped);
 }
 
+TEST(SnapshotIdentity, RestoredRunMatchesUninterruptedAt576Nodes)
+{
+    // A 24-ary 2-cube: the generator's and receivers' keyed tables
+    // restore past 512 nodes too.
+    SimConfig cfg = snapConfig(SchedulerKind::Active);
+    cfg.radixK = 24;
+    const auto straight = endState(cfg, false);
+    const auto hopped = endState(cfg, true);
+    ASSERT_EQ(straight.size(), hopped.size());
+    EXPECT_TRUE(straight == hopped);
+}
+
 TEST(SnapshotIdentity, SnapshotRestoresAcrossSchedulers)
 {
     // The config fingerprint excludes `sched`: a snapshot captured
@@ -600,6 +612,82 @@ TEST(SnapshotDeath, DenseTableKeyMustBeInRange)
     StateReader r(w.bytes());
     EXPECT_DEATH(TrafficGenerator::serialize(net.generator(), r),
                  "restored table key 425201762304 is out of range");
+}
+
+/** A generator payload whose pair-sequence table holds `keys`. */
+std::vector<std::uint8_t>
+pairSeqPayload(const std::vector<std::uint64_t>& keys)
+{
+    StateWriter w;
+    for (int word = 0; word < 4; ++word)
+        w.u64(1);  // RNG stream
+    w.u64(0);      // next message id
+    w.u64(keys.size());
+    for (const std::uint64_t key : keys) {
+        w.u64(key);
+        w.u32(1);
+    }
+    return w.bytes();
+}
+
+/** smallConfig() on a 24-ary 2-cube: 576 nodes. */
+SimConfig
+wideConfig()
+{
+    SimConfig cfg = smallConfig();
+    cfg.radixK = 24;
+    return cfg;
+}
+
+TEST(SnapshotDeath, PairDestinationMustBeInRange)
+{
+    // Pair (0, 21) of a 16-node network, not pair (1, 5).
+    Network net(smallConfig());
+    const auto payload = pairSeqPayload({21});
+    StateReader r(payload);
+    EXPECT_DEATH(TrafficGenerator::serialize(net.generator(), r),
+                 "restored table key 21 is out of range");
+}
+
+TEST(SnapshotDeath, PairSourceMustBeInRangeAt576Nodes)
+{
+    Network net(wideConfig());
+    const auto payload = pairSeqPayload({576ULL << 32});
+    StateReader r(payload);
+    EXPECT_DEATH(TrafficGenerator::serialize(net.generator(), r),
+                 "restored table key 2473901162496 is out of range");
+}
+
+TEST(SnapshotDeath, ReceiverSourceMustBeInRangeAt576Nodes)
+{
+    Network net(wideConfig());
+    StateWriter w;
+    for (int vc = 0; vc < 2; ++vc) {
+        w.u64(0);            // no buffered flits
+        w.b(false);          // not refusing
+        w.u64(kInvalidMsg);  // no refused message
+    }
+    w.u16(0);    // round-robin VC of the one ejection channel
+    w.u64(0);    // no open assembly
+    w.u64(1);    // one last-sequence entry ...
+    w.u32(600);  // ... from source 600
+    w.i64(0);
+    StateReader r(w.bytes());
+    EXPECT_DEATH(Receiver::serialize(net.receiver(0), r),
+                 "restored table key 600 is out of range");
+}
+
+TEST(SnapshotDeath, TableKeysMustAscend)
+{
+    Network net(smallConfig());
+    const auto descending = pairSeqPayload({5, 3});
+    StateReader r(descending);
+    EXPECT_DEATH(TrafficGenerator::serialize(net.generator(), r),
+                 "restored table key 3 is not above the key before it, 5");
+    const auto repeated = pairSeqPayload({5, 5});
+    StateReader again(repeated);
+    EXPECT_DEATH(TrafficGenerator::serialize(net.generator(), again),
+                 "restored table key 5 is not above the key before it, 5");
 }
 
 TEST(SnapshotDeath, HeatTrackingMustMatch)

@@ -168,8 +168,10 @@ TEST(SnapshotPins, SparseStoragePastFiveHundredTwelveNodes)
 {
     if (!CRNET_AUDIT_ENABLED)
         GTEST_SKIP() << kAuditOff;
-    // 576 nodes: the generator's pair sequences and the receivers'
-    // last-sequence tables use their sparse (hash) storage.
+    // 576 nodes. The name recalls the sparse storage the generator's
+    // pair sequences and the receivers' last-sequence tables used
+    // past 512 nodes; they are one ordered table at every size, and
+    // the pin holds the bytes the sparse form gave.
     SimConfig cfg;
     cfg.radixK = 24;
     cfg.dimensionsN = 2;

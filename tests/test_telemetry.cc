@@ -125,24 +125,6 @@ TEST(Telemetry, SnapshotIsNameSortedAndComplete)
     EXPECT_TRUE(sawAa);
 }
 
-TEST(Telemetry, HistogramBucketsAreLog2)
-{
-    TelemetryHistogram h;
-    h.observe(0);   // Bucket 0.
-    h.observe(1);   // Bucket 1.
-    h.observe(7);   // Bucket 3: [4, 8).
-    h.observe(8);   // Bucket 4: [8, 16).
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.bucket(4), 1u);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.bucket(3), 0u);
-}
-
 // --- Self-profiler -----------------------------------------------------
 
 TEST(TickProfiler, ArmsExactlyEveryStride)

@@ -29,6 +29,12 @@ as JSON (`better_pairs`: [k, n]). A metric's verdict is
   new         the parent has no such workload or metric;
   missing     no change run reported the metric.
 
+It also reports, per workload, whether every run on both sides printed
+one `sim_digest=` (`digest: same <hex>`) or not (`digest: parent <hex>
+change <hex>`, listing each side's digests, `none` for a run that
+printed none), and writes it to REPORT as `digest`. A change may alter
+results on purpose, so a digest mismatch never fails the gate.
+
 Exit status: 0 = pass; 1 = a run failed its output checks, the failed
 share of ops rose, or a metric is `worse` or `missing`; 2 = usage
 error.
@@ -36,6 +42,7 @@ error.
 
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -44,25 +51,38 @@ from pathlib import Path
 PAIRS = 5
 SECONDS = 5
 SEED = 20260706
+DIGEST = re.compile(r"\bsim_digest=([0-9a-f]+)")
 
 
 def run(root, workload):
-    """One untraced crnet-bench run in `root`.
-
-    Returns (provenance line, result object); the result is None when
-    the run failed its output checks.
-    """
+    """One untraced crnet-bench run in `root`; see parse_run()."""
     proc = subprocess.run(
         [sys.executable, "crnet-bench/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, stdout=subprocess.PIPE, text=True, check=False)
-    lines = proc.stdout.splitlines()
+    return parse_run(proc.stdout, proc.returncode)
+
+
+def parse_run(stdout, returncode):
+    """(provenance line, result object) of one run's output.
+
+    The result is None when the run failed its output checks; else it
+    carries the `sim_digest` of the run's `passes=` line (None when the
+    line has none).
+    """
+    lines = stdout.splitlines()
     provenance = next((line for line in lines
                        if line.startswith("provenance:")), "")
-    if proc.returncode != 0 or not lines:
+    if returncode != 0 or not lines:
         return provenance, None
     result = json.loads(lines[-1])
-    return provenance, result if result["correct"] else None
+    if not result["correct"]:
+        return provenance, None
+    passes = next((line for line in lines if line.startswith("passes=")),
+                  "")
+    match = DIGEST.search(passes)
+    result["sim_digest"] = match.group(1) if match else None
+    return provenance, result
 
 
 def relative(value, base):
@@ -120,6 +140,18 @@ def verdict(metric, parent, change):
     return ("worse" if worse > metric["bound"] else "ok"), worse
 
 
+def digests(runs):
+    """Each side's distinct digests over its passing runs ("none" for
+    a run that printed none), and whether all runs share one digest."""
+    sides = {side: sorted({r.get("sim_digest") or "none"
+                           for _, r in side_runs if r is not None})
+             for side, side_runs in runs.items()}
+    seen = {d for ds in sides.values() for d in ds}
+    same = (len(sides) == 2 and len(seen) == 1 and "none" not in seen
+            and all(sides.values()))
+    return {"same": same, **sides}
+
+
 def gate_workload(name, roots, metrics, in_parent):
     """Run one workload's pairs; return its report entry."""
     sides = ("parent", "change") if in_parent else ("change",)
@@ -133,7 +165,7 @@ def gate_workload(name, roots, metrics, in_parent):
                       "checks", file=sys.stderr)
 
     entry = {"provenance": {}, "failed_share": {}, "metrics": {},
-             "failed_runs": {}}
+             "failed_runs": {}, "digest": digests(runs)}
     for side in sides:
         results = [r for _, r in runs[side] if r is not None]
         entry["provenance"][side] = sorted({p for p, _ in runs[side]})
@@ -184,6 +216,13 @@ def print_workload(name, entry):
     shares = ", ".join(f"{side} {share:.4f}"
                        for side, share in entry["failed_share"].items())
     print(f"  failed share of ops: {shares}")
+    digest = entry["digest"]
+    if digest["same"]:
+        print(f"  digest: same {digest['change'][0]}")
+    else:
+        print("  digest: " + " ".join(
+            f"{side} {','.join(digest[side]) or '-'}"
+            for side in ("parent", "change") if side in digest))
     print(f"  {'metric':26} {'parent median (IQR)':>26} "
           f"{'change median (IQR)':>26} {'worse':>8} {'bound':>6} "
           f"{'better':>6}  verdict")
