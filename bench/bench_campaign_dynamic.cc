@@ -10,7 +10,8 @@
  * post-fault latency transient is modest. CR accounts everything too
  * but may deliver corrupted payloads under a transient burst.
  *
- * Extra args (before the usual key=value config overrides):
+ * Extra args (CampaignConfig::applyArgs; any other key is a config
+ * override):
  *   trials=N        number of seeded trials (default 100)
  *   seed_base=S     seed of trial 0 (default 1)
  *   journal=PATH    crash-resume journal (docs/ROBUSTNESS.md); a
@@ -19,9 +20,6 @@
  *   trial_retries=N watchdog re-runs before quarantining a trial
  *                   that exhausts its drain budget (default 1)
  */
-
-#include <cstdlib>
-#include <cstring>
 
 #include "bench/bench_common.hh"
 #include "src/fault/campaign.hh"
@@ -44,23 +42,7 @@ main(int argc, char** argv)
     cc.base.misrouteBudget = 4;
     cc.base.dynamicLinkKills = 2;
 
-    // Campaign-only args, consumed before the SimConfig overrides.
-    std::vector<char*> rest = {argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "trials=", 7) == 0)
-            cc.trials = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
-        else if (std::strncmp(argv[i], "seed_base=", 10) == 0)
-            cc.seedBase = std::strtoull(argv[i] + 10, nullptr, 10);
-        else if (std::strncmp(argv[i], "journal=", 8) == 0)
-            cc.journalPath = argv[i] + 8;
-        else if (std::strncmp(argv[i], "trial_retries=", 14) == 0)
-            cc.trialRetries = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 14, nullptr, 10));
-        else
-            rest.push_back(argv[i]);
-    }
-    cc.base.applyArgs(static_cast<int>(rest.size()), rest.data());
+    cc.applyArgs(argc, argv);
 
     std::vector<TrialOutcome> trials;
     const CampaignSummary s = runCampaign(cc, &trials);

@@ -157,9 +157,9 @@ record(const CampaignSummary& s)
 
 /**
  * Run a batch of independent configuration points through the
- * parallel engine (`jobs=` override / CRNET_JOBS; sequential by
- * default), timing the batch for the footer. Results come back in
- * input order, bit-identical to a sequential run.
+ * parallel engine (`jobs=` override; sequential by default), timing
+ * the batch for the footer. Results come back in input order,
+ * bit-identical to a sequential run.
  */
 inline std::vector<RunResult>
 sweep(const std::vector<SimConfig>& points)

@@ -10,7 +10,6 @@
 #include "src/sim/log.hh"
 #include "src/sim/parallel.hh"
 #include "src/sim/telemetry.hh"
-#include "src/sim/trace.hh"
 #include "src/sim/walltime.hh"
 
 namespace crnet {
@@ -60,19 +59,6 @@ summarize(const Network& net, bool drained, Cycle cycles)
                    s.router.flitsForwarded.value() +
                    s.flitsConsumed.value();
     r.latencyOverflow = s.latencyHist.overflow();
-    if (r.latencyOverflow > 0) {
-        // Once per process: every saturated run would repeat the same
-        // advice, and replicated sweeps run thousands of points.
-        CRNET_ALLOW("global-state",
-                    "once-per-process advice latch; atomic, write-once, "
-                    "and never read by anything result-affecting")
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            warn("latency histogram saturated (", r.latencyOverflow,
-                 " samples above the top bin); p50/p95/p99 are lower "
-                 "bounds for this run");
-        }
-    }
     r.timeseries = net.timeseriesSamples();
     r.heatmap = net.collectHeatmap();
     if (cfg.measureCycles > 0) {
@@ -85,6 +71,27 @@ summarize(const Network& net, bool drained, Cycle cycles)
 }
 
 namespace {
+
+/**
+ * Warn that `r`'s latency histogram saturated, once per process: every
+ * saturated run would repeat the same advice, and replicated sweeps
+ * run thousands of points. Called on the thread that collects the
+ * results, in index order, so which run it names never depends on
+ * which run finished first.
+ */
+void
+warnIfSaturated(const RunResult& r)
+{
+    CRNET_ALLOW("global-state",
+                "once-per-process advice latch; atomic, write-once, "
+                "and never read by anything result-affecting")
+    static std::atomic<bool> warned{false};
+    if (r.latencyOverflow > 0 && !warned.exchange(true)) {
+        warn("latency histogram saturated (", r.latencyOverflow,
+             " samples above the top bin); p50/p95/p99 are lower "
+             "bounds for this run");
+    }
+}
 
 /**
  * Measurement window + drain over an already-warm network. When a
@@ -122,10 +129,9 @@ measureAndDrain(Network& net, const SimConfig& cfg, TickProfiler* prof)
     return r;
 }
 
-} // namespace
-
+/** One run, warmup to drain; runExperiment without the warning. */
 RunResult
-runExperiment(const SimConfig& cfg)
+runOne(const SimConfig& cfg)
 {
     const WallTimer timer;
     Network net(cfg);
@@ -142,6 +148,16 @@ runExperiment(const SimConfig& cfg)
 
     RunResult r = measureAndDrain(net, cfg, profiled ? &prof : nullptr);
     r.wallSeconds = timer.seconds();
+    return r;
+}
+
+} // namespace
+
+RunResult
+runExperiment(const SimConfig& cfg)
+{
+    RunResult r = runOne(cfg);
+    warnIfSaturated(r);
     return r;
 }
 
@@ -165,17 +181,14 @@ runMany(const std::vector<SimConfig>& points)
 
     parallelFor(points.size(), jobs, [&](std::size_t i) {
         // Give each run its own trace/time-series sink: suffix the
-        // resolved prefix so jobs=N writes N distinct files whose
-        // bytes match a jobs=1 batch run-for-run.
+        // prefix so jobs=N writes N distinct files whose bytes match a
+        // jobs=1 batch run-for-run.
         SimConfig cfg = points[i];
-        if (points.size() > 1) {
-            const std::string prefix = Tracer::resolvePrefix(cfg);
-            if (!prefix.empty())
-                cfg.traceFile = prefix + "_run" + std::to_string(i);
-        }
+        if (points.size() > 1 && !cfg.traceFile.empty())
+            cfg.traceFile += "_run" + std::to_string(i);
         if (status != nullptr)
             status->unitPhase(i, "run", 0);
-        out[i] = runExperiment(cfg);
+        out[i] = runOne(cfg);
         if (status != nullptr) {
             StatusWriter::UnitRow row;
             row.index = i;
@@ -190,6 +203,10 @@ runMany(const std::vector<SimConfig>& points)
     });
     if (status != nullptr)
         status->finish();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const LogRunScope scope(static_cast<std::int64_t>(i));
+        warnIfSaturated(out[i]);
+    }
     return out;
 }
 

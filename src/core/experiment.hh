@@ -28,11 +28,12 @@ RunResult runExperiment(const SimConfig& cfg);
 
 /**
  * Run a batch of independent configurations, fanned out across
- * `points.front().jobs` worker threads (resolved via resolveJobs:
- * explicit > CRNET_JOBS > 1). Results are returned in input order and
- * are bit-identical to running each point sequentially — every run
- * owns its Network and seeded Rng. This is the engine under
- * sweepLoads, runReplicated, runCampaign and bench::sweep.
+ * `points.front().jobs` worker threads. Results are returned in input
+ * order and are bit-identical to running each point sequentially —
+ * every run owns its Network and seeded Rng — and so is the log: a
+ * saturated-histogram warning is printed after the batch, in index
+ * order. This is the engine under sweepLoads, runReplicated and
+ * bench::sweep.
  */
 std::vector<RunResult> runMany(const std::vector<SimConfig>& points);
 

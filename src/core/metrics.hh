@@ -186,8 +186,9 @@ struct RunResult
     /**
      * Samples that fell past the latency histogram's last bin
      * (latencyHist caps at binWidth * numBins = 32768 cycles). When
-     * non-zero, p50/p95/p99 are clamped to the histogram range and
-     * summarize() warns once per process.
+     * non-zero, p50/p95/p99 are clamped to the histogram range, and
+     * runExperiment and runMany warn once per process, naming the
+     * lowest-index such run of a batch.
      */
     std::uint64_t latencyOverflow = 0;
 

@@ -349,10 +349,9 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
 
     // Observability sinks. All of these are null/off by default, so
     // an untraced run pays exactly one null-pointer branch per hook.
-    const std::string trace_prefix = Tracer::resolvePrefix(cfg_);
-    if (!trace_prefix.empty()) {
+    if (!cfg_.traceFile.empty()) {
         trace_ =
-            std::make_unique<Tracer>(trace_prefix, cfg_.watchSpec);
+            std::make_unique<Tracer>(cfg_.traceFile, cfg_.watchSpec);
         for (NodeId id = 0; id < n; ++id) {
             routers_[id]->setTracer(trace_.get());
             injectors_[id]->setTracer(trace_.get());

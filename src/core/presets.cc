@@ -175,20 +175,19 @@ presetExists(const std::string& name)
 SimConfig
 configFromArgs(SimConfig base, int argc, char** argv)
 {
-    SimConfig cfg = base;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos)
-            fatal("expected key=value argument, got '", arg, "'");
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "preset")
-            cfg = presetConfig(value);
+    const auto args = splitArgs(argc, argv);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const auto& [key, value] = args[i];
+        if (key != "preset")
+            base.set(key, value);
+        else if (i == 0)
+            base = presetConfig(value);
         else
-            cfg.set(key, value);
+            fatal("preset=", value, " must be the first argument: it "
+                  "replaces the whole configuration, so it would drop "
+                  "every key before it");
     }
-    return cfg;
+    return base;
 }
 
 } // namespace crnet

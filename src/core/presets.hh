@@ -37,8 +37,8 @@ bool presetExists(const std::string& name);
 /**
  * CLI front door used by the examples: like SimConfig::applyArgs, but
  * a leading `preset=<name>` argument replaces the whole base
- * configuration first and later `key=value` arguments refine it.
- * Returns the resulting config.
+ * configuration first and later `key=value` arguments refine it. A
+ * `preset=` anywhere else is fatal. Returns the resulting config.
  */
 SimConfig configFromArgs(SimConfig base, int argc, char** argv);
 

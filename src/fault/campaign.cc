@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -453,6 +455,28 @@ replayJournal(const CampaignConfig& cc, std::uint64_t fingerprint,
 }
 
 } // namespace
+
+CampaignConfig&
+CampaignConfig::applyArgs(int argc, char** argv)
+{
+    for (const auto& [key, value] : splitArgs(argc, argv)) {
+        if (key == "trials") {
+            trials = static_cast<std::uint32_t>(parseInteger(
+                key, value, 1, std::numeric_limits<std::uint32_t>::max()));
+        } else if (key == "seed_base") {
+            seedBase = parseInteger(key, value);
+        } else if (key == "journal") {
+            journalPath = value;
+        } else if (key == "trial_retries") {
+            // runTrial's last budget is drainCap << trialRetries.
+            trialRetries = static_cast<std::uint32_t>(parseInteger(
+                key, value, 0, std::min(63, std::countl_zero(drainCap))));
+        } else {
+            base.set(key, value);
+        }
+    }
+    return *this;
+}
 
 CampaignSummary
 runCampaign(const CampaignConfig& cc, std::vector<TrialOutcome>* out)

@@ -142,6 +142,15 @@ struct CampaignConfig
      * reported with `quarantined` set, never silently dropped.
      */
     std::uint32_t trialRetries = 1;
+
+    /**
+     * Apply argv-style `key=value` arguments: `trials` (at least 1),
+     * `seed_base`, `journal` and `trial_retries` (at most the count
+     * for which `drainCap << trial_retries` fits in 64 bits) set the
+     * campaign, and every other key goes to `base.set()`. Returns
+     * *this.
+     */
+    CampaignConfig& applyArgs(int argc, char** argv);
 };
 
 /** What happened in one seeded trial. */

@@ -3,17 +3,18 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "src/sim/log.hh"
 
 namespace crnet {
 
-namespace {
-
 std::uint64_t
-parseU64(const std::string& key, const std::string& value)
+parseInteger(const std::string& key, const std::string& value,
+             std::uint64_t lo, std::uint64_t hi)
 {
     // Digits only: strtoull alone would accept a sign ("-1" wraps to
     // 2^64 - 1), leading blanks and out-of-range values.
@@ -26,18 +27,78 @@ parseU64(const std::string& key, const std::string& value)
     if (!digits || errno == ERANGE)
         fatal("config key '", key, "': expected integer, got '", value,
               "'");
+    if (v < lo || v > hi)
+        fatal("config key '", key, "': expected integer in [", lo, ", ",
+              hi, "], got '", value, "'");
     return v;
 }
 
+std::vector<std::pair<std::string, std::string>>
+splitArgs(int argc, char** argv)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const auto eq = arg.find('=');
+        if (eq == std::string::npos)
+            fatal("expected key=value argument, got '", arg, "'");
+        out.emplace_back(arg.substr(0, eq), arg.substr(eq + 1));
+    }
+    return out;
+}
+
+namespace {
+
+/** A finite number: strtod alone would accept "nan" and "inf". */
 double
-parseF64(const std::string& key, const std::string& value)
+parseNumber(const std::string& key, const std::string& value)
 {
     char* end = nullptr;
     const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0')
+    if (end == value.c_str() || *end != '\0' || !std::isfinite(v))
         fatal("config key '", key, "': expected number, got '", value,
               "'");
     return v;
+}
+
+template <typename E>
+std::string
+nameOf(E e)
+{
+    const EnumNames t = enumNames(e);
+    const auto v = static_cast<std::size_t>(e);
+    if (v >= t.names.size())
+        panic("bad ", t.what, " value ", v);
+    return t.names[v];
+}
+
+template <typename E>
+E
+valueOf(const std::string& name)
+{
+    const EnumNames t = enumNames(E{});
+    const auto it = std::find(t.names.begin(), t.names.end(), name);
+    if (it == t.names.end())
+        fatal("unknown ", t.what, " '", name, "'");
+    return static_cast<E>(it - t.names.begin());
+}
+
+/** Parse `value` into `field` by the field's type. */
+template <typename T>
+void
+parseInto(T& field, const std::string& key, const std::string& value)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        field = value;
+    else if constexpr (std::is_same_v<T, bool>)
+        field = parseInteger(key, value) != 0;
+    else if constexpr (std::is_same_v<T, double>)
+        field = parseNumber(key, value);
+    else if constexpr (std::is_enum_v<T>)
+        field = valueOf<T>(value);
+    else
+        field = static_cast<T>(parseInteger(
+            key, value, 0, std::numeric_limits<T>::max()));
 }
 
 } // namespace
@@ -143,10 +204,10 @@ SimConfig::validate() const
     }
     if (auditInterval < 1)
         fatal("auditInterval must be >= 1");
-    if (jobs > 1024)
-        fatal("jobs must be in [0, 1024] (got ", jobs, ")");
-    if (shards > 1024)
-        fatal("shards must be in [0, 1024] (got ", shards, ")");
+    if (jobs < 1 || jobs > 1024)
+        fatal("jobs must be in [1, 1024] (got ", jobs, ")");
+    if (shards < 1 || shards > 1024)
+        fatal("shards must be in [1, 1024] (got ", shards, ")");
     if (statusEverySeconds < 0.0)
         fatal("statusEverySeconds must be >= 0 (got ",
               statusEverySeconds, ")");
@@ -155,95 +216,14 @@ SimConfig::validate() const
 SimConfig&
 SimConfig::set(const std::string& key, const std::string& value)
 {
-    if (key == "topology") topology = topologyFromString(value);
-    else if (key == "k") radixK = static_cast<std::uint32_t>(
-        parseU64(key, value));
-    else if (key == "n") dimensionsN = static_cast<std::uint32_t>(
-        parseU64(key, value));
-    else if (key == "vcs") numVcs = static_cast<std::uint32_t>(
-        parseU64(key, value));
-    else if (key == "buffer_depth") bufferDepth =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "injection_channels") injectionChannels =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "ejection_channels") ejectionChannels =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "channel_latency") channelLatency =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "routing") routing = routingFromString(value);
-    else if (key == "protocol") protocol = protocolFromString(value);
-    else if (key == "timeout_scheme") timeoutScheme =
-        timeoutSchemeFromString(value);
-    else if (key == "timeout") timeout = parseU64(key, value);
-    else if (key == "backoff") backoff = backoffFromString(value);
-    else if (key == "backoff_gap") backoffGap = parseU64(key, value);
-    else if (key == "backoff_cap") backoffCap = parseU64(key, value);
-    else if (key == "misroute_after_retries") misrouteAfterRetries =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "misroute_budget") misrouteBudget =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "max_retries") maxRetries =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "enforce_dest_order") enforceDestOrder =
-        parseU64(key, value) != 0;
-    else if (key == "pad_slack") padSlack =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "pattern") pattern = patternFromString(value);
-    else if (key == "load") injectionRate = parseF64(key, value);
-    else if (key == "msg_len") messageLength =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "msg_len_b") messageLengthB =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "bimodal_frac_b") bimodalFracB = parseF64(key, value);
-    else if (key == "hotspot_fraction") hotspotFraction =
-        parseF64(key, value);
-    else if (key == "max_pending") maxPendingPerNode =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "fault_rate") transientFaultRate =
-        parseF64(key, value);
-    else if (key == "permanent_faults") permanentLinkFaults =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "dyn_link_kills") dynamicLinkKills =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "dyn_directed_kills") dynamicDirectedKills =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "dyn_router_kills") dynamicRouterKills =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "fault_window_start") faultWindowStart =
-        parseU64(key, value);
-    else if (key == "fault_window_end") faultWindowEnd =
-        parseU64(key, value);
-    else if (key == "link_repair_after") linkRepairAfter =
-        parseU64(key, value);
-    else if (key == "burst_start") burstStart = parseU64(key, value);
-    else if (key == "burst_len") burstLen = parseU64(key, value);
-    else if (key == "burst_rate") burstRate = parseF64(key, value);
-    else if (key == "fault_scenario") faultScenario = value;
-    else if (key == "trace") traceFile = value;
-    else if (key == "watch") watchSpec = value;
-    else if (key == "sample_interval") sampleInterval =
-        parseU64(key, value);
-    else if (key == "heatmap") heatmapEnabled =
-        parseU64(key, value) != 0;
-    else if (key == "status") statusFile = value;
-    else if (key == "status_interval") statusEverySeconds =
-        parseF64(key, value);
-    else if (key == "profile") profileEnabled =
-        parseU64(key, value) != 0;
-    else if (key == "jobs") jobs =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "shards") shards =
-        static_cast<std::uint32_t>(parseU64(key, value));
-    else if (key == "sched") sched = schedulerFromString(value);
-    else if (key == "seed") seed = parseU64(key, value);
-    else if (key == "warmup") warmupCycles = parseU64(key, value);
-    else if (key == "measure") measureCycles = parseU64(key, value);
-    else if (key == "drain") drainCycles = parseU64(key, value);
-    else if (key == "deadlock_threshold") deadlockThreshold =
-        parseU64(key, value);
-    else if (key == "audit_interval") auditInterval =
-        parseU64(key, value);
-    else
+    bool found = false;
+    fields(*this, [&](const char* name, auto& field, Fp) {
+        if (!found && key == name) {
+            found = true;
+            parseInto(field, key, value);
+        }
+    });
+    if (!found)
         fatal("unknown config key '", key, "'");
     return *this;
 }
@@ -251,13 +231,8 @@ SimConfig::set(const std::string& key, const std::string& value)
 SimConfig&
 SimConfig::applyArgs(int argc, char** argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos)
-            fatal("expected key=value argument, got '", arg, "'");
-        set(arg.substr(0, eq), arg.substr(eq + 1));
-    }
+    for (const auto& [key, value] : splitArgs(argc, argv))
+        set(key, value);
     return *this;
 }
 
@@ -273,154 +248,12 @@ SimConfig::summary() const
     return os.str();
 }
 
-std::string
-toString(TopologyKind k)
-{
-    switch (k) {
-      case TopologyKind::Torus: return "torus";
-      case TopologyKind::Mesh: return "mesh";
-    }
-    panic("bad TopologyKind");
-}
-
-std::string
-toString(RoutingKind k)
-{
-    switch (k) {
-      case RoutingKind::DimensionOrder: return "dor";
-      case RoutingKind::MinimalAdaptive: return "minimal_adaptive";
-      case RoutingKind::Duato: return "duato";
-      case RoutingKind::WestFirst: return "west_first";
-      case RoutingKind::NegativeFirst: return "negative_first";
-      case RoutingKind::PlanarAdaptive: return "planar_adaptive";
-    }
-    panic("bad RoutingKind");
-}
-
-std::string
-toString(ProtocolKind k)
-{
-    switch (k) {
-      case ProtocolKind::None: return "none";
-      case ProtocolKind::Cr: return "cr";
-      case ProtocolKind::Fcr: return "fcr";
-    }
-    panic("bad ProtocolKind");
-}
-
-std::string
-toString(TimeoutScheme k)
-{
-    switch (k) {
-      case TimeoutScheme::SourceStall: return "source_stall";
-      case TimeoutScheme::SourceImin: return "source_imin";
-      case TimeoutScheme::PathWide: return "path_wide";
-      case TimeoutScheme::DropAtBlock: return "drop_at_block";
-    }
-    panic("bad TimeoutScheme");
-}
-
-std::string
-toString(BackoffScheme k)
-{
-    switch (k) {
-      case BackoffScheme::Static: return "static";
-      case BackoffScheme::Exponential: return "exponential";
-    }
-    panic("bad BackoffScheme");
-}
-
-std::string
-toString(TrafficPattern k)
-{
-    switch (k) {
-      case TrafficPattern::Uniform: return "uniform";
-      case TrafficPattern::BitComplement: return "bit_complement";
-      case TrafficPattern::Transpose: return "transpose";
-      case TrafficPattern::BitReversal: return "bit_reversal";
-      case TrafficPattern::Hotspot: return "hotspot";
-      case TrafficPattern::Neighbor: return "neighbor";
-      case TrafficPattern::Tornado: return "tornado";
-    }
-    panic("bad TrafficPattern");
-}
-
-std::string
-toString(SchedulerKind k)
-{
-    switch (k) {
-      case SchedulerKind::Sweep: return "sweep";
-      case SchedulerKind::Active: return "active";
-    }
-    panic("bad SchedulerKind");
-}
-
-TopologyKind
-topologyFromString(const std::string& s)
-{
-    if (s == "torus") return TopologyKind::Torus;
-    if (s == "mesh") return TopologyKind::Mesh;
-    fatal("unknown topology '", s, "'");
-}
-
-RoutingKind
-routingFromString(const std::string& s)
-{
-    if (s == "dor") return RoutingKind::DimensionOrder;
-    if (s == "minimal_adaptive") return RoutingKind::MinimalAdaptive;
-    if (s == "duato") return RoutingKind::Duato;
-    if (s == "west_first") return RoutingKind::WestFirst;
-    if (s == "negative_first") return RoutingKind::NegativeFirst;
-    if (s == "planar_adaptive") return RoutingKind::PlanarAdaptive;
-    fatal("unknown routing '", s, "'");
-}
-
-ProtocolKind
-protocolFromString(const std::string& s)
-{
-    if (s == "none") return ProtocolKind::None;
-    if (s == "cr") return ProtocolKind::Cr;
-    if (s == "fcr") return ProtocolKind::Fcr;
-    fatal("unknown protocol '", s, "'");
-}
-
-TimeoutScheme
-timeoutSchemeFromString(const std::string& s)
-{
-    if (s == "source_stall") return TimeoutScheme::SourceStall;
-    if (s == "source_imin") return TimeoutScheme::SourceImin;
-    if (s == "path_wide") return TimeoutScheme::PathWide;
-    if (s == "drop_at_block") return TimeoutScheme::DropAtBlock;
-    fatal("unknown timeout scheme '", s, "'");
-}
-
-BackoffScheme
-backoffFromString(const std::string& s)
-{
-    if (s == "static") return BackoffScheme::Static;
-    if (s == "exponential") return BackoffScheme::Exponential;
-    fatal("unknown backoff scheme '", s, "'");
-}
-
-SchedulerKind
-schedulerFromString(const std::string& s)
-{
-    if (s == "sweep") return SchedulerKind::Sweep;
-    if (s == "active") return SchedulerKind::Active;
-    fatal("unknown scheduler '", s, "'");
-}
-
-TrafficPattern
-patternFromString(const std::string& s)
-{
-    if (s == "uniform") return TrafficPattern::Uniform;
-    if (s == "bit_complement") return TrafficPattern::BitComplement;
-    if (s == "transpose") return TrafficPattern::Transpose;
-    if (s == "bit_reversal") return TrafficPattern::BitReversal;
-    if (s == "hotspot") return TrafficPattern::Hotspot;
-    if (s == "neighbor") return TrafficPattern::Neighbor;
-    if (s == "tornado") return TrafficPattern::Tornado;
-    fatal("unknown traffic pattern '", s, "'");
-}
+std::string toString(TopologyKind k) { return nameOf(k); }
+std::string toString(RoutingKind k) { return nameOf(k); }
+std::string toString(ProtocolKind k) { return nameOf(k); }
+std::string toString(TimeoutScheme k) { return nameOf(k); }
+std::string toString(BackoffScheme k) { return nameOf(k); }
+std::string toString(TrafficPattern k) { return nameOf(k); }
+std::string toString(SchedulerKind k) { return nameOf(k); }
 
 } // namespace crnet

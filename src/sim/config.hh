@@ -5,14 +5,18 @@
  *
  * Every example and benchmark builds a SimConfig, optionally applies
  * `key=value` overrides from the command line, validates it, and hands
- * it to Network / ExperimentRunner.
+ * it to Network / ExperimentRunner. SimConfig::fields() lists every
+ * key; each enum's names are in its table below.
  */
 
 #ifndef CRNET_SIM_CONFIG_HH
 #define CRNET_SIM_CONFIG_HH
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/types.hh"
@@ -78,6 +82,51 @@ enum class TrafficPattern {
     Tornado  //!< k/2-1 offset along dimension 0: the classic
              //!< adversarial torus pattern for deterministic routing.
 };
+
+/**
+ * Each config enum's `key=value` spellings, indexed by value:
+ * toString() prints them and SimConfig::set() parses them, and `what`
+ * names the kind in set()'s "unknown <what> '...'" fatal.
+ */
+struct EnumNames
+{
+    const char* what;
+    std::span<const char* const> names;
+};
+
+inline constexpr const char* kTopologyNames[] = {"torus", "mesh"};
+inline constexpr const char* kRoutingNames[] = {
+    "dor",        "minimal_adaptive", "duato",
+    "west_first", "negative_first",   "planar_adaptive"};
+inline constexpr const char* kProtocolNames[] = {"none", "cr", "fcr"};
+inline constexpr const char* kTimeoutSchemeNames[] = {
+    "source_stall", "source_imin", "path_wide", "drop_at_block"};
+inline constexpr const char* kBackoffNames[] = {"static", "exponential"};
+inline constexpr const char* kSchedulerNames[] = {"sweep", "active"};
+inline constexpr const char* kPatternNames[] = {
+    "uniform", "bit_complement", "transpose", "bit_reversal",
+    "hotspot", "neighbor",       "tornado"};
+
+constexpr EnumNames
+enumNames(TopologyKind) { return {"topology", kTopologyNames}; }
+constexpr EnumNames
+enumNames(RoutingKind) { return {"routing", kRoutingNames}; }
+constexpr EnumNames
+enumNames(ProtocolKind) { return {"protocol", kProtocolNames}; }
+constexpr EnumNames
+enumNames(TimeoutScheme)
+{
+    return {"timeout scheme", kTimeoutSchemeNames};
+}
+constexpr EnumNames
+enumNames(BackoffScheme) { return {"backoff scheme", kBackoffNames}; }
+constexpr EnumNames
+enumNames(SchedulerKind) { return {"scheduler", kSchedulerNames}; }
+constexpr EnumNames
+enumNames(TrafficPattern) { return {"traffic pattern", kPatternNames}; }
+
+/** Whether configFingerprint covers a SimConfig::fields() row. */
+enum class Fp : bool { Skip, Cover };
 
 /**
  * Most ports a router may have on either side: 2*dimensionsN network
@@ -168,9 +217,7 @@ struct SimConfig
     /**
      * Worm-event trace output prefix; the tracer writes
      * `<prefix>.jsonl` and `<prefix>.json` (Chrome trace-event
-     * format). "" = disabled, unless the CRNET_TRACE environment
-     * variable enables it ("1" = default prefix, other values name
-     * the prefix). Batch engines suffix `_run<i>` per run.
+     * format). "" = disabled. Batch engines suffix `_run<i>` per run.
      */
     std::string traceFile;
     /**
@@ -193,8 +240,8 @@ struct SimConfig
      * Live status file (src/sim/telemetry.hh): the campaign / sweep
      * engines atomically rewrite this JSON every `statusEverySeconds`
      * wall-seconds with progress, ETA and recent fault events;
-     * tools/crnet_top.py tails it. "" = disabled. Like traceFile,
-     * excluded from configFingerprint and byte-identical on/off.
+     * tools/crnet_top.py tails it. "" = disabled. Byte-identical
+     * on/off.
      */
     std::string statusFile;
     /** Min wall-seconds between status rewrites (0 = every update). */
@@ -218,13 +265,12 @@ struct SimConfig
     std::uint64_t seed = 1;
     /**
      * Worker threads for the batch engines (`runMany`/`sweepLoads`,
-     * `runReplicated`, `runCampaign`). 0 = resolve from the
-     * CRNET_JOBS environment variable, falling back to 1
-     * (sequential). Results are bit-identical at every setting: each
+     * `runReplicated`, `runCampaign`), in [1, 1024]; 1 runs
+     * sequentially. Results are bit-identical at every setting: each
      * run owns its Network and seeded Rng, and collection is
      * index-ordered (see src/sim/parallel.hh).
      */
-    std::uint32_t jobs = 0;
+    std::uint32_t jobs = 1;
     /**
      * Intra-run network shards: the node array of *one* Network is
      * split into this many ranges, each ticked every cycle by its own
@@ -232,13 +278,11 @@ struct SimConfig
      * cross-range flit/credit traffic exchanged deterministically
      * through the staged delivery waves (the >= 1-cycle channel
      * latency is the synchronization slack window; see
-     * docs/PERFORMANCE.md). 0 = resolve from the CRNET_SHARDS
-     * environment variable, falling back to 1 (unsharded). Results
-     * are bit-identical at every setting, and like `jobs`/`sched` the
-     * value is excluded from configFingerprint, so snapshots restore
-     * across shard counts.
+     * docs/PERFORMANCE.md), in [1, 1024]; 1 is unsharded. Results
+     * are bit-identical at every setting, so snapshots restore across
+     * shard counts.
      */
-    std::uint32_t shards = 0;
+    std::uint32_t shards = 1;
     Cycle warmupCycles = 2000;
     Cycle measureCycles = 10000;
     Cycle drainCycles = 100000;       //!< Cap on the drain phase.
@@ -264,7 +308,19 @@ struct SimConfig
     void validate() const;
 
     /**
-     * Apply a `key=value` override (CLI syntax). Unknown keys are
+     * The field list: `row(key, field, fp)` once per field, in
+     * declaration order, giving its `key=value` key and whether
+     * configFingerprint covers it (each skipped row says why). set()
+     * parses a key by its field's type, and configFingerprint() writes
+     * the covered fields in order.
+     */
+    template <typename Self, typename Row>
+    static void fields(Self& self, Row&& row);
+
+    /**
+     * Apply a `key=value` override (CLI syntax), parsed by the field's
+     * type: an integer must fit the field, a number must be finite, an
+     * enum must be one of its names. Unknown keys and bad values are
      * fatal. Returns *this for chaining.
      */
     SimConfig& set(const std::string& key, const std::string& value);
@@ -276,7 +332,83 @@ struct SimConfig
     std::string summary() const;
 };
 
-/** Enum <-> string conversions (fatal on unknown names). */
+template <typename Self, typename Row>
+void
+SimConfig::fields(Self& c, Row&& row)
+{
+    row("topology", c.topology, Fp::Cover);
+    row("k", c.radixK, Fp::Cover);
+    row("n", c.dimensionsN, Fp::Cover);
+    row("vcs", c.numVcs, Fp::Cover);
+    row("buffer_depth", c.bufferDepth, Fp::Cover);
+    row("injection_channels", c.injectionChannels, Fp::Cover);
+    row("ejection_channels", c.ejectionChannels, Fp::Cover);
+    row("channel_latency", c.channelLatency, Fp::Cover);
+    row("routing", c.routing, Fp::Cover);
+    row("protocol", c.protocol, Fp::Cover);
+    row("timeout_scheme", c.timeoutScheme, Fp::Cover);
+    row("timeout", c.timeout, Fp::Cover);
+    row("backoff", c.backoff, Fp::Cover);
+    row("backoff_gap", c.backoffGap, Fp::Cover);
+    row("backoff_cap", c.backoffCap, Fp::Cover);
+    row("misroute_after_retries", c.misrouteAfterRetries, Fp::Cover);
+    row("misroute_budget", c.misrouteBudget, Fp::Cover);
+    row("max_retries", c.maxRetries, Fp::Cover);
+    row("enforce_dest_order", c.enforceDestOrder, Fp::Cover);
+    row("pad_slack", c.padSlack, Fp::Cover);
+    row("pattern", c.pattern, Fp::Cover);
+    row("load", c.injectionRate, Fp::Cover);
+    row("msg_len", c.messageLength, Fp::Cover);
+    row("msg_len_b", c.messageLengthB, Fp::Cover);
+    row("bimodal_frac_b", c.bimodalFracB, Fp::Cover);
+    row("hotspot_fraction", c.hotspotFraction, Fp::Cover);
+    row("max_pending", c.maxPendingPerNode, Fp::Cover);
+    row("fault_rate", c.transientFaultRate, Fp::Cover);
+    row("permanent_faults", c.permanentLinkFaults, Fp::Cover);
+    row("dyn_link_kills", c.dynamicLinkKills, Fp::Cover);
+    row("dyn_directed_kills", c.dynamicDirectedKills, Fp::Cover);
+    row("dyn_router_kills", c.dynamicRouterKills, Fp::Cover);
+    row("fault_window_start", c.faultWindowStart, Fp::Cover);
+    row("fault_window_end", c.faultWindowEnd, Fp::Cover);
+    row("link_repair_after", c.linkRepairAfter, Fp::Cover);
+    row("burst_start", c.burstStart, Fp::Cover);
+    row("burst_len", c.burstLen, Fp::Cover);
+    row("burst_rate", c.burstRate, Fp::Cover);
+    row("fault_scenario", c.faultScenario, Fp::Cover);
+    // An observability sidecar: a restore may attach another path.
+    row("trace", c.traceFile, Fp::Skip);
+    // Covered: the watch list shapes the tracer state a snapshot
+    // carries.
+    row("watch", c.watchSpec, Fp::Cover);
+    row("sample_interval", c.sampleInterval, Fp::Cover);
+    row("heatmap", c.heatmapEnabled, Fp::Cover);
+    // Telemetry on and off are byte-identical (tests/test_telemetry.cc),
+    // so a checkpoint taken with profiling on restores into an
+    // unprofiled run, and a journal resumes with or without a status
+    // file.
+    row("status", c.statusFile, Fp::Skip);
+    row("status_interval", c.statusEverySeconds, Fp::Skip);
+    row("profile", c.profileEnabled, Fp::Skip);
+    // The schedulers are proven bit-identical across a restore, so a
+    // snapshot taken under sched=sweep restores under sched=active and
+    // vice versa (tests/test_snapshot.cc).
+    row("sched", c.sched, Fp::Skip);
+    row("seed", c.seed, Fp::Cover);
+    // Batch parallelism never touches a run's state.
+    row("jobs", c.jobs, Fp::Skip);
+    // Shard counts are bit-identical, and per-shard counter blocks are
+    // folded into the master stats before serialization, so a snapshot
+    // taken at shards=4 restores at shards=1 and vice versa
+    // (tests/test_shard.cc).
+    row("shards", c.shards, Fp::Skip);
+    row("warmup", c.warmupCycles, Fp::Cover);
+    row("measure", c.measureCycles, Fp::Cover);
+    row("drain", c.drainCycles, Fp::Cover);
+    row("deadlock_threshold", c.deadlockThreshold, Fp::Cover);
+    row("audit_interval", c.auditInterval, Fp::Cover);
+}
+
+/** An enum's name from its table (panics on a value it lacks). */
 std::string toString(TopologyKind k);
 std::string toString(RoutingKind k);
 std::string toString(ProtocolKind k);
@@ -285,13 +417,24 @@ std::string toString(BackoffScheme k);
 std::string toString(TrafficPattern k);
 std::string toString(SchedulerKind k);
 
-TopologyKind topologyFromString(const std::string& s);
-RoutingKind routingFromString(const std::string& s);
-ProtocolKind protocolFromString(const std::string& s);
-TimeoutScheme timeoutSchemeFromString(const std::string& s);
-BackoffScheme backoffFromString(const std::string& s);
-TrafficPattern patternFromString(const std::string& s);
-SchedulerKind schedulerFromString(const std::string& s);
+/**
+ * `value`, the argument of key `key`, as a decimal integer in
+ * [lo, hi]. Fatal ("expected integer") on anything else: a sign, a
+ * blank, or a number out of range.
+ */
+std::uint64_t
+parseInteger(const std::string& key, const std::string& value,
+             std::uint64_t lo = 0,
+             std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * argv[1..argc) as (key, value) pairs, each argument split at its
+ * first '='; fatal on an argument without one. Every command-line
+ * entry (SimConfig::applyArgs, configFromArgs,
+ * CampaignConfig::applyArgs) splits through it.
+ */
+std::vector<std::pair<std::string, std::string>>
+splitArgs(int argc, char** argv);
 
 } // namespace crnet
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cstdlib>
-#include <string_view>
 
 #include "src/sim/log.hh"
 #include "src/sim/telemetry.hh"
@@ -57,48 +54,16 @@ hardwareJobs()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-namespace {
-
-/**
- * `requested`, or when 0 the decimal value of environment variable
- * `var` (warning and using 1 when it is set but not a positive
- * integer), clamped to [1, kMaxJobs].
- */
-unsigned
-resolveCount(unsigned requested, const char* var, const char* unit)
-{
-    if (requested != 0)
-        return std::min(requested, kMaxJobs);
-    const char* env = std::getenv(var);
-    if (env == nullptr || *env == '\0')
-        return 1;
-    // Digits only: strtoul alone would accept a sign, and "-1" wraps
-    // to ULONG_MAX, which would clamp to kMaxJobs threads.
-    const std::string_view text(env);
-    const bool digits = std::all_of(
-        text.begin(), text.end(),
-        [](unsigned char c) { return std::isdigit(c); });
-    const unsigned long v = digits ? std::strtoul(env, nullptr, 10) : 0;
-    if (v == 0) {
-        warn(var, "='", env, "' is not a positive integer; using 1 ",
-             unit);
-        return 1;
-    }
-    return static_cast<unsigned>(std::min<unsigned long>(v, kMaxJobs));
-}
-
-} // namespace
-
 unsigned
 resolveJobs(unsigned requested)
 {
-    return resolveCount(requested, "CRNET_JOBS", "job");
+    return std::clamp(requested, 1u, kMaxJobs);
 }
 
 unsigned
 resolveShards(unsigned requested)
 {
-    return resolveCount(requested, "CRNET_SHARDS", "shard");
+    return std::clamp(requested, 1u, kMaxJobs);
 }
 
 ShardCrew::ShardCrew(unsigned width, Body body) : body_(std::move(body))

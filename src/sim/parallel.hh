@@ -19,10 +19,9 @@
  *      width 1: it starts no thread and runs every item on the
  *      calling thread in index order.
  *
- * Job-count resolution (`resolveJobs`): an explicit request (the
- * `jobs=` config key) wins; otherwise the `CRNET_JOBS` environment
- * variable; otherwise 1. `hardwareJobs()` reports the machine width
- * for observability output.
+ * `resolveJobs` and `resolveShards` clamp the `jobs=` and `shards=`
+ * config keys to [1, kMaxJobs]; `hardwareJobs()` reports the machine
+ * width for observability output.
  */
 
 #ifndef CRNET_SIM_PARALLEL_HH
@@ -43,18 +42,14 @@ inline constexpr unsigned kMaxJobs = 1024;
 /** Worker threads the hardware offers (always >= 1). */
 unsigned hardwareJobs();
 
-/**
- * Resolve a requested job count: `requested` > 0 wins, else the
- * CRNET_JOBS environment variable, else 1. Clamped to [1, kMaxJobs].
- */
+/** A requested job count (the `jobs=` key), clamped to [1, kMaxJobs]. */
 unsigned resolveJobs(unsigned requested = 0);
 
 /**
- * Resolve a requested intra-run shard count (the `shards=` config
- * key): `requested` > 0 wins, else the CRNET_SHARDS environment
- * variable, else 1 (unsharded). Clamped to [1, kMaxJobs]. Shard
- * count never changes results — only how one network's node array is
- * ticked — so like `jobs` it is an execution knob, not a model knob.
+ * A requested intra-run shard count (the `shards=` key), clamped to
+ * [1, kMaxJobs]. Shard count never changes results — only how one
+ * network's node array is ticked — so like `jobs` it is an execution
+ * knob, not a model knob.
  */
 unsigned resolveShards(unsigned requested = 0);
 

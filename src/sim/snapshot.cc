@@ -27,70 +27,26 @@ namespace crnet {
 std::uint64_t
 configFingerprint(const SimConfig& cfg)
 {
-    // Every semantic field, in declaration order. traceFile, jobs,
-    // sched and shards are deliberately excluded: the schedulers and
-    // shard counts are proven bit-identical, the serialized wake
-    // flags and deadlines are a sound superset under both schedulers
-    // (sweep runs the same loop with every flag raised each cycle),
-    // and per-shard counter blocks are folded into the master stats
-    // before serialization — so a snapshot captured under sched=sweep
-    // restores under sched=active, and one captured at shards=4
-    // restores at shards=1, and vice versa (tests/test_snapshot.cc,
-    // tests/test_shard.cc). The telemetry keys (statusFile, statusEverySeconds,
-    // profileEnabled) are likewise excluded: telemetry on vs off is
-    // byte-identical (tests/test_telemetry.cc), so a checkpoint taken
-    // with profiling on restores into an unprofiled run and vice
-    // versa. watchSpec *is* included because the watch list shapes
-    // the tracer state the snapshot carries.
+    // The field list's covered rows in order (each skipped row says
+    // why it is skipped), each at its type's width, then the audit bit.
     StateWriter w;
-    w.u8(static_cast<std::uint8_t>(cfg.topology));
-    w.u32(cfg.radixK);
-    w.u32(cfg.dimensionsN);
-    w.u32(cfg.numVcs);
-    w.u32(cfg.bufferDepth);
-    w.u32(cfg.injectionChannels);
-    w.u32(cfg.ejectionChannels);
-    w.u32(cfg.channelLatency);
-    w.u8(static_cast<std::uint8_t>(cfg.routing));
-    w.u8(static_cast<std::uint8_t>(cfg.protocol));
-    w.u8(static_cast<std::uint8_t>(cfg.timeoutScheme));
-    w.u64(cfg.timeout);
-    w.u8(static_cast<std::uint8_t>(cfg.backoff));
-    w.u64(cfg.backoffGap);
-    w.u64(cfg.backoffCap);
-    w.u32(cfg.misrouteAfterRetries);
-    w.u32(cfg.misrouteBudget);
-    w.u32(cfg.maxRetries);
-    w.b(cfg.enforceDestOrder);
-    w.u32(cfg.padSlack);
-    w.u8(static_cast<std::uint8_t>(cfg.pattern));
-    w.f64(cfg.injectionRate);
-    w.u32(cfg.messageLength);
-    w.u32(cfg.messageLengthB);
-    w.f64(cfg.bimodalFracB);
-    w.f64(cfg.hotspotFraction);
-    w.u32(cfg.maxPendingPerNode);
-    w.f64(cfg.transientFaultRate);
-    w.u32(cfg.permanentLinkFaults);
-    w.u32(cfg.dynamicLinkKills);
-    w.u32(cfg.dynamicDirectedKills);
-    w.u32(cfg.dynamicRouterKills);
-    w.u64(cfg.faultWindowStart);
-    w.u64(cfg.faultWindowEnd);
-    w.u64(cfg.linkRepairAfter);
-    w.u64(cfg.burstStart);
-    w.u64(cfg.burstLen);
-    w.f64(cfg.burstRate);
-    w.str(cfg.faultScenario);
-    w.str(cfg.watchSpec);
-    w.u64(cfg.sampleInterval);
-    w.b(cfg.heatmapEnabled);
-    w.u64(cfg.seed);
-    w.u64(cfg.warmupCycles);
-    w.u64(cfg.measureCycles);
-    w.u64(cfg.drainCycles);
-    w.u64(cfg.deadlockThreshold);
-    w.u64(cfg.auditInterval);
+    SimConfig::fields(cfg, [&w](const char*, const auto& field, Fp fp) {
+        using T = std::decay_t<decltype(field)>;
+        if (fp == Fp::Skip)
+            return;
+        if constexpr (std::is_enum_v<T>)
+            w.u8(field);
+        else if constexpr (std::is_same_v<T, bool>)
+            w.b(field);
+        else if constexpr (std::is_same_v<T, double>)
+            w.f64(field);
+        else if constexpr (std::is_same_v<T, std::string>)
+            w.str(field);
+        else if constexpr (std::is_same_v<T, std::uint32_t>)
+            w.u32(field);
+        else
+            w.u64(std::uint64_t{field});
+    });
     w.u8(CRNET_AUDIT_ENABLED ? 1 : 0);
 
     const std::vector<std::uint8_t>& bytes = w.bytes();

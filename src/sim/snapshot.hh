@@ -505,10 +505,8 @@ struct Snapshot
 };
 
 /**
- * 64-bit fingerprint over every semantic SimConfig field (plus the
- * audit-build bit). Excludes `traceFile` (observability sidecar; a
- * restore may attach a different trace path) and `jobs` (campaign
- * parallelism never affects per-trial state). Restore refuses a
+ * 64-bit fingerprint over the rows of SimConfig::fields() marked
+ * Fp::Cover, in order, plus the audit-build bit. Restore refuses a
  * snapshot whose fingerprint differs from the target network's
  * config: restoring into a differently-shaped network would corrupt
  * state silently.

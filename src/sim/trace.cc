@@ -5,7 +5,6 @@
 #include <fstream>
 #include <unordered_map>
 
-#include "src/sim/config.hh"
 #include "src/sim/log.hh"
 
 namespace crnet {
@@ -86,20 +85,6 @@ Tracer::Tracer(std::string prefix, const std::string& watch_spec)
 Tracer::~Tracer()
 {
     flush();
-}
-
-std::string
-Tracer::resolvePrefix(const SimConfig& cfg)
-{
-    if (!cfg.traceFile.empty())
-        return cfg.traceFile;
-    const char* env = std::getenv("CRNET_TRACE");
-    if (env == nullptr)
-        return "";
-    const std::string v(env);
-    if (v.empty() || v == "0")
-        return "";
-    return v == "1" ? "crnet_trace" : v;
 }
 
 bool

@@ -14,10 +14,8 @@
  *                   (inject -> deliver/giveup). Loadable in Perfetto
  *                   (ui.perfetto.dev) or chrome://tracing.
  *
- * Enabling: the `trace=` SimConfig key names the output prefix; the
- * CRNET_TRACE environment variable is the fallback ("1" selects the
- * default prefix "crnet_trace", any other non-empty value IS the
- * prefix, "0"/"" disable). The `watch=` key restricts recording to a
+ * Enabling: the `trace=` SimConfig key names the output prefix ("" =
+ * disabled). The `watch=` key restricts recording to a
  * comma-separated list of message ids and/or `src-dst` node pairs;
  * events that carry no src/dst (kill hops) still match once their
  * message was adopted at injection time.
@@ -41,8 +39,6 @@
 #include "src/sim/types.hh"
 
 namespace crnet {
-
-struct SimConfig;
 
 /** Worm-lifecycle event taxonomy (see docs/OBSERVABILITY.md). */
 enum class TraceEventKind : std::uint8_t {
@@ -101,12 +97,6 @@ class Tracer
 
     Tracer(const Tracer&) = delete;
     Tracer& operator=(const Tracer&) = delete;
-
-    /**
-     * Resolve the output prefix for a configuration: the `trace=` key
-     * wins, then the CRNET_TRACE environment variable; "" = disabled.
-     */
-    static std::string resolvePrefix(const SimConfig& cfg);
 
     /** Set the timestamp recorded on subsequent events. */
     void beginCycle(Cycle now) { now_ = now; }

@@ -7,7 +7,7 @@
  * output is byte-identical to an uninterrupted reference run
  * (wallSeconds and resumedTrials are deliberately not printed).
  *
- * Args (key=value, any order):
+ * Args: CampaignConfig::applyArgs's, in any order; the python tests pass
  *   trials=N seed_base=S journal=PATH jobs=N
  *   status=PATH status_interval=S profile=0|1
  *
@@ -18,8 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "src/fault/campaign.hh"
@@ -43,33 +41,9 @@ main(int argc, char** argv)
     cc.base.dynamicLinkKills = 2;
     cc.base.warmupCycles = 300;
     cc.base.measureCycles = 2000;
-    cc.base.jobs = 1;
     cc.trials = 12;
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "trials=", 7) == 0)
-            cc.trials = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
-        else if (std::strncmp(argv[i], "seed_base=", 10) == 0)
-            cc.seedBase = std::strtoull(argv[i] + 10, nullptr, 10);
-        else if (std::strncmp(argv[i], "journal=", 8) == 0)
-            cc.journalPath = argv[i] + 8;
-        else if (std::strncmp(argv[i], "jobs=", 5) == 0)
-            cc.base.jobs = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 5, nullptr, 10));
-        else if (std::strncmp(argv[i], "status=", 7) == 0)
-            cc.base.statusFile = argv[i] + 7;
-        else if (std::strncmp(argv[i], "status_interval=", 16) == 0)
-            cc.base.statusEverySeconds =
-                std::strtod(argv[i] + 16, nullptr);
-        else if (std::strncmp(argv[i], "profile=", 8) == 0)
-            cc.base.profileEnabled =
-                std::strtoul(argv[i] + 8, nullptr, 10) != 0;
-        else {
-            std::cout << "unknown arg: " << argv[i] << "\n";
-            return 2;
-        }
-    }
+    cc.applyArgs(argc, argv);
 
     std::vector<TrialOutcome> trials;
     const CampaignSummary s = runCampaign(cc, &trials);

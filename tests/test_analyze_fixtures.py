@@ -34,6 +34,10 @@ property:
               exempt log.hh and a bench's printf  -> exit 1
   raw_assert  assert() beside static_assert, a
               lookalike and an assert in tests/   -> exit 1
+  raw_env     each environment call beside member
+              calls, lookalikes, a comment, a
+              string literal and a setenv in
+              tests/                              -> exit 1
   include_guard
               wrong and missing guards (.hh, .h)
               beside correct ones and an unread
@@ -129,6 +133,18 @@ CASES = [
     ("raw_assert", 1, [
         "src/check.cc:9: raw-assert: assert(); use panic() "
         "(active in all builds)",
+    ]),
+    # Not reported (src/env.cc): a `.` and a `->` member call, a
+    # lookalike call and a local named getenv (15-18), a comment (19)
+    # and a string literal (20); nor tests/env_test.cc.
+    ("raw_env", 1, [
+        "src/env.cc:10: raw-env: getenv(); settings are SimConfig keys",
+        "src/env.cc:11: raw-env: secure_getenv(); settings are "
+        "SimConfig keys",
+        "src/env.cc:12: raw-env: setenv(); settings are SimConfig keys",
+        "src/env.cc:13: raw-env: putenv(); settings are SimConfig keys",
+        "src/env.cc:14: raw-env: unsetenv(); settings are SimConfig "
+        "keys",
     ]),
     # Not reported: src/good.hh, src/sim/two-part.hh (a dash maps to
     # `_`), the commented-out guard in src/sim/wrong.hh, and

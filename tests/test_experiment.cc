@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <vector>
 
 #include "src/core/experiment.hh"
 #include "src/fault/campaign.hh"
@@ -329,6 +331,41 @@ TEST(Parallelism, CampaignIsBitIdenticalToSequential)
 TEST(Parallelism, RunManyHandlesEmptyInput)
 {
     EXPECT_TRUE(runMany({}).empty());
+}
+
+TEST(Parallelism, SaturationWarningNamesTheLowestIndexRun)
+{
+    // A message killed once waits out a 33,000-cycle static gap, past
+    // the latency histogram's 32,768-cycle top bin, so both runs
+    // saturate it. Run 1 (2x2) finishes long before run 0 (4x4), yet
+    // at jobs=2 the warning must name run 0, as it does at jobs=1.
+    SimConfig cfg;
+    cfg.timeout = 2;
+    cfg.backoff = BackoffScheme::Static;
+    cfg.backoffGap = 33000;
+    cfg.messageLength = 8;
+    cfg.injectionRate = 0.3;
+    cfg.drainCycles = 400000;
+    cfg.deadlockThreshold = 1000000;
+    cfg.jobs = 2;
+    std::vector<SimConfig> points(2, cfg);
+    points[0].radixK = 4;
+    points[0].warmupCycles = 100;
+    points[0].measureCycles = 200;
+    points[1].radixK = 2;
+    points[1].warmupCycles = 0;
+    points[1].measureCycles = 50;
+    // The warning fires once per process: run the batch in a fresh one.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            const std::vector<RunResult> runs = runMany(points);
+            const bool both = runs[0].latencyOverflow > 0 &&
+                              runs[1].latencyOverflow > 0;
+            std::exit(both ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "\\[run 0\\] latency histogram saturated");
 }
 
 } // namespace

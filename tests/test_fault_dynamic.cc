@@ -320,6 +320,42 @@ TEST(FaultCampaign, SmallCampaignFullyAccounts)
 // a brand-new worm had reused, cutting it in half (its head survived
 // at the next router and collided with the retransmission). Seed 68
 // on the campaign's own 8-ary 2-cube reproduced this deterministically.
+TEST(FaultCampaign, ArgsSetTheCampaignThenTheBaseConfig)
+{
+    CampaignConfig cc;
+    const char* argv_c[] = {"prog", "k=4", "trials=7", "seed_base=42",
+                            "journal=camp.jnl", "trial_retries=45",
+                            "load=0.2"};
+    cc.applyArgs(7, const_cast<char**>(argv_c));
+    EXPECT_EQ(cc.trials, 7u);
+    EXPECT_EQ(cc.seedBase, 42u);
+    EXPECT_EQ(cc.journalPath, "camp.jnl");
+    EXPECT_EQ(cc.trialRetries, 45u);
+    EXPECT_EQ(cc.base.radixK, 4u);
+    EXPECT_DOUBLE_EQ(cc.base.injectionRate, 0.2);
+}
+
+TEST(FaultCampaign, ArgsRefuseACampaignThatCannotRun)
+{
+    const auto apply = [](const char* arg) {
+        CampaignConfig cc;
+        const char* argv_c[] = {"prog", arg};
+        cc.applyArgs(2, const_cast<char**>(argv_c));
+    };
+    // -1 would wrap to 4,294,967,295 trials, and abc would run none.
+    EXPECT_DEATH(apply("trials=-1"), "expected integer");
+    EXPECT_DEATH(apply("trials=abc"), "expected integer");
+    EXPECT_DEATH(apply("trials=0"), "expected integer in \\[1, ");
+    EXPECT_DEATH(apply("seed_base=x"), "expected integer");
+    // The last retry runs drainCap << trial_retries cycles: 500,000
+    // has 45 leading zero bits, so 45 doublings fit and 46 do not.
+    EXPECT_DEATH(apply("trial_retries=46"),
+                 "expected integer in \\[0, 45\\]");
+    EXPECT_DEATH(apply("trial_retries=64"), "expected integer");
+    EXPECT_DEATH(apply("no_such_key=1"), "unknown config key");
+    EXPECT_DEATH(apply("trials"), "expected key=value");
+}
+
 TEST(FaultCampaign, StaleOutputHolderDoesNotTearBystanderWorm)
 {
     CampaignConfig cc;

@@ -1,18 +1,16 @@
 /**
  * @file
- * Tests for the parallel experiment engine: job-count resolution
- * (explicit > CRNET_JOBS > sequential default), the ShardCrew that
- * runs one network's sharded cycle, and parallelFor, one crew round
- * per batch: its index-space coverage guarantees and its threads.
+ * Tests for the parallel experiment engine: job-count resolution (a
+ * clamp to [1, kMaxJobs]), the ShardCrew that runs one network's
+ * sharded cycle, and parallelFor, one crew round per batch: its
+ * index-space coverage guarantees and its threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,80 +19,21 @@
 namespace crnet {
 namespace {
 
-/** RAII guard: sets (or clears) an environment variable, restoring
- * its previous value on scope exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_(name)
-    {
-        const char* old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_)
-            saved_ = old;
-        if (value != nullptr)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had_)
-            setenv(name_, saved_.c_str(), 1);
-        else
-            unsetenv(name_);
-    }
-
-  private:
-    const char* name_;
-    bool had_ = false;
-    std::string saved_;
-};
-
 TEST(ResolveJobs, DefaultsToSequentialWithoutEnv)
 {
-    ScopedEnv env("CRNET_JOBS", nullptr);
     EXPECT_EQ(resolveJobs(), 1u);
     EXPECT_EQ(resolveJobs(0), 1u);
 }
 
 TEST(ResolveJobs, ExplicitRequestWins)
 {
-    ScopedEnv env("CRNET_JOBS", "7");
     EXPECT_EQ(resolveJobs(3), 3u);
     EXPECT_EQ(resolveJobs(1), 1u);
 }
 
-TEST(ResolveJobs, EnvUsedWhenRequestIsAuto)
-{
-    ScopedEnv env("CRNET_JOBS", "5");
-    EXPECT_EQ(resolveJobs(0), 5u);
-}
-
 TEST(ResolveJobs, ClampsToMaxJobs)
 {
-    ScopedEnv env("CRNET_JOBS", nullptr);
     EXPECT_EQ(resolveJobs(kMaxJobs + 100), kMaxJobs);
-}
-
-TEST(ResolveJobs, MalformedEnvFallsBackToSequential)
-{
-    ScopedEnv env("CRNET_JOBS", "banana");
-    EXPECT_EQ(resolveJobs(0), 1u);
-}
-
-TEST(ResolveJobs, NegativeEnvFallsBackToSequential)
-{
-    // strtoul would wrap "-1" to ULONG_MAX and clamp it to kMaxJobs.
-    ScopedEnv env("CRNET_JOBS", "-1");
-    EXPECT_EQ(resolveJobs(0), 1u);
-}
-
-TEST(ResolveShards, NegativeEnvFallsBackToOneShard)
-{
-    ScopedEnv env("CRNET_SHARDS", "-1");
-    EXPECT_EQ(resolveShards(0), 1u);
 }
 
 TEST(ResolveJobs, HardwareJobsIsPositive)

@@ -66,6 +66,16 @@ TEST(Presets, ConfigFromArgsWithoutPresetActsLikeApplyArgs)
     EXPECT_EQ(cfg.radixK, 6u);
 }
 
+TEST(Presets, PresetMustComeFirst)
+{
+    // A late preset= would replace the whole configuration and drop
+    // k=4 without a word.
+    const char* argv_c[] = {"prog", "k=4", "preset=eval_base"};
+    EXPECT_DEATH(configFromArgs(SimConfig{}, 3,
+                                const_cast<char**>(argv_c)),
+                 "must be the first argument");
+}
+
 TEST(Presets, HeadlinePresetRunsHealthy)
 {
     SimConfig cfg = presetConfig("cr_headline");

@@ -523,7 +523,7 @@ TEST(Shard, BetweenTickFaultEventCountsAtOnce)
 TEST(Shard, ConfigKeyRoundTripsAndValidates)
 {
     SimConfig cfg;
-    EXPECT_EQ(cfg.shards, 0u);  // 0 = resolve via CRNET_SHARDS else 1.
+    EXPECT_EQ(cfg.shards, 1u);
     cfg.set("shards", "4");
     EXPECT_EQ(cfg.shards, 4u);
     cfg.shards = 2000;

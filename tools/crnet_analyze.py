@@ -19,8 +19,8 @@ suite only spot-checks:
                  state in src/ outside registered singletons.
                  Whole-tree rule.
 
-and, file by file, four token rules (no suppression; each has its
-one exempt file):
+and, file by file, five token rules (no suppression; each has at
+most one exempt file):
 
   raw-random     No rand()/srand()/random() call or std::mt19937
                  engine in src/, tests/, bench/, examples/ or tools/
@@ -33,6 +33,9 @@ one exempt file):
   raw-assert     No assert() in src/: invariants use panic(), which
                  fires in every build type (assert is compiled out
                  under NDEBUG).
+  raw-env        No getenv/secure_getenv/setenv/putenv/unsetenv call
+                 in src/: every setting is a SimConfig key, so a run
+                 is described by its command line alone.
   include-guard  Every src/ header is guarded by CRNET_<PATH>_HH, its
                  path under src/.
 
@@ -942,6 +945,8 @@ RAW_RANDOM_ENGINES = {"mt19937", "mt19937_64"}
 RAW_RANDOM_CALLS = {"rand", "srand", "random"}
 RAW_OUTPUT_NAMES = {"printf", "fprintf", "puts", "perror",
                     "cout", "cerr", "clog"}
+RAW_ENV_CALLS = {"getenv", "secure_getenv", "setenv", "putenv",
+                 "unsetenv"}
 
 
 def expected_guard(rel: Path) -> str:
@@ -996,6 +1001,10 @@ def token_rule_violations(root: Path, files: list) -> list:
                     and toks[i - 1].text != ".":
                 report(t, "raw-assert",
                        "assert(); use panic() (active in all builds)")
+            if in_src and call and t.text in RAW_ENV_CALLS \
+                    and toks[i - 1].text not in (".", "->"):
+                report(t, "raw-env",
+                       f"{t.text}(); settings are SimConfig keys")
         if in_src and path.suffix in HEADER_SUFFIXES:
             v = include_guard_violation(rel, toks)
             if v is not None:
