@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -379,20 +378,6 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
 
 Network::~Network() = default;
 
-std::size_t
-Network::snapshotBuckets() const
-{
-    return std::bit_ceil(static_cast<std::size_t>(cfg_.channelLatency) +
-                         2);
-}
-
-Cycle
-Network::snapshotCycle(std::size_t i) const
-{
-    const std::size_t listed = snapshotBuckets();
-    return now_ + (i + listed - now_ % listed) % listed;
-}
-
 void
 Network::deliverPrologue()
 {
@@ -457,7 +442,7 @@ Network::deliverOwned(unsigned s)
     forEachAddressed(cur, &Segment::flits, s,
                      [this](const PendingFlit& p, const Segment& seg) {
         routers_[p.node]->acceptFlit(p.inPort, p.vc, p.flit,
-                                     headerOf(p, seg));
+                                     headerOf(p, seg), now_);
         wakeRouter(p.node);
     });
     // A credit or backward kill for an output whose wire died is lost
@@ -611,17 +596,21 @@ Network::generate()
             stats_.sourceQueueDrops.inc();
             continue;
         }
-        const PendingMessage msg =
-            generator_->makeFor(src, now_, measuring_);
-        injectors_[src]->enqueue(msg);
-        wakeInjector(src);
-        stats_.messagesGenerated.inc();
-        if (ledger_ != nullptr)
-            ledger_->onAccepted(msg);
-        if (msg.measured) {
-            stats_.messagesMeasured.inc();
-            ++measuredCreated_;
-        }
+        accept(generator_->makeFor(src, now_, measuring_));
+    }
+}
+
+void
+Network::accept(const PendingMessage& msg)
+{
+    injectors_[msg.src]->enqueue(msg);
+    wakeInjector(msg.src);
+    stats_.messagesGenerated.inc();
+    if (ledger_ != nullptr)
+        ledger_->onAccepted(msg);
+    if (msg.measured) {
+        stats_.messagesMeasured.inc();
+        ++measuredCreated_;
     }
 }
 
@@ -788,11 +777,8 @@ Network::applyDeliveries(ShardCtx& ctx)
         }
         if (ledger_ != nullptr)
             ledger_->onDelivered(d);
-        auto it = manualPending_.find(d.id);
-        if (it != manualPending_.end()) {
+        if (manualPending_.erase(d.id) != 0)
             manualDelivered_[d.id] = d;
-            manualPending_.erase(it);
-        }
     }
     ctx.deliveries.clear();
 }
@@ -1322,18 +1308,10 @@ Network::sendMessage(NodeId src, NodeId dst, std::uint32_t payload_len,
         fatal("sendMessage: payload_len must be >= 1");
     if (injectors_[src]->queueFull())
         return kInvalidMsg;  // Before a pair sequence is allocated.
-    PendingMessage m = generator_->makeMessage(src, dst, payload_len,
-                                               now_, measured);
-    injectors_[src]->enqueue(m);
-    wakeInjector(src);
-    stats_.messagesGenerated.inc();
-    if (ledger_ != nullptr)
-        ledger_->onAccepted(m);
-    if (measured) {
-        stats_.messagesMeasured.inc();
-        ++measuredCreated_;
-    }
-    manualPending_[m.id] = true;
+    const PendingMessage m = generator_->makeMessage(src, dst, payload_len,
+                                                     now_, measured);
+    accept(m);
+    manualPending_.insert(m.id);
     return m.id;
 }
 
@@ -1526,12 +1504,9 @@ Network::measuredDrained() const
 std::vector<Network::ListedBucket>
 Network::listBuckets() const
 {
-    std::vector<ListedBucket> listed(snapshotBuckets());
+    std::vector<ListedBucket> listed(buckets_.size());
     for (std::size_t i = 0; i < listed.size(); ++i) {
-        const Cycle at = snapshotCycle(i);
-        if (at - now_ > cfg_.channelLatency)
-            continue;  // Past the live window: no event of any kind.
-        const Wave& wave = bucketOf(at);
+        const Wave& wave = bucketOf(now_ + i);
         ListedBucket& into = listed[i];
         const auto headed = [](auto& lane) {
             return [&lane](const auto& e, const Segment& seg) {

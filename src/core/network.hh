@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "src/core/annotations.hh"
@@ -208,7 +209,7 @@ class Network
      * sidecars (tracer/timeseries/auditor) and the attached ledger —
      * in a fixed, sorted, little-endian layout (serialize()).
      * Prefer captureSnapshot()/restoreSnapshot() (snapshot.hh), which
-     * add the version/fingerprint envelope.
+     * pair the payload with the config fingerprint a restore checks.
      */
     CRNET_RESULT_AFFECTING
     void saveState(StateWriter& w) const;
@@ -393,6 +394,12 @@ class Network
     void deliverOwned(unsigned s);
     void generate();
     /**
+     * Queue a message at its source injector and account for it:
+     * generated and measured counts and the attached ledger. The one
+     * acceptance path of generate() and sendMessage().
+     */
+    void accept(const PendingMessage& msg);
+    /**
      * Stage what node `n`'s component just emitted into the shard
      * outbox of `ctx` into the shard's segments: `next` is the segment
      * of the bucket one cycle out, `far` the one channel_latency
@@ -497,6 +504,10 @@ class Network
     void repairDirectedLink(NodeId u, PortId p);
 
     /** Snapshot every credit ledger and run the invariant sweep. */
+    CRNET_ALLOW("alloc",
+                "audit builds only, once per audit_interval cycles: "
+                "the sweep's fresh edge table is observation, and "
+                "release builds compile the call out (CRNET_AUDIT)")
     void runAuditSweep();
 
     /**
@@ -544,17 +555,6 @@ class Network
         return bucketOf(now_ + delay).segs[s];
     }
 
-    /**
-     * Buckets a snapshot lists: the power of two >= channelLatency + 2,
-     * a fixed part of the payload layout. Entry i holds the cycle c in
-     * [now_, now_ + entries) with c % entries == i, and is empty past
-     * the live window.
-     */
-    std::size_t snapshotBuckets() const;
-
-    /** Cycle of snapshot entry `i` (see snapshotBuckets()). */
-    Cycle snapshotCycle(std::size_t i) const;
-
     /** A staged flit event with its head's header (heads only). */
     template <typename E>
     struct Headed
@@ -581,13 +581,17 @@ class Network
 
     /**
      * The snapshot field list, run by saveState() and loadState().
-     * `listed` holds the snapshotBuckets() buckets: listBuckets() on
-     * capture, filled here on restore and placed by placeBuckets().
+     * `listed` holds one bucket per cycle of the live window, from
+     * now_ on: listBuckets() on capture, filled here on restore and
+     * placed by placeBuckets().
      */
     template <typename Self, typename Io, typename Buckets>
     static void serialize(Self& self, Io& io, Buckets& listed);
 
-    /** Capture: the snapshot buckets, walked in the serial order. */
+    /**
+     * Capture: the live window's buckets in cycle order from now_,
+     * each walked in the serial order.
+     */
     std::vector<ListedBucket> listBuckets() const;
 
     /**
@@ -752,7 +756,7 @@ class Network
 
     /** Explicit-send tracking. */
     std::map<MsgId, DeliveredMessage> manualDelivered_;
-    std::map<MsgId, bool> manualPending_;
+    std::set<MsgId> manualPending_;
 
     /**
      * The thread-stable crew running shardWorker (shards_ > 1 only).

@@ -25,10 +25,10 @@ namespace crnet {
 
 // --- Checkpoint/restore ------------------------------------------------
 //
-// serialize() is the one field list: its order is the contract, and
-// any change to it requires bumping kSnapshotVersion
-// (docs/ROBUSTNESS.md). Keyed tables are ordered containers, serialized
-// in their own ascending key order.
+// serialize() is the one field list: its order is the payload layout,
+// and test_snapshot_pins.cc pins the bytes (docs/ROBUSTNESS.md). Keyed
+// tables are ordered containers, serialized in their own ascending key
+// order.
 
 namespace {
 
@@ -73,15 +73,15 @@ Network::serialize(Self& self, Io& io, Buckets& listed)
     for (const auto& rcv : self.receivers_)
         Receiver::serialize(like(self, *rcv), io);
 
-    // Wave buckets in the payload's fixed layout (snapshotBuckets()),
-    // each in the serial order, so the bytes depend on neither the
-    // shard count nor which bucket holds which cycle.
+    // The live window's wave buckets in cycle order from now_, each
+    // in the serial order, so the bytes depend on neither the shard
+    // count nor which bucket holds which cycle.
     io.same(
         [&](std::uint64_t saved) {
             panic("wave-bucket count mismatch on restore: saved ",
-                  saved, ", have ", self.snapshotBuckets());
+                  saved, ", have ", self.buckets_.size());
         },
-        std::uint64_t{self.snapshotBuckets()});
+        std::uint64_t{self.buckets_.size()});
     const PortId net_ports = self.netPorts_;
     for (auto& bucket : listed) {
         io.seq(bucket.flits, [&](auto& e) {
@@ -189,10 +189,7 @@ Network::serialize(Self& self, Io& io, Buckets& listed)
         io.b(d.measured);
         io.b(d.corrupted);
     });
-    io.sorted(self.manualPending_, [&](auto& key, auto& pending) {
-        io.u64(key);
-        io.b(pending);
-    });
+    io.sorted(self.manualPending_, [&](auto& key) { io.u64(key); });
 }
 
 void
@@ -212,11 +209,7 @@ Network::placeBuckets(std::vector<ListedBucket>& listed)
         ListedBucket& from = listed[i];
         if (from.empty())
             continue;
-        const Cycle at = snapshotCycle(i);
-        if (at - now_ > cfg_.channelLatency)
-            panic("snapshot bucket ", i, " holds events for cycle ", at,
-                  ", past the channel latency");
-        Wave& wave = bucketOf(at);
+        Wave& wave = bucketOf(now_ + i);
         for (Segment& each : wave.segs)
             each.openRun();
         Segment& seg = wave.segs.front();
@@ -259,7 +252,7 @@ Network::saveState(StateWriter& w) const
 void
 Network::loadState(StateReader& r)
 {
-    std::vector<ListedBucket> listed(snapshotBuckets());
+    std::vector<ListedBucket> listed(buckets_.size());
     serialize(*this, r, listed);
 
     // The snapshot's master block is the whole truth: any counts

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "src/core/annotations.hh"
 #include "src/sim/types.hh"
 
 namespace crnet {
@@ -60,6 +61,10 @@ class TimeSeries
      * previous sample's cumulative counters, plus the gauge values
      * the caller measured this cycle.
      */
+    CRNET_ALLOW("alloc",
+                "one sample per sample_interval cycles while the time "
+                "series is on: the series is the run's output and "
+                "grows by design")
     void sample(Cycle now, const NetworkStats& stats,
                 std::uint64_t in_flight_worms,
                 std::uint64_t buffered_flits);

@@ -69,6 +69,10 @@ struct LedgerEntry
 class DeliveryLedger
 {
   public:
+    CRNET_ALLOW("alloc",
+                "one ordered-map node per accepted message while a "
+                "ledger is attached: the ledger is the exactly-once "
+                "record, by design")
     void onAccepted(const PendingMessage& msg);
     void onDelivered(const DeliveredMessage& msg);
     void onRefused(const PendingMessage& msg, Cycle now);

@@ -244,8 +244,18 @@ class Injector
     void releaseDest(NodeId dst);
     void startWorms(Cycle now);
     void checkTimeouts(Cycle now);
+    CRNET_ALLOW("alloc",
+                "a flit and its head's header land in out_, reserved "
+                "to one flit per injection channel (InjectorOutbox); a "
+                "measured commit stages into committedStats, which the "
+                "Network drains every tick and which keeps its "
+                "capacity, so it grows only to one commit per channel")
     void injectFlits(Cycle now);
     void killWorm(std::uint32_t ch, VcId vc, Cycle now);
+    CRNET_ALLOW("alloc",
+                "a give-up stages into failed, which the Network drains "
+                "every tick and which keeps its capacity, so it grows "
+                "only to its high-water mark of one per slot")
     void requeueForRetry(PendingMessage msg, Cycle now);
     WireFlit buildFlit(const Slot& s, std::uint32_t seq) const;
     /** The header of the worm in `s`, whose head goes out `now`. */

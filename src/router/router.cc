@@ -210,7 +210,7 @@ Router::purge(PortId p, VcId v)
 
 void
 Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
-                   const WormHeader* hdr)
+                   const WormHeader* hdr, Cycle at)
 {
     if (in_port >= numInPorts_ || vc >= numVcs_)
         panic("acceptFlit: bad port/vc (", in_port, ", ", vc, ")");
@@ -262,7 +262,7 @@ Router::acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
             in.blockTraced = false;
             InputVcCold& c = icold(in_port, vc);
             c.header = *hdr;
-            c.headArrivedAt = now_;
+            c.headArrivedAt = at;
             return;
         }
         // Continuation of a worm that was purged here (backward-kill

@@ -205,7 +205,7 @@ class Router
         PortId killOutPort = kInvalidPort;
         VcId killOutVc = kInvalidVc;
         MsgId purgeMsg = kInvalidMsg;   //!< Drop stragglers of this.
-        Cycle headArrivedAt = 0;        //!< Header accept (forensics).
+        Cycle headArrivedAt = 0;        //!< Head delivery (forensics).
     };
 
     /** Per-output-VC bookkeeping. */
@@ -299,17 +299,22 @@ class Router
     // --- Delivery phase (Network calls these before tick) ----------
 
     /**
-     * A flit arrives on an input VC (from a channel register). `hdr`
-     * is the worm header when the flit is a head, else null; the VC
-     * keeps it until the head leaves.
+     * A flit arrives on an input VC (from a channel register) at cycle
+     * `at`, which a head records for forensics. `hdr` is the worm
+     * header when the flit is a head, else null; the VC keeps it until
+     * the head leaves.
      */
     void acceptFlit(PortId in_port, VcId vc, const WireFlit& flit,
-                    const WormHeader* hdr);
+                    const WormHeader* hdr, Cycle at);
 
-    /** The same for a whole Flit: its header rides along if a head. */
+    /**
+     * The same for a whole Flit: its header rides along if a head. A
+     * caller without a network clock (unit tests, microbenchmarks)
+     * delivers at the router's last tick.
+     */
     void acceptFlit(PortId in_port, VcId vc, const Flit& flit)
     {
-        acceptFlit(in_port, vc, flit, flit.header());
+        acceptFlit(in_port, vc, flit, flit.header(), now_);
     }
 
     /** A credit returns for an output VC. */
@@ -337,6 +342,9 @@ class Router
      * credit ledgers reset to "downstream empty" — purged flits never
      * return credits over a dead wire.
      */
+    CRNET_ALLOW("alloc",
+                "runs only when a link dies, a fault event: queues at "
+                "most one backward kill per output VC")
     void onOutputLinkDead(PortId out_port, Cycle now);
 
     /**
@@ -388,7 +396,7 @@ class Router
         bool killPending = false;
         PortId outPort = kInvalidPort;
         VcId outVc = kInvalidVc;
-        Cycle headArrivedAt = 0;  //!< Approximate (register time).
+        Cycle headArrivedAt = 0;  //!< Cycle the head was delivered.
     };
     InputProbe inputProbe(PortId in_port, VcId vc) const;
 
@@ -529,6 +537,11 @@ class Router
     /** Route the waiting header on (p, v), if an output VC is free. */
     void routeHeader(PortId p, VcId v, Cycle now);
     /** Switch allocation over the outputs not in `busy_outputs`. */
+    CRNET_ALLOW("alloc",
+                "granted flits, their heads' headers and the freed "
+                "credits land in out_, reserved at construction to one "
+                "flit per output port and one credit per input port "
+                "(RouterOutbox)")
     void allocateSwitch(std::uint64_t busy_outputs);
     void checkRouterTimeouts();
     void killWormAt(PortId p, VcId v);

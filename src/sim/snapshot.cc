@@ -1,8 +1,8 @@
 /**
  * @file
- * Snapshot container I/O and config fingerprinting. The field list
- * of each serialized type lives next to the type; this file owns
- * everything format-level.
+ * Snapshot capture/restore entry points, config fingerprinting and
+ * the crash-safe file primitives. The field list of each serialized
+ * type lives next to the type.
  */
 
 #include "src/sim/snapshot.hh"
@@ -63,7 +63,6 @@ captureSnapshot(const Network& net)
     StateWriter w;
     net.saveState(w);
     Snapshot snap;
-    snap.at = net.now();
     snap.fingerprint = configFingerprint(net.config());
     snap.payload = w.bytes();
     return snap;
@@ -82,17 +81,13 @@ restoreSnapshot(Network& net, const Snapshot& snap)
     net.loadState(r);
     if (!r.done())
         panic("snapshot payload has ", r.remaining(),
-              " trailing bytes after restore (version skew or "
-              "serialization bug)");
+              " trailing bytes after restore (serialization bug)");
     return "";
 }
 
-// --- File container ----------------------------------------------------
+// --- Crash-safe file primitives ---------------------------------------
 
 namespace {
-
-constexpr char kSnapshotMagic[8] = {'C', 'R', 'N', 'E',
-                                    'T', 'S', 'N', 'P'};
 
 std::string
 errnoMessage(const std::string& what, const std::string& path)
@@ -127,7 +122,7 @@ atomicWriteFile(const std::string& path,
         return errnoMessage("cannot close", tmp);
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         return errnoMessage("cannot rename into place:", path);
-    // Telemetry: journal/snapshot/status write volume. Registered once
+    // Telemetry: journal/status write volume. Registered once
     // per process; observability only, never read by results.
     CRNET_ALLOW("global-state", "cached telemetry handles: "
                 "registry-owned atomics, observability only")
@@ -163,73 +158,6 @@ readFileBytes(const std::string& path, std::vector<std::uint8_t>& out)
     }
     std::fclose(f);
     out = std::move(bytes);
-    return "";
-}
-
-std::string
-writeSnapshotFile(const std::string& path, const Snapshot& snap)
-{
-    StateWriter w;
-    for (char c : kSnapshotMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kSnapshotVersion);
-    w.u64(snap.fingerprint);
-    w.u64(snap.at);
-    w.u64(snap.payload.size());
-    for (std::uint8_t byte : snap.payload)
-        w.u8(byte);
-    const std::vector<std::uint8_t>& body = w.bytes();
-    StateWriter trailer;
-    trailer.u32(crc32(body.data(), body.size()));
-    std::vector<std::uint8_t> file = body;
-    file.insert(file.end(), trailer.bytes().begin(),
-                trailer.bytes().end());
-    return atomicWriteFile(path, file);
-}
-
-std::string
-readSnapshotFile(const std::string& path, Snapshot& out)
-{
-    std::vector<std::uint8_t> file;
-    std::string err = readFileBytes(path, file);
-    if (!err.empty())
-        return err;
-    // Fixed header (magic + version + fingerprint + at + payload len)
-    // plus the CRC-32 trailer.
-    constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;
-    if (file.size() < kHeader + 4)
-        return "snapshot file " + path + " is truncated (" +
-               std::to_string(file.size()) + " bytes)";
-    const std::size_t bodyLen = file.size() - 4;
-    StateReader tr(file.data() + bodyLen, 4);
-    const std::uint32_t wantCrc = tr.u32();
-    const std::uint32_t haveCrc = crc32(file.data(), bodyLen);
-    if (wantCrc != haveCrc)
-        return "snapshot file " + path + " failed its CRC-32 check "
-               "(stored " + std::to_string(wantCrc) + ", computed " +
-               std::to_string(haveCrc) + ")";
-    StateReader r(file.data(), bodyLen);
-    for (char c : kSnapshotMagic)
-        if (r.u8() != static_cast<std::uint8_t>(c))
-            return "snapshot file " + path + " has a bad magic number";
-    const std::uint32_t version = r.u32();
-    if (version != kSnapshotVersion)
-        return "snapshot file " + path + " has format version " +
-               std::to_string(version) + "; this build reads version " +
-               std::to_string(kSnapshotVersion);
-    Snapshot snap;
-    snap.fingerprint = r.u64();
-    snap.at = r.u64();
-    const std::uint64_t payloadLen = r.u64();
-    if (payloadLen != r.remaining())
-        return "snapshot file " + path + " payload length mismatch "
-               "(header says " + std::to_string(payloadLen) +
-               ", file carries " + std::to_string(r.remaining()) + ")";
-    snap.payload.assign(file.begin() +
-                            static_cast<std::ptrdiff_t>(kHeader),
-                        file.begin() +
-                            static_cast<std::ptrdiff_t>(bodyLen));
-    out = std::move(snap);
     return "";
 }
 

@@ -1,21 +1,21 @@
 /**
  * @file
- * Versioned, checksummed checkpoint/restore for full simulator state.
+ * In-process checkpoint/restore for full simulator state.
  *
  * A snapshot captures everything the Network mutates while ticking —
  * RNG streams, channel/wave rings, router and NIC state, statistics,
  * trace/timeseries/audit sidecars, and the active-set scheduler — so
  * that save-at-cycle-C → restore → continue is byte-identical to an
- * uninterrupted run (docs/ROBUSTNESS.md documents the format and the
- * compatibility policy).
+ * uninterrupted run (docs/ROBUSTNESS.md). A snapshot lives in memory
+ * only: nothing writes one to disk, so the payload carries no format
+ * version, and a layout change refreshes test_snapshot_pins.cc.
  *
  * Layout discipline: every field is written little-endian in a fixed
  * order, set by one field list per type (see StateWriter); keyed
  * tables are ordered containers, serialized in their own ascending
  * key order, and a restore refuses a key out of that order. The
- * on-disk container is `CRNETSNP` + version + config fingerprint +
- * payload + CRC-32 trailer, written via write-temp/fsync/rename so a
- * crash mid-write can never leave a torn file in place of a good one.
+ * crash-safe file primitives at the end serve the campaign journal
+ * and the status file.
  */
 
 #ifndef CRNET_SIM_SNAPSHOT_HH
@@ -41,9 +41,6 @@ namespace crnet {
 
 class Network;
 struct SimConfig;
-
-/** Snapshot container format version (bump on any layout change). */
-inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /**
  * Append-only little-endian byte sink for snapshot payloads.
@@ -212,9 +209,10 @@ class StateWriter
  * Bounds-checked reader over a snapshot payload, with StateWriter's
  * calls taking each field by reference.
  *
- * The container CRC is verified before any parsing, so an overrun
- * here means a version-skew or serialization bug, not disk
- * corruption — it panics rather than limping on with garbage state.
+ * A payload comes from captureSnapshot in the same build, and a
+ * journal record is CRC-checked before it is parsed, so an overrun
+ * here means a serialization bug — it panics rather than limping on
+ * with garbage state.
  */
 class StateReader
 {
@@ -229,7 +227,7 @@ class StateReader
     {
     }
 
-    // --- Framing reads (file headers, journal records) -------------
+    // --- Framing reads (journal headers and records) ----------------
 
     std::uint8_t
     u8()
@@ -427,7 +425,7 @@ class StateReader
         if (n > size_ - pos_)
             panic("snapshot payload overrun: need ", n, " bytes at ",
                   pos_, "/", size_,
-                  " (version skew or serialization bug)");
+                  " (serialization bug)");
     }
 
     /** Panics unless the `i`-th key read, `k`, is above `last`. */
@@ -450,7 +448,7 @@ class StateReader
             if (!std::in_range<T>(v))
                 panic("snapshot field value ", v, " does not fit its ",
                       8 * sizeof(T),
-                      "-bit field (version skew or serialization bug)");
+                      "-bit field (serialization bug)");
         }
         field = static_cast<T>(v);
     }
@@ -493,11 +491,9 @@ findOrInsert(SortedTable<K, V>& table, K key, V absent)
     return it->second;
 }
 
-/** An in-memory snapshot: cycle, config identity, and state bytes. */
+/** An in-memory snapshot: config identity and state bytes. */
 struct Snapshot
 {
-    /** Cycle count at capture (restore resumes from here). */
-    Cycle at = 0;
     /** Fingerprint of the SimConfig the state belongs to. */
     std::uint64_t fingerprint = 0;
     /** Serialized Network state. */
@@ -524,23 +520,7 @@ Snapshot captureSnapshot(const Network& net);
  */
 std::string restoreSnapshot(Network& net, const Snapshot& snap);
 
-/**
- * Write `snap` to `path` atomically (temp file + fsync + rename).
- * Returns "" on success or an error message.
- */
-std::string writeSnapshotFile(const std::string& path,
-                              const Snapshot& snap);
-
-/**
- * Read and validate a snapshot file: magic, version, CRC-32 trailer.
- * Returns "" and fills `out` on success; otherwise an error message
- * (truncated file, bad magic, version or CRC mismatch) and `out` is
- * untouched. Never panics on corrupt input — callers decide whether
- * to fall back or abort.
- */
-std::string readSnapshotFile(const std::string& path, Snapshot& out);
-
-// --- Crash-safe file primitives (shared with the campaign journal) ---
+// --- Crash-safe file primitives (the campaign journal, status file) --
 
 /**
  * Write `bytes` to `path` via temp file + fflush + fsync + rename, so
@@ -553,7 +533,7 @@ std::string atomicWriteFile(const std::string& path,
 /**
  * Read a whole file into `out`. Returns "" on success or an error
  * message ("no such file" is an error too — callers treat a missing
- * journal/snapshot as a cold start).
+ * journal as a cold start).
  */
 std::string readFileBytes(const std::string& path,
                           std::vector<std::uint8_t>& out);

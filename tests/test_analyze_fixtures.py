@@ -19,6 +19,15 @@ property:
   suppressed  same as alloc but CRNET_ALLOW'd
               with a reason                       -> exit 0
   transitive  violation three calls below root    -> exit 1
+  class_order a member typed by a class declared
+              in a later file: its call resolves
+              to the class, not to growth        -> exit 1
+  template_arg
+              a vector of a repo class: its
+              push_back is the vector's growth    -> exit 1
+  local_lambda
+              a local lambda named like an
+              allocating function: no edge        -> exit 0
   badallow    CRNET_ALLOW with empty reason and
               with an unknown rule                -> exit 1
   telemetry_clock
@@ -87,6 +96,18 @@ CASES = [
         "src/transitive.cc:12: alloc: operator new "
         "[chain: tick -> middle -> lower -> leaf]",
     ]),
+    # Receiver resolution. Not reported: `pool_.push(3)` as container
+    # growth (src/a_engine.cc:27), since Pool is registered before any
+    # member is typed, whatever file declares it.
+    ("class_order", 1, [
+        "src/z_pool.hh:12: alloc: operator new "
+        "[chain: Engine::tick -> Pool::push]",
+    ]),
+    ("template_arg", 1, [
+        "src/template_arg.cc:30: alloc: .push_back() container growth "
+        "[chain: Queue::tick]",
+    ]),
+    ("local_lambda", 0, []),
     ("badallow", 1, [
         'src/badallow.cc:11: allow-missing-reason: CRNET_ALLOW("alloc") '
         "on makeBuffer has no reason string",

@@ -295,8 +295,8 @@ TEST(Config, FingerprintCoversExactlyTheCoveredRows)
 
 TEST(Config, FingerprintPinned)
 {
-    // Every snapshot and campaign journal carries this fingerprint: a
-    // change to either value orphans them (bump kSnapshotVersion).
+    // Every campaign journal on disk carries this fingerprint: a
+    // change to either value orphans them (bump kJournalVersion).
     SimConfig changed;
     changed.set("topology", "mesh").set("k", "5").set("n", "3")
         .set("vcs", "3").set("buffer_depth", "4")

@@ -12,6 +12,7 @@
 
 #include "src/core/experiment.hh"
 #include "src/fault/campaign.hh"
+#include "tests/same_result.hh"
 
 namespace crnet {
 namespace {
@@ -221,38 +222,6 @@ TEST(Experiment, DrainBudgetIsRespectedExactly)
 
 // --- Parallel engine: bit-identity with the sequential path ---------
 
-void
-expectIdenticalResults(const RunResult& a, const RunResult& b)
-{
-    EXPECT_DOUBLE_EQ(a.offeredLoad, b.offeredLoad);
-    EXPECT_DOUBLE_EQ(a.acceptedThroughput, b.acceptedThroughput);
-    EXPECT_DOUBLE_EQ(a.avgLatency, b.avgLatency);
-    EXPECT_DOUBLE_EQ(a.netLatency, b.netLatency);
-    EXPECT_DOUBLE_EQ(a.p50Latency, b.p50Latency);
-    EXPECT_DOUBLE_EQ(a.p95Latency, b.p95Latency);
-    EXPECT_DOUBLE_EQ(a.p99Latency, b.p99Latency);
-    EXPECT_DOUBLE_EQ(a.maxLatency, b.maxLatency);
-    EXPECT_DOUBLE_EQ(a.latencyStddev, b.latencyStddev);
-    EXPECT_DOUBLE_EQ(a.avgAttempts, b.avgAttempts);
-    EXPECT_DOUBLE_EQ(a.killsPerMessage, b.killsPerMessage);
-    EXPECT_DOUBLE_EQ(a.padOverhead, b.padOverhead);
-    EXPECT_EQ(a.measuredMessages, b.measuredMessages);
-    EXPECT_EQ(a.deliveredMeasured, b.deliveredMeasured);
-    EXPECT_EQ(a.totalKills, b.totalKills);
-    EXPECT_EQ(a.pathWideKills, b.pathWideKills);
-    EXPECT_EQ(a.escapeAllocations, b.escapeAllocations);
-    EXPECT_EQ(a.misrouteHops, b.misrouteHops);
-    EXPECT_EQ(a.corruptedDeliveries, b.corruptedDeliveries);
-    EXPECT_EQ(a.orderViolations, b.orderViolations);
-    EXPECT_EQ(a.duplicateDeliveries, b.duplicateDeliveries);
-    EXPECT_EQ(a.refusals, b.refusals);
-    EXPECT_EQ(a.deadlocked, b.deadlocked);
-    EXPECT_EQ(a.drained, b.drained);
-    EXPECT_EQ(a.cyclesRun, b.cyclesRun);
-    EXPECT_EQ(a.flitEvents, b.flitEvents);
-    // wallSeconds is host timing, legitimately different.
-}
-
 TEST(Parallelism, SweepIsBitIdenticalToSequential)
 {
     const std::vector<double> loads = {0.05, 0.15, 0.25, 0.35, 0.10,
@@ -266,7 +235,7 @@ TEST(Parallelism, SweepIsBitIdenticalToSequential)
     ASSERT_EQ(rs.size(), rp.size());
     for (std::size_t i = 0; i < rs.size(); ++i) {
         SCOPED_TRACE("load index " + std::to_string(i));
-        expectIdenticalResults(rs[i], rp[i]);
+        expectSameResult(rs[i], rp[i]);
     }
 }
 

@@ -11,8 +11,9 @@
  * Every seed also runs a cross-mode differential: the same config
  * under an uneven shards=3 split that hops through captureSnapshot/
  * restoreSnapshot mid-run, and under sched=sweep. The legs must agree
- * on every counter and accumulator, and the sharded leg's final
- * snapshot must be byte-identical to shards=1.
+ * on every counter and accumulator and on their whole summary, and
+ * the sharded leg's final snapshot must be byte-identical to
+ * shards=1.
  */
 
 #include <gtest/gtest.h>
@@ -22,8 +23,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/experiment.hh"
 #include "src/core/network.hh"
 #include "src/sim/snapshot.hh"
+#include "tests/same_result.hh"
 
 namespace crnet {
 namespace {
@@ -147,6 +150,13 @@ statsBytes(const NetworkStats& s)
     return w.bytes();
 }
 
+/** A quiesced leg's RunResult, as runExperiment would report it. */
+RunResult
+summarized(const Network& net)
+{
+    return summarize(net, net.measuredDrained(), net.now());
+}
+
 /** Seeds of the parameterized suite: [0, kSeeds). */
 constexpr std::uint64_t kSeeds = 40;
 
@@ -218,11 +228,16 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
     if (HasFatalFailure())
         return;
     const std::vector<std::uint8_t> want = statsBytes(s);
+    const RunResult summary = summarized(*net);
     EXPECT_TRUE(statsBytes(split->stats()) == want)
         << "shards=3 stats differ from shards=1";
     EXPECT_TRUE(captureSnapshot(*split).payload ==
                 captureSnapshot(*net).payload)
         << "shards=3 end state differs from shards=1";
+    {
+        SCOPED_TRACE("shards=3 summary");
+        expectSameResult(summarized(*split), summary);
+    }
 
     SimConfig sweep = cfg;
     sweep.sched = SchedulerKind::Sweep;
@@ -232,6 +247,8 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
         return;
     EXPECT_TRUE(statsBytes(swept->stats()) == want)
         << "sched=sweep stats differ from sched=active";
+    SCOPED_TRACE("sched=sweep summary");
+    expectSameResult(summarized(*swept), summary);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FuzzStress,

@@ -5,6 +5,8 @@
  */
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -141,6 +143,35 @@ TEST(NetworkBasic, StatsCountFlitsConsistently)
     EXPECT_EQ(s.flitsInjected.value(), s.flitsConsumed.value());
     EXPECT_EQ(s.sourceKills.value(), 0u);
     EXPECT_EQ(s.corruptedDeliveries.value(), 0u);
+}
+
+TEST(NetworkBasic, HeadsRecordTheirDeliveryCycle)
+{
+    // Routers sleep through a quiet network, yet a head must record
+    // the cycle it was delivered, not the router's last tick: the
+    // forensics dump prints it and picks the oldest blocked header by
+    // it.
+    SimConfig cfg = smallTorusCr();
+    cfg.routing = RoutingKind::DimensionOrder;  // Ties go Plus: 0, 1, 2.
+    Network net(cfg);
+    net.setTrafficEnabled(false);
+    net.run(500);
+    const MsgId id = net.sendMessage(0, 2, 32);
+    ASSERT_NE(id, kInvalidMsg);
+    net.run(4);  // The head reaches node 2 at cycle 503.
+    for (NodeId node = 0; node <= 2; ++node) {
+        SCOPED_TRACE("node " + std::to_string(node));
+        const Router& r = net.router(node);
+        std::vector<Cycle> stamps;
+        for (PortId p = 0; p < r.numInPorts(); ++p) {
+            for (VcId v = 0; v < cfg.numVcs; ++v) {
+                const Router::InputProbe ip = r.inputProbe(p, v);
+                if (ip.msg == id)
+                    stamps.push_back(ip.headArrivedAt);
+            }
+        }
+        EXPECT_EQ(stamps, std::vector<Cycle>{501 + node});
+    }
 }
 
 TEST(NetworkBasic, OccupancyDumpRendersGrid)

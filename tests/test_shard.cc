@@ -24,6 +24,7 @@
 #include "src/fault/campaign.hh"
 #include "src/sim/snapshot.hh"
 #include "src/sim/trace.hh"
+#include "tests/same_result.hh"
 
 namespace crnet {
 namespace {
@@ -45,47 +46,6 @@ baseCfg()
     cfg.drainCycles = 30000;
     cfg.seed = 11;
     return cfg;
-}
-
-/** Field-by-field RunResult comparison (excluding wall clock). */
-void
-expectSameResult(const RunResult& a, const RunResult& b)
-{
-    EXPECT_EQ(a.offeredLoad, b.offeredLoad);
-    EXPECT_EQ(a.acceptedThroughput, b.acceptedThroughput);
-    EXPECT_EQ(a.avgLatency, b.avgLatency);
-    EXPECT_EQ(a.netLatency, b.netLatency);
-    EXPECT_EQ(a.p50Latency, b.p50Latency);
-    EXPECT_EQ(a.p95Latency, b.p95Latency);
-    EXPECT_EQ(a.p99Latency, b.p99Latency);
-    EXPECT_EQ(a.maxLatency, b.maxLatency);
-    EXPECT_EQ(a.latencyStddev, b.latencyStddev);
-    EXPECT_EQ(a.avgAttempts, b.avgAttempts);
-    EXPECT_EQ(a.killsPerMessage, b.killsPerMessage);
-    EXPECT_EQ(a.padOverhead, b.padOverhead);
-    EXPECT_EQ(a.measuredMessages, b.measuredMessages);
-    EXPECT_EQ(a.deliveredMeasured, b.deliveredMeasured);
-    EXPECT_EQ(a.totalKills, b.totalKills);
-    EXPECT_EQ(a.pathWideKills, b.pathWideKills);
-    EXPECT_EQ(a.escapeAllocations, b.escapeAllocations);
-    EXPECT_EQ(a.misrouteHops, b.misrouteHops);
-    EXPECT_EQ(a.corruptedDeliveries, b.corruptedDeliveries);
-    EXPECT_EQ(a.orderViolations, b.orderViolations);
-    EXPECT_EQ(a.duplicateDeliveries, b.duplicateDeliveries);
-    EXPECT_EQ(a.refusals, b.refusals);
-    EXPECT_EQ(a.deadlocked, b.deadlocked);
-    EXPECT_EQ(a.drained, b.drained);
-    EXPECT_EQ(a.cyclesRun, b.cyclesRun);
-    EXPECT_EQ(a.latencyOverflow, b.latencyOverflow);
-    EXPECT_EQ(a.flitEvents, b.flitEvents);
-    EXPECT_EQ(a.timeseries, b.timeseries);
-    ASSERT_EQ(a.heatmap != nullptr, b.heatmap != nullptr);
-    if (a.heatmap != nullptr) {
-        EXPECT_EQ(a.heatmap->occupancyIntegral,
-                  b.heatmap->occupancyIntegral);
-        EXPECT_EQ(a.heatmap->blockedCycles, b.heatmap->blockedCycles);
-        EXPECT_EQ(a.heatmap->forwarded, b.heatmap->forwarded);
-    }
 }
 
 /** Run `cfg` at shards 1, 2 and 4; require identical results. */
@@ -467,13 +427,14 @@ TEST(Shard, UnshardedSnapshotRestoresIntoUnevenShards)
         << "no cycle in [500, 3000) with every kind in flight to "
            "every shard";
     const Snapshot mid = captureSnapshot(straight);
+    const Cycle savedAt = straight.now();
     finish(straight);
 
     SimConfig sharded = cfg;
     sharded.shards = 3;
     Network cont(sharded);
     ASSERT_EQ(restoreSnapshot(cont, mid), "");
-    EXPECT_EQ(cont.now(), mid.at);
+    EXPECT_EQ(cont.now(), savedAt);
     finish(cont);
 
     const NetworkStats& a = straight.stats();

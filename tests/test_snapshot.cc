@@ -2,11 +2,10 @@
  * @file
  * Checkpoint/restore tests: the byte-identity guarantee (save →
  * restore → continue matches an uninterrupted run bit for bit, under
- * both schedulers), the on-disk container's corruption handling, the
- * restore-side checks on state that does not fit its target, the
- * campaign journal's crash-resume semantics, and the watchdog's
- * quarantine fate (docs/ROBUSTNESS.md). test_snapshot_pins.cc pins the
- * bytes themselves.
+ * both schedulers), the restore-side checks on state that does not
+ * fit its target, the campaign journal's crash-resume semantics, and
+ * the watchdog's quarantine fate (docs/ROBUSTNESS.md).
+ * test_snapshot_pins.cc pins the bytes themselves.
  */
 
 #include <cstddef>
@@ -22,7 +21,6 @@
 #include "src/fault/campaign.hh"
 #include "src/fault/fault_schedule.hh"
 #include "src/sim/audit.hh"
-#include "src/sim/checksum.hh"
 #include "src/sim/config.hh"
 #include "src/sim/snapshot.hh"
 
@@ -167,6 +165,29 @@ TEST(SnapshotIdentity, TracedRunSurvivesRestore)
     EXPECT_TRUE(straight == hopped);
 }
 
+TEST(SnapshotIdentity, ExplicitSendInFlightSurvivesRestore)
+{
+    // The explicit-send tables are state too: a message in flight at
+    // the snapshot is delivered and recorded after the restore.
+    const SimConfig cfg = snapConfig(SchedulerKind::Active);
+    Network a(cfg);
+    a.setTrafficEnabled(false);
+    a.run(50);
+    const MsgId id = a.sendMessage(0, 10, 8);
+    ASSERT_NE(id, kInvalidMsg);
+    a.run(2);
+    ASSERT_FALSE(a.isDelivered(id));
+
+    Network b(cfg);
+    ASSERT_EQ(restoreSnapshot(b, captureSnapshot(a)), "");
+    a.run(500);
+    b.run(500);
+    ASSERT_TRUE(b.isDelivered(id));
+    EXPECT_EQ(b.deliveryRecord(id)->deliveredAt,
+              a.deliveryRecord(id)->deliveredAt);
+    EXPECT_TRUE(captureSnapshot(b).payload == captureSnapshot(a).payload);
+}
+
 TEST(Snapshot, RefusesMismatchedConfig)
 {
     const SimConfig cfg = snapConfig(SchedulerKind::Active);
@@ -180,131 +201,6 @@ TEST(Snapshot, RefusesMismatchedConfig)
     const std::string err = restoreSnapshot(b, snap);
     EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
     EXPECT_EQ(b.now(), 0u);  // Refusal leaves the target untouched.
-}
-
-// --- On-disk container --------------------------------------------------
-
-class SnapshotFile : public testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        cfg_ = snapConfig(SchedulerKind::Active);
-        Network net(cfg_);
-        net.run(120);
-        snap_ = captureSnapshot(net);
-        // Unique per test case: ctest runs the cases as parallel
-        // processes, and a shared path lets one case's corrupted
-        // rewrite race another's read.
-        path_ = testing::TempDir() + "crnet_snapshot_" +
-                testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".bin";
-        ASSERT_EQ(writeSnapshotFile(path_, snap_), "");
-        ASSERT_EQ(readFileBytes(path_, file_), "");
-    }
-
-    /** Rewrite the file with `bytes`, fixing up the CRC trailer. */
-    void
-    rewriteWithValidCrc(std::vector<std::uint8_t> bytes)
-    {
-        const std::size_t body = bytes.size() - 4;
-        const std::uint32_t crc = crc32(bytes.data(), body);
-        for (int i = 0; i < 4; ++i)
-            bytes[body + i] =
-                static_cast<std::uint8_t>(crc >> (8 * i));
-        ASSERT_EQ(atomicWriteFile(path_, bytes), "");
-    }
-
-    SimConfig cfg_;
-    Snapshot snap_;
-    std::string path_;
-    std::vector<std::uint8_t> file_;
-};
-
-TEST_F(SnapshotFile, RoundTripsExactly)
-{
-    Snapshot back;
-    ASSERT_EQ(readSnapshotFile(path_, back), "");
-    EXPECT_EQ(back.at, snap_.at);
-    EXPECT_EQ(back.fingerprint, snap_.fingerprint);
-    EXPECT_TRUE(back.payload == snap_.payload);
-
-    // And the bytes are live: restore + run works.
-    Network net(cfg_);
-    ASSERT_EQ(restoreSnapshot(net, back), "");
-    net.run(50);
-    EXPECT_EQ(net.now(), 170u);
-}
-
-TEST_F(SnapshotFile, DetectsFlippedPayloadByte)
-{
-    std::vector<std::uint8_t> bad = file_;
-    bad[bad.size() / 2] ^= 0x40;
-    ASSERT_EQ(atomicWriteFile(path_, bad), "");
-    Snapshot out;
-    const std::string err = readSnapshotFile(path_, out);
-    EXPECT_NE(err.find("CRC"), std::string::npos) << err;
-}
-
-TEST_F(SnapshotFile, DetectsTruncation)
-{
-    std::vector<std::uint8_t> bad(file_.begin(),
-                                  file_.begin() + 20);
-    ASSERT_EQ(atomicWriteFile(path_, bad), "");
-    Snapshot out;
-    const std::string err = readSnapshotFile(path_, out);
-    EXPECT_NE(err.find("truncated"), std::string::npos) << err;
-
-    // A torn tail (CRC cut off mid-write) must also be caught.
-    std::vector<std::uint8_t> torn(file_.begin(), file_.end() - 2);
-    ASSERT_EQ(atomicWriteFile(path_, torn), "");
-    EXPECT_NE(readSnapshotFile(path_, out), "");
-}
-
-TEST_F(SnapshotFile, DetectsBadMagic)
-{
-    std::vector<std::uint8_t> bad = file_;
-    bad[0] = 'X';
-    rewriteWithValidCrc(bad);
-    Snapshot out;
-    const std::string err = readSnapshotFile(path_, out);
-    EXPECT_NE(err.find("magic"), std::string::npos) << err;
-}
-
-TEST_F(SnapshotFile, DetectsVersionSkew)
-{
-    std::vector<std::uint8_t> bad = file_;
-    bad[8] = 0xEE;  // Version field follows the 8-byte magic.
-    rewriteWithValidCrc(bad);
-    Snapshot out;
-    const std::string err = readSnapshotFile(path_, out);
-    EXPECT_NE(err.find("version"), std::string::npos) << err;
-}
-
-TEST_F(SnapshotFile, RefusesVersion4)
-{
-    // Version 4 carried the scheduler's wake flags and deadline arrays
-    // instead of one wake table per component kind; its layout is
-    // refused, not migrated.
-    ASSERT_EQ(kSnapshotVersion, 5u);
-    std::vector<std::uint8_t> old = file_;
-    old[8] = 4;  // Little-endian u32 after the 8-byte magic.
-    old[9] = old[10] = old[11] = 0;
-    rewriteWithValidCrc(old);
-    Snapshot out;
-    const std::string err = readSnapshotFile(path_, out);
-    EXPECT_NE(err.find("format version 4; this build reads version 5"),
-              std::string::npos)
-        << err;
-}
-
-TEST_F(SnapshotFile, MissingFileIsAnError)
-{
-    Snapshot out;
-    EXPECT_NE(readSnapshotFile(path_ + ".nope", out), "");
 }
 
 // --- Campaign journal ---------------------------------------------------
@@ -711,7 +607,7 @@ TEST(SnapshotDeath, WaveBucketCountMustMatch)
     SimConfig deep = smallConfig();
     deep.channelLatency = 4;
     EXPECT_DEATH(loadInto(deep, 20, smallConfig()),
-                 "wave-bucket count mismatch on restore: saved 8, have 4");
+                 "wave-bucket count mismatch on restore: saved 5, have 2");
 }
 
 TEST(SnapshotDeath, AuditPresenceMustMatch)

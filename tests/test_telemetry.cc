@@ -20,6 +20,7 @@
 #include "src/fault/campaign.hh"
 #include "src/sim/snapshot.hh"
 #include "src/sim/telemetry.hh"
+#include "tests/same_result.hh"
 
 namespace crnet {
 namespace {
@@ -41,32 +42,6 @@ baseCfg()
     cfg.drainCycles = 30000;
     cfg.seed = 23;
     return cfg;
-}
-
-/** Field-by-field RunResult comparison (excluding wall clock). */
-void
-expectSameResult(const RunResult& a, const RunResult& b)
-{
-    EXPECT_EQ(a.offeredLoad, b.offeredLoad);
-    EXPECT_EQ(a.acceptedThroughput, b.acceptedThroughput);
-    EXPECT_EQ(a.avgLatency, b.avgLatency);
-    EXPECT_EQ(a.netLatency, b.netLatency);
-    EXPECT_EQ(a.p50Latency, b.p50Latency);
-    EXPECT_EQ(a.p95Latency, b.p95Latency);
-    EXPECT_EQ(a.p99Latency, b.p99Latency);
-    EXPECT_EQ(a.maxLatency, b.maxLatency);
-    EXPECT_EQ(a.latencyStddev, b.latencyStddev);
-    EXPECT_EQ(a.avgAttempts, b.avgAttempts);
-    EXPECT_EQ(a.killsPerMessage, b.killsPerMessage);
-    EXPECT_EQ(a.measuredMessages, b.measuredMessages);
-    EXPECT_EQ(a.deliveredMeasured, b.deliveredMeasured);
-    EXPECT_EQ(a.totalKills, b.totalKills);
-    EXPECT_EQ(a.refusals, b.refusals);
-    EXPECT_EQ(a.deadlocked, b.deadlocked);
-    EXPECT_EQ(a.drained, b.drained);
-    EXPECT_EQ(a.cyclesRun, b.cyclesRun);
-    EXPECT_EQ(a.flitEvents, b.flitEvents);
-    EXPECT_EQ(a.timeseries, b.timeseries);
 }
 
 // --- Registry ----------------------------------------------------------
@@ -223,7 +198,7 @@ TEST(TelemetryIdentity, SnapshotBytesIdenticalWithProfilerAttached)
 
     const Snapshot a = captureSnapshot(plain);
     const Snapshot b = captureSnapshot(profiled);
-    EXPECT_EQ(a.at, b.at);
+    EXPECT_EQ(plain.now(), profiled.now());
     EXPECT_EQ(a.fingerprint, b.fingerprint);
     EXPECT_EQ(a.payload, b.payload);
     EXPECT_GT(prof.data().ticks, 0u);

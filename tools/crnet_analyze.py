@@ -349,23 +349,35 @@ class DeclIndex:
             i += 1
 
     def scan_members(self, toks: list) -> None:
-        """Map member/var names to element classes (Foo x_; or
-        vector<unique_ptr<Foo>> xs_;) for receiver resolution."""
+        """Map member/var names to their class (Foo x_; const Foo& f =
+        ...) for receiver resolution. A class named only inside
+        template arguments (vector<Foo> xs_;) does not type the name:
+        its calls are the container's, not Foo's. Runs after scan()
+        has registered every class of every file."""
         i = 0
         while i < len(toks) - 1:
             t = toks[i]
             if (t.kind == "id" and toks[i + 1].text in (";", "=", "{")
                     and i >= 1):
-                # Walk the declaration backwards collecting candidate
-                # class names until a statement boundary.
+                # Walk the declaration backwards to the first class
+                # name outside angle brackets, stopping at a
+                # statement boundary.
                 j = i - 1
                 cls = None
                 steps = 0
+                angle = 0
                 while j >= 0 and steps < 24:
                     tj = toks[j]
                     if tj.text in (";", "{", "}", "(", ")", "return"):
                         break
-                    if tj.kind == "id" and tj.text in self.classes:
+                    if tj.text == ">":
+                        angle += 1
+                    elif tj.text == ">>":
+                        angle += 2
+                    elif tj.text == "<":
+                        angle -= 1
+                    elif (angle <= 0 and tj.kind == "id"
+                          and tj.text in self.classes):
                         cls = tj.text
                         break
                     j -= 1
@@ -489,6 +501,7 @@ class InternalFrontend:
             self.index.scan_aliases(toks)
         for toks in toks_by_file.values():
             self.index.scan(toks)
+        for toks in toks_by_file.values():
             self.index.scan_members(toks)
         for path, toks in toks_by_file.items():
             self._scan_file(path, toks)
@@ -650,6 +663,9 @@ class InternalFrontend:
                    body_end: int) -> None:
         idx = self.index
         unordered_like = idx.unordered_names
+        # `name = [` defines a local lambda; its body is this body's
+        # tokens, so a call to it is no edge to a same-named function.
+        lambdas: set = set()
         i = body + 1
         while i < body_end:
             t = toks[i]
@@ -736,10 +752,19 @@ class InternalFrontend:
                 i = colon + 1 if colon is not None else close
                 continue
 
+            if i + 2 < body_end and toks[i + 1].text == "=" \
+                    and toks[i + 2].text == "[":
+                lambdas.add(txt)
+                i += 1
+                continue
+
             # Member or free call.
             if i + 1 < body_end and toks[i + 1].text == "(":
                 recv_name = None
                 accessor = toks[i - 1].text if i >= 1 else ""
+                if accessor not in (".", "->", "::") and txt in lambdas:
+                    i += 1
+                    continue
                 if accessor in (".", "->") and i >= 2 \
                         and toks[i - 2].kind == "id":
                     recv_name = toks[i - 2].text
