@@ -333,6 +333,7 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
         dynamicFaults_ = true;
         schedule_ = std::make_unique<FaultSchedule>(
             FaultSchedule::fromConfig(cfg_, *topo_, root.fork()));
+        dueEvents_.reserve(schedule_->size());
         for (NodeId id = 0; id < n; ++id)
             receivers_[id]->setDynamicFaults(true);
     }
@@ -357,6 +358,8 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
             receivers_[id]->setTracer(trace_.get());
         }
         for (ShardCtx& ctx : shardCtx_) {
+            ctx.discardTrace.reserve(64);
+            ctx.abortTrace.reserve(64);
             ctx.injTrace.reserve(64);
             ctx.rtrTrace.reserve(64);
             ctx.rcvTrace.reserve(64);
@@ -372,66 +375,69 @@ Network::Network(const SimConfig& cfg) : cfg_(cfg)
     // exists.
     if (shards_ > 1) {
         crew_ = std::make_unique<ShardCrew>(
-            shards_, [this](unsigned s) { shardWorker(s); });
+            shards_, [this](unsigned s) { (this->*shardBody_)(s); });
     }
 }
 
 Network::~Network() = default;
 
 void
-Network::deliverPrologue()
+Network::deliverFaultPass()
 {
-    Wave& cur = bucketOf(now_);
-    if (dynamicFaults_ || faults_->effectiveTransientRate() > 0.0) {
-        forEachInOrder(cur, &Segment::flits,
-                       [this](PendingFlit& p, const Segment&) {
-            if (p.inPort >= netPorts_)
-                return;  // An injection hop crosses no wire.
-            if (dynamicFaults_) {
-                // A flit in flight on a channel that died under it is
-                // gone — data counts as purged (conservation holds), a
-                // kill token is absorbed (the death-time teardown
-                // already re-issued a kill downstream of the break).
-                const NodeId sender = neighborOf(p.node, p.inPort);
-                if (sender == kInvalidNode ||
-                    !faults_->linkOk(sender, oppositePort(p.inPort))) {
-                    if (p.flit.isData()) {
-                        stats_.flitsLostOnDeadLinks.inc();
-                        CRNET_AUDIT_HOOK(audit_.get(),
-                                         onFlitsPurged(1));
-                        if (trace_ != nullptr) {
-                            trace_->record(TraceEventKind::LinkLoss,
-                                           p.flit.msg, p.node,
-                                           p.flit.src, p.flit.dst,
-                                           p.flit.attempt, p.inPort);
-                        }
-                    } else {
-                        stats_.killsAbsorbedAtDeadLinks.inc();
+    forEachInOrder(bucketOf(now_), &Segment::flits,
+                   [this](PendingFlit& p, const Segment&) {
+        if (p.inPort >= netPorts_)
+            return;  // An injection hop crosses no wire.
+        if (dynamicFaults_) {
+            // A flit in flight on a channel that died under it is
+            // gone — data counts as purged (conservation holds), a
+            // kill token is absorbed (the death-time teardown already
+            // re-issued a kill downstream of the break).
+            const NodeId sender = neighborOf(p.node, p.inPort);
+            if (sender == kInvalidNode ||
+                !faults_->linkOk(sender, oppositePort(p.inPort))) {
+                if (p.flit.isData()) {
+                    stats_.flitsLostOnDeadLinks.inc();
+                    CRNET_AUDIT_HOOK(audit_.get(), onFlitsPurged(1));
+                    if (trace_ != nullptr) {
+                        trace_->record(TraceEventKind::LinkLoss,
+                                       p.flit.msg, p.node, p.flit.src,
+                                       p.flit.dst, p.flit.attempt,
+                                       p.inPort);
                     }
-                    p.node = kInvalidNode;  // No owner delivers it.
-                    return;
+                } else {
+                    stats_.killsAbsorbedAtDeadLinks.inc();
                 }
+                p.node = kInvalidNode;  // No owner delivers it.
+                return;
             }
-            if (p.flit.isData())
-                faults_->maybeCorrupt(p.flit);
-        });
-    }
-    forEachInOrder(cur, &Segment::recvFlits,
-                   [this](const PendingRecvFlit& p, const Segment& seg) {
+        }
+        if (p.flit.isData())
+            faults_->maybeCorrupt(p.flit);
+    });
+}
+
+void
+Network::deliverNic(unsigned s)
+{
+    ShardCtx& ctx = shardCtx_[s];
+    const Segment& seg = bucketOf(now_).segs[s];
+    Tracer::setThreadStage(&ctx.discardTrace);
+    for (const PendingRecvFlit& p : seg.recvFlits.events) {
         receivers_[p.node]->acceptFlit(p.ejChannel, p.vc, p.flit,
                                        headerOf(p, seg));
         wakeReceiver(p.node);
-    });
-    forEachInOrder(cur, &Segment::injCredits,
-                   [this](const PendingInjCredit& p, const Segment&) {
+    }
+    for (const PendingInjCredit& p : seg.injCredits.events) {
         injectors_[p.node]->acceptCredit(p.injChannel, p.vc);
         wakeInjector(p.node);
-    });
-    forEachInOrder(cur, &Segment::aborts,
-                   [this](const PendingAbort& p, const Segment&) {
+    }
+    Tracer::setThreadStage(&ctx.abortTrace);
+    for (const PendingAbort& p : seg.aborts.events) {
         injectors_[p.node]->acceptAbort(p.injChannel, p.vc, p.msg);
         wakeInjector(p.node);
-    });
+    }
+    Tracer::setThreadStage(nullptr);
 }
 
 void
@@ -718,17 +724,20 @@ Network::activityLevel() const
 // --- The cycle loop ---------------------------------------------------
 //
 // Determinism argument (docs/PERFORMANCE.md has the long form): the
-// shard workers run only owner delivery, component ticks and collects.
-// Each touches only the owning shard's components, wake entries and
+// shard rounds run only delivery, component ticks and collects. Each
+// touches only the owning shard's components, wake entries and
 // segments; every cross-component effect is staged in a wave bucket at
 // least one cycle out, give-ups and commit samples in the injector's
 // outboxes, deliveries in the shard context (the receivers' sink),
 // trace records in per-shard buffers and audit deltas in per-shard
-// stages. Counters are commutative and land in per-shard blocks. Owner
-// delivery visits the current bucket in the serial order (run-major,
-// shard-minor), so every router sees its events in the one-shard
-// order, and it neither records nor draws: every delivery that does
-// stays in the prologue. Only the Network applies ledger calls and accumulator adds, and every
+// stages. Counters are commutative and land in per-shard blocks. A
+// router stages its NIC-bound events only for its own node, so each
+// shard delivers them from its own segment, in the order it staged
+// them; owner delivery visits the router-bound events of the current
+// bucket in the serial order (run-major, shard-minor), so every
+// component sees its events in the one-shard order. No round draws
+// RNG: the corruption draws stay in the serial step's flit pass. Only
+// the Network applies ledger calls and accumulator adds, and every
 // order-sensitive replay below iterates shard-major over contiguous
 // ascending ranges, i.e. in global node order — the one-shard order —
 // so stats, traces, wave contents, wake tables and snapshots are
@@ -740,13 +749,20 @@ Network::activityLevel() const
 // node-order scan matches the exhaustive sweep's tick order exactly.
 
 void
-Network::profileLap(TickPhase phase, std::uint64_t& pt)
+Network::profileLap(TickPhase phase)
 {
     if (!profTimed_)
         return;
     const std::uint64_t t = TickProfiler::stamp();
-    prof_->add(phase, t - pt);
-    pt = t;
+    prof_->add(phase, t - profLapAt_);
+    profLapAt_ = t;
+}
+
+void
+Network::profileSkip()
+{
+    if (profTimed_)
+        profLapAt_ = TickProfiler::stamp();
 }
 
 void
@@ -784,19 +800,40 @@ Network::applyDeliveries(ShardCtx& ctx)
 }
 
 void
-Network::shardWorker(unsigned s)
+Network::runShards(void (Network::*body)(unsigned))
+{
+    if (crew_ == nullptr) {
+        (this->*body)(0);
+        return;
+    }
+    shardBody_ = body;
+    shardBarrierNanos_->fetch_add(crew_->run(),
+                                  std::memory_order_relaxed);
+    profileSkip();  // The join wait is billed to no phase.
+}
+
+void
+Network::shardDeliver(unsigned s)
+{
+    Auditor::setThreadStage(&shardCtx_[s].audit);
+    deliverNic(s);
+    deliverOwned(s);
+    Auditor::setThreadStage(nullptr);
+    if (s == 0)  // Shard 0 runs on the ticking thread, the profiler's.
+        profileLap(TickPhase::Deliver);
+}
+
+void
+Network::shardTick(unsigned s)
 {
     ShardCtx& ctx = shardCtx_[s];
     // Shard 0 runs on the ticking thread, the profiler's.
-    std::uint64_t pt = s == 0 && profTimed_ ? TickProfiler::stamp() : 0;
     const auto lap = [&](TickPhase phase) {
         if (s == 0)
-            profileLap(phase, pt);
+            profileLap(phase);
     };
     Auditor::setThreadStage(&ctx.audit);
-    deliverOwned(s);
     ctx.injReports.clear();
-    lap(TickPhase::Deliver);
     std::uint64_t ticked = 0;
     const Cycle latency = cfg_.channelLatency;
     Segment& next = segmentIn(s, 1);
@@ -855,7 +892,7 @@ Network::shardWorker(unsigned s)
 }
 
 void
-Network::mergeShards(std::uint64_t& pt)
+Network::mergeShards()
 {
 #if CRNET_AUDIT_ENABLED
     if (audit_ != nullptr) {
@@ -869,28 +906,37 @@ Network::mergeShards(std::uint64_t& pt)
     // re-enters record() with no stage installed, so the watch filter
     // (whose pair-adoption mutates watchedMsgs_) runs in deterministic
     // order; Tracer::now_ is constant through the cycle, so the
-    // re-recorded timestamps match the staged ones.
+    // re-recorded timestamps match the staged ones. A shard staged its
+    // Discard and Abort records in its own segment's order, which is
+    // node order (one run of a bucket carries NIC-bound events), so
+    // replaying every shard's Discards and then every shard's Aborts
+    // is the order one shard delivered them in: all ejection flits of
+    // the bucket, then all its aborts.
     const auto replay = [this](std::vector<TraceEvent>& staged) {
         for (const TraceEvent& e : staged)
             trace_->record(e.kind, e.msg, e.node, e.src, e.dst,
                            e.attempt, e.arg);
         staged.clear();
     };
+    for (ShardCtx& ctx : shardCtx_)
+        replay(ctx.discardTrace);
+    for (ShardCtx& ctx : shardCtx_)
+        replay(ctx.abortTrace);
     for (ShardCtx& ctx : shardCtx_) {
         replay(ctx.injTrace);
         for (const NodeId id : ctx.injReports)
             applyInjectorReports(id);
     }
-    profileLap(TickPhase::Injectors, pt);
+    profileLap(TickPhase::Injectors);
     for (ShardCtx& ctx : shardCtx_)
         replay(ctx.rtrTrace);
-    profileLap(TickPhase::Routers, pt);
+    profileLap(TickPhase::Routers);
     for (ShardCtx& ctx : shardCtx_) {
         replay(ctx.rcvTrace);
         applyDeliveries(ctx);
     }
     foldShardCounters();
-    profileLap(TickPhase::Receivers, pt);
+    profileLap(TickPhase::Receivers);
 }
 
 void
@@ -901,27 +947,6 @@ Network::foldShardCounters()
 }
 
 void
-Network::tickComponents()
-{
-    if (crew_ == nullptr) {
-        shardWorker(0);
-    } else {
-        shardBarrierNanos_->fetch_add(crew_->run(),
-                                      std::memory_order_relaxed);
-        // The crew's join provides the happens-before for reading the
-        // workers' tick totals.
-        for (unsigned s = 0; s < shardTickGauges_.size(); ++s) {
-            shardTickGauges_[s]->store(shardCtx_[s].ticks,
-                                       std::memory_order_relaxed);
-        }
-    }
-    // The join wait is billed to no phase.
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
-    mergeShards(pt);
-    bucketOf(now_).clear();
-}
-
-void
 Network::tick()
 {
     // Self-profiler: one tick in every stride is clock-stamped
@@ -929,7 +954,7 @@ Network::tick()
     // enough to be timed exactly. Everything here is observability
     // only — stamps never feed back into simulation state.
     profTimed_ = prof_ != nullptr && prof_->armTick();
-    std::uint64_t pt = profTimed_ ? TickProfiler::stamp() : 0;
+    profileSkip();
 
     CRNET_AUDIT_HOOK(audit_.get(), beginCycle(now_));
     if (trace_ != nullptr)
@@ -944,18 +969,24 @@ Network::tick()
         std::fill(rtrWakeAt_.begin(), rtrWakeAt_.end(), 0);
         std::fill(rcvWakeAt_.begin(), rcvWakeAt_.end(), 0);
     }
-    // Injector-bound events go before generate(): a stale abort can
-    // push its message back onto the source queue, and generate()
-    // reads queueFull(). The shard workers deliver the router-bound
-    // rest to their own ranges.
-    deliverPrologue();
-    // Cycle-open bookkeeping (faults, trace) rides with the delivery
-    // phase.
-    profileLap(TickPhase::Deliver, pt);
+    if (dynamicFaults_ || faults_->effectiveTransientRate() > 0.0)
+        deliverFaultPass();
+    // Round 1. The serial step above and shard 0's delivery (with
+    // cycle-open bookkeeping: faults, trace) are billed to Deliver.
+    runShards(&Network::shardDeliver);
+    // Between the rounds: a stale abort may have pushed its message
+    // back onto the source queue, and generate() reads queueFull().
     generate();
-    profileLap(TickPhase::Generate, pt);
-
-    tickComponents();
+    profileLap(TickPhase::Generate);
+    runShards(&Network::shardTick);
+    // The crew's join provides the happens-before for reading the
+    // workers' tick totals (no gauges without a crew).
+    for (unsigned s = 0; s < shardTickGauges_.size(); ++s) {
+        shardTickGauges_[s]->store(shardCtx_[s].ticks,
+                                   std::memory_order_relaxed);
+    }
+    mergeShards();
+    bucketOf(now_).clear();
 
     const std::uint64_t level = activityLevel();
     if (level != lastActivityLevel_) {
@@ -1486,6 +1517,9 @@ Network::inFlight(NodeId begin, NodeId end) const
             count(seg.flits, c.flits);
             count(seg.credits, c.credits);
             count(seg.bkills, c.bkills);
+            count(seg.recvFlits, c.ejections);
+            count(seg.injCredits, c.injCredits);
+            count(seg.aborts, c.aborts);
         }
     }
     return c;

@@ -108,17 +108,22 @@ class Network
     /** All measured messages accounted for (delivered or failed). */
     bool measuredDrained() const;
 
-    /** Router-bound events staged in the waves (see inFlight()). */
+    /** Events staged in the waves, by kind (see inFlight()). */
     struct WaveCensus
     {
+        // Router-bound.
         std::uint64_t flits = 0;  //!< Kill tokens included.
         std::uint64_t credits = 0;
         std::uint64_t bkills = 0;
+        // NIC-bound.
+        std::uint64_t ejections = 0;  //!< Flits for the receiver.
+        std::uint64_t injCredits = 0;
+        std::uint64_t aborts = 0;
     };
 
     /**
-     * Router-bound events in flight to nodes [begin, end): what a
-     * snapshot taken now would carry for them.
+     * Events in flight to nodes [begin, end): what a snapshot taken
+     * now would carry for them.
      */
     WaveCensus inFlight(NodeId begin, NodeId end) const;
 
@@ -375,15 +380,23 @@ class Network
                           unsigned owner, Fn&& fn);
 
     /**
-     * The prologue's delivery, on the ticking thread and in the serial
-     * order, of every event whose delivery draws RNG or records a
-     * trace event, and of the injector-bound events generate() reads.
-     * When faults can fire, one pass over the flit lane draws each
-     * network hop's corruption and absorbs the flits on dead wires (a
-     * tombstone, kInvalidNode, hides them from every owner). Then the
-     * receiver-bound flits, the injection credits and the aborts.
+     * The serial step's flit pass, on the ticking thread and in the
+     * serial order (run only when faults can fire): it draws each
+     * network hop's corruption from the one fault stream and absorbs
+     * the flits on dead wires, recording their LinkLoss events (a
+     * tombstone, kInvalidNode, hides them from every owner).
      */
-    void deliverPrologue();
+    void deliverFaultPass();
+
+    /**
+     * Shard `s`'s delivery of the NIC-bound events in its own segment:
+     * ejection flits to its receivers, injection credits and aborts to
+     * its injectors. A router stages these only for its own node's
+     * NIC, so they never leave the shard. The receivers' Discard
+     * records go to the shard's discardTrace, the injectors' Abort
+     * records to its abortTrace.
+     */
+    void deliverNic(unsigned s);
 
     /**
      * Shard `s`'s delivery of the router-bound flits, credits and
@@ -428,35 +441,48 @@ class Network
     //
     // Every cycle runs one sequence, at every shard count. The node
     // array is cut into `shards` contiguous ranges (one range at
-    // shards=1):
-    //  1. The prologue, on the ticking thread: fault events,
-    //     deliverPrologue() (every delivery that draws RNG or records
-    //     a trace event, and the injector-bound ones) and generate().
-    //  2. One shardWorker per range: shard 0 on the ticking thread,
-    //     shards 1..K-1 on crew threads (no crew at shards=1). Each
-    //     owns its range for the whole cycle: it delivers the
-    //     router-bound events addressed to its range, ticks its due
-    //     components, stores their next wake cycles and collects their
-    //     outboxes into its own segment of each wave bucket. The
-    //     >= 1-cycle channel latency is the synchronization slack:
-    //     every cross-component effect is staged in the waves, so one
+    // shards=1), and each shard owns its range for the whole cycle.
+    // Two crew rounds run the shards: shard 0 on the ticking thread,
+    // shards 1..K-1 on crew threads (no crew at shards=1: the rounds
+    // are two calls on the ticking thread).
+    //  1. The serial step, on the ticking thread: fault events and,
+    //     when faults can fire, deliverFaultPass() (its corruption
+    //     draws use one RNG stream in the serial order).
+    //  2. Round 1, shardDeliver(): each shard delivers the NIC-bound
+    //     events of its own segment, then the router-bound events
+    //     addressed to its range.
+    //  3. generate(), on the ticking thread: it must see every
+    //     stale-abort requeue of round 1 through queueFull().
+    //  4. Round 2, shardTick(): each shard ticks its due components,
+    //     stores their next wake cycles and collects their outboxes
+    //     into its own segment of each wave bucket. The >= 1-cycle
+    //     channel latency is the synchronization slack: every
+    //     cross-component effect is staged in the waves, so one
     //     cycle's deliveries and ticks touch only the owner's
     //     components.
-    //  3. mergeShards(): everything order-sensitive — ledger calls,
+    //  5. mergeShards(): everything order-sensitive — ledger calls,
     //     Welford accumulator adds, deliveries, trace records — was
     //     staged per shard and is applied here in node order, which
     //     keeps every result byte-identical to shards=1.
 
     /**
-     * Run every shard's worker (on the crew, if there is one), then
-     * the serial merge, and clear the delivered bucket.
+     * Run `body` for every shard: one crew round, or one call on the
+     * ticking thread without a crew. The crew's join wait adds to
+     * `sched.shard_barrier_wait_nanos` and to no profiler phase.
      */
-    void tickComponents();
+    void runShards(void (Network::*body)(unsigned));
 
     /**
-     * One shard's part of the cycle: install the tracer/auditor
-     * staging areas, deliver the router-bound events addressed to the
-     * range (deliverOwned()), then tick the due injectors, routers and
+     * Round 1 of the cycle for shard `s`: with the shard's auditor
+     * stage installed, deliverNic() then deliverOwned(). Shard 0 laps
+     * the profiler's Deliver phase, which began with the tick.
+     */
+    CRNET_HOT_PATH CRNET_RESULT_AFFECTING
+    void shardDeliver(unsigned s);
+
+    /**
+     * Round 2 of the cycle for shard `s`: with the tracer/auditor
+     * staging areas installed, tick the due injectors, routers and
      * receivers of the range (in that phase order, each in node
      * order), store each one's next wake cycle, and collect each into
      * this shard's segments. Injector reports and deliveries go to the
@@ -470,15 +496,16 @@ class Network
                 "the shard's range can stage per cycle (remote lists: "
                 "one event per cross-range channel, one bkill per its "
                 "VC), so the steady state never grows them")
-    void shardWorker(unsigned s);
+    void shardTick(unsigned s);
 
     /**
-     * The serial merge after the workers: fold audit stages, then
-     * phase by phase and shard by shard replay staged trace events,
-     * apply injector reports and deliveries, and fold the shard
-     * counters.
+     * The serial merge after round 2: fold audit stages, replay every
+     * shard's staged Discard records and then every shard's Abort
+     * records (round 1), then phase by phase and shard by shard replay
+     * the staged tick records, apply injector reports and deliveries,
+     * and fold the shard counters.
      */
-    void mergeShards(std::uint64_t& pt);
+    void mergeShards();
 
     /** Fold per-shard Counter blocks into the master stats block. */
     void foldShardCounters();
@@ -489,8 +516,14 @@ class Network
      */
     void applyInjectorReports(NodeId id);
 
-    /** Bill the time since `pt` to `phase` (sampled ticks only). */
-    void profileLap(TickPhase phase, std::uint64_t& pt);
+    /**
+     * Bill the time since profLapAt_ to `phase` and restart the lap
+     * there (sampled ticks only).
+     */
+    void profileLap(TickPhase phase);
+
+    /** Restart the lap now, billing the time since to no phase. */
+    void profileSkip();
 
     /** Queue a component for this cycle's tick (idempotent). */
     void wakeInjector(NodeId id) { injWakeAt_[id] = 0; }
@@ -595,8 +628,10 @@ class Network
     std::vector<ListedBucket> listBuckets() const;
 
     /**
-     * Restore: put each restored bucket into shard 0's segment of its
-     * cycle's wave, with its remote lists and header lane.
+     * Restore: put each restored bucket into its cycle's wave: the
+     * router-bound events into shard 0's segment with its remote
+     * lists, each NIC-bound event into the segment of the shard that
+     * owns its node, and each head's header into its segment's lane.
      */
     void placeBuckets(std::vector<ListedBucket>& listed);
 
@@ -666,8 +701,9 @@ class Network
     // range of the tables in node order, which keeps the tick order —
     // and with it every wave, arbitration and RNG interleaving —
     // identical to the exhaustive sweep. An entry is written only by
-    // the prologue (before the workers run) and by the worker owning
-    // its node, so nothing is staged for the merge.
+    // the worker owning its node and by the ticking thread between
+    // rounds (fault events, generate()), so nothing is staged for the
+    // merge.
     bool activeSched_ = true;
     std::vector<Cycle> injWakeAt_, rtrWakeAt_, rcvWakeAt_;
 
@@ -709,7 +745,9 @@ class Network
         /** This cycle's completed messages, in node order. */
         std::vector<DeliveredMessage> deliveries;
         // Staged trace tuples, one buffer per phase so the replay can
-        // run phase-major / shard-minor (= the serial record order).
+        // run phase-major / shard-minor (= the serial record order):
+        // round 1's Discard and Abort records, then round 2's ticks.
+        std::vector<TraceEvent> discardTrace, abortTrace;
         std::vector<TraceEvent> injTrace, rtrTrace, rcvTrace;
         Auditor::ShardStage audit;
         std::uint64_t ticks = 0;  //!< Cumulative component ticks.
@@ -731,6 +769,8 @@ class Network
     TickProfiler* prof_ = nullptr;
     /** True while the current tick is being clock-stamped. */
     bool profTimed_ = false;
+    /** Start of the running profiler lap (ticking thread only). */
+    std::uint64_t profLapAt_ = 0;
     // Registry handles, cached by attachProfiler (registration
     // allocates; updates are single atomic stores, hot-path safe).
     std::atomic<std::uint64_t>* gaugeInjAwake_ = nullptr;
@@ -759,9 +799,14 @@ class Network
     std::set<MsgId> manualPending_;
 
     /**
-     * The thread-stable crew running shardWorker (shards_ > 1 only).
-     * Declared last, after everything its workers touch, so it is
-     * destroyed (and its threads joined) first.
+     * The shard body of the current crew round (runShards() sets it
+     * before the release, which publishes it to the crew).
+     */
+    void (Network::*shardBody_)(unsigned) = nullptr;
+    /**
+     * The thread-stable crew running each round's shard body
+     * (shards_ > 1 only). Declared last, after everything its workers
+     * touch, so it is destroyed (and its threads joined) first.
      */
     std::unique_ptr<ShardCrew> crew_;
 };

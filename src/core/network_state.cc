@@ -5,7 +5,7 @@
  * listBuckets(), the capture walk over the wave buckets, stays in
  * network.cc beside the other wave walkers. This code lives apart
  * from the tick's translation unit on purpose: instantiating the
- * field lists there changed GCC's inlining of Network::shardWorker
+ * field lists there changed GCC's inlining of the shard worker
  * (once measured at ~4% of paper_lowload). For the same reason the
  * component field lists are defined in their headers and instantiated
  * here, not in the component sources.
@@ -195,16 +195,31 @@ Network::serialize(Self& self, Io& io, Buckets& listed)
 void
 Network::placeBuckets(std::vector<ListedBucket>& listed)
 {
-    // A restored bucket goes into shard 0's segment as its first run
-    // (every segment opens that run, so runs stay aligned): its saved
-    // order is the serial order, and run-major delivery keeps it. Its
-    // router-bound events for other shards' ranges go on shard 0's
-    // remote lists, and its heads' headers join the segment's header
-    // lane. The events are appended, so the segment keeps its reserved
+    // A restored bucket is the first run of its wave (every segment
+    // opens that run, so runs stay aligned): its saved order is the
+    // serial order, and run-major delivery keeps it. Its router-bound
+    // events go into shard 0's segment, those for other shards' ranges
+    // also on shard 0's remote lists. Each NIC-bound event goes into
+    // the segment of the shard owning its node, which delivers it
+    // (deliverNic), so no shard touches another shard's NICs; in the
+    // saved order they are ascending by node, so every segment keeps
+    // them in the order its own routers would have staged them. A
+    // head's header joins the lane of the segment holding it. The
+    // events are appended, so the segments keep their reserved
     // capacity.
     for (Wave& wave : buckets_)
         wave.clear();
+    const NodeId n = topo_->numNodes();
     const NodeId shard0_end = shardCtx_.front().end;
+    // The shard owning `node` (ranges are contiguous and ascending).
+    const auto owner = [&](NodeId node, const char* what) {
+        if (node >= n)
+            panic("restored ", what, " for node ", node, " of ", n);
+        unsigned s = 0;
+        while (node >= shardCtx_[s].end)
+            ++s;
+        return s;
+    };
     for (std::size_t i = 0; i < listed.size(); ++i) {
         ListedBucket& from = listed[i];
         if (from.empty())
@@ -212,8 +227,7 @@ Network::placeBuckets(std::vector<ListedBucket>& listed)
         Wave& wave = bucketOf(now_ + i);
         for (Segment& each : wave.segs)
             each.openRun();
-        Segment& seg = wave.segs.front();
-        const auto staged = [&](auto& e) {
+        const auto staged = [](Segment& seg, auto& e) {
             e.event.header = kNoHeader;
             if (e.event.flit.isHead()) {
                 e.event.header =
@@ -222,23 +236,27 @@ Network::placeBuckets(std::vector<ListedBucket>& listed)
             }
             return e.event;
         };
+        Segment& seg = wave.segs.front();
         for (auto& e : from.flits)
-            seg.flits.push(staged(e), e.event.node >= shard0_end);
-        for (auto& e : from.recvFlits) {
-            if (e.event.ejChannel >= cfg_.ejectionChannels)
-                panic("restored ejection flit on channel ",
-                      e.event.ejChannel, " of ", cfg_.ejectionChannels);
-            seg.recvFlits.events.push_back(staged(e));
-        }
+            seg.flits.push(staged(seg, e), e.event.node >= shard0_end);
         for (const auto& e : from.credits)
             seg.credits.push(e, e.node >= shard0_end);
         for (const auto& e : from.bkills)
             seg.bkills.push(e, e.node >= shard0_end);
-        seg.injCredits.events.insert(seg.injCredits.events.end(),
-                                     from.injCredits.begin(),
-                                     from.injCredits.end());
-        seg.aborts.events.insert(seg.aborts.events.end(),
-                                 from.aborts.begin(), from.aborts.end());
+        for (auto& e : from.recvFlits) {
+            if (e.event.ejChannel >= cfg_.ejectionChannels)
+                panic("restored ejection flit on channel ",
+                      e.event.ejChannel, " of ", cfg_.ejectionChannels);
+            Segment& own =
+                wave.segs[owner(e.event.node, "ejection flit")];
+            own.recvFlits.events.push_back(staged(own, e));
+        }
+        for (const auto& e : from.injCredits) {
+            wave.segs[owner(e.node, "injection credit")]
+                .injCredits.events.push_back(e);
+        }
+        for (const auto& e : from.aborts)
+            wave.segs[owner(e.node, "abort")].aborts.events.push_back(e);
     }
 }
 

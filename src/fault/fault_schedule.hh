@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/annotations.hh"
 #include "src/sim/config.hh"
 #include "src/sim/log.hh"
 #include "src/sim/rng.hh"
@@ -94,7 +95,14 @@ class FaultSchedule
     void add(const FaultEvent& e);
     void merge(const FaultSchedule& other);
 
-    /** Append every not-yet-fired event with at <= now to `out`. */
+    /**
+     * Append every not-yet-fired event with at <= now to `out`. The
+     * Network's scratch `out` holds the whole schedule from
+     * construction on, so the appends never grow it.
+     */
+    CRNET_ALLOW("alloc",
+                "appends to the caller's scratch, reserved at "
+                "construction to every event of the schedule")
     void collectDue(Cycle now, std::vector<FaultEvent>& out);
 
     bool empty() const { return events_.empty(); }

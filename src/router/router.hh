@@ -321,6 +321,10 @@ class Router
     void acceptCredit(PortId out_port, VcId vc);
 
     /** A backward kill arrives, addressed to an output VC. */
+    CRNET_ALLOW("alloc",
+                "amortized growth only: the pending list is cleared "
+                "every tick and keeps its capacity, and a cycle "
+                "delivers at most one backward kill per output VC")
     void acceptBkill(PortId out_port, VcId vc);
 
     // --- Compute phase ----------------------------------------------
@@ -535,6 +539,11 @@ class Router
     std::uint64_t forwardKills();
     void routeHeaders(Cycle now);
     /** Route the waiting header on (p, v), if an output VC is free. */
+    CRNET_ALLOW("alloc",
+                "the routing function appends to out_.candidates, "
+                "cleared per header and reserved at construction to "
+                "every VC of every output port, the most any routing "
+                "function offers (RouterOutbox)")
     void routeHeader(PortId p, VcId v, Cycle now);
     /** Switch allocation over the outputs not in `busy_outputs`. */
     CRNET_ALLOW("alloc",

@@ -11,33 +11,39 @@ namespace crnet {
 
 namespace {
 
-/** Busy-wait probes before a crew waiter blocks in atomic::wait. */
-constexpr unsigned kCrewSpins = 1u << 12;
-
-/** One busy-wait step: x86 `pause`, a yield elsewhere. */
-inline void
-spinPause()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-}
+/**
+ * How long a crew waiter spins before it blocks in atomic::wait. The
+ * waits it should outlast are a sharded cycle's serial steps and the
+ * lag of the slowest shard: on a 64x64 CR torus (4 shards, 4-vCPU
+ * Xeon) generate() between the two rounds takes ~45 us, the merge and
+ * the next cycle's serial step ~3 us, and the ticking thread waits up
+ * to ~300 us per cycle for the slowest shard. At 500 us the crew
+ * there sleeps 0-0.14 times per round, against 3.1-3.5 of its 4 waits
+ * per round under the old spin of 4,096 `pause`s (~65 us on that
+ * host; `pause` latency varies about tenfold across x86 generations,
+ * so the budget is a time, not a count).
+ */
+constexpr std::uint64_t kCrewSpinNanos = 500'000;
 
 /**
  * Wait until `word` no longer holds `old` and return its new value
- * (acquire): a bounded spin, then std::atomic::wait.
+ * (acquire): spin for kCrewSpinNanos, then block in std::atomic::wait
+ * and count the sleep into `sleeps`. The spin yields the core between
+ * polls, so on an oversubscribed host the threads it waits for get to
+ * run; on a quiet one each yield returns at once.
  */
 std::uint32_t
-awaitChange(const std::atomic<std::uint32_t>& word, std::uint32_t old)
+awaitChange(const std::atomic<std::uint32_t>& word, std::uint32_t old,
+            std::atomic<std::uint64_t>& sleeps)
 {
-    for (unsigned i = 0; i < kCrewSpins; ++i) {
+    const std::uint64_t t0 = WallTimer::nanos();
+    do {
         const std::uint32_t v = word.load(std::memory_order_acquire);
         if (v != old)
             return v;
-        spinPause();
-    }
+        std::this_thread::yield();
+    } while (WallTimer::nanos() - t0 < kCrewSpinNanos);
+    sleeps.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
         word.wait(old, std::memory_order_acquire);
         const std::uint32_t v = word.load(std::memory_order_acquire);
@@ -66,7 +72,9 @@ resolveShards(unsigned requested)
     return std::clamp(requested, 1u, kMaxJobs);
 }
 
-ShardCrew::ShardCrew(unsigned width, Body body) : body_(std::move(body))
+ShardCrew::ShardCrew(unsigned width, Body body)
+    : body_(std::move(body)),
+      sleeps_(Telemetry::instance().counter("pool.crew_sleeps"))
 {
     width = std::clamp(width, 1u, kMaxJobs);
     threads_.reserve(width - 1);
@@ -107,7 +115,7 @@ ShardCrew::run()
     const std::uint64_t t0 = WallTimer::nanos();
     for (std::uint32_t left = pending_.load(std::memory_order_acquire);
          left != 0;)
-        left = awaitChange(pending_, left);
+        left = awaitChange(pending_, left, *sleeps_);
     return WallTimer::nanos() - t0;
 }
 
@@ -118,7 +126,7 @@ ShardCrew::threadLoop(unsigned index)
     // the first, so each generation is seen exactly once.
     std::uint32_t seen = 0;
     for (;;) {
-        seen = awaitChange(generation_, seen);
+        seen = awaitChange(generation_, seen, *sleeps_);
         if (stopping_.load(std::memory_order_relaxed))
             return;
         body_(index);

@@ -61,9 +61,9 @@ unsigned resolveShards(unsigned requested = 0);
  * component state stays in that core's caches.
  *
  * One generation counter releases a round and one pending counter
- * joins it. A waiter spins a bounded number of times (x86 `pause`, a
- * yield elsewhere), then blocks in std::atomic::wait, so an
- * oversubscribed machine does not burn whole time slices. A round
+ * joins it. A waiter spins for a fixed time, yielding its core
+ * between polls, then blocks in std::atomic::wait; each such sleep
+ * adds one to the `pool.crew_sleeps` registry counter. A round
  * allocates nothing. The body must not throw (engine code reports
  * failure via panic/fatal, which abort the process).
  */
@@ -102,6 +102,8 @@ class ShardCrew
     void stopAndJoin();
 
     Body body_;
+    /** The `pool.crew_sleeps` registry counter. */
+    std::atomic<std::uint64_t>* sleeps_;
     std::vector<std::thread> threads_;
     /** Bumped by run() to release a round (and by the destructor). */
     alignas(64) std::atomic<std::uint32_t> generation_{0};

@@ -28,6 +28,10 @@ property:
   local_lambda
               a local lambda named like an
               allocating function: no edge        -> exit 0
+  scoped_receiver
+              receivers named like another
+              function's locals, typed by this
+              function's own declarations         -> exit 1
   badallow    CRNET_ALLOW with empty reason and
               with an unknown rule                -> exit 1
   telemetry_clock
@@ -108,6 +112,14 @@ CASES = [
         "[chain: Queue::tick]",
     ]),
     ("local_lambda", 0, []),
+    # Not reported: survey()'s `s.add(1)` and `c.insert(1)`
+    # (src/scoped.cc:35-36), Census calls typed by its own locals.
+    ("scoped_receiver", 1, [
+        "src/scoped.cc:25: alloc: operator new "
+        "[chain: Engine::tick -> Pool::add]",
+        "src/scoped.cc:52: alloc: .insert() container growth "
+        "[chain: Engine::tick]",
+    ]),
     ("badallow", 1, [
         'src/badallow.cc:11: allow-missing-reason: CRNET_ALLOW("alloc") '
         "on makeBuffer has no reason string",

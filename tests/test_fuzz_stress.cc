@@ -11,21 +11,28 @@
  * Every seed also runs a cross-mode differential: the same config
  * under an uneven shards=3 split that hops through captureSnapshot/
  * restoreSnapshot mid-run, and under sched=sweep. The legs must agree
- * on every counter and accumulator and on their whole summary, and
- * the sharded leg's final snapshot must be byte-identical to
- * shards=1.
+ * on every counter and accumulator and on their whole summary, the
+ * sharded leg's final snapshot must be byte-identical to shards=1,
+ * and every leg writes a trace that must match shards=1's byte for
+ * byte: the per-shard Discard/Abort staging replays in the serial
+ * order at every shard count and scheduler.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/core/experiment.hh"
 #include "src/core/network.hh"
 #include "src/sim/snapshot.hh"
+#include "src/sim/trace.hh"
 #include "tests/same_result.hh"
 
 namespace crnet {
@@ -150,6 +157,23 @@ statsBytes(const NetworkStats& s)
     return w.bytes();
 }
 
+/**
+ * A finished leg's .jsonl trace (its config's traceFile), read and
+ * then deleted with the Chrome file.
+ */
+std::string
+takeTrace(Network& net)
+{
+    net.tracer()->flush();
+    const std::string prefix = net.config().traceFile;
+    std::ifstream in(prefix + ".jsonl");
+    std::ostringstream os;
+    os << in.rdbuf();
+    std::remove((prefix + ".jsonl").c_str());
+    std::remove((prefix + ".json").c_str());
+    return os.str();
+}
+
 /** A quiesced leg's RunResult, as runExperiment would report it. */
 RunResult
 summarized(const Network& net)
@@ -195,6 +219,11 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
     cfg.shards = 1;
     SCOPED_TRACE(cfg.summary());
     cfg.validate();
+    // Every leg traces under its own prefix (the prefix is not part
+    // of the config fingerprint, so the snapshot hop restores).
+    const std::string prefix = ::testing::TempDir() + "crnet_fuzz_" +
+                               std::to_string(GetParam()) + "_";
+    cfg.traceFile = prefix + "one";
 
     std::unique_ptr<Network> net;
     runStress(cfg, 0, net);
@@ -221,12 +250,18 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
         EXPECT_EQ(s.corruptedDeliveries.value(), 0u);
     }
 
+    const std::string trace = takeTrace(*net);
+    EXPECT_FALSE(trace.empty());
+
     SimConfig sharded = cfg;
     sharded.shards = 3;
+    sharded.traceFile = prefix + "three";
     std::unique_ptr<Network> split;
     runStress(sharded, 1 + meta.below(kLoadedCycles - 1), split);
     if (HasFatalFailure())
         return;
+    EXPECT_TRUE(takeTrace(*split) == trace)
+        << "shards=3 trace differs from shards=1";
     const std::vector<std::uint8_t> want = statsBytes(s);
     const RunResult summary = summarized(*net);
     EXPECT_TRUE(statsBytes(split->stats()) == want)
@@ -241,10 +276,13 @@ TEST_P(FuzzStress, InvariantsSurviveRandomConfigs)
 
     SimConfig sweep = cfg;
     sweep.sched = SchedulerKind::Sweep;
+    sweep.traceFile = prefix + "sweep";
     std::unique_ptr<Network> swept;
     runStress(sweep, 0, swept);
     if (HasFatalFailure())
         return;
+    EXPECT_TRUE(takeTrace(*swept) == trace)
+        << "sched=sweep trace differs from sched=active";
     EXPECT_TRUE(statsBytes(swept->stats()) == want)
         << "sched=sweep stats differ from sched=active";
     SCOPED_TRACE("sched=sweep summary");

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -22,6 +23,7 @@
 #include "src/core/experiment.hh"
 #include "src/core/network.hh"
 #include "src/fault/campaign.hh"
+#include "src/sim/checksum.hh"
 #include "src/sim/snapshot.hh"
 #include "src/sim/trace.hh"
 #include "tests/same_result.hh"
@@ -46,6 +48,16 @@ baseCfg()
     cfg.drainCycles = 30000;
     cfg.seed = 11;
     return cfg;
+}
+
+/** The contents of `path` ("" when it cannot be read). */
+std::string
+slurpFile(const std::string& path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
 }
 
 /** Run `cfg` at shards 1, 2 and 4; require identical results. */
@@ -137,12 +149,6 @@ TEST(Shard, UnevenRangesAndClampToNodeCount)
 
 TEST(Shard, TraceFilesAreByteIdentical)
 {
-    auto slurp = [](const std::string& path) {
-        std::ifstream in(path);
-        std::ostringstream os;
-        os << in.rdbuf();
-        return os.str();
-    };
     auto runTraced = [&](std::uint32_t shards, const std::string& tag) {
         SimConfig cfg = baseCfg();
         cfg.shards = shards;
@@ -151,7 +157,7 @@ TEST(Shard, TraceFilesAreByteIdentical)
         cfg.measureCycles = 600;
         cfg.traceFile = ::testing::TempDir() + "crnet_shard_" + tag;
         (void)runExperiment(cfg);
-        const std::string text = slurp(cfg.traceFile + ".jsonl");
+        const std::string text = slurpFile(cfg.traceFile + ".jsonl");
         std::remove((cfg.traceFile + ".jsonl").c_str());
         std::remove((cfg.traceFile + ".json").c_str());
         return text;
@@ -168,12 +174,6 @@ TEST(Shard, WatchFilterAdoptionSurvivesSharding)
 {
     // The pair-adoption path mutates the tracer's shared watch set,
     // which is why staged events replay through record() serially.
-    auto slurp = [](const std::string& path) {
-        std::ifstream in(path);
-        std::ostringstream os;
-        os << in.rdbuf();
-        return os.str();
-    };
     auto runWatched = [&](std::uint32_t shards,
                           const std::string& tag) {
         SimConfig cfg = baseCfg();
@@ -184,7 +184,7 @@ TEST(Shard, WatchFilterAdoptionSurvivesSharding)
         cfg.watchSpec = "0-15,3-12";
         cfg.traceFile = ::testing::TempDir() + "crnet_watch_" + tag;
         (void)runExperiment(cfg);
-        const std::string text = slurp(cfg.traceFile + ".jsonl");
+        const std::string text = slurpFile(cfg.traceFile + ".jsonl");
         std::remove((cfg.traceFile + ".jsonl").c_str());
         std::remove((cfg.traceFile + ".json").c_str());
         return text;
@@ -197,20 +197,15 @@ TEST(Shard, WatchFilterAdoptionSurvivesSharding)
 
 TEST(Shard, TracedFaultRunsMatchAtEveryShardCount)
 {
-    // The prologue keeps every delivery that draws RNG or records a
-    // trace event (the corruption draws, dead-wire absorption and its
-    // link_loss records, the receivers' and injectors' records), and
-    // the shards owner-deliver the router-bound rest. FCR with link
-    // kills that get repaired, one fail-stop router (one cycle absorbs
-    // flits bound for several shards), a transient rate and a
-    // corruption burst, traced unwatched and under a watch list: every
-    // shard count must reproduce shards=1's results and trace bytes.
-    auto slurp = [](const std::string& path) {
-        std::ifstream in(path);
-        std::ostringstream os;
-        os << in.rdbuf();
-        return os.str();
-    };
+    // The serial step keeps the corruption draws and the dead-wire
+    // absorption with its link_loss records; each shard delivers its
+    // own NICs' events, staging the receivers' and injectors' records
+    // for the merge, and owner-delivers the router-bound rest. FCR
+    // with link kills that get repaired, one fail-stop router (one
+    // cycle absorbs flits bound for several shards), a transient rate
+    // and a corruption burst, traced unwatched and under a watch list:
+    // every shard count must reproduce shards=1's results and trace
+    // bytes.
     auto runTraced = [&](std::uint32_t shards, const std::string& watch,
                          RunResult& result) {
         SimConfig cfg = baseCfg();
@@ -234,7 +229,7 @@ TEST(Shard, TracedFaultRunsMatchAtEveryShardCount)
         cfg.traceFile = ::testing::TempDir() + "crnet_fault_trace_" +
                         std::to_string(shards);
         result = runExperiment(cfg);
-        const std::string text = slurp(cfg.traceFile + ".jsonl");
+        const std::string text = slurpFile(cfg.traceFile + ".jsonl");
         std::remove((cfg.traceFile + ".jsonl").c_str());
         std::remove((cfg.traceFile + ".json").c_str());
         return text;
@@ -391,9 +386,9 @@ TEST(Shard, SnapshotRoundTripsAcrossShardCounts)
 
 TEST(Shard, UnshardedSnapshotRestoresIntoUnevenShards)
 {
-    // A restored bucket lands whole in shard 0's segment, so shards 1
-    // and 2 find their events only through the remote lists the
-    // restore rebuilds. Save an unsharded run with four-cycle
+    // A restored bucket's router-bound events land in shard 0's
+    // segment, so shards 1 and 2 find them only through the remote
+    // lists the restore rebuilds. Save an unsharded run with four-cycle
     // channels and path-wide kills when flits, credits and backward
     // kills are in flight to every shard of a shards=3 split (ranges
     // [0,6), [6,11), [11,16)), restore it at shards=3, and finish.
@@ -479,6 +474,169 @@ TEST(Shard, BetweenTickFaultEventCountsAtOnce)
         return w.bytes();
     };
     EXPECT_EQ(statsAfterEvent(3), statsAfterEvent(1));
+}
+
+/**
+ * The traced run the record-order pin covers: FCR with path-wide
+ * kills and corruption on a 4x4 torus with three-cycle channels, and
+ * six links killed from cycle 300 on, one every 25 cycles. Before the
+ * kills, receivers discard assemblies as kill tokens arrive (Discard
+ * records at delivery); after them, dead wires absorb flits (LinkLoss
+ * records) and receivers resolve the cut worms in their ticks. Aborts
+ * reach the injectors throughout. Returns the .jsonl trace.
+ */
+std::string
+nicRecordRun(std::uint32_t shards)
+{
+    SimConfig cfg = baseCfg();
+    cfg.protocol = ProtocolKind::Fcr;
+    cfg.timeoutScheme = TimeoutScheme::PathWide;
+    cfg.timeout = 4;
+    cfg.channelLatency = 3;
+    cfg.injectionRate = 0.4;
+    cfg.transientFaultRate = 2e-3;
+    cfg.shards = shards;
+    cfg.traceFile = ::testing::TempDir() + "crnet_nic_records_" +
+                    std::to_string(shards);
+    {
+        Network net(cfg);
+        net.setMeasuring(true);
+        net.run(300);
+        const NodeId nodes[] = {5, 10, 3, 12, 6, 9};
+        for (PortId k = 0; k < 6; ++k) {
+            FaultEvent ev;
+            ev.kind = FaultEventKind::LinkDeath;
+            ev.node = nodes[k];
+            ev.port = k % 4;
+            net.injectFaultEvent(ev);
+            net.run(25);
+        }
+        net.run(150);
+        net.setTrafficEnabled(false);
+        net.run(300);
+    }  // The tracer writes its files as the network goes.
+    const std::string text = slurpFile(cfg.traceFile + ".jsonl");
+    std::remove((cfg.traceFile + ".jsonl").c_str());
+    std::remove((cfg.traceFile + ".json").c_str());
+    return text;
+}
+
+/** The cycles holding a record of kind `ev` in a .jsonl trace. */
+std::set<Cycle>
+cyclesWith(const std::string& trace, const std::string& ev)
+{
+    std::set<Cycle> cycles;
+    std::istringstream in(trace);
+    const std::string tag = "\"ev\":\"" + ev + "\"";
+    for (std::string line; std::getline(in, line);) {
+        if (line.find(tag) != std::string::npos)
+            cycles.insert(std::stoull(line.substr(line.find(':') + 1)));
+    }
+    return cycles;
+}
+
+TEST(Shard, NicRecordsKeepTheSerialOrder)
+{
+    // Each shard stages its receivers' Discard and its injectors'
+    // Abort records, and the merge replays every shard's Discards,
+    // then every shard's Aborts, before the tick records. Identity
+    // across shard counts cannot catch an order that is wrong the same
+    // way at every count, so the trace is pinned: its length and
+    // CRC-32 as the serial delivery wrote it, with the moved records
+    // sharing cycles with LinkLoss and tick records.
+    const std::string one = nicRecordRun(1);
+    // Whether some cycle before `until` holds records of both kinds.
+    const auto both = [&](const std::string& a, const std::string& b,
+                          Cycle until) {
+        const std::set<Cycle> x = cyclesWith(one, a);
+        for (const Cycle c : cyclesWith(one, b))
+            if (c < until && x.count(c) != 0)
+                return true;
+        return false;
+    };
+    // Delivery-time Discards (before the first kill arms the dynamic
+    // faults) beside Aborts and tick records; after it, LinkLoss
+    // beside Aborts and tick-time Discards.
+    EXPECT_TRUE(both("discard", "abort", 300));
+    EXPECT_TRUE(both("discard", "head_advance", 300));
+    EXPECT_TRUE(both("link_loss", "abort", kNeverCycle));
+    EXPECT_TRUE(both("link_loss", "discard", kNeverCycle));
+    const std::uint32_t crc = crc32(
+        reinterpret_cast<const std::uint8_t*>(one.data()), one.size());
+    EXPECT_TRUE(one.size() == 599958 && crc == 0xc6eaad54u)
+        << one.size() << " bytes, CRC-32 0x" << std::hex << crc
+        << "; pinned 599958 bytes, CRC-32 0xc6eaad54";
+    EXPECT_TRUE(nicRecordRun(3) == one);
+}
+
+TEST(Shard, NicEventsInFlightRestoreIntoUnevenShards)
+{
+    // Each restored NIC-bound event goes into the segment of the shard
+    // owning its node, which delivers it in round 1. Save an unsharded
+    // traced run when ejection flits and aborts are in flight to every
+    // shard of a shards=3 split (ranges [0,6), [6,11), [11,16)),
+    // restore it at shards=3, and finish: the payload and the trace
+    // must match the uninterrupted run's.
+    SimConfig cfg = baseCfg();
+    cfg.timeout = 4;
+    cfg.timeoutScheme = TimeoutScheme::PathWide;
+    cfg.injectionRate = 0.4;
+    cfg.shards = 1;
+    const std::vector<std::pair<NodeId, NodeId>> ranges = {
+        {0, 6}, {6, 11}, {11, 16}};
+    auto allInFlight = [&](const Network& net) {
+        for (const auto& [begin, end] : ranges) {
+            const Network::WaveCensus c = net.inFlight(begin, end);
+            if (c.ejections == 0 || c.aborts == 0)
+                return false;
+        }
+        return true;
+    };
+    const auto finish = [](Network& net) {
+        net.setMeasuring(false);
+        net.setTrafficEnabled(false);
+        net.run(600);
+    };
+    const std::string prefix =
+        ::testing::TempDir() + "crnet_nic_restore_";
+
+    Snapshot mid;
+    Cycle savedAt = 0;
+    std::vector<std::uint8_t> want;
+    {
+        SimConfig traced = cfg;
+        traced.traceFile = prefix + "one";
+        Network straight(traced);
+        straight.run(300);
+        while (!allInFlight(straight) && straight.now() < 3000)
+            straight.run(1);
+        ASSERT_TRUE(allInFlight(straight))
+            << "no cycle in [300, 3000) with ejection flits and aborts "
+               "in flight to every shard";
+        mid = captureSnapshot(straight);
+        savedAt = straight.now();
+        finish(straight);
+        want = captureSnapshot(straight).payload;
+    }
+    std::vector<std::uint8_t> got;
+    {
+        SimConfig sharded = cfg;
+        sharded.shards = 3;
+        sharded.traceFile = prefix + "three";
+        Network cont(sharded);
+        ASSERT_EQ(restoreSnapshot(cont, mid), "");
+        EXPECT_EQ(cont.now(), savedAt);
+        finish(cont);
+        got = captureSnapshot(cont).payload;
+    }
+    EXPECT_TRUE(got == want);
+    const std::string one = slurpFile(prefix + "one.jsonl");
+    EXPECT_NE(one.find("\"ev\":\"abort\""), std::string::npos);
+    EXPECT_TRUE(slurpFile(prefix + "three.jsonl") == one);
+    for (const char* tag : {"one", "three"}) {
+        std::remove((prefix + tag + ".jsonl").c_str());
+        std::remove((prefix + tag + ".json").c_str());
+    }
 }
 
 TEST(Shard, ConfigKeyRoundTripsAndValidates)

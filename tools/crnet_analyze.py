@@ -302,7 +302,8 @@ class DeclIndex:
         self.unordered_returning: set = set()   # fns returning them
         self.wallclock_aliases: set = set()     # using X = *_clock
         self.classes: set = set()
-        self.member_types: dict = {}            # member name -> class
+        self.class_members: dict = {}   # class -> {member name -> class}
+        self.member_types: dict = {}    # member name -> class, any class
 
     def scan_aliases(self, toks: list) -> None:
         for i, t in enumerate(toks):
@@ -349,42 +350,120 @@ class DeclIndex:
             i += 1
 
     def scan_members(self, toks: list) -> None:
-        """Map member/var names to their class (Foo x_; const Foo& f =
-        ...) for receiver resolution. A class named only inside
-        template arguments (vector<Foo> xs_;) does not type the name:
-        its calls are the container's, not Foo's. Runs after scan()
-        has registered every class of every file."""
+        """Type the data members of every class (Foo x_; const Foo& f
+        = ...), per class and by name across classes. Only a
+        declaration directly in a class body is a member: one inside a
+        function body is a local, typed for its own function alone
+        (local_types). Runs after scan() has registered every class of
+        every file."""
+        scopes: list = []   # per open brace: its class name, or None
         i = 0
-        while i < len(toks) - 1:
+        n = len(toks)
+        while i < n:
             t = toks[i]
-            if (t.kind == "id" and toks[i + 1].text in (";", "=", "{")
-                    and i >= 1):
-                # Walk the declaration backwards to the first class
-                # name outside angle brackets, stopping at a
-                # statement boundary.
-                j = i - 1
-                cls = None
-                steps = 0
-                angle = 0
-                while j >= 0 and steps < 24:
-                    tj = toks[j]
-                    if tj.text in (";", "{", "}", "(", ")", "return"):
-                        break
-                    if tj.text == ">":
-                        angle += 1
-                    elif tj.text == ">>":
-                        angle += 2
-                    elif tj.text == "<":
-                        angle -= 1
-                    elif (angle <= 0 and tj.kind == "id"
-                          and tj.text in self.classes):
-                        cls = tj.text
-                        break
-                    j -= 1
-                    steps += 1
-                if cls is not None:
+            if is_template_head(toks, i):
+                i = skip_angle(toks, i + 1)
+                continue
+            if t.kind == "id" and t.text in ("class", "struct") \
+                    and i + 1 < n and toks[i + 1].kind == "id":
+                j = i + 2
+                while j < n and toks[j].text not in ("{", ";"):
+                    j = skip_angle(toks, j) if toks[j].text == "<" \
+                        else j + 1
+                if j < n and toks[j].text == "{":
+                    scopes.append(toks[i + 1].text)
+                    i = j + 1
+                    continue
+            if t.text == "{":
+                scopes.append(None)
+            elif t.text == "}":
+                if scopes:
+                    scopes.pop()
+            elif (scopes and scopes[-1] is not None and t.kind == "id"
+                  and i + 1 < n and toks[i + 1].text in (";", "=", "{")):
+                declared, cls = declaration_at(toks, i, self.classes)
+                if declared and cls is not None:
+                    self.class_members.setdefault(
+                        scopes[-1], {}).setdefault(t.text, cls)
                     self.member_types.setdefault(t.text, cls)
             i += 1
+
+
+def declaration_at(toks: list, i: int, classes: set) -> tuple:
+    """Whether the name at toks[i] is declared there, and its class.
+
+    Walks the declaration backwards to a statement or parameter
+    boundary. It declares the name when a type word (any identifier
+    but a keyword) stands before it, so `x = 1;` and `*p = v;` declare
+    nothing. Its class is the first repo class named outside angle
+    brackets: `vector<Foo> xs_;` types nothing, since its calls are
+    the container's, not Foo's. Returns (declared, class or None)."""
+    j = i - 1
+    cls = None
+    declared = False
+    steps = 0
+    angle = 0
+    while j >= 0 and steps < 24:
+        tj = toks[j]
+        if tj.text in (";", "{", "}", "(", ")", "return", ".", "->") \
+                or (tj.text == "," and angle <= 0):
+            break
+        if tj.text == ">":
+            angle += 1
+        elif tj.text == ">>":
+            angle += 2
+        elif tj.text == "<":
+            angle -= 1
+        elif tj.kind == "id" and tj.text not in CPP_KEYWORDS:
+            declared = True
+            if angle <= 0 and tj.text in classes:
+                cls = tj.text
+                break
+        j -= 1
+        steps += 1
+    return declared, cls
+
+
+def local_types(toks: list, params: tuple, body: int, body_end: int,
+                classes: set) -> dict:
+    """Name -> class (None: no repo class) of every parameter and local
+    of one function: its parameters in toks[params[0]:params[1]], and
+    in its body [body, body_end) each declaration, lambda parameter and
+    range-for variable. First declaration wins."""
+    found: dict = {}
+
+    def note(i: int) -> None:
+        declared, cls = declaration_at(toks, i, classes)
+        if declared:
+            found.setdefault(toks[i].text, cls)
+
+    def note_params(lo: int, hi: int) -> None:
+        depth = 0
+        for j in range(lo + 1, hi - 1):
+            tj = toks[j].text
+            if tj in ("(", "[", "{"):
+                depth += 1
+            elif tj in (")", "]", "}"):
+                depth -= 1
+            elif depth == 0 and toks[j].kind == "id" \
+                    and toks[j + 1].text in (",", ")", "="):
+                note(j)
+
+    note_params(*params)
+    in_for = []  # close-paren index of each enclosing `for (`
+    for i in range(body + 1, body_end):
+        t = toks[i]
+        while in_for and i >= in_for[-1]:
+            in_for.pop()
+        if t.text == "(" and toks[i - 1].text == "]":
+            note_params(i, match_forward(toks, i, "(", ")"))
+        elif t.text == "for" and toks[i + 1].text == "(":
+            in_for.append(match_forward(toks, i + 1, "(", ")"))
+        elif t.kind == "id" and i + 1 < body_end:
+            nxt = toks[i + 1].text
+            if nxt in (";", "=", "{") or (nxt == ":" and in_for):
+                note(i)
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -612,7 +691,8 @@ class InternalFrontend:
                     fn.allows.update(pending_allows)
                     clear_pending()
                     body_end = match_forward(toks, body, "{", "}")
-                    self._scan_body(fn, toks, body, body_end)
+                    self._scan_body(fn, toks, (i, close), body,
+                                    body_end)
                     self.program.add_function(fn)
                     i = body_end
                     stmt_start = i
@@ -659,10 +739,16 @@ class InternalFrontend:
 
     # -- body walk -------------------------------------------------------
 
-    def _scan_body(self, fn: FunctionInfo, toks: list, body: int,
-                   body_end: int) -> None:
+    def _scan_body(self, fn: FunctionInfo, toks: list, params: tuple,
+                   body: int, body_end: int) -> None:
         idx = self.index
         unordered_like = idx.unordered_names
+        # A receiver is typed by the declaration in scope: this
+        # function's parameters and locals, then its class's members,
+        # then a member of any class (the `stats` of `ctx.stats->x()`).
+        # A local never types a name in another function.
+        locals_ = local_types(toks, params, body, body_end, idx.classes)
+        own_members = idx.class_members.get(fn.cls, {})
         # `name = [` defines a local lambda; its body is this body's
         # tokens, so a call to it is no edge to a same-named function.
         lambdas: set = set()
@@ -795,6 +881,10 @@ class InternalFrontend:
                 if recv_name is not None:
                     if recv_name in idx.classes:
                         recv_cls = recv_name
+                    elif recv_name in locals_:
+                        recv_cls = locals_[recv_name]
+                    elif recv_name in own_members:
+                        recv_cls = own_members[recv_name]
                     else:
                         recv_cls = idx.member_types.get(recv_name)
                 fn.calls.append(CallSite(txt, recv_cls))

@@ -130,10 +130,11 @@ def render_shards(metrics):
     `sched.shard_ticks.<s>` gauges count component ticks each shard
     performed; `sched.shard_barrier_wait_nanos` accumulates only the
     ticking thread's wait for the other shards after it finished shard
-    0's range (the `pool.*` counters cover `jobs=` batches, not a
-    network's crew). A well-balanced run shows near-equal tick shares
-    and a small wait; a lopsided bar means the node-range split does
-    not match where the traffic is (docs/PERFORMANCE.md).
+    0's part of each round (the other `pool.*` counters cover `jobs=`
+    batches, not a network's crew; `pool.crew_sleeps` counts both). A
+    well-balanced run shows near-equal tick shares and a small wait; a
+    lopsided bar means the node-range split does not match where the
+    traffic is (docs/PERFORMANCE.md).
     """
     ticks = {}
     for name, value in metrics.items():
